@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from subquant import formats
-from subquant.engine import analyze_layer
-from subquant.synth import aligned_spec, generate_instance, weight_anisotropic_spec
+from subquant.engine import campaign
+from subquant.synth import aligned_spec, weight_anisotropic_spec
 
 FAMILIES = {"weight-anisotropic": weight_anisotropic_spec, "aligned": aligned_spec}
 
@@ -35,23 +35,15 @@ def main():
                     help="optional JSONL path for all per-instance reports")
     args = ap.parse_args()
 
-    make_spec = FAMILIES[args.family]
-    wins_act = wins_wt = 0
-    reductions = []
-    all_reports = []
-    for k in range(args.instances):
-        spec = make_spec(args.dim, args.tokens, args.out_features, seed=k)
-        x, w = generate_instance(spec)
-        joint, act, wt = analyze_layer(x, w, rank=args.rank,
-                                       bits_low=args.bits_low,
-                                       bits_high=args.bits_high, seed=k)
-        wins_act += joint.exact_error <= act.exact_error
-        wins_wt += joint.exact_error <= wt.exact_error
-        reductions.append(joint.relative_reduction)
-        all_reports += [joint, act, wt]
+    spec = FAMILIES[args.family](args.dim, args.tokens, args.out_features, seed=0)
+    runs = campaign(spec, args.instances, rank=args.rank,
+                    bits_low=args.bits_low, bits_high=args.bits_high)
+    wins_act = sum(joint.exact_error <= act.exact_error for joint, act, _ in runs)
+    wins_wt = sum(joint.exact_error <= wt.exact_error for joint, _, wt in runs)
+    reductions = [joint.relative_reduction for joint, _, _ in runs]
 
     if args.report:
-        formats.write_report(args.report, all_reports)
+        formats.write_report(args.report, [rep for run in runs for rep in run])
 
     print(json.dumps({
         "family": args.family,

@@ -19,6 +19,7 @@ from .engine import (
     analyze_layer,
     build_kv_plans,
     build_plan,
+    campaign,
     decompose,
     execute_plan,
     predict_error,
@@ -56,7 +57,7 @@ __all__ = [
     "CalibStats", "ProjectionGroup", "accumulate_activations", "attach_weights",
     "fuse_weight_covariance", "kv_key_stats", "kv_value_stats", "merge",
     "ErrorReport", "MixedPrecisionPlan", "analyze_layer", "build_kv_plans",
-    "build_plan", "decompose", "execute_plan", "predict_error",
+    "build_plan", "campaign", "decompose", "execute_plan", "predict_error",
     "stats_from_tensors", "EigenResult", "frobenius_sq", "gram_input",
     "gram_weight", "hadamard", "random_orthogonal", "sym_eig", "trace",
     "QuantResult", "QuantSpec", "combined_error_coeff", "quantize",

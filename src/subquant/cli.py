@@ -21,10 +21,10 @@ from .calib import (
     accumulate_activations,
     attach_weights,
 )
-from .engine import analyze_layer, build_plan, execute_plan
+from .engine import analyze_layer, build_plan, campaign, execute_plan
 from .errors import FormatError, NoConvergenceError, NoSignalError, SubquantError
 from .solver import OBJECTIVES, ROTATIONS
-from .synth import SyntheticInstanceSpec, generate_instance, weight_anisotropic_spec
+from .synth import SyntheticInstanceSpec
 
 
 @dataclasses.dataclass
@@ -36,7 +36,6 @@ class RunConfig:
     objective: str = "joint"
     seed: int = 0
     rotation: str = "random"
-    quant: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 < self.rank_ratio < 1.0:
@@ -152,38 +151,33 @@ def cmd_analyze(args) -> int:
     if args.synthetic is not None:
         with open(args.synthetic, "r", encoding="utf-8") as f:
             spec = SyntheticInstanceSpec.from_json(json.load(f))
-        instances = [(spec.seed, *generate_instance(spec))]
         d = spec.d
-    elif args.x is not None and args.w is not None:
+    elif args.x is not None and args.w is not None and not args.sweep:
         x = formats.read_tensor(args.x)
         w = formats.read_tensor(args.w)
-        instances = [(cfg.seed, x, w)]
         d = x.shape[1]
     else:
-        raise FormatError("analyze needs either --synthetic or both --x and --w")
+        raise FormatError("analyze needs either --synthetic or both --x and --w "
+                          "(--sweep needs --synthetic)")
     rank = args.rank if args.rank is not None else default_rank(d, cfg.rank_ratio)
 
     if args.sweep:
-        n, m = instances[0][1].shape[0], instances[0][2].shape[1]
-        wins, reductions, reports = 0, [], []
-        for k in range(args.sweep):
-            seed = cfg.seed + k
-            xi, wi = generate_instance(weight_anisotropic_spec(d, n, m, seed))
-            reps = analyze_layer(xi, wi, rank, cfg.bits_low, cfg.bits_high,
-                                 seed=seed, rotation=cfg.rotation)
-            joint, act = reps[0], reps[1]
-            wins += joint.exact_error <= act.exact_error
-            reductions.append(joint.relative_reduction)
-            reports.extend(reps)
-        formats.write_report(args.out, reports, fmt=args.format)
-        summary = {"instances": args.sweep, "win_rate": wins / args.sweep,
-                   "mean_relative_reduction": float(np.mean(reductions))}
+        runs = campaign(spec, args.sweep, rank, cfg.bits_low, cfg.bits_high,
+                        seed0=cfg.seed, rotation=cfg.rotation)
+        summary = {"instances": args.sweep,
+                   "win_rate": float(np.mean([j.exact_error <= a.exact_error
+                                              for j, a, _ in runs])),
+                   "mean_relative_reduction": float(np.mean(
+                       [j.relative_reduction for j, _, _ in runs]))}
         print(json.dumps(summary, sort_keys=True))
+    elif args.synthetic is not None:
+        runs = campaign(spec, 1, rank, cfg.bits_low, cfg.bits_high,
+                        seed0=spec.seed, rotation=cfg.rotation)
     else:
-        seed, x, w = instances[0]
-        reports = analyze_layer(x, w, rank, cfg.bits_low, cfg.bits_high,
-                                seed=seed, rotation=cfg.rotation)
-        formats.write_report(args.out, reports, fmt=args.format)
+        runs = [analyze_layer(x, w, rank, cfg.bits_low, cfg.bits_high,
+                              seed=cfg.seed, rotation=cfg.rotation)]
+    formats.write_report(args.out, [rep for run in runs for rep in run],
+                         fmt=args.format)
     return 0
 
 
@@ -260,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", default=None)
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--sweep", type=int, default=0,
-                   help="run N seeded instances and print a summary row")
+                   help="run N seeded draws of the --synthetic spec (seeds "
+                        "--seed, --seed + 1, ...) and print a summary row")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_analyze)

@@ -36,6 +36,7 @@ from .solver import (
     SubspacePartition,
     solve_partition,
 )
+from .synth import SyntheticInstanceSpec, generate_instance
 
 
 def default_activation_spec(bits: int) -> QuantSpec:
@@ -155,9 +156,8 @@ def execute_plan(x: np.ndarray, w: np.ndarray,
                  plan: MixedPrecisionPlan) -> tuple[np.ndarray, ErrorReport]:
     """Run the two-subspace quantized matmul and measure the output error."""
     x_l, x_h, w_l, w_h = decompose(x, w, plan.partition)
-    y = as_matrix(x) @ as_matrix(w)
-    y_hat = (_maybe_quantize(x_l, plan.spec_low) @ _maybe_quantize(w_l, plan.spec_low_w)
-             + _maybe_quantize(x_h, plan.spec_high) @ _maybe_quantize(w_h, plan.spec_high_w))
+    y_hat = _maybe_quantize(x_l, plan.spec_low) @ _maybe_quantize(w_l, plan.spec_low_w)
+    y_hat += _maybe_quantize(x_h, plan.spec_high) @ _maybe_quantize(w_h, plan.spec_high_w)
     exl, exh = frobenius_sq(x_l), frobenius_sq(x_h)
     ewl, ewh = frobenius_sq(w_l), frobenius_sq(w_h)
     d, r = plan.partition.dim, plan.partition.rank
@@ -166,10 +166,13 @@ def execute_plan(x: np.ndarray, w: np.ndarray,
                                   plan.bits_low, plan.bits_high, (d - r, r))
     else:
         predicted = 0.0
+    # Y - Y_hat in Y's buffer keeps one n x m array fewer alive at peak
+    residual = as_matrix(x) @ as_matrix(w)
+    residual -= y_hat
     report = ErrorReport(
         group=plan.group.name or plan.group.kind,
         objective=plan.objective,
-        exact_error=frobenius_sq(y_hat - y),
+        exact_error=frobenius_sq(residual),
         predicted_error=predicted,
         energy_x_low=exl, energy_x_high=exh,
         energy_w_low=ewl, energy_w_high=ewh,
@@ -234,6 +237,24 @@ def analyze_layer(x: np.ndarray, w: np.ndarray, rank: int, bits_low: int,
         red = 0.0 if baseline == 0.0 else 1.0 - rep.exact_error / baseline
         out.append(replace(rep, relative_reduction=red))
     return out
+
+
+def campaign(spec: SyntheticInstanceSpec, instances: int, rank: int,
+             bits_low: int, bits_high: int, seed0: int = 0,
+             rotation: str = ROTATION_RANDOM) -> list[list[ErrorReport]]:
+    """The objective ablation: `analyze_layer` on `instances` draws of `spec`.
+
+    Draw k is `spec` with seed seed0 + k, which also seeds its plans' internal
+    rotations. Returns one (joint, activation-only, weight-only) list per draw."""
+    if instances < 1:
+        raise ValueError(f"instances must be >= 1, got {instances}")
+    runs = []
+    for k in range(instances):
+        inst = replace(spec, seed=seed0 + k)
+        x, w = generate_instance(inst)
+        runs.append(analyze_layer(x, w, rank, bits_low, bits_high,
+                                  seed=inst.seed, rotation=rotation))
+    return runs
 
 
 def build_kv_plans(kv_stats: list[CalibStats], rank: int, bits_low: int,

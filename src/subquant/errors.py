@@ -14,7 +14,7 @@ class NotSymmetricError(SubquantError, ValueError):
 
 
 class NoConvergenceError(SubquantError, ArithmeticError):
-    """Eigensolver sweep limit reached before the off-diagonal vanished."""
+    """The eigensolver failed to converge."""
 
 
 class NoSignalError(SubquantError, ValueError):

@@ -117,11 +117,6 @@ def read_tensor(path: str) -> np.ndarray:
     return arr.reshape(header["shape"]).astype(np.float64)
 
 
-def read_tensor_name(path: str) -> str:
-    header, _ = _read_frame(path, TENSOR_MAGIC)
-    return header.get("name", "")
-
-
 def _write_bundle(path: str, kind: str, meta: dict,
                   tensors: list[tuple[str, np.ndarray]]) -> None:
     entries, payload = [], bytearray()
@@ -239,13 +234,9 @@ def read_plan(path: str) -> list[MixedPrecisionPlan]:
     return out
 
 
-def report_rows(reports: list[ErrorReport]) -> list[dict]:
-    return [r.to_json() for r in reports]
-
-
 def write_report(path: str, reports: list[ErrorReport], fmt: str = "json",
                  append: bool = False) -> None:
-    rows = report_rows(reports)
+    rows = [r.to_json() for r in reports]
     if fmt == "json":
         body = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
     elif fmt == "csv":

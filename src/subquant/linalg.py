@@ -1,6 +1,6 @@
-"""Dense real matrix kernels: symmetric eigendecomposition (cyclic Jacobi),
-seeded orthogonal matrices, Sylvester-Hadamard construction, and the small
-arithmetic helpers the rest of the package relies on.
+"""Dense real matrix kernels: symmetric eigendecomposition (LAPACK `eigh`),
+seeded orthogonal matrices (LAPACK QR), Sylvester-Hadamard construction, and
+the small arithmetic helpers the rest of the package relies on.
 
 All routines operate on 2-d float64 numpy arrays and are pure functions.
 """
@@ -18,8 +18,6 @@ from .errors import (
     NotSymmetricError,
 )
 
-JACOBI_MAX_SWEEPS = 100
-JACOBI_OFF_TOL = 1e-12
 SYMMETRY_TOL = 1e-9
 
 
@@ -56,63 +54,24 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def sym_eig(m: np.ndarray) -> EigenResult:
-    """Eigendecomposition of a symmetric matrix via cyclic Jacobi sweeps.
+    """Eigendecomposition of a symmetric matrix via LAPACK (`numpy.linalg.eigh`).
 
-    The input is symmetrized as (M + M^T)/2 before iterating; inputs whose
+    The input is symmetrized as (M + M^T)/2 before solving; inputs whose
     asymmetry exceeds the tolerance are rejected.
     """
     m = as_matrix(m)
-    d = m.shape[0]
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"expected square matrix, got {m.shape}")
     amax = np.max(np.abs(m))
     if amax > 0 and np.max(np.abs(m - m.T)) > SYMMETRY_TOL * amax:
         raise NotSymmetricError("asymmetry exceeds 1e-9 * max|M|")
-
-    a = (m + m.T) / 2.0
-    v = np.eye(d)
-    fnorm = float(np.linalg.norm(a))
-    if d == 1 or fnorm == 0.0:
-        order = np.arange(d)
-        values = np.diag(a).copy()
-    else:
-        tol = JACOBI_OFF_TOL * fnorm
-        off_mask = ~np.eye(d, dtype=bool)
-        for _ in range(JACOBI_MAX_SWEEPS):
-            off = np.sqrt(np.sum(a[off_mask] ** 2))
-            if off <= tol:
-                break
-            for p in range(d - 1):
-                for q in range(p + 1, d):
-                    apq = a[p, q]
-                    if abs(apq) <= tol / d:
-                        continue
-                    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                    if theta == 0.0:
-                        t = 1.0
-                    c = 1.0 / np.sqrt(t * t + 1.0)
-                    s = t * c
-                    rp = a[:, p].copy()
-                    rq = a[:, q].copy()
-                    a[:, p] = c * rp - s * rq
-                    a[:, q] = s * rp + c * rq
-                    rp = a[p, :].copy()
-                    rq = a[q, :].copy()
-                    a[p, :] = c * rp - s * rq
-                    a[q, :] = s * rp + c * rq
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
-        else:
-            raise NoConvergenceError(
-                f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-            )
-        values = np.diag(a).copy()
-        # stable sort: descending by value, ties keep original index order
-        order = np.argsort(-values, kind="stable")
-    return EigenResult(values=values[order], vectors=_fix_signs(v[:, order]))
+    try:
+        values, vectors = np.linalg.eigh((m + m.T) / 2.0)
+    except np.linalg.LinAlgError as e:
+        raise NoConvergenceError(f"eigh did not converge: {e}") from e
+    # stable sort: descending by value, ties keep original index order
+    order = np.argsort(-values, kind="stable")
+    return EigenResult(values=values[order], vectors=_fix_signs(vectors[:, order]))
 
 
 def gram_input(x: np.ndarray) -> np.ndarray:
@@ -132,29 +91,18 @@ def gram_weight(w: np.ndarray) -> np.ndarray:
 
 
 def random_orthogonal(d: int, seed: int) -> np.ndarray:
-    """Seeded approximately-Haar orthogonal matrix.
+    """Seeded Haar-distributed orthogonal matrix.
 
     Generator: numpy PCG64 stream seeded with `seed`, standard-normal fill,
-    then modified Gram-Schmidt with one re-orthogonalization pass. Fixed here
-    so identical (d, seed) give bit-identical output across runs.
+    then LAPACK QR with each column of Q signed so that diag(R) > 0 (Mezzadri,
+    "How to generate random matrices from the classical compact groups",
+    2007). Fixed here so identical (d, seed) give identical output across runs.
     """
     if d < 1:
         raise DimensionMismatchError("d must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    g = rng.standard_normal((d, d))
-    q = np.empty_like(g)
-    for j in range(d):
-        u = g[:, j].copy()
-        for _ in range(2):  # second pass restores orthogonality lost to rounding
-            for i in range(j):
-                u -= (q[:, i] @ u) * q[:, i]
-        n = np.linalg.norm(u)
-        if n == 0.0:  # astronomically unlikely; restart column from the stream
-            u = rng.standard_normal(d)
-            for i in range(j):
-                u -= (q[:, i] @ u) * q[:, i]
-            n = np.linalg.norm(u)
-        q[:, j] = u / n
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    q[:, np.diag(r) < 0] *= -1.0
     return q
 
 
@@ -170,7 +118,7 @@ def hadamard(d: int) -> np.ndarray:
 
 def frobenius_sq(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=np.float64)
-    return float(np.sum(m * m))
+    return float(np.vdot(m, m))
 
 
 def trace(m: np.ndarray) -> float:
@@ -178,25 +126,3 @@ def trace(m: np.ndarray) -> float:
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"trace needs a square matrix, got {m.shape}")
     return float(np.trace(m))
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = as_matrix(a, "a"), as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatchError(f"matmul shapes {a.shape} x {b.shape}")
-    return a @ b
-
-
-def transpose(a: np.ndarray) -> np.ndarray:
-    return as_matrix(a).T.copy()
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = as_matrix(a, "a"), as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"add shapes {a.shape} vs {b.shape}")
-    return a + b
-
-
-def scale(a: np.ndarray, c: float) -> np.ndarray:
-    return as_matrix(a) * float(c)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from subquant import formats
 from subquant.cli import main
-from subquant.engine import build_plan, execute_plan, stats_from_tensors
-from subquant.synth import weight_anisotropic_spec, generate_instance
+from subquant.engine import analyze_layer, build_plan, execute_plan, stats_from_tensors
+from subquant.synth import aligned_spec, generate_instance, weight_anisotropic_spec
 
 
 @pytest.fixture
@@ -101,6 +102,18 @@ class TestSolve:
             "--out", plan_b, "--seed", "7")
         assert open(a, "rb").read() == open(plan_b, "rb").read()
 
+    def test_eigensolver_failure_exits_1(self, workspace, monkeypatch, capsys):
+        stats = str(workspace["tmp"] / "stats.cqb")
+        run("calibrate", "--config", workspace["cfg"], "--out", stats)
+
+        def no_convergence(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        assert run("solve", "--stats", stats,
+                   "--out", str(workspace["tmp"] / "p.cqb")) == 1
+        assert "did not converge" in capsys.readouterr().err
+
     def test_rank_flag_out_of_range_exits_2(self, workspace):
         stats = str(workspace["tmp"] / "stats.cqb")
         run("calibrate", "--config", workspace["cfg"], "--out", stats)
@@ -158,6 +171,28 @@ class TestAnalyze:
         assert summary["instances"] == 5
         assert 0.0 <= summary["win_rate"] <= 1.0
         assert len(formats.read_report(report)) == 15
+
+    def test_sweep_draws_from_synthetic_spec(self, tmp_path):
+        spec = aligned_spec(16, 64, 8, seed=0)
+        spec_path = str(tmp_path / "spec.json")
+        json.dump(spec.to_json(), open(spec_path, "w"))
+        report = str(tmp_path / "rep.jsonl")
+        assert run("analyze", "--synthetic", spec_path, "--rank", "2",
+                   "--seed", "5", "--sweep", "3", "--out", report) == 0
+        rows = formats.read_report(report)
+        for k in range(3):
+            x, w = generate_instance(dataclasses.replace(spec, seed=5 + k))
+            joint = analyze_layer(x, w, 2, 4, 8, seed=5 + k)[0]
+            assert rows[3 * k]["exact_error"] == joint.exact_error
+
+    def test_bad_sweep_exits_2(self, workspace):
+        spec_path = str(workspace["tmp"] / "spec.json")
+        json.dump(aligned_spec(8, 16, 4, seed=0).to_json(), open(spec_path, "w"))
+        out = str(workspace["tmp"] / "r.jsonl")
+        assert run("analyze", "--x", workspace["x1"], "--w", workspace["w"],
+                   "--sweep", "2", "--out", out) == 2
+        assert run("analyze", "--synthetic", spec_path, "--sweep", "-1",
+                   "--out", out) == 2
 
     def test_requires_inputs(self, tmp_path):
         assert run("analyze", "--out", str(tmp_path / "r.jsonl")) == 2
@@ -220,6 +255,14 @@ class TestUsability:
             "--seed", "9", "--out", p9)
         assert formats.read_plan(p7)[0].seed == 7
         assert formats.read_plan(p9)[0].seed == 9
+
+    def test_quant_config_field_exits_2(self, workspace):
+        stats = str(workspace["tmp"] / "stats.cqb")
+        run("calibrate", "--config", workspace["cfg"], "--out", stats)
+        cfg_path = str(workspace["tmp"] / "quant.json")
+        json.dump({"quant": {"bits": 4}}, open(cfg_path, "w"))
+        assert run("solve", "--stats", stats, "--config", cfg_path,
+                   "--out", str(workspace["tmp"] / "p.cqb")) == 2
 
     def test_bad_config_field_exits_2(self, workspace):
         cfg_path = str(workspace["tmp"] / "weird.json")

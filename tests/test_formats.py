@@ -21,7 +21,6 @@ class TestTensorContainer:
         formats.write_tensor(path, "eye", np.eye(3), dtype="f64")
         out = formats.read_tensor(path)
         assert np.array_equal(out, np.eye(3))
-        assert formats.read_tensor_name(path) == "eye"
 
     def test_round_trip_f32(self, tmp_path):
         path = str(tmp_path / "t.cqt")
