@@ -21,6 +21,8 @@ KV_VALUE = "kv-value"
 KV_KEY = "kv-key"
 GROUP_KINDS = (ATTN_INPUT, MLP_INPUT, KV_VALUE, KV_KEY)
 
+BLOCK_BYTES = 1 << 20  # float64 bytes of one activation block in accumulation
+
 
 @dataclass(frozen=True)
 class ProjectionGroup:
@@ -80,17 +82,28 @@ class CalibStats:
 
 
 def accumulate_activations(stats: CalibStats, batch: np.ndarray) -> CalibStats:
-    """Fold one n x d activation batch into the running statistics."""
-    batch = as_matrix(batch, "batch")
-    if batch.shape[1] != stats.group.dim:
+    """Fold one n x d activation batch into the running statistics.
+
+    `batch` may be any 2-d float32/float64 array, a memory-mapped one
+    included. It is walked in blocks of rows, each converted to float64 and
+    validated once (by `gram_input`), so the batch is never copied whole."""
+    batch = np.asarray(batch)
+    if batch.ndim != 2:
+        raise DimensionMismatchError(f"batch must be 2-d, got shape {batch.shape}")
+    n, d = batch.shape
+    if d != stats.group.dim:
         raise DimensionMismatchError(
-            f"batch has {batch.shape[1]} columns, group dim is {stats.group.dim}")
-    return replace(
-        stats,
-        sigma_x=stats.sigma_x + gram_input(batch),
-        energy_x=stats.energy_x + frobenius_sq(batch),
-        tokens_seen=stats.tokens_seen + batch.shape[0],
-    )
+            f"batch has {d} columns, group dim is {stats.group.dim}")
+    if n < 1:
+        raise DimensionMismatchError("empty activation batch")
+    rows = max(1, BLOCK_BYTES // (8 * d))
+    sigma, energy = stats.sigma_x.copy(), stats.energy_x
+    for lo in range(0, n, rows):
+        g = gram_input(np.asarray(batch[lo:lo + rows], dtype=np.float64))
+        sigma += g
+        energy += float(np.trace(g))
+    return replace(stats, sigma_x=sigma, energy_x=energy,
+                   tokens_seen=stats.tokens_seen + n)
 
 
 def fuse_weight_covariance(weights: list[np.ndarray]) -> tuple[np.ndarray, float]:

@@ -1,7 +1,7 @@
 """Command-line front end: calibrate -> solve -> simulate -> analyze -> compare.
 
-Exit codes: 0 success, 1 numerical failure (no convergence / no signal),
-2 usage, I/O, or schema errors.
+Exit codes: 0 success, 1 numerical failure (no convergence / no signal /
+quantizer range overflow), 2 usage, I/O, or schema errors.
 """
 
 from __future__ import annotations
@@ -22,7 +22,13 @@ from .calib import (
     attach_weights,
 )
 from .engine import analyze_layer, build_plan, campaign, execute_plan
-from .errors import FormatError, NoConvergenceError, NoSignalError, SubquantError
+from .errors import (
+    FormatError,
+    NoConvergenceError,
+    NoSignalError,
+    ScaleRangeError,
+    SubquantError,
+)
 from .solver import OBJECTIVES, ROTATIONS
 from .synth import SyntheticInstanceSpec
 
@@ -91,11 +97,14 @@ def cmd_calibrate(args) -> int:
         stats = CalibStats.empty(group)
         for path in g.get("activations", []):
             try:
-                batch = np.asarray(formats.read_tensor(path))
-            except OSError as e:
+                batch = formats.map_tensor(path)
+                stats = accumulate_activations(stats, batch)
+            except FormatError:
+                raise  # its message already names the file
+            except (OSError, ValueError) as e:
                 raise FormatError(
                     f"{where} (group {g['name']!r}): activation file {path}: {e}") from e
-            stats = accumulate_activations(stats, batch)
+            del batch  # releases the file's mapping
         weights = []
         for path in g.get("weights", []):
             try:
@@ -274,7 +283,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NoConvergenceError, NoSignalError) as e:
+    except (NoConvergenceError, NoSignalError, ScaleRangeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (SubquantError, OSError, ValueError, json.JSONDecodeError) as e:

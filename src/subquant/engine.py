@@ -18,7 +18,7 @@ from .calib import (
     attach_weights,
 )
 from .errors import DimensionMismatchError
-from .linalg import as_matrix, frobenius_sq
+from .linalg import as_matrix
 from .quantizer import (
     PER_CHANNEL,
     PER_TENSOR,
@@ -37,6 +37,8 @@ from .solver import (
     solve_partition,
 )
 from .synth import SyntheticInstanceSpec, generate_instance
+
+BLOCK_BYTES = 1 << 20  # float64 bytes of one residual block in execute_plan
 
 
 def default_activation_spec(bits: int) -> QuantSpec:
@@ -123,22 +125,23 @@ class ErrorReport:
         }
 
 
-def decompose(x: np.ndarray, w: np.ndarray, partition: SubspacePartition):
-    """Split (X, W) into low/high rotated components (X_l, X_h, W_l, W_h)."""
+def _rotated(x: np.ndarray, w: np.ndarray, partition: SubspacePartition):
+    """Validated (X, W) and the rotated A = X u, B = u^T W."""
     x = as_matrix(x, "x")
     w = as_matrix(w, "w")
     d = partition.dim
     if x.shape[1] != d or w.shape[0] != d:
         raise DimensionMismatchError(
             f"x {x.shape} / w {w.shape} incompatible with partition dim {d}")
-    r = partition.rank
-    u_l = partition.u[:, : d - r]
-    u_h = partition.u[:, d - r:]
-    return x @ u_l, x @ u_h, u_l.T @ w, u_h.T @ w
+    return x, w, x @ partition.u, partition.u.T @ w
 
 
-def _maybe_quantize(m: np.ndarray, spec: QuantSpec | None) -> np.ndarray:
-    return m if spec is None else quantize(m, spec).dequantized
+def decompose(x: np.ndarray, w: np.ndarray, partition: SubspacePartition):
+    """Split (X, W) into low/high rotated components (X_l, X_h, W_l, W_h),
+    which are views of A = X u and B = u^T W."""
+    _, _, a, b = _rotated(x, w, partition)
+    k = partition.dim - partition.rank
+    return a[:, :k], a[:, k:], b[:k], b[k:]
 
 
 def predict_error(x_energies: tuple[float, float], w_energies: tuple[float, float],
@@ -154,25 +157,41 @@ def predict_error(x_energies: tuple[float, float], w_energies: tuple[float, floa
 
 def execute_plan(x: np.ndarray, w: np.ndarray,
                  plan: MixedPrecisionPlan) -> tuple[np.ndarray, ErrorReport]:
-    """Run the two-subspace quantized matmul and measure the output error."""
-    x_l, x_h, w_l, w_h = decompose(x, w, plan.partition)
-    y_hat = _maybe_quantize(x_l, plan.spec_low) @ _maybe_quantize(w_l, plan.spec_low_w)
-    y_hat += _maybe_quantize(x_h, plan.spec_high) @ _maybe_quantize(w_h, plan.spec_high_w)
-    exl, exh = frobenius_sq(x_l), frobenius_sq(x_h)
-    ewl, ewh = frobenius_sq(w_l), frobenius_sq(w_h)
+    """Run the two-subspace quantized matmul and measure the output error.
+
+    Each quantized block is written back into A = X u or B = u^T W, so
+    Y_hat = A B is one product, and ||XW - Y_hat||^2 is summed over blocks of
+    rows in one reused buffer: Y_hat is the only n x m array allocated."""
+    x, w, a, b = _rotated(x, w, plan.partition)
     d, r = plan.partition.dim, plan.partition.rank
+    k = d - r
+    ex = np.einsum("ij,ij->j", a, a)
+    ew = np.einsum("ij,ij->i", b, b)
+    exl, exh = float(ex[:k].sum()), float(ex[k:].sum())
+    ewl, ewh = float(ew[:k].sum()), float(ew[k:].sum())
+    for block, spec in ((a[:, :k], plan.spec_low), (a[:, k:], plan.spec_high),
+                        (b[:k], plan.spec_low_w), (b[k:], plan.spec_high_w)):
+        if spec is not None:
+            block[...] = quantize(block, spec).dequantized
+    y_hat = a @ b
     if plan.bits_low is not None and plan.bits_high is not None:
         predicted = predict_error((exl, exh), (ewl, ewh),
-                                  plan.bits_low, plan.bits_high, (d - r, r))
+                                  plan.bits_low, plan.bits_high, (k, r))
     else:
         predicted = 0.0
-    # Y - Y_hat in Y's buffer keeps one n x m array fewer alive at peak
-    residual = as_matrix(x) @ as_matrix(w)
-    residual -= y_hat
+    n, m = y_hat.shape
+    rows = max(1, BLOCK_BYTES // (8 * m))
+    buf = np.empty((min(rows, n), m))
+    exact = 0.0
+    for lo in range(0, n, rows):
+        resid = buf[:min(rows, n - lo)]
+        np.matmul(x[lo:lo + rows], w, out=resid)
+        resid -= y_hat[lo:lo + rows]
+        exact += float(np.vdot(resid, resid))
     report = ErrorReport(
         group=plan.group.name or plan.group.kind,
         objective=plan.objective,
-        exact_error=frobenius_sq(residual),
+        exact_error=exact,
         predicted_error=predicted,
         energy_x_low=exl, energy_x_high=exh,
         energy_w_low=ewl, energy_w_high=ewh,

@@ -17,6 +17,11 @@ class NoConvergenceError(SubquantError, ArithmeticError):
     """The eigensolver failed to converge."""
 
 
+class ScaleRangeError(SubquantError, ArithmeticError):
+    """A quantization group's range over- or underflows float64, so its
+    scale is not a finite positive number."""
+
+
 class NoSignalError(SubquantError, ValueError):
     """The combined covariance matrix is identically zero."""
 

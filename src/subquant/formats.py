@@ -14,11 +14,15 @@ Reports are JSON-lines or CSV with a fixed column order.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import math
+import mmap
 import os
 import struct
+import tempfile
 
 import numpy as np
 
@@ -46,11 +50,31 @@ REPORT_COLUMNS = [
 ]
 
 
+def _process_umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+# mkstemp creates its file 0600; written files get the mode open() would give
+_FILE_MODE = 0o666 & ~_process_umask()
+
+
 def _atomic_write(path: str, data: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(data)
-    os.replace(tmp, path)
+    """Write `data` to a unique temp file beside `path`, then rename it over
+    `path`. Concurrent writers never share a temp file, and a failed write
+    leaves no temp file behind."""
+    directory, base = os.path.split(path)
+    fd, tmp = tempfile.mkstemp(prefix=base + ".", suffix=".tmp", dir=directory or ".")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            os.fchmod(f.fileno(), _FILE_MODE)
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _dump_header(obj: dict) -> bytes:
@@ -62,35 +86,54 @@ def _frame(magic: bytes, header: dict, payload: bytes) -> bytes:
     return magic + struct.pack("<I", len(h)) + h + payload
 
 
-def _read_frame(path: str, magic: bytes) -> tuple[dict, bytes]:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != magic:
-        raise BadMagicError(f"{path}: expected magic {magic!r}, got {raw[:4]!r}")
-    if len(raw) < 8:
+def _read_header(f, path: str, magic: bytes) -> tuple[dict, int]:
+    """Parse the framing and JSON header of an open file; return the header
+    and the payload's byte offset."""
+    head = f.read(8)
+    if head[:4] != magic:
+        raise BadMagicError(f"{path}: expected magic {magic!r}, got {head[:4]!r}")
+    if len(head) < 8:
         raise TruncatedPayloadError(f"{path}: file shorter than header frame")
-    (hlen,) = struct.unpack("<I", raw[4:8])
+    (hlen,) = struct.unpack("<I", head[4:8])
     if hlen > MAX_BYTES:
         raise HeaderMismatchError(f"{path}: header length {hlen} exceeds cap")
-    if len(raw) < 8 + hlen:
+    raw = f.read(hlen)
+    if len(raw) < hlen:
         raise TruncatedPayloadError(f"{path}: truncated JSON header")
     try:
-        header = json.loads(raw[8:8 + hlen].decode("utf-8"))
+        header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise HeaderMismatchError(f"{path}: invalid JSON header: {e}") from e
-    return header, raw[8 + hlen:]
+    if not isinstance(header, dict):
+        raise HeaderMismatchError(f"{path}: header is not a JSON object")
+    return header, 8 + hlen
 
 
-def _payload_bytes(dtype: str, shape: list[int], path: str, field: str) -> int:
-    if dtype not in _DTYPES:
+def _check_entry(entry, path: str, field: str,
+                 layout: bool = False) -> tuple[np.dtype, tuple[int, ...], int]:
+    """Validate a CQT1 header (`layout=True`) or one CQB1 `tensors` entry;
+    return its dtype, shape and payload size in bytes."""
+    if not isinstance(entry, dict):
+        raise HeaderMismatchError(f"{path}: {field} is not a JSON object")
+    for key in ("name", "dtype", "shape") + (("layout",) if layout else ()):
+        if key not in entry:
+            raise HeaderMismatchError(f"{path}: {field} missing field {key!r}")
+    if layout and entry["layout"] != "row-major":
+        raise HeaderMismatchError(f"{path}: layout {entry['layout']!r}")
+    if not isinstance(entry["name"], str):
+        raise HeaderMismatchError(f"{path}: {field}.name must be a string")
+    dtype, shape = entry["dtype"], entry["shape"]
+    if not isinstance(dtype, str) or dtype not in _DTYPES:
         raise UnsupportedDtypeError(f"{path}: {field}.dtype {dtype!r}")
-    if not shape or any(int(s) < 1 for s in shape):
-        raise HeaderMismatchError(f"{path}: {field}.shape entries must be >= 1")
-    n = int(np.prod([int(s) for s in shape], dtype=np.int64))
-    size = n * _DTYPES[dtype].itemsize
+    # bool is an int subclass: `true` is not a dimension
+    if (not isinstance(shape, list) or not shape
+            or any(type(s) is not int or s < 1 for s in shape)):
+        raise HeaderMismatchError(
+            f"{path}: {field}.shape must be a non-empty list of ints >= 1, got {shape!r}")
+    size = math.prod(shape) * _DTYPES[dtype].itemsize
     if size > MAX_BYTES:
         raise HeaderMismatchError(f"{path}: {field} declares {size} bytes, above cap")
-    return size
+    return _DTYPES[dtype], tuple(shape), size
 
 
 def write_tensor(path: str, name: str, matrix: np.ndarray, dtype: str = "f64") -> None:
@@ -102,19 +145,29 @@ def write_tensor(path: str, name: str, matrix: np.ndarray, dtype: str = "f64") -
     _atomic_write(path, _frame(TENSOR_MAGIC, header, m.tobytes()))
 
 
+def map_tensor(path: str) -> np.ndarray:
+    """Read-only array of a CQT1 payload in the file's dtype, backed by a
+    memory map: nothing is read until it is used.
+
+    The header is checked as `read_tensor` checks it, and the file size
+    must match it exactly. The mapping is released with the last reference
+    to the array. Files are replaced by rename, never rewritten in place, so
+    a mapped payload does not change under its reader."""
+    with open(path, "rb") as f:
+        header, offset = _read_header(f, path, TENSOR_MAGIC)
+        dtype, shape, size = _check_entry(header, path, "header", layout=True)
+        payload = os.fstat(f.fileno()).st_size - offset
+        if payload != size:
+            raise TruncatedPayloadError(
+                f"{path}: payload is {payload} bytes, header declares {size}")
+        mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    return np.frombuffer(mapped, dtype=dtype, count=size // dtype.itemsize,
+                         offset=offset).reshape(shape)
+
+
 def read_tensor(path: str) -> np.ndarray:
-    header, payload = _read_frame(path, TENSOR_MAGIC)
-    for key in ("name", "dtype", "shape", "layout"):
-        if key not in header:
-            raise HeaderMismatchError(f"{path}: header missing field {key!r}")
-    if header["layout"] != "row-major":
-        raise HeaderMismatchError(f"{path}: layout {header['layout']!r}")
-    size = _payload_bytes(header["dtype"], header["shape"], path, "tensor")
-    if len(payload) != size:
-        raise TruncatedPayloadError(
-            f"{path}: payload is {len(payload)} bytes, header declares {size}")
-    arr = np.frombuffer(payload, dtype=_DTYPES[header["dtype"]])
-    return arr.reshape(header["shape"]).astype(np.float64)
+    """A CQT1 tensor as a float64 array of its own."""
+    return np.array(map_tensor(path), dtype=np.float64)
 
 
 def _write_bundle(path: str, kind: str, meta: dict,
@@ -129,19 +182,24 @@ def _write_bundle(path: str, kind: str, meta: dict,
 
 
 def _read_bundle(path: str, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
-    header, payload = _read_frame(path, BUNDLE_MAGIC)
+    with open(path, "rb") as f:
+        header, _ = _read_header(f, path, BUNDLE_MAGIC)
+        payload = f.read()
     if header.get("kind") != kind:
         raise HeaderMismatchError(
             f"{path}: bundle kind {header.get('kind')!r}, expected {kind!r}")
+    entries = header.get("tensors", [])
+    if not isinstance(entries, list):
+        raise HeaderMismatchError(f"{path}: bundle tensors must be a list")
     tensors, offset = {}, 0
-    for i, entry in enumerate(header.get("tensors", [])):
-        size = _payload_bytes(entry["dtype"], entry["shape"], path, f"tensors[{i}]")
+    for i, entry in enumerate(entries):
+        dtype, shape, size = _check_entry(entry, path, f"tensors[{i}]")
         chunk = payload[offset:offset + size]
         if len(chunk) != size:
             raise TruncatedPayloadError(f"{path}: truncated payload for "
                                         f"tensor {entry['name']!r}")
-        tensors[entry["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(
-            entry["shape"]).copy()
+        tensors[entry["name"]] = np.frombuffer(chunk, dtype=dtype).reshape(
+            shape).astype(np.float64)
         offset += size
     if offset != len(payload):
         raise TruncatedPayloadError(

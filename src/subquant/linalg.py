@@ -75,11 +75,20 @@ def sym_eig(m: np.ndarray) -> EigenResult:
 
 
 def gram_input(x: np.ndarray) -> np.ndarray:
-    """X^T X for an n x d activation batch (uncentered second moment)."""
-    x = as_matrix(x, "x")
+    """X^T X for an n x d activation batch (uncentered second moment).
+
+    Validated through its output: diag(X^T X)_j = sum_i x_ij^2 has no
+    cancellation, so it is finite exactly when column j is finite and its
+    square sum does not overflow. No separate pass over X is needed."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionMismatchError(f"x must be 2-d, got shape {x.shape}")
     if x.shape[0] < 1:
         raise DimensionMismatchError("empty activation batch")
-    return x.T @ x
+    g = x.T @ x
+    if not np.all(np.isfinite(np.diagonal(g))):
+        raise ValueError("x contains non-finite entries, or its squares overflow")
+    return g
 
 
 def gram_weight(w: np.ndarray) -> np.ndarray:

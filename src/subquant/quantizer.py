@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, ScaleRangeError
 from .linalg import as_matrix
 
 PER_TENSOR = "per-tensor"
@@ -70,10 +70,6 @@ class QuantResult:
     zero_points: np.ndarray
 
 
-def _round_half_away(t: np.ndarray) -> np.ndarray:
-    return np.sign(t) * np.floor(np.abs(t) + 0.5)
-
-
 def _to_groups(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
     """View the matrix as (groups, group_size)."""
     rows, cols = x.shape
@@ -99,44 +95,73 @@ def _from_groups(g: np.ndarray, shape: tuple[int, int], spec: QuantSpec) -> np.n
     if spec.granularity == PER_TOKEN:
         return g.reshape(rows, cols)
     if spec.granularity == PER_CHANNEL:
-        return g.reshape(cols, rows).T.copy()
+        return g.reshape(cols, rows).T
     hd = spec.head_dim
     heads = cols // hd
     return g.reshape(heads, rows, hd).transpose(1, 0, 2).reshape(rows, cols)
 
 
+def _checked_scale(span: np.ndarray, qmax: float) -> np.ndarray:
+    """Per-group scale span/qmax (1 where the span is 0); reject a scale that
+    over- or underflows float64 instead of returning NaN."""
+    s = np.where(span > 0, span / qmax, 1.0)
+    bad = np.count_nonzero(~((s > 0) & (s < np.inf)))
+    if bad:
+        raise ScaleRangeError(
+            f"{bad} quantization group(s) have a range that overflows float64 "
+            "or a scale that underflows to 0")
+    return s
+
+
 def quantize(x: np.ndarray, spec: QuantSpec) -> QuantResult:
-    """Group-wise round-to-nearest quantize-dequantize simulation."""
+    """Group-wise round-to-nearest quantize-dequantize simulation.
+
+    One group-shaped buffer holds the quantized level q, then, in place, the
+    dequantized value q*s (+z) and the extreme-level snaps; the arithmetic is
+    step for step that of `tests/reference.py`, so results match it bit for bit."""
     x = as_matrix(x, "x")
     g = _to_groups(x, spec)
     if spec.symmetric:
         qmax = float(2 ** (spec.bits - 1) - 1)
-        amax = np.max(np.abs(g), axis=1, keepdims=True)
-        s = np.where(amax > 0, amax / qmax, 1.0)
-        q = np.clip(_round_half_away(g / s), -qmax, qmax)
-        deq = q * s
+        t = np.abs(g)
+        amax = np.max(t, axis=1, keepdims=True)
+        s = _checked_scale(amax, qmax)
+        np.divide(g, s, out=t)
+        # round half away from zero, clipped: copysign(min(floor(|t|+.5), qmax), t)
+        q = np.abs(t)
+        q += 0.5
+        np.floor(q, out=q)
+        np.minimum(q, qmax, out=q)
+        np.copysign(q, t, out=q)
+        top, bottom = q == qmax, q == -qmax
+        q *= s
         # snap extreme levels to the observed extremes: this is the exact value
         # of qmax*s in real arithmetic and makes requantization a no-op
-        deq = np.where(q == qmax, amax, deq)
-        deq = np.where(q == -qmax, -amax, deq)
-        scales = s[:, 0].copy()
-        zps = np.zeros_like(scales)
+        np.copyto(q, amax, where=top)
+        np.copyto(q, -amax, where=bottom)
+        zps = np.zeros(len(s))
     else:
         qmax = float(2**spec.bits - 1)
         mn = np.min(g, axis=1, keepdims=True)
         mx = np.max(g, axis=1, keepdims=True)
-        rng = mx - mn
-        s = np.where(rng > 0, rng / qmax, 1.0)
-        z = mn
-        q = np.clip(_round_half_away((g - z) / s), 0.0, qmax)
-        deq = q * s + z
-        deq = np.where(q == 0, mn, deq)
-        deq = np.where(q == qmax, mx, deq)
-        scales = s[:, 0].copy()
-        zps = z[:, 0].copy()
+        with np.errstate(over="ignore"):  # reported by _checked_scale
+            span = mx - mn
+        s = _checked_scale(span, qmax)
+        # (g - z)/s >= 0 with z = min, so rounding half away is floor(t + .5)
+        q = g - mn
+        q /= s
+        q += 0.5
+        np.floor(q, out=q)
+        np.minimum(q, qmax, out=q)
+        bottom, top = q == 0, q == qmax
+        q *= s
+        q += mn
+        np.copyto(q, mn, where=bottom)
+        np.copyto(q, mx, where=top)
+        zps = mn[:, 0].copy()
     return QuantResult(
-        dequantized=_from_groups(deq, x.shape, spec),
-        scales=scales,
+        dequantized=_from_groups(q, x.shape, spec),
+        scales=s[:, 0].copy(),
         zero_points=zps,
     )
 

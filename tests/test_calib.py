@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from subquant import calib
 from subquant.calib import (
     CalibStats,
     ProjectionGroup,
@@ -50,6 +51,32 @@ class TestAccumulate:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             accumulate_activations(CalibStats.empty(group(3)), np.eye(2))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("row", [0, 9], ids=["first-block", "later-block"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200],
+                             ids=["nan", "+inf", "-inf", "square-overflows"])
+    def test_non_finite_rejected(self, monkeypatch, row, value):
+        monkeypatch.setattr(calib, "BLOCK_BYTES", 4 * 8 * 3)  # 4 rows of d=3
+        batch = np.ones((11, 3))
+        batch[row, 1] = value
+        with pytest.raises(ValueError):
+            accumulate_activations(CalibStats.empty(group(3)), batch)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_match_whole_batch(self, monkeypatch, dtype):
+        batch = np.random.default_rng(9).standard_normal((11, 3)).astype(dtype)
+        whole = accumulate_activations(CalibStats.empty(group(3)),
+                                       batch.astype(np.float64))
+        monkeypatch.setattr(calib, "BLOCK_BYTES", 4 * 8 * 3)
+        blocked = accumulate_activations(CalibStats.empty(group(3)), batch)
+        assert np.allclose(blocked.sigma_x, whole.sigma_x, rtol=1e-12, atol=0)
+        assert blocked.energy_x == pytest.approx(whole.energy_x, rel=1e-12)
+        assert blocked.tokens_seen == whole.tokens_seen == 11
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            accumulate_activations(CalibStats.empty(group(3)), np.zeros((0, 3)))
 
     def test_trace_energy_invariant(self):
         rng = np.random.default_rng(5)

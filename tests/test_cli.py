@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from subquant import formats
+from subquant import calib, cli, formats
+from subquant.calib import CalibStats, ProjectionGroup, accumulate_activations
 from subquant.cli import main
 from subquant.engine import analyze_layer, build_plan, execute_plan, stats_from_tensors
 from subquant.synth import aligned_spec, generate_instance, weight_anisotropic_spec
@@ -69,6 +72,104 @@ class TestCalibrate:
         json.dump(cfg, open(cfg_path, "w"))
         assert run("calibrate", "--config", cfg_path,
                    "--out", str(workspace["tmp"] / "s.cqb")) == 2
+
+
+def calibrate_shard(workspace, shard, name="shard.json"):
+    """Run calibrate on a config whose one group reads `shard`."""
+    cfg = dict(workspace["cfg_obj"])
+    cfg["groups"] = [dict(cfg["groups"][0], activations=[shard])]
+    cfg_path = workspace["tmp"] / name
+    cfg_path.write_text(json.dumps(cfg))
+    out = str(workspace["tmp"] / "shard_stats.cqb")
+    return run("calibrate", "--config", str(cfg_path), "--out", out), out
+
+
+class TestCalibrateStreaming:
+    def test_multi_block_shard_matches_whole_batch(self, workspace, monkeypatch):
+        x = np.random.default_rng(4).standard_normal((23, 8)).astype(np.float32)
+        shard = str(workspace["tmp"] / "x32.cqt")
+        formats.write_tensor(shard, "x32", x, dtype="f32")
+        group = ProjectionGroup(kind="attn-input", dim=8, name="g0")
+        whole = accumulate_activations(CalibStats.empty(group), x.astype(np.float64))
+        monkeypatch.setattr(calib, "BLOCK_BYTES", 5 * 8 * 8)  # 5-row blocks
+        code, out = calibrate_shard(workspace, shard)
+        assert code == 0
+        stats = formats.read_stats(out)[0]
+        assert np.allclose(stats.sigma_x, whole.sigma_x, rtol=1e-12, atol=0)
+        assert stats.energy_x == pytest.approx(whole.energy_x, rel=1e-12)
+        assert stats.tokens_seen == 23
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_shard_exits_2_naming_it(self, workspace, monkeypatch,
+                                                 capsys, value):
+        x = np.ones((23, 8))
+        x[17, 3] = value
+        shard = str(workspace["tmp"] / "bad.cqt")
+        formats.write_tensor(shard, "bad", x, dtype="f32")
+        monkeypatch.setattr(calib, "BLOCK_BYTES", 5 * 8 * 8)
+        code, out = calibrate_shard(workspace, shard)
+        assert code == 2
+        assert shard in capsys.readouterr().err
+        assert not (workspace["tmp"] / "shard_stats.cqb").exists()
+
+    def test_truncated_shard_exits_2_before_folding(self, workspace, monkeypatch):
+        shard = workspace["tmp"] / "cut.cqt"
+        formats.write_tensor(str(shard), "cut", np.ones((23, 8)), dtype="f32")
+        shard.write_bytes(shard.read_bytes()[:-4])
+        folded = []
+        monkeypatch.setattr(cli, "accumulate_activations",
+                            lambda stats, batch: folded.append(batch) or stats)
+        code, _ = calibrate_shard(workspace, str(shard))
+        assert code == 2
+        assert folded == []
+
+    def test_never_holds_a_whole_shard_as_f64(self, workspace):
+        n, d = 65536, 8
+        x = np.random.default_rng(5).standard_normal((n, d))
+        shard = str(workspace["tmp"] / "big.cqt")
+        formats.write_tensor(shard, "big", x, dtype="f32")
+        del x
+        tracemalloc.start()
+        try:
+            code, _ = calibrate_shard(workspace, shard)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < n * d * 8 / 2
+
+
+class TestMalformedInputs:
+    def test_fractional_shape_exits_2(self, workspace, capsys):
+        bad = workspace["tmp"] / "frac.cqt"
+        h = json.dumps({"name": "x", "dtype": "f64", "shape": [1.5, 8],
+                        "layout": "row-major"}).encode()
+        bad.write_bytes(b"CQT1" + struct.pack("<I", len(h)) + h + bytes(96))
+        stats = str(workspace["tmp"] / "stats.cqb")
+        plan = str(workspace["tmp"] / "plan.cqb")
+        run("calibrate", "--config", workspace["cfg"], "--out", stats)
+        run("solve", "--stats", stats, "--out", plan)
+        assert run("simulate", "--plan", plan, "--x", str(bad), "--w", workspace["w"],
+                   "--out", str(workspace["tmp"] / "r.jsonl")) == 2
+        assert "shape" in capsys.readouterr().err
+
+    def test_quantizer_range_overflow_exits_1(self, workspace, capsys):
+        d = 8
+        stats = str(workspace["tmp"] / "stats.cqb")
+        run("calibrate", "--config", workspace["cfg"], "--out", stats)
+        plan = build_plan(formats.read_stats(stats)[0], 1, 4, 8)
+        # the identity basis keeps the huge entries apart in one low-block row
+        ident = dataclasses.replace(plan.partition, u=np.eye(d))
+        plan_path = str(workspace["tmp"] / "ident.cqb")
+        formats.write_plan(plan_path, [dataclasses.replace(plan, partition=ident)])
+        x = np.ones((4, d))
+        x[0, :2] = [1e308, -1e308]
+        x_path = str(workspace["tmp"] / "huge.cqt")
+        formats.write_tensor(x_path, "huge", x)
+        assert run("simulate", "--plan", plan_path, "--x", x_path,
+                   "--w", workspace["w"],
+                   "--out", str(workspace["tmp"] / "r.jsonl")) == 1
+        assert "overflow" in capsys.readouterr().err
 
 
 class TestSolve:

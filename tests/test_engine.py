@@ -1,9 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from reference import execute_plan_reference
+from subquant import engine
 from subquant.calib import CalibStats, ProjectionGroup, kv_key_stats, kv_value_stats
 from subquant.engine import (
     analyze_layer,
@@ -90,15 +92,32 @@ class TestExecutePlan:
         _, report = execute_plan(x, w, plan)
         assert report.exact_error == 0.0
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_straight_line_reference(self, seed):
-        x, w = random_instance(64, 16, 16, seed=seed)
-        plan = make_plan(x, w, rank=2)
+    @pytest.mark.parametrize("seed,n,bypass", [(s, 64, False) for s in range(5)]
+                             + [(5, 37, False), (6, 37, True)],
+                             ids=["0", "1", "2", "3", "4", "tail", "tail-bypass"])
+    def test_matches_straight_line_reference(self, monkeypatch, seed, n, bypass):
+        # residual blocks of 5 rows: 37 rows leave a 2-row tail
+        monkeypatch.setattr(engine, "BLOCK_BYTES", 5 * 8 * 16)
+        x, w = random_instance(n, 16, 16, seed=seed)
+        plan = make_plan(x, w, rank=2, bypass=bypass)
         y_hat, report = execute_plan(x, w, plan)
         y_ref = execute_plan_reference(x, w, plan)
         assert np.allclose(y_hat, y_ref, rtol=1e-9, atol=1e-12)
         assert report.exact_error == pytest.approx(
             np.sum((y_ref - x @ w) ** 2), rel=1e-9)
+
+    def test_output_is_the_only_n_by_m_allocation(self):
+        n, d, m = 4096, 8, 256
+        x, w = random_instance(n, d, m, seed=7)
+        plan = make_plan(x, w, rank=2)
+        tracemalloc.start()
+        try:
+            execute_plan(x, w, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        output = n * m * 8
+        assert output <= peak < 1.5 * output
 
     def test_report_energies(self):
         x, w = random_instance(10, 8, 4, seed=6)

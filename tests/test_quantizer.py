@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import quantize_reference
+from subquant.errors import ScaleRangeError, SubquantError
 from subquant.quantizer import (
     QuantSpec,
     combined_error_coeff,
@@ -101,6 +102,18 @@ class TestQuantize:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             quantize(np.array([[np.inf, 0.0]]), spec_pt(4))
+
+    @pytest.mark.parametrize("values,symmetric", [
+        ([1e308, -1e308, 0.5], False),   # max - min overflows
+        ([5e-324, 0.0, 0.0], True),      # amax / qmax underflows to 0
+        ([5e-324, 0.0, 0.0], False),
+    ], ids=["range-overflow", "sym-scale-underflow", "asym-scale-underflow"])
+    def test_unrepresentable_scale_raises(self, values, symmetric):
+        spec = QuantSpec(bits=4, symmetric=symmetric, granularity="per-token")
+        with pytest.raises(ScaleRangeError) as e:
+            quantize(np.array([values, [1.0, 2.0, 3.0]]), spec)
+        assert isinstance(e.value, SubquantError)
+        assert isinstance(e.value, ArithmeticError)
 
 
 @settings(max_examples=50, deadline=None)
