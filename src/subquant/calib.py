@@ -21,7 +21,9 @@ KV_VALUE = "kv-value"
 KV_KEY = "kv-key"
 GROUP_KINDS = (ATTN_INPUT, MLP_INPUT, KV_VALUE, KV_KEY)
 
-BLOCK_BYTES = 1 << 20  # float64 bytes of one activation block in accumulation
+# float64 bytes of one activation block in accumulation; a block still has at
+# least d rows, because each block adds a fresh d x d Gram to the running sum
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ def accumulate_activations(stats: CalibStats, batch: np.ndarray) -> CalibStats:
             f"batch has {d} columns, group dim is {stats.group.dim}")
     if n < 1:
         raise DimensionMismatchError("empty activation batch")
-    rows = max(1, BLOCK_BYTES // (8 * d))
+    rows = max(d, BLOCK_BYTES // (8 * d))
     sigma, energy = stats.sigma_x.copy(), stats.energy_x
     for lo in range(0, n, rows):
         g = gram_input(np.asarray(batch[lo:lo + rows], dtype=np.float64))

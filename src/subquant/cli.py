@@ -29,7 +29,7 @@ from .errors import (
     ScaleRangeError,
     SubquantError,
 )
-from .solver import OBJECTIVES, ROTATIONS
+from .solver import OBJECTIVES, ROTATIONS, shared_rotations
 from .synth import SyntheticInstanceSpec
 
 
@@ -123,12 +123,13 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config, args)
     stats_list = formats.read_stats(args.stats)
     plans = []
-    for stats in stats_list:
-        rank = args.rank if args.rank is not None else default_rank(
-            stats.group.dim, cfg.rank_ratio)
-        plans.append(build_plan(
-            stats, rank, cfg.bits_low, cfg.bits_high, objective=cfg.objective,
-            seed=cfg.seed, rotation=cfg.rotation))
+    with shared_rotations():  # every group gets the config's one seed
+        for stats in stats_list:
+            rank = args.rank if args.rank is not None else default_rank(
+                stats.group.dim, cfg.rank_ratio)
+            plans.append(build_plan(
+                stats, rank, cfg.bits_low, cfg.bits_high, objective=cfg.objective,
+                seed=cfg.seed, rotation=cfg.rotation))
     formats.write_plan(args.out, plans)
     return 0
 

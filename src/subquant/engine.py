@@ -34,11 +34,15 @@ from .solver import (
     OBJECTIVES,
     ROTATION_RANDOM,
     SubspacePartition,
+    shared_rotations,
     solve_partition,
 )
 from .synth import SyntheticInstanceSpec, generate_instance
 
-BLOCK_BYTES = 1 << 20  # float64 bytes of one residual block in execute_plan
+# float64 bytes of one residual block in execute_plan, and its fewest rows:
+# at large m a block of a few rows makes each product a poor GEMM
+BLOCK_BYTES = 1 << 20
+MIN_BLOCK_ROWS = 256
 
 
 def default_activation_spec(bits: int) -> QuantSpec:
@@ -126,14 +130,17 @@ class ErrorReport:
 
 
 def _rotated(x: np.ndarray, w: np.ndarray, partition: SubspacePartition):
-    """Validated (X, W) and the rotated A = X u, B = u^T W."""
+    """Validated (X, W) and the rotated A = X u, B = u^T W.
+
+    A is column-major, so its low and high column blocks are contiguous and
+    each per-token group reduces across contiguous columns."""
     x = as_matrix(x, "x")
     w = as_matrix(w, "w")
     d = partition.dim
     if x.shape[1] != d or w.shape[0] != d:
         raise DimensionMismatchError(
             f"x {x.shape} / w {w.shape} incompatible with partition dim {d}")
-    return x, w, x @ partition.u, partition.u.T @ w
+    return x, w, (partition.u.T @ x.T).T, partition.u.T @ w
 
 
 def decompose(x: np.ndarray, w: np.ndarray, partition: SubspacePartition):
@@ -180,7 +187,7 @@ def execute_plan(x: np.ndarray, w: np.ndarray,
     else:
         predicted = 0.0
     n, m = y_hat.shape
-    rows = max(1, BLOCK_BYTES // (8 * m))
+    rows = max(MIN_BLOCK_ROWS, BLOCK_BYTES // (8 * m))
     buf = np.empty((min(rows, n), m))
     exact = 0.0
     for lo in range(0, n, rows):
@@ -245,10 +252,11 @@ def analyze_layer(x: np.ndarray, w: np.ndarray, rank: int, bits_low: int,
     carrying its error reduction relative to the activation-only selection."""
     stats = stats_from_tensors(x, w)
     reports: dict[str, ErrorReport] = {}
-    for objective in (OBJECTIVE_JOINT, OBJECTIVE_ACTIVATION, OBJECTIVE_WEIGHT):
-        plan = build_plan(stats, rank, bits_low, bits_high,
-                          objective=objective, seed=seed, rotation=rotation)
-        _, reports[objective] = execute_plan(x, w, plan)
+    with shared_rotations():  # the three plans share (seed, rotation)
+        for objective in (OBJECTIVE_JOINT, OBJECTIVE_ACTIVATION, OBJECTIVE_WEIGHT):
+            plan = build_plan(stats, rank, bits_low, bits_high,
+                              objective=objective, seed=seed, rotation=rotation)
+            _, reports[objective] = execute_plan(x, w, plan)
     baseline = reports[OBJECTIVE_ACTIVATION].exact_error
     out = []
     for objective in OBJECTIVES:
@@ -283,12 +291,9 @@ def build_kv_plans(kv_stats: list[CalibStats], rank: int, bits_low: int,
     over the whole head block, the counterpart uses the weight defaults."""
     if not kv_stats:
         raise ValueError("no per-head statistics supplied")
-    plans = []
-    for stats in kv_stats:
-        plans.append(build_plan(
-            stats, rank, bits_low, bits_high, objective=objective,
-            seed=seed, rotation=rotation,
-            spec_low=default_kv_spec(bits_low),
-            spec_high=default_kv_spec(bits_high),
-        ))
-    return plans
+    with shared_rotations():  # every head shares (seed, rotation)
+        return [build_plan(stats, rank, bits_low, bits_high, objective=objective,
+                           seed=seed, rotation=rotation,
+                           spec_low=default_kv_spec(bits_low),
+                           spec_high=default_kv_spec(bits_high))
+                for stats in kv_stats]

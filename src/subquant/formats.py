@@ -26,7 +26,7 @@ import tempfile
 
 import numpy as np
 
-from .calib import CalibStats, ProjectionGroup
+from .calib import GROUP_KINDS, CalibStats, ProjectionGroup
 from .engine import ErrorReport, MixedPrecisionPlan
 from .errors import (
     BadMagicError,
@@ -136,6 +136,33 @@ def _check_entry(entry, path: str, field: str,
     return _DTYPES[dtype], tuple(shape), size
 
 
+_BUNDLE_LISTS = {"stats": "groups", "plan": "plans"}
+
+
+def _check_meta(meta, path: str, kind: str) -> list[dict]:
+    """Validate the `meta` block of a CQB1 stats or plan bundle; return its
+    list of per-group entries. Each entry's group must have a known kind and
+    an int dim >= 1, and each plan entry an object of quantizer specs."""
+    field = _BUNDLE_LISTS[kind]
+    if not isinstance(meta, dict) or not isinstance(meta.get(field), list):
+        raise HeaderMismatchError(f"{path}: meta.{field} must be a list")
+    for i, entry in enumerate(meta[field]):
+        where = f"{path}: {field}[{i}]"
+        if not isinstance(entry, dict) or not isinstance(entry.get("group"), dict):
+            raise HeaderMismatchError(f"{where} and its group must be JSON objects")
+        group = entry["group"]
+        dim = group.get("dim")
+        if type(dim) is not int or dim < 1:
+            raise HeaderMismatchError(f"{where}.group.dim must be an int >= 1, "
+                                      f"got {dim!r}")
+        if group.get("kind") not in GROUP_KINDS:
+            raise HeaderMismatchError(
+                f"{where}.group.kind: unknown kind {group.get('kind')!r}")
+        if kind == "plan" and not isinstance(entry.get("specs"), dict):
+            raise HeaderMismatchError(f"{where}.specs must be a JSON object")
+    return meta[field]
+
+
 def write_tensor(path: str, name: str, matrix: np.ndarray, dtype: str = "f64") -> None:
     if dtype not in _DTYPES:
         raise UnsupportedDtypeError(f"unsupported dtype {dtype!r}")
@@ -181,13 +208,16 @@ def _write_bundle(path: str, kind: str, meta: dict,
     _atomic_write(path, _frame(BUNDLE_MAGIC, header, bytes(payload)))
 
 
-def _read_bundle(path: str, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+def _read_bundle(path: str, kind: str) -> tuple[list[dict], dict[str, np.ndarray]]:
+    """The validated per-group metadata entries and the named tensors of a
+    CQB1 bundle of `kind` ("stats" or "plan")."""
     with open(path, "rb") as f:
         header, _ = _read_header(f, path, BUNDLE_MAGIC)
         payload = f.read()
     if header.get("kind") != kind:
         raise HeaderMismatchError(
             f"{path}: bundle kind {header.get('kind')!r}, expected {kind!r}")
+    records = _check_meta(header.get("meta"), path, kind)
     entries = header.get("tensors", [])
     if not isinstance(entries, list):
         raise HeaderMismatchError(f"{path}: bundle tensors must be a list")
@@ -204,7 +234,7 @@ def _read_bundle(path: str, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     if offset != len(payload):
         raise TruncatedPayloadError(
             f"{path}: {len(payload) - offset} trailing payload bytes")
-    return header["meta"], tensors
+    return records, tensors
 
 
 def write_stats(path: str, stats_list: list[CalibStats]) -> None:
@@ -218,9 +248,9 @@ def write_stats(path: str, stats_list: list[CalibStats]) -> None:
 
 
 def read_stats(path: str) -> list[CalibStats]:
-    meta, tensors = _read_bundle(path, "stats")
+    groups, tensors = _read_bundle(path, "stats")
     out = []
-    for i, g in enumerate(meta["groups"]):
+    for i, g in enumerate(groups):
         try:
             out.append(CalibStats(
                 group=ProjectionGroup.from_json(g["group"]),
@@ -267,9 +297,9 @@ def write_plan(path: str, plans: list[MixedPrecisionPlan]) -> None:
 
 
 def read_plan(path: str) -> list[MixedPrecisionPlan]:
-    meta, tensors = _read_bundle(path, "plan")
+    plans, tensors = _read_bundle(path, "plan")
     out = []
-    for i, p in enumerate(meta["plans"]):
+    for i, p in enumerate(plans):
         try:
             part = SubspacePartition(
                 p_h=tensors[f"{i}.p_h"], p_l=tensors[f"{i}.p_l"],

@@ -43,10 +43,10 @@ class EigenResult:
     vectors: np.ndarray
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+def _fix_signs(v: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude entry of each column positive (ties: lowest
-    row index wins). Keeps output reproducible across runs and platforms."""
-    v = vectors.copy()
+    row index wins), in place. Keeps output reproducible across runs and
+    platforms."""
     idx = np.argmax(np.abs(v), axis=0)
     flips = v[idx, np.arange(v.shape[1])] < 0
     v[:, flips] *= -1.0
@@ -69,7 +69,8 @@ def sym_eig(m: np.ndarray) -> EigenResult:
         values, vectors = np.linalg.eigh((m + m.T) / 2.0)
     except np.linalg.LinAlgError as e:
         raise NoConvergenceError(f"eigh did not converge: {e}") from e
-    # stable sort: descending by value, ties keep original index order
+    # stable sort: descending by value, ties keep original index order; the
+    # fancy index makes the fresh array that _fix_signs edits in place
     order = np.argsort(-values, kind="stable")
     return EigenResult(values=values[order], vectors=_fix_signs(vectors[:, order]))
 

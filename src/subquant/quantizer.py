@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ScaleRangeError
-from .linalg import as_matrix
 
 PER_TENSOR = "per-tensor"
 PER_TOKEN = "per-token"
@@ -101,6 +100,13 @@ def _from_groups(g: np.ndarray, shape: tuple[int, int], spec: QuantSpec) -> np.n
     return g.reshape(heads, rows, hd).transpose(1, 0, 2).reshape(rows, cols)
 
 
+def _check_finite(*extremes: np.ndarray) -> None:
+    """Reject non-finite input through its per-group extremes: min, max and
+    max|.| are NaN or +/-inf exactly when their group holds such an entry."""
+    if not all(np.isfinite(e).all() for e in extremes):
+        raise ValueError("x contains non-finite entries")
+
+
 def _checked_scale(span: np.ndarray, qmax: float) -> np.ndarray:
     """Per-group scale span/qmax (1 where the span is 0); reject a scale that
     over- or underflows float64 instead of returning NaN."""
@@ -118,13 +124,18 @@ def quantize(x: np.ndarray, spec: QuantSpec) -> QuantResult:
 
     One group-shaped buffer holds the quantized level q, then, in place, the
     dequantized value q*s (+z) and the extreme-level snaps; the arithmetic is
-    step for step that of `tests/reference.py`, so results match it bit for bit."""
-    x = as_matrix(x, "x")
+    step for step that of `tests/reference.py`, so results match it bit for bit.
+    `x` is read in its own memory order and validated through its per-group
+    extremes, so it is not scanned a second time."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionMismatchError(f"x must be 2-d, got shape {x.shape}")
     g = _to_groups(x, spec)
     if spec.symmetric:
         qmax = float(2 ** (spec.bits - 1) - 1)
         t = np.abs(g)
         amax = np.max(t, axis=1, keepdims=True)
+        _check_finite(amax)
         s = _checked_scale(amax, qmax)
         np.divide(g, s, out=t)
         # round half away from zero, clipped: copysign(min(floor(|t|+.5), qmax), t)
@@ -144,6 +155,7 @@ def quantize(x: np.ndarray, spec: QuantSpec) -> QuantResult:
         qmax = float(2**spec.bits - 1)
         mn = np.min(g, axis=1, keepdims=True)
         mx = np.max(g, axis=1, keepdims=True)
+        _check_finite(mn, mx)
         with np.errstate(over="ignore"):  # reported by _checked_scale
             span = mx - mn
         s = _checked_scale(span, qmax)

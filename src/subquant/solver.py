@@ -7,6 +7,8 @@ composes the full orthogonal transform with seeded internal rotations.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,12 +75,39 @@ def lambda_weights(stats: CalibStats, gamma_low: float,
     return lx, lw
 
 
+# (dim, seed) or (dim,) -> read-only rotation, inside `shared_rotations()`
+_shared: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "shared_rotations", default=None)
+
+
+@contextlib.contextmanager
+def shared_rotations():
+    """Scope in which every internal rotation is computed once.
+
+    Inside it, plans that ask for the same rotation (same size and seed, or
+    the same Hadamard size) share one read-only array, bit-identical to a
+    fresh one. The arrays are dropped when the scope exits; outside any
+    scope each plan gets a fresh, writable rotation."""
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
 def _internal_rotation(dim: int, seed: int, rotation: str) -> np.ndarray:
     if rotation not in ROTATIONS:
         raise ValueError(f"unknown rotation kind {rotation!r}")
-    if rotation == ROTATION_HADAMARD and dim & (dim - 1) == 0:
-        return hadamard(dim)
-    return random_orthogonal(dim, seed)
+    use_hadamard = rotation == ROTATION_HADAMARD and dim & (dim - 1) == 0
+    memo = _shared.get()
+    key = (dim,) if use_hadamard else (dim, seed)
+    if memo is not None and key in memo:
+        return memo[key]
+    r = hadamard(dim) if use_hadamard else random_orthogonal(dim, seed)
+    if memo is not None:
+        r.flags.writeable = False
+        memo[key] = r
+    return r
 
 
 def solve_partition(stats: CalibStats, rank: int, objective: str = OBJECTIVE_JOINT,

@@ -7,6 +7,7 @@ status lines.
 import dataclasses
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -181,7 +182,7 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
                        "activations": [x_path], "weights": [w_path]}],
            "seed": 11}
     cfg_path = str(tmp_path / "cfg.json")
-    json.dump(cfg, open(cfg_path, "w"))
+    Path(cfg_path).write_text(json.dumps(cfg))
 
     outputs = []
     for run in ("a", "b"):
@@ -193,7 +194,7 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
                          "--out", plan]) == 0
         assert cli_main(["simulate", "--plan", plan, "--x", x_path,
                          "--w", w_path, "--out", report]) == 0
-        outputs.append(tuple(open(p, "rb").read() for p in (stats, plan, report)))
+        outputs.append(tuple(Path(p).read_bytes() for p in (stats, plan, report)))
     assert outputs[0] == outputs[1]
 
     # round-trips are lossless

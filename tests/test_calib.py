@@ -74,6 +74,22 @@ class TestAccumulate:
         assert blocked.energy_x == pytest.approx(whole.energy_x, rel=1e-12)
         assert blocked.tokens_seen == whole.tokens_seen == 11
 
+    def test_block_rows_at_d_512(self, monkeypatch):
+        # 1 MiB of float64 is 256 rows of d=512; each block is at least d rows
+        rows = []
+
+        def recording(x):
+            rows.append(x.shape[0])
+            return gram_input(x)
+
+        monkeypatch.setattr(calib, "gram_input", recording)
+        batch = np.random.default_rng(10).standard_normal((1100, 512)).astype(np.float32)
+        stats = accumulate_activations(CalibStats.empty(group(512)), batch)
+        assert rows == [512, 512, 76]
+        whole = batch.astype(np.float64)
+        assert np.allclose(stats.sigma_x, whole.T @ whole, rtol=1e-12, atol=1e-9)
+        assert stats.tokens_seen == 1100
+
     def test_empty_batch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             accumulate_activations(CalibStats.empty(group(3)), np.zeros((0, 3)))

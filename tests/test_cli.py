@@ -2,6 +2,7 @@ import dataclasses
 import json
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ def workspace(tmp_path):
                        "weights": [paths["w"]]}],
            "seed": 7}
     cfg_path = str(tmp_path / "cfg.json")
-    json.dump(cfg, open(cfg_path, "w"))
+    Path(cfg_path).write_text(json.dumps(cfg))
     return {"tmp": tmp_path, "cfg": cfg_path, "cfg_obj": cfg,
             "x1_arr": x1, "x2_arr": x2, "w_arr": w, **paths}
 
@@ -54,7 +55,7 @@ class TestCalibrate:
         cfg["groups"] = [dict(cfg["groups"][0],
                               weights=[str(workspace["tmp"] / "missing.cqt")])]
         cfg_path = str(workspace["tmp"] / "bad.json")
-        json.dump(cfg, open(cfg_path, "w"))
+        Path(cfg_path).write_text(json.dumps(cfg))
         out = str(workspace["tmp"] / "stats.cqb")
         assert run("calibrate", "--config", cfg_path, "--out", out) == 2
         assert "g0" in capsys.readouterr().err
@@ -64,12 +65,12 @@ class TestCalibrate:
         b = str(workspace["tmp"] / "b.cqb")
         run("calibrate", "--config", workspace["cfg"], "--out", a)
         run("calibrate", "--config", workspace["cfg"], "--out", b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_unknown_kind_exits_2(self, workspace):
         cfg = {"groups": [{"name": "g", "kind": "bogus", "dim": 4}]}
         cfg_path = str(workspace["tmp"] / "bad.json")
-        json.dump(cfg, open(cfg_path, "w"))
+        Path(cfg_path).write_text(json.dumps(cfg))
         assert run("calibrate", "--config", cfg_path,
                    "--out", str(workspace["tmp"] / "s.cqb")) == 2
 
@@ -201,7 +202,21 @@ class TestSolve:
         plan_b = str(workspace["tmp"] / "plan_b.cqb")
         run("solve", "--stats", str(workspace["tmp"] / "stats.cqb"),
             "--out", plan_b, "--seed", "7")
-        assert open(a, "rb").read() == open(plan_b, "rb").read()
+        assert Path(a).read_bytes() == Path(plan_b).read_bytes()
+
+    def test_groups_of_equal_width_share_rotations(self, workspace, rotation_calls):
+        cfg = dict(workspace["cfg_obj"])
+        cfg["groups"] = [dict(cfg["groups"][0], name=name) for name in ("g0", "g1")]
+        cfg_path = workspace["tmp"] / "two.json"
+        cfg_path.write_text(json.dumps(cfg))
+        stats = str(workspace["tmp"] / "two.cqb")
+        plan = str(workspace["tmp"] / "two_plan.cqb")
+        assert run("calibrate", "--config", str(cfg_path), "--out", stats) == 0
+        assert run("solve", "--stats", stats, "--config", str(cfg_path),
+                   "--out", plan) == 0
+        assert rotation_calls == [(1, 7), (7, 8)]  # rank 1 of d=8, seed 7
+        first, second = formats.read_plan(plan)
+        assert np.array_equal(first.partition.r_l, second.partition.r_l)
 
     def test_eigensolver_failure_exits_1(self, workspace, monkeypatch, capsys):
         stats = str(workspace["tmp"] / "stats.cqb")
@@ -253,7 +268,7 @@ class TestAnalyze:
     def test_synthetic_weight_dominant(self, tmp_path):
         spec = weight_anisotropic_spec(16, 64, 8, seed=5)
         spec_path = str(tmp_path / "spec.json")
-        json.dump(spec.to_json(), open(spec_path, "w"))
+        Path(spec_path).write_text(json.dumps(spec.to_json()))
         report = str(tmp_path / "rep.jsonl")
         assert run("analyze", "--synthetic", spec_path, "--rank", "2",
                    "--out", report) == 0
@@ -264,7 +279,7 @@ class TestAnalyze:
     def test_sweep_summary(self, tmp_path, capsys):
         spec = weight_anisotropic_spec(16, 64, 8, seed=0)
         spec_path = str(tmp_path / "spec.json")
-        json.dump(spec.to_json(), open(spec_path, "w"))
+        Path(spec_path).write_text(json.dumps(spec.to_json()))
         report = str(tmp_path / "rep.jsonl")
         assert run("analyze", "--synthetic", spec_path, "--rank", "2",
                    "--sweep", "5", "--out", report) == 0
@@ -276,7 +291,7 @@ class TestAnalyze:
     def test_sweep_draws_from_synthetic_spec(self, tmp_path):
         spec = aligned_spec(16, 64, 8, seed=0)
         spec_path = str(tmp_path / "spec.json")
-        json.dump(spec.to_json(), open(spec_path, "w"))
+        Path(spec_path).write_text(json.dumps(spec.to_json()))
         report = str(tmp_path / "rep.jsonl")
         assert run("analyze", "--synthetic", spec_path, "--rank", "2",
                    "--seed", "5", "--sweep", "3", "--out", report) == 0
@@ -288,7 +303,7 @@ class TestAnalyze:
 
     def test_bad_sweep_exits_2(self, workspace):
         spec_path = str(workspace["tmp"] / "spec.json")
-        json.dump(aligned_spec(8, 16, 4, seed=0).to_json(), open(spec_path, "w"))
+        Path(spec_path).write_text(json.dumps(aligned_spec(8, 16, 4, seed=0).to_json()))
         out = str(workspace["tmp"] / "r.jsonl")
         assert run("analyze", "--x", workspace["x1"], "--w", workspace["w"],
                    "--sweep", "2", "--out", out) == 2
@@ -327,7 +342,7 @@ class TestCompare:
     def test_missing_column_schema_error(self, tmp_path):
         a = self.make_report(tmp_path, "a.jsonl")
         bad = str(tmp_path / "bad.csv")
-        open(bad, "w").write("group,objective\ng,joint\n")
+        Path(bad).write_text("group,objective\ng,joint\n")
         assert run("compare", a, bad) == 2
 
 
@@ -361,12 +376,12 @@ class TestUsability:
         stats = str(workspace["tmp"] / "stats.cqb")
         run("calibrate", "--config", workspace["cfg"], "--out", stats)
         cfg_path = str(workspace["tmp"] / "quant.json")
-        json.dump({"quant": {"bits": 4}}, open(cfg_path, "w"))
+        Path(cfg_path).write_text(json.dumps({"quant": {"bits": 4}}))
         assert run("solve", "--stats", stats, "--config", cfg_path,
                    "--out", str(workspace["tmp"] / "p.cqb")) == 2
 
     def test_bad_config_field_exits_2(self, workspace):
         cfg_path = str(workspace["tmp"] / "weird.json")
-        json.dump({"groups": [], "bogus_field": 1}, open(cfg_path, "w"))
+        Path(cfg_path).write_text(json.dumps({"groups": [], "bogus_field": 1}))
         assert run("calibrate", "--config", cfg_path,
                    "--out", str(workspace["tmp"] / "s.cqb")) == 2

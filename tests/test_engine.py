@@ -92,11 +92,12 @@ class TestExecutePlan:
         _, report = execute_plan(x, w, plan)
         assert report.exact_error == 0.0
 
-    @pytest.mark.parametrize("seed,n,bypass", [(s, 64, False) for s in range(5)]
-                             + [(5, 37, False), (6, 37, True)],
+    @pytest.mark.parametrize("seed,n,bypass", [(s, 576, False) for s in range(5)]
+                             + [(5, 549, False), (6, 549, True)],
                              ids=["0", "1", "2", "3", "4", "tail", "tail-bypass"])
     def test_matches_straight_line_reference(self, monkeypatch, seed, n, bypass):
-        # residual blocks of 5 rows: 37 rows leave a 2-row tail
+        # 5-row residual blocks are raised to the 256-row floor: 576 rows make
+        # three blocks, 549 leave a 37-row tail
         monkeypatch.setattr(engine, "BLOCK_BYTES", 5 * 8 * 16)
         x, w = random_instance(n, 16, 16, seed=seed)
         plan = make_plan(x, w, rank=2, bypass=bypass)
@@ -105,6 +106,26 @@ class TestExecutePlan:
         assert np.allclose(y_hat, y_ref, rtol=1e-9, atol=1e-12)
         assert report.exact_error == pytest.approx(
             np.sum((y_ref - x @ w) ** 2), rel=1e-9)
+
+    def test_block_rows_at_d_512(self, monkeypatch):
+        # m = 1024 fits 128 rows in BLOCK_BYTES; the floor raises that to 256
+        x, w = random_instance(600, 512, 1024, seed=8)
+        plan = make_plan(x, w, rank=64)
+        rows = []
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, a, b, out):
+                rows.append(out.shape[0])
+                return np.matmul(a, b, out=out)
+
+        monkeypatch.setattr(engine, "np", RecordingNumpy())
+        y_hat, report = execute_plan(x, w, plan)
+        assert rows == [256, 256, 88]
+        assert report.exact_error == pytest.approx(np.sum((x @ w - y_hat) ** 2),
+                                                   rel=1e-9)
 
     def test_output_is_the_only_n_by_m_allocation(self):
         n, d, m = 4096, 8, 256
@@ -173,6 +194,23 @@ class TestAnalyzeLayer:
                                           bits_high=8, seed=k)
             wins += joint.exact_error <= act.exact_error
         assert wins >= 18
+
+    def test_each_rotation_is_computed_once_per_call(self, rotation_calls):
+        x, w = random_instance(32, 16, 8, seed=9)
+        analyze_layer(x, w, rank=2, bits_low=4, bits_high=8, seed=4)
+        assert rotation_calls == [(2, 4), (14, 5)]
+        # nothing outlives the call: the next one computes them again
+        analyze_layer(x, w, rank=2, bits_low=4, bits_high=8, seed=4)
+        assert len(rotation_calls) == 4
+
+    def test_shared_rotations_leave_reports_unchanged(self):
+        x, w = random_instance(32, 16, 8, seed=10)
+        stats = stats_from_tensors(x, w)
+        reports = analyze_layer(x, w, rank=2, bits_low=4, bits_high=8, seed=4)
+        for rep in reports:
+            plan = build_plan(stats, 2, 4, 8, objective=rep.objective, seed=4)
+            _, alone = execute_plan(x, w, plan)
+            assert rep.exact_error == alone.exact_error
 
     def test_report_order_and_objectives(self):
         x, w = random_instance(16, 8, 4, seed=9)
@@ -267,6 +305,12 @@ class TestKvPlans:
         plans = build_kv_plans(stats, rank=1, bits_low=4, bits_high=8)
         assert len(plans) == 2
         assert all(p.spec_low.symmetric is False for p in plans)
+
+    def test_heads_share_one_pair_of_rotations(self, rotation_calls):
+        plans = build_kv_plans(self.heads(4, seed=16), rank=2, bits_low=4,
+                               bits_high=8, seed=7)
+        assert rotation_calls == [(2, 7), (6, 8)]
+        assert all(p.partition.r_l is plans[0].partition.r_l for p in plans)
 
     def test_empty_stats_rejected(self):
         with pytest.raises(ValueError):

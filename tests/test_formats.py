@@ -3,11 +3,13 @@ import os
 import struct
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from subquant import formats
+from subquant.cli import main
 from subquant.calib import kv_value_stats
 from subquant.engine import build_plan, execute_plan, stats_from_tensors
 from subquant.errors import (
@@ -35,7 +37,7 @@ class TestTensorContainer:
     def test_payload_byte_layout(self, tmp_path):
         path = str(tmp_path / "t.cqt")
         formats.write_tensor(path, "asc", np.arange(6.0).reshape(2, 3), dtype="f64")
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         assert raw[:4] == b"CQT1"
         (hlen,) = struct.unpack("<I", raw[4:8])
         header = json.loads(raw[8:8 + hlen])
@@ -45,22 +47,23 @@ class TestTensorContainer:
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "bad.cqt")
-        open(path, "wb").write(b"NOPE" + b"\x00" * 16)
+        Path(path).write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(BadMagicError):
             formats.read_tensor(path)
 
     def test_truncated_payload(self, tmp_path):
         path = str(tmp_path / "t.cqt")
         formats.write_tensor(path, "m", np.eye(3))
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-8])
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw[:-8])
         with pytest.raises(TruncatedPayloadError):
             formats.read_tensor(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = str(tmp_path / "t.cqt")
         formats.write_tensor(path, "m", np.eye(2))
-        open(path, "ab").write(b"extra")
+        with open(path, "ab") as f:
+            f.write(b"extra")
         with pytest.raises(TruncatedPayloadError):
             formats.read_tensor(path)
 
@@ -69,18 +72,18 @@ class TestTensorContainer:
         with pytest.raises(UnsupportedDtypeError):
             formats.write_tensor(path, "m", np.eye(2), dtype="i8")
         formats.write_tensor(path, "m", np.eye(2))
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         header = {"name": "m", "dtype": "u16", "shape": [2, 2],
                   "layout": "row-major"}
         h = json.dumps(header).encode()
-        open(path, "wb").write(b"CQT1" + struct.pack("<I", len(h)) + h + bytes(32))
+        Path(path).write_bytes(b"CQT1" + struct.pack("<I", len(h)) + h + bytes(32))
         with pytest.raises(UnsupportedDtypeError):
             formats.read_tensor(path)
 
     def test_header_missing_field(self, tmp_path):
         path = str(tmp_path / "t.cqt")
         h = json.dumps({"name": "m"}).encode()
-        open(path, "wb").write(b"CQT1" + struct.pack("<I", len(h)) + h)
+        Path(path).write_bytes(b"CQT1" + struct.pack("<I", len(h)) + h)
         with pytest.raises(HeaderMismatchError):
             formats.read_tensor(path)
 
@@ -88,7 +91,7 @@ class TestTensorContainer:
         path = str(tmp_path / "t.cqt")
         h = json.dumps({"name": "m", "dtype": "f64", "shape": [0, 2],
                         "layout": "row-major"}).encode()
-        open(path, "wb").write(b"CQT1" + struct.pack("<I", len(h)) + h)
+        Path(path).write_bytes(b"CQT1" + struct.pack("<I", len(h)) + h)
         with pytest.raises(HeaderMismatchError):
             formats.read_tensor(path)
 
@@ -251,6 +254,73 @@ class TestStatsBundle:
             formats.read_plan(path)
 
 
+def _group(**fields):
+    return lambda header, key: header["meta"][key][0]["group"].update(fields)
+
+
+# edits of a valid bundle header; `key` is "groups" (stats) or "plans"
+MALFORMED_META = {
+    "meta-not-object": lambda header, key: header.update(meta=[]),
+    "no-list": lambda header, key: header["meta"].pop(key),
+    "list-not-a-list": lambda header, key: header["meta"].update({key: {}}),
+    "entry-not-object": lambda header, key: header["meta"][key].__setitem__(0, "g"),
+    "group-not-object": lambda header, key: header["meta"][key][0].update(group="g"),
+    "no-dim": lambda header, key: header["meta"][key][0]["group"].pop("dim"),
+    "string-dim": _group(dim="8"),
+    "float-dim": _group(dim=8.0),
+    "bool-dim": _group(dim=True),
+    "zero-dim": _group(dim=0),
+    "unknown-kind": _group(kind="conv"),
+}
+MALFORMED_PLAN_META = {
+    "no-specs": lambda header, key: header["meta"][key][0].pop("specs"),
+    "specs-not-object": lambda header, key: header["meta"][key][0].update(specs=[]),
+}
+
+
+def edit_bundle_header(path, edit, key):
+    raw = read_raw(path)
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8:8 + hlen])
+    edit(header, key)
+    write_raw(path, b"CQB1", header, raw[8 + hlen:])
+
+
+class TestBundleMetaSchema:
+    """Malformed bundle metadata is a schema error: HeaderMismatchError from
+    the reader, exit 2 from the CLI, and no output file."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_META))
+    def test_stats(self, tmp_path, capsys, case):
+        path = str(tmp_path / "s.cqb")
+        formats.write_stats(path, [layer_stats()])
+        edit_bundle_header(path, MALFORMED_META[case], "groups")
+        with pytest.raises(HeaderMismatchError):
+            formats.read_stats(path)
+        out = tmp_path / "p.cqb"
+        assert main(["solve", "--stats", path, "--out", str(out)]) == 2
+        assert path in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_META | MALFORMED_PLAN_META))
+    def test_plan(self, tmp_path, capsys, case):
+        rng = np.random.default_rng(1)
+        x, w = rng.standard_normal((16, 8)), rng.standard_normal((8, 8))
+        x_path, w_path = str(tmp_path / "x.cqt"), str(tmp_path / "w.cqt")
+        formats.write_tensor(x_path, "x", x)
+        formats.write_tensor(w_path, "w", w)
+        path = str(tmp_path / "p.cqb")
+        formats.write_plan(path, [build_plan(stats_from_tensors(x, w), 2, 4, 8)])
+        edit_bundle_header(path, (MALFORMED_META | MALFORMED_PLAN_META)[case], "plans")
+        with pytest.raises(HeaderMismatchError):
+            formats.read_plan(path)
+        out = tmp_path / "r.jsonl"
+        assert main(["simulate", "--plan", path, "--x", x_path, "--w", w_path,
+                     "--out", str(out)]) == 2
+        assert path in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestPlanBundle:
     def test_round_trip_and_reexecution(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -271,8 +341,8 @@ class TestPlanBundle:
         plan = build_plan(layer_stats(), 2, 4, 8)
         path = str(tmp_path / "p.cqb")
         formats.write_plan(path, [plan])
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-16])
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw[:-16])
         with pytest.raises(TruncatedPayloadError):
             formats.read_plan(path)
 
@@ -296,12 +366,12 @@ class TestReports:
     def test_csv_column_order(self, tmp_path):
         path = str(tmp_path / "r.csv")
         formats.write_report(path, self.make_reports(), fmt="csv")
-        header = open(path).readline().strip().split(",")
+        header = Path(path).read_text().splitlines()[0].split(",")
         assert header == formats.REPORT_COLUMNS
 
     def test_csv_missing_column_is_schema_error(self, tmp_path):
         path = str(tmp_path / "r.csv")
-        open(path, "w").write("group,objective\na,joint\n")
+        Path(path).write_text("group,objective\na,joint\n")
         with pytest.raises(HeaderMismatchError):
             formats.read_report(path)
 

@@ -12,6 +12,10 @@ from subquant.quantizer import (
 )
 
 
+GROUPINGS = [("per-tensor", None), ("per-token", None),
+             ("per-channel", None), ("per-head", 4)]
+
+
 def spec_pt(bits, symmetric=True):
     return QuantSpec(bits=bits, symmetric=symmetric, granularity="per-tensor")
 
@@ -102,6 +106,37 @@ class TestQuantize:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             quantize(np.array([[np.inf, 0.0]]), spec_pt(4))
+
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("granularity,head_dim", GROUPINGS)
+    def test_memory_order_does_not_change_the_result(self, bits, symmetric,
+                                                      granularity, head_dim):
+        spec = QuantSpec(bits=bits, symmetric=symmetric,
+                         granularity=granularity, head_dim=head_dim)
+        x = np.random.default_rng(bits).standard_normal((6, 8)) * 3.0
+        c = quantize(np.ascontiguousarray(x), spec)
+        f = quantize(np.asfortranarray(x), spec)
+        for field in ("dequantized", "scales", "zero_points"):
+            assert np.array_equal(getattr(c, field), getattr(f, field))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("granularity,head_dim", GROUPINGS)
+    @pytest.mark.parametrize("where", [(0, 0), (-1, -1)], ids=["first", "last"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "+inf", "-inf"])
+    def test_non_finite_group_raises(self, value, where, granularity, head_dim,
+                                     symmetric, order):
+        # x[0, 0] lies in the first group and x[-1, -1] in the last one under
+        # every grouping; the other groups are finite
+        spec = QuantSpec(bits=4, symmetric=symmetric, granularity=granularity,
+                         head_dim=head_dim)
+        x = np.array(np.random.default_rng(1).standard_normal((6, 8)), order=order)
+        x[where] = value
+        with pytest.raises(ValueError, match="non-finite") as e:
+            quantize(x, spec)
+        assert not isinstance(e.value, ScaleRangeError)
 
     @pytest.mark.parametrize("values,symmetric", [
         ([1e308, -1e308, 0.5], False),   # max - min overflows

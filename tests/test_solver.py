@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from subquant import solver
 from subquant.calib import CalibStats, ProjectionGroup
 from subquant.errors import NoSignalError
-from subquant.linalg import sym_eig
+from subquant.linalg import hadamard, random_orthogonal, sym_eig
 from subquant.solver import (
+    ROTATIONS,
     SubspacePartition,
     full_objective,
     lambda_weights,
+    shared_rotations,
     solve_partition,
     surrogate_objective,
 )
@@ -133,6 +136,73 @@ class TestSolvePartition:
         a = solve_partition(s, rank=2, gamma_low=1.0, seed=9)
         b = solve_partition(s, rank=2, gamma_low=1.0, seed=9)
         assert np.array_equal(a.u, b.u)
+
+
+class TestSharedRotations:
+    def stats(self, d=8):
+        return stats_from_sigmas(random_psd(d, 20), random_psd(d, 21))
+
+    def test_outside_a_scope_each_plan_gets_a_fresh_writable_rotation(
+            self, rotation_calls):
+        s = self.stats()
+        a = solve_partition(s, rank=2, gamma_low=1.0, seed=3)
+        b = solve_partition(s, rank=2, gamma_low=1.0, seed=3)
+        assert len(rotation_calls) == 4
+        assert a.r_l is not b.r_l and np.array_equal(a.r_l, b.r_l)
+        assert a.r_l.flags.writeable and a.r_h.flags.writeable
+
+    def test_shared_arrays_are_read_only_and_bit_identical(self, rotation_calls):
+        s = self.stats()
+        with shared_rotations():
+            a = solve_partition(s, rank=2, gamma_low=1.0, seed=3)
+            b = solve_partition(s, rank=2, objective="activation",
+                                gamma_low=1.0, seed=3)
+            had = solve_partition(s, rank=4, gamma_low=1.0, seed=3,
+                                  rotation="hadamard")
+        assert rotation_calls == [(2, 3), (6, 4)]
+        assert a.r_h is b.r_h and a.r_l is b.r_l
+        assert np.array_equal(a.r_h, random_orthogonal(2, 3))
+        assert np.array_equal(a.r_l, random_orthogonal(6, 4))
+        # a Hadamard block depends on its size alone: both blocks of 4 share it
+        assert had.r_h is had.r_l
+        assert np.array_equal(had.r_h, hadamard(4))
+        for r in (a.r_h, a.r_l, had.r_h):
+            assert not r.flags.writeable
+            with pytest.raises(ValueError):
+                r[0, 0] = 0.0
+
+    @pytest.mark.parametrize("rotation", ROTATIONS)
+    def test_plans_inside_and_outside_a_scope_agree_bit_for_bit(self, rotation):
+        s = self.stats()
+        outside = solve_partition(s, rank=4, gamma_low=1.0, seed=5,
+                                  rotation=rotation)
+        with shared_rotations():
+            solve_partition(s, rank=4, objective="weight", gamma_low=1.0,
+                            seed=5, rotation=rotation)
+            inside = solve_partition(s, rank=4, gamma_low=1.0, seed=5,
+                                     rotation=rotation)
+        for name in ("u", "r_h", "r_l", "p_h", "p_l"):
+            assert np.array_equal(getattr(inside, name), getattr(outside, name))
+
+    def test_nothing_is_cached_after_the_scope(self, rotation_calls):
+        s = self.stats()
+        with shared_rotations():
+            solve_partition(s, rank=2, gamma_low=1.0, seed=3)
+            solve_partition(s, rank=2, gamma_low=1.0, seed=3)
+        assert len(rotation_calls) == 2
+        assert solver._shared.get() is None
+        with shared_rotations():
+            solve_partition(s, rank=2, gamma_low=1.0, seed=3)
+        assert len(rotation_calls) == 4
+        solve_partition(s, rank=2, gamma_low=1.0, seed=3)
+        assert len(rotation_calls) == 6
+
+    def test_scope_is_dropped_when_its_body_raises(self):
+        with pytest.raises(NoSignalError):
+            with shared_rotations():
+                solve_partition(stats_from_sigmas(np.zeros((3, 3)), np.zeros((3, 3))),
+                                rank=1, gamma_low=1.0, seed=0)
+        assert solver._shared.get() is None
 
 
 class TestObjectives:
