@@ -44,37 +44,49 @@ class RunConfig:
     rotation: str = "random"
 
     def __post_init__(self):
-        if not 0.0 < self.rank_ratio < 1.0:
-            raise ValueError(f"rank_ratio must be in (0, 1), got {self.rank_ratio}")
+        # exact types: bool is an int subclass, and neither "4" nor `true` is a count
+        if not (type(self.rank_ratio) is float and 0.0 < self.rank_ratio < 1.0):
+            raise ValueError(f"rank_ratio must be a number in (0, 1), "
+                             f"got {self.rank_ratio!r}")
         for name, bits in (("bits_low", self.bits_low), ("bits_high", self.bits_high)):
-            if not 2 <= bits <= 16:
-                raise ValueError(f"{name} must be in [2, 16], got {bits}")
+            if not (type(bits) is int and 2 <= bits <= 16):
+                raise ValueError(f"{name} must be an int in [2, 16], got {bits!r}")
         if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}")
+            raise ValueError(f"objective must be one of {OBJECTIVES}, "
+                             f"got {self.objective!r}")
         if self.rotation not in ROTATIONS:
-            raise ValueError(f"rotation must be one of {ROTATIONS}")
+            raise ValueError(f"rotation must be one of {ROTATIONS}, "
+                             f"got {self.rotation!r}")
+        if not (type(self.seed) is int and self.seed >= 0):
+            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
+        if not isinstance(self.groups, list):
+            raise ValueError(f"groups must be a list, got {self.groups!r}")
 
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
+
+_FLAGS = ("rank_ratio", "bits_low", "bits_high", "objective", "seed", "rotation")
 
 
 def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
+    """The config file's fields, overridden by the command-line flags given."""
     obj = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as f:
-            obj = json.load(f)
+            try:
+                obj = json.load(f)
+            except ValueError as e:  # not UTF-8, or not JSON
+                raise FormatError(f"{path}: invalid JSON config: {e}") from e
+        if not isinstance(obj, dict):
+            raise FormatError(f"{path}: config must be a JSON object, got {obj!r}")
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = set(obj) - known
     if unknown:
         raise FormatError(f"{path}: unknown config fields {sorted(unknown)}")
-    cfg = RunConfig(**obj)
-    # CLI flags override config-file values
-    for flag in ("rank_ratio", "bits_low", "bits_high", "objective", "seed", "rotation"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, flag, value)
-    cfg.__post_init__()
-    return cfg
+    try:
+        cfg = RunConfig(**obj)
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from e
+    flags = {k: getattr(args, k) for k in _FLAGS if getattr(args, k, None) is not None}
+    return dataclasses.replace(cfg, **flags)
 
 
 def default_rank(d: int, rank_ratio: float) -> int:
@@ -88,11 +100,22 @@ def cmd_calibrate(args) -> int:
     stats_list = []
     for i, g in enumerate(cfg.groups):
         where = f"{args.config}: groups[{i}]"
+        if not isinstance(g, dict):
+            raise FormatError(f"{where} must be a JSON object, got {g!r}")
         for key in ("name", "kind", "dim"):
             if key not in g:
                 raise FormatError(f"{where} missing field {key!r}")
+        if not isinstance(g["name"], str):
+            raise FormatError(f"{where}.name must be a string, got {g['name']!r}")
         if g["kind"] not in GROUP_KINDS:
             raise FormatError(f"{where}.kind: unknown kind {g['kind']!r}")
+        if not (type(g["dim"]) is int and g["dim"] >= 1):
+            raise FormatError(f"{where}.dim must be an int >= 1, got {g['dim']!r}")
+        for key in ("activations", "weights"):
+            files = g.get(key, [])
+            if not (isinstance(files, list) and all(isinstance(f, str) for f in files)):
+                raise FormatError(f"{where}.{key} must be a list of file paths, "
+                                  f"got {files!r}")
         group = ProjectionGroup(kind=g["kind"], dim=g["dim"], name=g["name"])
         stats = CalibStats.empty(group)
         for path in g.get("activations", []):

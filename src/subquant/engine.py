@@ -73,8 +73,6 @@ class MixedPrecisionPlan:
     spec_high_w: QuantSpec | None
     group: ProjectionGroup
     objective: str = OBJECTIVE_JOINT
-    seed: int = 0
-    rotation: str = ROTATION_RANDOM
 
     def __post_init__(self):
         if self.spec_low is not None and self.spec_high is not None:
@@ -203,7 +201,7 @@ def execute_plan(x: np.ndarray, w: np.ndarray,
         energy_x_low=exl, energy_x_high=exh,
         energy_w_low=ewl, energy_w_high=ewh,
         bits_low=plan.bits_low, bits_high=plan.bits_high,
-        rank=r, seed=plan.seed,
+        rank=r, seed=plan.partition.seed,
     )
     return y_hat, report
 
@@ -231,7 +229,7 @@ def build_plan(stats: CalibStats, rank: int, bits_low: int, bits_high: int,
     return MixedPrecisionPlan(partition=partition, spec_low=specs[0],
                               spec_high=specs[1], spec_low_w=specs[2],
                               spec_high_w=specs[3], group=stats.group,
-                              objective=objective, seed=seed, rotation=rotation)
+                              objective=objective)
 
 
 def stats_from_tensors(x: np.ndarray, w: np.ndarray,

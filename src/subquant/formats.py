@@ -5,9 +5,17 @@ JSON header ``{"name", "dtype" ("f32"|"f64"), "shape", "layout": "row-major"}``,
 then the raw little-endian payload. Readers reject trailing bytes.
 
 Bundle container (magic ``CQB1``): same framing, but the JSON header carries
-arbitrary metadata plus a ``tensors`` list of ``{name, dtype, shape}`` entries
-whose payloads follow concatenated in order. Stats and plan files are bundles;
+metadata plus a ``tensors`` list of ``{name, dtype, shape}`` entries whose
+payloads follow concatenated in order. Stats and plan files are bundles;
 statistics and plan matrices are always persisted as f64.
+
+A stats bundle holds ``i.sigma_x`` and ``i.sigma_w`` per group ``i``. A plan
+bundle holds two tensors per group: ``i.vectors``, the d x d descending
+eigenbasis, and ``i.eigenvalues``. Its metadata carries the group's rank,
+seed, rotation kind, objective, covariance weights and quantizer specs. The
+composed transform ``u`` is not stored: `read_plan` re-derives it from the
+seeded internal rotations, bit-identical to the solved one. `_check_meta`
+checks every metadata field before any of it is used.
 
 Reports are JSON-lines or CSV with a fixed column order.
 """
@@ -22,6 +30,7 @@ import math
 import mmap
 import os
 import struct
+import sys
 import tempfile
 
 import numpy as np
@@ -34,12 +43,18 @@ from .errors import (
     TruncatedPayloadError,
     UnsupportedDtypeError,
 )
-from .quantizer import QuantSpec
-from .solver import SubspacePartition
+from .quantizer import GRANULARITIES, PER_HEAD, QuantSpec
+from .solver import OBJECTIVES, ROTATIONS, SubspacePartition, shared_rotations
 
 TENSOR_MAGIC = b"CQT1"
 BUNDLE_MAGIC = b"CQB1"
 MAX_BYTES = 4 << 30  # refuse headers that declare larger allocations
+
+# a plan's quantizer specs, MixedPrecisionPlan.spec_<key>
+SPEC_KEYS = ("low", "high", "low_w", "high_w")
+ORTHO_TOL = 1e-8  # largest |V^T V - I| of a plan's basis
+
+_FLOAT_MAX = sys.float_info.max
 
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 
@@ -109,6 +124,16 @@ def _read_header(f, path: str, magic: bytes) -> tuple[dict, int]:
     return header, 8 + hlen
 
 
+def _is_int(v, lo: int, hi: float = math.inf) -> bool:
+    # bool is an int subclass: `true` is not a count
+    return type(v) is int and lo <= v < hi
+
+
+def _is_real(v, lo: float = -_FLOAT_MAX) -> bool:
+    # NaN fails both bounds; +-inf and ints too large for a float fail one
+    return type(v) in (int, float) and lo <= v <= _FLOAT_MAX
+
+
 def _check_entry(entry, path: str, field: str,
                  layout: bool = False) -> tuple[np.dtype, tuple[int, ...], int]:
     """Validate a CQT1 header (`layout=True`) or one CQB1 `tensors` entry;
@@ -125,9 +150,7 @@ def _check_entry(entry, path: str, field: str,
     dtype, shape = entry["dtype"], entry["shape"]
     if not isinstance(dtype, str) or dtype not in _DTYPES:
         raise UnsupportedDtypeError(f"{path}: {field}.dtype {dtype!r}")
-    # bool is an int subclass: `true` is not a dimension
-    if (not isinstance(shape, list) or not shape
-            or any(type(s) is not int or s < 1 for s in shape)):
+    if not isinstance(shape, list) or not shape or not all(_is_int(s, 1) for s in shape):
         raise HeaderMismatchError(
             f"{path}: {field}.shape must be a non-empty list of ints >= 1, got {shape!r}")
     size = math.prod(shape) * _DTYPES[dtype].itemsize
@@ -136,13 +159,70 @@ def _check_entry(entry, path: str, field: str,
     return _DTYPES[dtype], tuple(shape), size
 
 
+def _check_fields(obj: dict, where: str, rules) -> None:
+    """Check each (key, test, description) rule on obj.get(key), in order;
+    a missing key reads as None. Later rules may rely on earlier ones."""
+    for key, test, what in rules:
+        if not test(obj.get(key)):
+            raise HeaderMismatchError(f"{where}.{key} must be {what}, "
+                                      f"got {obj.get(key)!r}")
+
+
+def _group_rules(dim) -> list:
+    """ProjectionGroup JSON, as `ProjectionGroup.from_json` reads it."""
+    return [
+        ("dim", lambda v: _is_int(v, 1), "an int >= 1"),
+        ("kind", lambda v: v in GROUP_KINDS, f"one of {GROUP_KINDS}"),
+        ("name", lambda v: v is None or isinstance(v, str), "a string"),
+        ("member_shapes", lambda v: v is None or isinstance(v, list) and all(
+            isinstance(s, list) and len(s) == 2 and s[0] == dim
+            and all(_is_int(n, 1) for n in s) for s in v),
+         f"a list of [{dim}, int >= 1] shapes"),
+        ("head_dim", lambda v: v is None or _is_int(v, 1), "an int >= 1"),
+        ("head_index", lambda v: v is None or _is_int(v, 0), "an int >= 0"),
+    ]
+
+
+_STATS_RULES = [
+    ("energy_x", lambda v: _is_real(v, 0.0), "a finite number >= 0"),
+    ("energy_w", lambda v: _is_real(v, 0.0), "a finite number >= 0"),
+    ("tokens_seen", lambda v: _is_int(v, 0), "an int >= 0"),
+]
+
+
+def _plan_rules(dim: int) -> list:
+    return [
+        ("objective", lambda v: v in OBJECTIVES, f"one of {OBJECTIVES}"),
+        ("rotation", lambda v: v in ROTATIONS, f"one of {ROTATIONS}"),
+        ("rank", lambda v: _is_int(v, 1, dim), f"an int in [1, {dim})"),
+        ("seed", lambda v: _is_int(v, 0), "an int >= 0"),
+        ("lambda_x", _is_real, "a finite number"),
+        ("lambda_w", _is_real, "a finite number"),
+        ("specs", lambda v: isinstance(v, dict) and all(
+            k in v and (v[k] is None or isinstance(v[k], dict)) for k in SPEC_KEYS),
+         f"an object whose {', '.join(SPEC_KEYS)} are null or objects"),
+    ]
+
+
+def _spec_rules(granularity) -> list:
+    """QuantSpec JSON, as `QuantSpec.from_json` reads it."""
+    head = ((lambda v: _is_int(v, 1), "an int >= 1") if granularity == PER_HEAD
+            else (lambda v: v is None, "absent outside per-head granularity"))
+    return [
+        ("bits", lambda v: _is_int(v, 2, 17), "an int in [2, 16]"),
+        ("symmetric", lambda v: type(v) is bool, "true or false"),
+        ("granularity", lambda v: v in GRANULARITIES, f"one of {GRANULARITIES}"),
+        ("head_dim", *head),
+    ]
+
+
 _BUNDLE_LISTS = {"stats": "groups", "plan": "plans"}
 
 
 def _check_meta(meta, path: str, kind: str) -> list[dict]:
     """Validate the `meta` block of a CQB1 stats or plan bundle; return its
-    list of per-group entries. Each entry's group must have a known kind and
-    an int dim >= 1, and each plan entry an object of quantizer specs."""
+    list of per-group entries. Each entry is checked against the schema of
+    its group and of its statistics or plan, quantizer specs included."""
     field = _BUNDLE_LISTS[kind]
     if not isinstance(meta, dict) or not isinstance(meta.get(field), list):
         raise HeaderMismatchError(f"{path}: meta.{field} must be a list")
@@ -151,16 +231,27 @@ def _check_meta(meta, path: str, kind: str) -> list[dict]:
         if not isinstance(entry, dict) or not isinstance(entry.get("group"), dict):
             raise HeaderMismatchError(f"{where} and its group must be JSON objects")
         group = entry["group"]
-        dim = group.get("dim")
-        if type(dim) is not int or dim < 1:
-            raise HeaderMismatchError(f"{where}.group.dim must be an int >= 1, "
-                                      f"got {dim!r}")
-        if group.get("kind") not in GROUP_KINDS:
-            raise HeaderMismatchError(
-                f"{where}.group.kind: unknown kind {group.get('kind')!r}")
-        if kind == "plan" and not isinstance(entry.get("specs"), dict):
-            raise HeaderMismatchError(f"{where}.specs must be a JSON object")
+        _check_fields(group, f"{where}.group", _group_rules(group.get("dim")))
+        if kind == "stats":
+            _check_fields(entry, where, _STATS_RULES)
+            continue
+        _check_fields(entry, where, _plan_rules(group["dim"]))
+        for key in SPEC_KEYS:
+            spec = entry["specs"][key]
+            if spec is not None:
+                _check_fields(spec, f"{where}.specs.{key}",
+                              _spec_rules(spec.get("granularity")))
     return meta[field]
+
+
+def _tensor(tensors: dict, name: str, shape: tuple, path: str) -> np.ndarray:
+    """The bundle tensor `name`, which must have `shape`."""
+    if name not in tensors:
+        raise HeaderMismatchError(f"{path}: missing tensor {name!r}")
+    if tensors[name].shape != shape:
+        raise HeaderMismatchError(f"{path}: tensor {name!r} has shape "
+                                  f"{tensors[name].shape}, expected {shape}")
+    return tensors[name]
 
 
 def write_tensor(path: str, name: str, matrix: np.ndarray, dtype: str = "f64") -> None:
@@ -251,74 +342,64 @@ def read_stats(path: str) -> list[CalibStats]:
     groups, tensors = _read_bundle(path, "stats")
     out = []
     for i, g in enumerate(groups):
-        try:
-            out.append(CalibStats(
-                group=ProjectionGroup.from_json(g["group"]),
-                sigma_x=tensors[f"{i}.sigma_x"],
-                sigma_w=tensors[f"{i}.sigma_w"],
-                energy_x=g["energy_x"], energy_w=g["energy_w"],
-                tokens_seen=g["tokens_seen"],
-            ))
-        except KeyError as e:
-            raise HeaderMismatchError(f"{path}: groups[{i}] missing {e}") from e
+        d = g["group"]["dim"]
+        out.append(CalibStats(
+            group=ProjectionGroup.from_json(g["group"]),
+            sigma_x=_tensor(tensors, f"{i}.sigma_x", (d, d), path),
+            sigma_w=_tensor(tensors, f"{i}.sigma_w", (d, d), path),
+            energy_x=g["energy_x"], energy_w=g["energy_w"],
+            tokens_seen=g["tokens_seen"],
+        ))
     return out
-
-
-def _spec_json(spec: QuantSpec | None):
-    return None if spec is None else spec.to_json()
-
-
-def _spec_from(obj) -> QuantSpec | None:
-    return None if obj is None else QuantSpec.from_json(obj)
 
 
 def write_plan(path: str, plans: list[MixedPrecisionPlan]) -> None:
     meta, tensors = [], []
     for i, plan in enumerate(plans):
         part = plan.partition
+        specs = {k: getattr(plan, f"spec_{k}") for k in SPEC_KEYS}
         meta.append({
             "group": plan.group.to_json(),
             "objective": plan.objective,
-            "seed": plan.seed,
-            "rotation": plan.rotation,
+            "seed": part.seed,
+            "rotation": part.rotation,
             "rank": part.rank,
             "lambda_x": part.lambda_x,
             "lambda_w": part.lambda_w,
-            "specs": {"low": _spec_json(plan.spec_low),
-                      "high": _spec_json(plan.spec_high),
-                      "low_w": _spec_json(plan.spec_low_w),
-                      "high_w": _spec_json(plan.spec_high_w)},
+            "specs": {k: None if s is None else s.to_json()
+                      for k, s in specs.items()},
         })
-        for name, arr in (("p_h", part.p_h), ("p_l", part.p_l),
-                          ("r_h", part.r_h), ("r_l", part.r_l),
-                          ("u", part.u), ("eigenvalues", part.eigenvalues)):
-            tensors.append((f"{i}.{name}", arr))
+        tensors.append((f"{i}.vectors", part.vectors))
+        tensors.append((f"{i}.eigenvalues", part.eigenvalues))
     _write_bundle(path, "plan", {"plans": meta}, tensors)
 
 
 def read_plan(path: str) -> list[MixedPrecisionPlan]:
+    """The plans of a bundle, each `u` derived from its eigenbasis, rank,
+    seed and rotation kind; groups of equal width share their rotations."""
     plans, tensors = _read_bundle(path, "plan")
     out = []
-    for i, p in enumerate(plans):
-        try:
+    with shared_rotations():
+        for i, p in enumerate(plans):
+            d = p["group"]["dim"]
+            vectors = _tensor(tensors, f"{i}.vectors", (d, d), path)
+            resid = float(np.max(np.abs(vectors.T @ vectors - np.eye(d))))
+            if not resid <= ORTHO_TOL:
+                raise HeaderMismatchError(f"{path}: plans[{i}]: basis has "
+                                          f"|V^T V - I|_max = {resid:.3e}")
             part = SubspacePartition(
-                p_h=tensors[f"{i}.p_h"], p_l=tensors[f"{i}.p_l"],
-                r_h=tensors[f"{i}.r_h"], r_l=tensors[f"{i}.r_l"],
-                u=tensors[f"{i}.u"],
-                lambda_x=p["lambda_x"], lambda_w=p["lambda_w"],
-                eigenvalues=tensors[f"{i}.eigenvalues"].reshape(-1),
-            )
-            out.append(MixedPrecisionPlan(
-                partition=part,
-                spec_low=_spec_from(p["specs"]["low"]),
-                spec_high=_spec_from(p["specs"]["high"]),
-                spec_low_w=_spec_from(p["specs"]["low_w"]),
-                spec_high_w=_spec_from(p["specs"]["high_w"]),
-                group=ProjectionGroup.from_json(p["group"]),
-                objective=p["objective"], seed=p["seed"], rotation=p["rotation"],
-            ))
-        except KeyError as e:
-            raise HeaderMismatchError(f"{path}: plans[{i}] missing {e}") from e
+                vectors=vectors,
+                eigenvalues=_tensor(tensors, f"{i}.eigenvalues", (d,), path),
+                rank=p["rank"], seed=p["seed"], rotation=p["rotation"],
+                lambda_x=p["lambda_x"], lambda_w=p["lambda_w"])
+            specs = {f"spec_{k}": None if p["specs"][k] is None
+                     else QuantSpec.from_json(p["specs"][k]) for k in SPEC_KEYS}
+            try:
+                out.append(MixedPrecisionPlan(
+                    partition=part, group=ProjectionGroup.from_json(p["group"]),
+                    objective=p["objective"], **specs))
+            except ValueError as e:  # high bits below low bits
+                raise HeaderMismatchError(f"{path}: plans[{i}]: {e}") from e
     return out
 
 

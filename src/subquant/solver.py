@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,25 +30,42 @@ ROTATIONS = (ROTATION_RANDOM, ROTATION_HADAMARD)
 @dataclass(frozen=True)
 class SubspacePartition:
     """Orthogonal split of R^d into a rank-r high-precision subspace and its
-    complement, with internal rotations baked into the composed transform
-    u = [p_l r_l, p_h r_h] (low block first)."""
+    complement.
 
-    p_h: np.ndarray
-    p_l: np.ndarray
-    r_h: np.ndarray
-    r_l: np.ndarray
-    u: np.ndarray
+    A partition is its descending eigenbasis `vectors` (the first `rank`
+    columns span the high-precision subspace), the seed and kind of its
+    internal rotations, and the covariance weights. The composed transform
+    u = [p_l r_l, p_h r_h] (low block first) is derived from them on
+    construction, so a partition read back from a file has the same `u`
+    bit for bit."""
+
+    vectors: np.ndarray
+    eigenvalues: np.ndarray
+    rank: int
+    seed: int
+    rotation: str
     lambda_x: float
     lambda_w: float
-    eigenvalues: np.ndarray
+    u: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # one memory layout for solved and read bases: u is then the same bits
+        object.__setattr__(self, "vectors", np.ascontiguousarray(self.vectors))
+        r_h = _internal_rotation(self.rank, self.seed, self.rotation)
+        r_l = _internal_rotation(self.dim - self.rank, self.seed + 1, self.rotation)
+        object.__setattr__(self, "u", np.hstack([self.p_l @ r_l, self.p_h @ r_h]))
 
     @property
     def dim(self) -> int:
-        return self.u.shape[0]
+        return self.vectors.shape[0]
 
     @property
-    def rank(self) -> int:
-        return self.p_h.shape[1]
+    def p_h(self) -> np.ndarray:
+        return self.vectors[:, :self.rank]
+
+    @property
+    def p_l(self) -> np.ndarray:
+        return self.vectors[:, self.rank:]
 
 
 def lambda_weights(stats: CalibStats, gamma_low: float,
@@ -123,13 +140,8 @@ def solve_partition(stats: CalibStats, rank: int, objective: str = OBJECTIVE_JOI
     if np.max(np.abs(m)) == 0.0:
         raise NoSignalError("combined covariance matrix is zero")
     eig = sym_eig(m)
-    p_h = eig.vectors[:, :rank].copy()
-    p_l = eig.vectors[:, rank:].copy()
-    r_h = _internal_rotation(rank, seed, rotation)
-    r_l = _internal_rotation(d - rank, seed + 1, rotation)
-    u = np.hstack([p_l @ r_l, p_h @ r_h])
-    return SubspacePartition(p_h=p_h, p_l=p_l, r_h=r_h, r_l=r_l, u=u,
-                             lambda_x=lx, lambda_w=lw, eigenvalues=eig.values)
+    return SubspacePartition(vectors=eig.vectors, eigenvalues=eig.values, rank=rank,
+                             seed=seed, rotation=rotation, lambda_x=lx, lambda_w=lw)
 
 
 def surrogate_objective(partition: SubspacePartition, stats: CalibStats) -> float:
@@ -149,8 +161,6 @@ def full_objective(partition: SubspacePartition, stats: CalibStats,
     if partition.dim != stats.group.dim:
         raise DimensionMismatchError(
             f"partition dim {partition.dim} vs stats dim {stats.group.dim}")
-    if partition.rank == 0:
-        return 0.0
     xh = float(np.trace(partition.p_h.T @ stats.sigma_x @ partition.p_h))
     wh = float(np.trace(partition.p_h.T @ stats.sigma_w @ partition.p_h))
     return (gamma_low * stats.energy_w * xh

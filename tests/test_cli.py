@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subquant import calib, cli, formats
+from subquant import calib, cli, formats, solver
 from subquant.calib import CalibStats, ProjectionGroup, accumulate_activations
 from subquant.cli import main
 from subquant.engine import analyze_layer, build_plan, execute_plan, stats_from_tensors
@@ -154,13 +154,18 @@ class TestMalformedInputs:
                    "--out", str(workspace["tmp"] / "r.jsonl")) == 2
         assert "shape" in capsys.readouterr().err
 
-    def test_quantizer_range_overflow_exits_1(self, workspace, capsys):
+    def test_quantizer_range_overflow_exits_1(self, workspace, monkeypatch, capsys):
         d = 8
         stats = str(workspace["tmp"] / "stats.cqb")
         run("calibrate", "--config", workspace["cfg"], "--out", stats)
         plan = build_plan(formats.read_stats(stats)[0], 1, 4, 8)
-        # the identity basis keeps the huge entries apart in one low-block row
-        ident = dataclasses.replace(plan.partition, u=np.eye(d))
+        # the identity basis keeps the huge entries apart in one low-block row:
+        # p_h = e8 and no internal rotation, when written and when read back
+        monkeypatch.setattr(solver, "_internal_rotation",
+                            lambda dim, seed, rotation: np.eye(dim))
+        ident = dataclasses.replace(plan.partition,
+                                    vectors=np.eye(d)[:, [d - 1, *range(d - 1)]])
+        assert np.array_equal(ident.u, np.eye(d))
         plan_path = str(workspace["tmp"] / "ident.cqb")
         formats.write_plan(plan_path, [dataclasses.replace(plan, partition=ident)])
         x = np.ones((4, d))
@@ -215,8 +220,9 @@ class TestSolve:
         assert run("solve", "--stats", stats, "--config", str(cfg_path),
                    "--out", plan) == 0
         assert rotation_calls == [(1, 7), (7, 8)]  # rank 1 of d=8, seed 7
-        first, second = formats.read_plan(plan)
-        assert np.array_equal(first.partition.r_l, second.partition.r_l)
+        # reading the plan derives both groups' u from one pair of rotations
+        formats.read_plan(plan)
+        assert rotation_calls == [(1, 7), (7, 8)] * 2
 
     def test_eigensolver_failure_exits_1(self, workspace, monkeypatch, capsys):
         stats = str(workspace["tmp"] / "stats.cqb")
@@ -369,8 +375,8 @@ class TestUsability:
         run("solve", "--stats", stats, "--config", workspace["cfg"], "--out", p7)
         run("solve", "--stats", stats, "--config", workspace["cfg"],
             "--seed", "9", "--out", p9)
-        assert formats.read_plan(p7)[0].seed == 7
-        assert formats.read_plan(p9)[0].seed == 9
+        assert formats.read_plan(p7)[0].partition.seed == 7
+        assert formats.read_plan(p9)[0].partition.seed == 9
 
     def test_quant_config_field_exits_2(self, workspace):
         stats = str(workspace["tmp"] / "stats.cqb")
@@ -385,3 +391,83 @@ class TestUsability:
         Path(cfg_path).write_text(json.dumps({"groups": [], "bogus_field": 1}))
         assert run("calibrate", "--config", cfg_path,
                    "--out", str(workspace["tmp"] / "s.cqb")) == 2
+
+
+def _top(**fields):
+    return lambda cfg: cfg.update(fields)
+
+
+def _in_group(**fields):
+    return lambda cfg: cfg["groups"][0].update(fields)
+
+
+# edits of the workspace config, and the field the error message must name:
+# fields every command reads, then the groups only calibrate reads
+MALFORMED_CONFIGS = {
+    "not-an-object": (lambda cfg: 5, "JSON object"),
+    "a-list": (lambda cfg: [cfg], "JSON object"),
+    "string-bits-low": (_top(bits_low="4"), "bits_low"),
+    "bool-bits-high": (_top(bits_high=True), "bits_high"),
+    "float-bits-low": (_top(bits_low=4.0), "bits_low"),
+    "string-rank-ratio": (_top(rank_ratio="0.5"), "rank_ratio"),
+    "nan-rank-ratio": (_top(rank_ratio=float("nan")), "rank_ratio"),
+    "string-seed": (_top(seed="7"), "seed"),
+    "bool-seed": (_top(seed=True), "seed"),
+    "negative-seed": (_top(seed=-1), "seed"),
+    "list-objective": (_top(objective=["joint"]), "objective"),
+    "unknown-rotation": (_top(rotation="givens"), "rotation"),
+}
+MALFORMED_CONFIG_GROUPS = {
+    "groups-not-a-list": (_top(groups={"name": "g0"}), "groups"),
+    "group-not-an-object": (_top(groups=["g0"]), "groups[0]"),
+    "string-dim": (_in_group(dim="8"), "dim"),
+    "bool-dim": (_in_group(dim=True), "dim"),
+    "name-not-a-string": (_in_group(name=["g0"]), "name"),
+    "activations-a-string": (_in_group(activations="x.cqt"), "activations"),
+    "weights-of-numbers": (_in_group(weights=[1, 2]), "weights"),
+}
+ALL_MALFORMED_CONFIGS = MALFORMED_CONFIGS | MALFORMED_CONFIG_GROUPS
+
+
+class TestConfigSchema:
+    def write(self, workspace, case):
+        edit, field = ALL_MALFORMED_CONFIGS[case]
+        cfg = json.loads(json.dumps(workspace["cfg_obj"]))
+        edited = edit(cfg)
+        path = workspace["tmp"] / "bad.json"
+        path.write_text(json.dumps(cfg if edited is None else edited))
+        return str(path), field
+
+    @pytest.mark.parametrize("case", sorted(ALL_MALFORMED_CONFIGS))
+    def test_calibrate_exits_2_naming_the_field(self, workspace, capsys, case):
+        cfg, field = self.write(workspace, case)
+        out = workspace["tmp"] / "s.cqb"
+        assert run("calibrate", "--config", cfg, "--out", str(out)) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    def test_solve_exits_2_naming_the_field(self, workspace, capsys, case):
+        stats = str(workspace["tmp"] / "stats.cqb")
+        assert run("calibrate", "--config", workspace["cfg"], "--out", stats) == 0
+        cfg, field = self.write(workspace, case)
+        out = workspace["tmp"] / "p.cqb"
+        assert run("solve", "--stats", stats, "--config", cfg, "--out", str(out)) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [b"{", b"\xff\xfe{}", b""])
+    def test_invalid_json_exits_2(self, workspace, capsys, text):
+        path = workspace["tmp"] / "bad.json"
+        path.write_bytes(text)
+        assert run("calibrate", "--config", str(path),
+                   "--out", str(workspace["tmp"] / "s.cqb")) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_bad_flag_value_names_the_flag(self, workspace, capsys):
+        stats = str(workspace["tmp"] / "stats.cqb")
+        run("calibrate", "--config", workspace["cfg"], "--out", stats)
+        assert run("solve", "--stats", stats, "--config", workspace["cfg"],
+                   "--seed", "-2", "--out", str(workspace["tmp"] / "p.cqb")) == 2
+        err = capsys.readouterr().err
+        assert "seed must be an int >= 0, got -2" in err and "cfg.json" not in err

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from reference import execute_plan_reference
-from subquant import engine
+from subquant import engine, solver
 from subquant.calib import CalibStats, ProjectionGroup, kv_key_stats, kv_value_stats
 from subquant.engine import (
     analyze_layer,
@@ -17,6 +17,7 @@ from subquant.engine import (
     stats_from_tensors,
 )
 from subquant.errors import DimensionMismatchError
+from subquant.linalg import random_orthogonal
 from subquant.solver import solve_partition
 from subquant.synth import aligned_spec, generate_instance, weight_anisotropic_spec
 
@@ -34,9 +35,11 @@ def random_instance(n, d, m, seed):
 class TestDecompose:
     def test_identity_coordinate_partition(self):
         s = stats_from_tensors(np.eye(2), np.eye(2))
-        part = solve_partition(s, rank=1, gamma_low=1.0, seed=0)
-        part = dataclasses.replace(part, u=np.eye(2), p_h=np.eye(2)[:, 1:],
-                                   p_l=np.eye(2)[:, :1])
+        part = solve_partition(s, rank=1, gamma_low=1.0, seed=0,
+                               rotation="hadamard")
+        # p_h = e2, p_l = e1, and both 1x1 Hadamard rotations are [1]
+        part = dataclasses.replace(part, vectors=np.eye(2)[:, ::-1])
+        assert np.array_equal(part.u, np.eye(2))
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         x_l, x_h, w_l, w_h = decompose(x, np.eye(2), part)
         assert np.array_equal(x_l, x[:, :1])
@@ -71,7 +74,7 @@ class TestExecutePlan:
         assert np.linalg.norm(y_hat - y) <= 1e-6 * np.linalg.norm(y)
         assert report.bits_low is None
 
-    def test_grid_aligned_exact(self):
+    def test_grid_aligned_exact(self, monkeypatch):
         # integer tensors whose per-group ranges hit the scale-1 grid quantize
         # losslessly in the identity basis
         rng = np.random.default_rng(4)
@@ -82,9 +85,11 @@ class TestExecutePlan:
         # x_h / w_h groups are single elements, which always round-trip
         s = stats_from_tensors(x, w)
         plan = build_plan(s, 1, 4, 8, seed=0)
-        ident = dataclasses.replace(
-            plan.partition, u=np.eye(4),
-            p_l=np.eye(4)[:, :3], p_h=np.eye(4)[:, 3:])
+        # p_h = e4, p_l = (e1, e2, e3), with no internal rotation
+        monkeypatch.setattr(solver, "_internal_rotation",
+                            lambda dim, seed, rotation: np.eye(dim))
+        ident = dataclasses.replace(plan.partition, vectors=np.eye(4)[:, [3, 0, 1, 2]])
+        assert np.array_equal(ident.u, np.eye(4))
         plan = dataclasses.replace(
             plan, partition=ident,
             spec_low=dataclasses.replace(plan.spec_low, symmetric=True),
@@ -310,7 +315,10 @@ class TestKvPlans:
         plans = build_kv_plans(self.heads(4, seed=16), rank=2, bits_low=4,
                                bits_high=8, seed=7)
         assert rotation_calls == [(2, 7), (6, 8)]
-        assert all(p.partition.r_l is plans[0].partition.r_l for p in plans)
+        r_h, r_l = random_orthogonal(2, 7), random_orthogonal(6, 8)
+        for p in plans:
+            part = p.partition
+            assert np.array_equal(part.u, np.hstack([part.p_l @ r_l, part.p_h @ r_h]))
 
     def test_empty_stats_rejected(self):
         with pytest.raises(ValueError):

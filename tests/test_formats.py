@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import sys
 import threading
@@ -271,10 +272,72 @@ MALFORMED_META = {
     "bool-dim": _group(dim=True),
     "zero-dim": _group(dim=0),
     "unknown-kind": _group(kind="conv"),
+    "name-not-string": _group(name=5),
+    "member-shapes-not-list": _group(member_shapes=5),
+    "member-shape-not-list": _group(member_shapes=["ab"]),
+    "member-shape-wrong-dim": _group(member_shapes=[[7, 8]]),
+    "member-shape-bool": _group(member_shapes=[[8, True]]),
+    "string-head-dim": _group(head_dim="8"),
+    "negative-head-index": _group(head_index=-1),
+}
+
+
+def _entry(**fields):
+    return lambda header, key: header["meta"][key][0].update(fields)
+
+
+def _spec(name, **fields):
+    return lambda header, key: header["meta"][key][0]["specs"][name].update(fields)
+
+
+def _pop(field):
+    return lambda header, key: header["meta"][key][0].pop(field)
+
+
+MALFORMED_STATS_META = {
+    "string-energy": _entry(energy_x="1.0"),
+    "negative-energy": _entry(energy_w=-1.0),
+    "nan-energy": _entry(energy_x=float("nan")),
+    "inf-energy": _entry(energy_w=float("inf")),
+    "huge-int-energy": _entry(energy_x=10 ** 400),
+    "no-energy": _pop("energy_x"),
+    "string-tokens": _entry(tokens_seen="16"),
+    "bool-tokens": _entry(tokens_seen=True),
 }
 MALFORMED_PLAN_META = {
-    "no-specs": lambda header, key: header["meta"][key][0].pop("specs"),
-    "specs-not-object": lambda header, key: header["meta"][key][0].update(specs=[]),
+    "no-specs": _pop("specs"),
+    "specs-not-object": _entry(specs=[]),
+    "no-rank": _pop("rank"),
+    "string-rank": _entry(rank="3"),
+    "float-rank": _entry(rank=2.0),
+    "bool-rank": _entry(rank=True),
+    "zero-rank": _entry(rank=0),
+    "full-rank": _entry(rank=8),
+    "no-seed": _pop("seed"),
+    "string-seed": _entry(seed="3"),
+    "bool-seed": _entry(seed=False),
+    "negative-seed": _entry(seed=-1),
+    "unknown-rotation": _entry(rotation="givens"),
+    "unknown-objective": _entry(objective="nope"),
+    "string-lambda": _entry(lambda_x="1.0"),
+    "bool-lambda": _entry(lambda_w=True),
+    "nan-lambda": _entry(lambda_x=float("nan")),
+    "inf-lambda": _entry(lambda_w=float("-inf")),
+    "spec-missing": lambda header, key: header["meta"][key][0]["specs"].pop("high_w"),
+    "spec-list": lambda header, key: header["meta"][key][0]["specs"].update(
+        low=[4, False, "per-token"]),
+    "spec-string-bits": _spec("low", bits="4"),
+    "spec-bool-bits": _spec("high", bits=True),
+    "spec-bits-below-2": _spec("low_w", bits=1),
+    "spec-bits-above-16": _spec("high_w", bits=17),
+    "spec-no-bits": lambda header, key:
+        header["meta"][key][0]["specs"]["low"].pop("bits"),
+    "spec-string-symmetric": _spec("low", symmetric="no"),
+    "spec-unknown-granularity": _spec("low", granularity="per-row"),
+    "spec-head-dim-outside-per-head": _spec("low", head_dim=4),
+    "spec-per-head-without-head-dim": _spec("low", granularity="per-head"),
+    "spec-per-head-zero-head-dim": _spec("low", granularity="per-head", head_dim=0),
+    "spec-high-bits-below-low": _spec("high", bits=2),
 }
 
 
@@ -286,15 +349,24 @@ def edit_bundle_header(path, edit, key):
     write_raw(path, b"CQB1", header, raw[8 + hlen:])
 
 
+def plan_inputs(tmp_path):
+    rng = np.random.default_rng(1)
+    x, w = rng.standard_normal((16, 8)), rng.standard_normal((8, 8))
+    x_path, w_path = str(tmp_path / "x.cqt"), str(tmp_path / "w.cqt")
+    formats.write_tensor(x_path, "x", x)
+    formats.write_tensor(w_path, "w", w)
+    return x, w, x_path, w_path
+
+
 class TestBundleMetaSchema:
     """Malformed bundle metadata is a schema error: HeaderMismatchError from
     the reader, exit 2 from the CLI, and no output file."""
 
-    @pytest.mark.parametrize("case", sorted(MALFORMED_META))
+    @pytest.mark.parametrize("case", sorted(MALFORMED_META | MALFORMED_STATS_META))
     def test_stats(self, tmp_path, capsys, case):
         path = str(tmp_path / "s.cqb")
         formats.write_stats(path, [layer_stats()])
-        edit_bundle_header(path, MALFORMED_META[case], "groups")
+        edit_bundle_header(path, (MALFORMED_META | MALFORMED_STATS_META)[case], "groups")
         with pytest.raises(HeaderMismatchError):
             formats.read_stats(path)
         out = tmp_path / "p.cqb"
@@ -304,11 +376,7 @@ class TestBundleMetaSchema:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_META | MALFORMED_PLAN_META))
     def test_plan(self, tmp_path, capsys, case):
-        rng = np.random.default_rng(1)
-        x, w = rng.standard_normal((16, 8)), rng.standard_normal((8, 8))
-        x_path, w_path = str(tmp_path / "x.cqt"), str(tmp_path / "w.cqt")
-        formats.write_tensor(x_path, "x", x)
-        formats.write_tensor(w_path, "w", w)
+        x, w, x_path, w_path = plan_inputs(tmp_path)
         path = str(tmp_path / "p.cqb")
         formats.write_plan(path, [build_plan(stats_from_tensors(x, w), 2, 4, 8)])
         edit_bundle_header(path, (MALFORMED_META | MALFORMED_PLAN_META)[case], "plans")
@@ -321,7 +389,142 @@ class TestBundleMetaSchema:
         assert not out.exists()
 
 
+def bundle_tensors(path):
+    """A bundle's header and its tensors by name, in file order."""
+    raw = read_raw(path)
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8:8 + hlen])
+    out, offset = {}, 8 + hlen
+    for entry in header["tensors"]:
+        n = int(np.prod(entry["shape"]))
+        out[entry["name"]] = np.frombuffer(raw, "<f8", n, offset).reshape(entry["shape"])
+        offset += 8 * n
+    return header, out
+
+
+def _with_tensors(edit):
+    def rewrite(path):
+        header, tensors = bundle_tensors(path)
+        tensors = edit(dict(tensors))
+        header["tensors"] = [{"name": k, "dtype": "f64", "shape": list(v.shape)}
+                             for k, v in tensors.items()]
+        write_raw(path, b"CQB1", header,
+                  b"".join(np.ascontiguousarray(v, "<f8").tobytes()
+                           for v in tensors.values()))
+    return rewrite
+
+
+def _old_format(t):
+    # the plan tensors this format stored before u was derived on read
+    v = t.pop("0.vectors")
+    eig = t.pop("0.eigenvalues")
+    return {"0.p_h": v[:, :2], "0.p_l": v[:, 2:], "0.r_h": np.eye(2),
+            "0.r_l": np.eye(6), "0.u": v, "0.eigenvalues": eig}
+
+
+def _scaled(t):
+    t["0.vectors"] = 1.001 * t["0.vectors"]
+    return t
+
+
+def _nan(t):
+    t["0.vectors"] = t["0.vectors"].copy()
+    t["0.vectors"][3, 3] = np.nan
+    return t
+
+
+# edits of a valid plan's tensors (one group, d=8, rank 2), and a word the
+# error message must contain
+MALFORMED_PLAN_TENSORS = {
+    "old-format": (_old_format, "'0.vectors'"),
+    "no-eigenvalues": (lambda t: {"0.vectors": t["0.vectors"]}, "'0.eigenvalues'"),
+    "vectors-not-square": (lambda t: t | {"0.vectors": t["0.vectors"][:, :7]},
+                           "'0.vectors'"),
+    "vectors-wrong-dim": (lambda t: t | {"0.vectors": np.eye(7)}, "'0.vectors'"),
+    "eigenvalues-wrong-length": (lambda t: t | {"0.eigenvalues": np.ones(7)},
+                                 "'0.eigenvalues'"),
+    "eigenvalues-2d": (lambda t: t | {"0.eigenvalues": np.ones((1, 8))},
+                       "'0.eigenvalues'"),
+    "basis-not-orthonormal": (_scaled, "V^T V"),
+    "basis-nan": (_nan, "V^T V"),
+}
+
+
+class TestPlanSchema:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PLAN_TENSORS))
+    def test_tensors(self, tmp_path, capsys, case):
+        x, w, x_path, w_path = plan_inputs(tmp_path)
+        path = str(tmp_path / "p.cqb")
+        formats.write_plan(path, [build_plan(stats_from_tensors(x, w), 2, 4, 8)])
+        edit, word = MALFORMED_PLAN_TENSORS[case]
+        _with_tensors(edit)(path)
+        with pytest.raises(HeaderMismatchError, match=re.escape(word)):
+            formats.read_plan(path)
+        out = tmp_path / "r.jsonl"
+        assert main(["simulate", "--plan", path, "--x", x_path, "--w", w_path,
+                     "--out", str(out)]) == 2
+        assert word in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stats_tensor_of_wrong_shape(self, tmp_path, capsys):
+        path = str(tmp_path / "s.cqb")
+        formats.write_stats(path, [layer_stats()])
+        _with_tensors(lambda t: t | {"0.sigma_w": np.eye(7)})(path)
+        with pytest.raises(HeaderMismatchError, match="'0.sigma_w'"):
+            formats.read_stats(path)
+        assert main(["solve", "--stats", path, "--out", str(tmp_path / "p.cqb")]) == 2
+
+
 class TestPlanBundle:
+    def test_holds_one_basis_and_its_eigenvalues_per_group(self, tmp_path):
+        x, w, _, _ = plan_inputs(tmp_path)
+        stats = stats_from_tensors(x, w)
+        path = str(tmp_path / "p.cqb")
+        formats.write_plan(path, [build_plan(stats, 2, 4, 8),
+                                  build_plan(stats, 3, 4, 8, rotation="hadamard")])
+        header, tensors = bundle_tensors(path)
+        assert [(e["name"], e["shape"]) for e in header["tensors"]] == [
+            ("0.vectors", [8, 8]), ("0.eigenvalues", [8]),
+            ("1.vectors", [8, 8]), ("1.eigenvalues", [8])]
+        assert [(p["rank"], p["seed"], p["rotation"]) for p in header["meta"]["plans"]] \
+            == [(2, 0, "random"), (3, 0, "hadamard")]
+        plan = build_plan(stats, 2, 4, 8)
+        assert np.array_equal(tensors["0.vectors"], plan.partition.vectors)
+        assert np.array_equal(tensors["0.eigenvalues"], plan.partition.eigenvalues)
+
+    def test_hadamard_fallback_round_trip_is_bit_identical(self, tmp_path,
+                                                            rotation_calls):
+        # d=32, r=4: the high block is Hadamard, the low block of 28 is not a
+        # power of two and falls back to a seeded random rotation
+        rng = np.random.default_rng(5)
+        x, w = rng.standard_normal((128, 32)), rng.standard_normal((32, 16))
+        plan = build_plan(stats_from_tensors(x, w), 4, 4, 8, seed=9,
+                          rotation="hadamard")
+        assert rotation_calls == [(28, 10)]
+        path = str(tmp_path / "p.cqb")
+        formats.write_plan(path, [plan])
+        loaded = formats.read_plan(path)[0]
+        assert rotation_calls == [(28, 10), (28, 10)]
+        assert loaded.partition.rotation == "hadamard"
+        assert np.array_equal(loaded.partition.u, plan.partition.u)
+        assert np.array_equal(execute_plan(x, w, loaded)[0], execute_plan(x, w, plan)[0])
+
+    def test_groups_of_equal_width_share_rotations_on_read(self, tmp_path,
+                                                           rotation_calls):
+        rng = np.random.default_rng(6)
+        plans = []
+        for name in ("a", "b"):
+            x, w = rng.standard_normal((16, 8)), rng.standard_normal((8, 8))
+            plans.append(build_plan(stats_from_tensors(x, w, name=name), 2, 4, 8,
+                                    seed=3))
+        path = str(tmp_path / "p.cqb")
+        formats.write_plan(path, plans)
+        del rotation_calls[:]
+        loaded = formats.read_plan(path)
+        assert rotation_calls == [(2, 3), (6, 4)]
+        for a, b in zip(plans, loaded):
+            assert np.array_equal(a.partition.u, b.partition.u)
+
     def test_round_trip_and_reexecution(self, tmp_path):
         rng = np.random.default_rng(1)
         x, w = rng.standard_normal((16, 8)), rng.standard_normal((8, 8))
@@ -331,7 +534,9 @@ class TestPlanBundle:
         loaded = formats.read_plan(path)[0]
         assert np.array_equal(loaded.partition.u, plan.partition.u)
         assert loaded.spec_low == plan.spec_low
-        assert loaded.objective == plan.objective and loaded.seed == plan.seed
+        assert loaded.objective == plan.objective
+        assert loaded.partition.seed == plan.partition.seed
+        assert loaded.partition.rotation == plan.partition.rotation
         y1, r1 = execute_plan(x, w, plan)
         y2, r2 = execute_plan(x, w, loaded)
         assert np.array_equal(y1, y2)

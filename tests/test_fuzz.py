@@ -1,0 +1,163 @@
+"""Fuzzed inputs: a valid stats bundle, plan bundle or config with one JSON
+value replaced by a value of another type, or with bytes flipped in its
+frame or header, either loads or raises FormatError, and the CLI exits 0 or
+2 on it, never with a traceback."""
+
+import argparse
+import copy
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from subquant import cli, formats
+from subquant.errors import FormatError
+
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+SCALARS = (st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70)
+           | st.floats() | st.text(max_size=6))
+JSON_VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=5)
+
+
+def nodes(doc, path=()):
+    """The path of every value in a JSON document, the root included."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from nodes(value, path + (key,))
+
+
+def lookup(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def replace_value(doc, data, focus=()):
+    """`doc` with one value replaced by a value of another Python type; the
+    value is under `focus` three times in four."""
+    paths = list(nodes(doc))
+    if data.draw(st.integers(0, 3)):
+        paths = [p for p in paths if p[:len(focus)] == focus]
+    path = data.draw(st.sampled_from(paths))
+    old = lookup(doc, path)
+    new = data.draw(JSON_VALUES.filter(lambda v: type(v) is not type(old)))
+    if not path:
+        return new
+    doc = copy.deepcopy(doc)
+    lookup(doc, path[:-1])[path[-1]] = new
+    return doc
+
+
+def flip_bytes(raw: bytes, end: int, data) -> bytes:
+    """`raw` with one to three bytes of raw[:end] XOR-ed with nonzero masks."""
+    out = bytearray(raw)
+    for _ in range(data.draw(st.integers(1, 3))):
+        out[data.draw(st.integers(0, end - 1))] ^= data.draw(st.integers(1, 255))
+    return bytes(out)
+
+
+def split_bundle(raw: bytes):
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    return json.loads(raw[8:8 + hlen]), raw[8 + hlen:], 8 + hlen
+
+
+def frame(header, payload: bytes) -> bytes:
+    h = json.dumps(header).encode()
+    return b"CQB1" + struct.pack("<I", len(h)) + h + payload
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """A two-group config, its shards, and the stats and plan it gives."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(0)
+    d = 8
+    groups = []
+    for name, kind in (("g0", "attn-input"), ("g1", "mlp-input")):
+        x, w = str(tmp / f"{name}.x.cqt"), str(tmp / f"{name}.w.cqt")
+        formats.write_tensor(x, "x", rng.standard_normal((24, d)), dtype="f32")
+        formats.write_tensor(w, "w", rng.standard_normal((d, 6)))
+        groups.append({"name": name, "kind": kind, "dim": d,
+                       "activations": [x], "weights": [w]})
+    config = {"groups": groups, "rank_ratio": 0.25, "bits_low": 4,
+              "bits_high": 8, "objective": "joint", "seed": 7,
+              "rotation": "hadamard"}
+    paths = {"config": str(tmp / "config.json"), "stats": str(tmp / "stats.cqb"),
+             "plan": str(tmp / "plan.cqb"), "x": groups[0]["activations"][0],
+             "w": groups[0]["weights"][0], "fuzzed": str(tmp / "fuzzed"),
+             "out": str(tmp / "out")}
+    with open(paths["config"], "w", encoding="utf-8") as f:
+        json.dump(config, f)
+    assert cli.main(["calibrate", "--config", paths["config"],
+                     "--out", paths["stats"]]) == 0
+    assert cli.main(["solve", "--stats", paths["stats"], "--config", paths["config"],
+                     "--out", paths["plan"]]) == 0
+    return paths | {"config_obj": config}
+
+
+def mutate_bundle(path: str, data) -> bytes:
+    with open(path, "rb") as f:
+        raw = f.read()
+    header, payload, end = split_bundle(raw)
+    if data.draw(st.booleans()):
+        return frame(replace_value(header, data, focus=("meta",)), payload)
+    return flip_bytes(raw, end, data)
+
+
+def loads(read, path: str) -> bool:
+    """Whether `read` loads the file; any failure must be a FormatError."""
+    try:
+        read(path)
+    except FormatError:
+        return False
+    return True
+
+
+def exits_0_or_2(*argv) -> None:
+    assert cli.main(list(argv)) in (0, 2)
+
+
+@FUZZ
+@given(data=st.data())
+def test_stats_bundle(valid, data):
+    with open(valid["fuzzed"], "wb") as f:
+        f.write(mutate_bundle(valid["stats"], data))
+    # the CLI reads the file first, and exits 2 on a FormatError
+    if loads(formats.read_stats, valid["fuzzed"]):
+        exits_0_or_2("solve", "--stats", valid["fuzzed"], "--out", valid["out"])
+
+
+@FUZZ
+@given(data=st.data())
+def test_plan_bundle(valid, data):
+    with open(valid["fuzzed"], "wb") as f:
+        f.write(mutate_bundle(valid["plan"], data))
+    if loads(formats.read_plan, valid["fuzzed"]):
+        exits_0_or_2("simulate", "--plan", valid["fuzzed"], "--x", valid["x"],
+                     "--w", valid["w"], "--out", valid["out"])
+
+
+@FUZZ
+@given(data=st.data())
+def test_config(valid, data):
+    if data.draw(st.booleans()):
+        raw = json.dumps(replace_value(valid["config_obj"], data)).encode()
+    else:
+        raw = json.dumps(valid["config_obj"]).encode()
+        raw = flip_bytes(raw, len(raw), data)
+    with open(valid["fuzzed"], "wb") as f:
+        f.write(raw)
+    flags = argparse.Namespace(**dict.fromkeys(cli._FLAGS))
+    if loads(lambda path: cli.load_config(path, flags), valid["fuzzed"]):
+        exits_0_or_2("calibrate", "--config", valid["fuzzed"], "--out", valid["out"])
+        exits_0_or_2("solve", "--stats", valid["stats"], "--config", valid["fuzzed"],
+                     "--out", valid["out"])

@@ -1,13 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from subquant import solver
 from subquant.calib import CalibStats, ProjectionGroup
-from subquant.errors import NoSignalError
+from subquant.errors import DimensionMismatchError, NoSignalError
 from subquant.linalg import hadamard, random_orthogonal, sym_eig
 from subquant.solver import (
     ROTATIONS,
-    SubspacePartition,
     full_objective,
     lambda_weights,
     shared_rotations,
@@ -123,13 +124,34 @@ class TestSolvePartition:
             with pytest.raises(ValueError):
                 solve_partition(s, rank=r, gamma_low=1.0, seed=0)
 
-    def test_hadamard_rotation_when_power_of_two(self):
+    def test_hadamard_rotation_when_power_of_two(self, rotation_calls):
         s = stats_from_sigmas(random_psd(6, 9), random_psd(6, 10))
         part = solve_partition(s, rank=2, gamma_low=1.0, seed=0,
                                rotation="hadamard")
         # r=2 is a power of two -> Hadamard; d-r=4 as well
-        assert np.allclose(np.abs(part.r_h), 1.0 / np.sqrt(2.0))
-        assert np.allclose(np.abs(part.r_l), 0.5)
+        assert rotation_calls == []
+        assert np.array_equal(part.u, np.hstack([part.p_l @ hadamard(4),
+                                                 part.p_h @ hadamard(2)]))
+
+    def test_hadamard_falls_back_to_random_for_other_sizes(self, rotation_calls):
+        s = stats_from_sigmas(random_psd(6, 9), random_psd(6, 10))
+        part = solve_partition(s, rank=2, gamma_low=1.0, seed=0,
+                               rotation="hadamard")
+        part = dataclasses.replace(part, rank=1)
+        # blocks of 1 and 5: H_1 = [1], and 5 is not a power of two
+        assert rotation_calls == [(5, 1)]
+        assert np.array_equal(part.u, np.hstack([part.p_l @ random_orthogonal(5, 1),
+                                                 part.p_h]))
+
+    def test_stores_one_basis_and_derives_the_rest(self):
+        s = stats_from_sigmas(random_psd(6, 9), random_psd(6, 10))
+        part = solve_partition(s, rank=2, gamma_low=1.0, seed=0)
+        assert part.vectors.flags.c_contiguous and part.vectors.shape == (6, 6)
+        assert np.shares_memory(part.p_h, part.vectors)
+        assert np.shares_memory(part.p_l, part.vectors)
+        assert [f.name for f in dataclasses.fields(part) if f.init] == [
+            "vectors", "eigenvalues", "rank", "seed", "rotation",
+            "lambda_x", "lambda_w"]
 
     def test_deterministic(self):
         s = stats_from_sigmas(random_psd(5, 11), random_psd(5, 12))
@@ -148,8 +170,11 @@ class TestSharedRotations:
         a = solve_partition(s, rank=2, gamma_low=1.0, seed=3)
         b = solve_partition(s, rank=2, gamma_low=1.0, seed=3)
         assert len(rotation_calls) == 4
-        assert a.r_l is not b.r_l and np.array_equal(a.r_l, b.r_l)
-        assert a.r_l.flags.writeable and a.r_h.flags.writeable
+        assert np.array_equal(a.u, b.u)
+        r1 = solver._internal_rotation(6, 4, "random")
+        r2 = solver._internal_rotation(6, 4, "random")
+        assert r1 is not r2 and np.array_equal(r1, r2)
+        assert r1.flags.writeable and r2.flags.writeable
 
     def test_shared_arrays_are_read_only_and_bit_identical(self, rotation_calls):
         s = self.stats()
@@ -159,14 +184,21 @@ class TestSharedRotations:
                                 gamma_low=1.0, seed=3)
             had = solve_partition(s, rank=4, gamma_low=1.0, seed=3,
                                   rotation="hadamard")
+            assert rotation_calls == [(2, 3), (6, 4)]
+            r_h = solver._internal_rotation(2, 3, "random")
+            r_l = solver._internal_rotation(6, 4, "random")
+            assert r_h is solver._internal_rotation(2, 3, "random")
+            # a Hadamard block depends on its size alone: both blocks of 4 share it
+            h = solver._internal_rotation(4, 3, "hadamard")
+            assert h is solver._internal_rotation(4, 4, "hadamard")
         assert rotation_calls == [(2, 3), (6, 4)]
-        assert a.r_h is b.r_h and a.r_l is b.r_l
-        assert np.array_equal(a.r_h, random_orthogonal(2, 3))
-        assert np.array_equal(a.r_l, random_orthogonal(6, 4))
-        # a Hadamard block depends on its size alone: both blocks of 4 share it
-        assert had.r_h is had.r_l
-        assert np.array_equal(had.r_h, hadamard(4))
-        for r in (a.r_h, a.r_l, had.r_h):
+        assert np.array_equal(r_h, random_orthogonal(2, 3))
+        assert np.array_equal(r_l, random_orthogonal(6, 4))
+        assert np.array_equal(h, hadamard(4))
+        for part in (a, b):
+            assert np.array_equal(part.u, np.hstack([part.p_l @ r_l, part.p_h @ r_h]))
+        assert np.array_equal(had.u, np.hstack([had.p_l @ h, had.p_h @ h]))
+        for r in (r_h, r_l, h):
             assert not r.flags.writeable
             with pytest.raises(ValueError):
                 r[0, 0] = 0.0
@@ -181,7 +213,7 @@ class TestSharedRotations:
                             seed=5, rotation=rotation)
             inside = solve_partition(s, rank=4, gamma_low=1.0, seed=5,
                                      rotation=rotation)
-        for name in ("u", "r_h", "r_l", "p_h", "p_l"):
+        for name in ("u", "vectors", "eigenvalues"):
             assert np.array_equal(getattr(inside, name), getattr(outside, name))
 
     def test_nothing_is_cached_after_the_scope(self, rotation_calls):
@@ -218,11 +250,8 @@ class TestObjectives:
                               energy_x=1.0, energy_w=1.0)
         part = solve_partition(s, rank=1, objective="activation",
                                gamma_low=1.0, seed=0)
-        e2 = np.array([[0.0], [1.0]])
-        swapped = SubspacePartition(
-            p_h=e2, p_l=np.array([[1.0], [0.0]]), r_h=part.r_h, r_l=part.r_l,
-            u=part.u, lambda_x=part.lambda_x, lambda_w=part.lambda_w,
-            eigenvalues=part.eigenvalues)
+        # p_h = e2, p_l = e1
+        swapped = dataclasses.replace(part, vectors=np.eye(2)[:, ::-1])
         assert surrogate_objective(swapped, s) == pytest.approx(3.0)
 
     def test_surrogate_equals_top_eigenvalue_sum(self):
@@ -254,13 +283,13 @@ class TestObjectives:
                         - (gl + gh) * xh * wh)
         assert np.argmax(surro) == np.argmax(full)
 
-    def test_empty_partition_full_objective_zero(self):
+    def test_empty_partition_is_rejected(self):
         s = stats_from_sigmas(np.eye(3), np.eye(3))
-        part = SubspacePartition(
-            p_h=np.zeros((3, 0)), p_l=np.eye(3), r_h=np.zeros((0, 0)),
-            r_l=np.eye(3), u=np.eye(3), lambda_x=1.0, lambda_w=1.0,
-            eigenvalues=np.ones(3))
-        assert full_objective(part, s, 1.0, 1.0) == 0.0
+        part = solve_partition(s, rank=1, gamma_low=1.0, seed=0)
+        # a rank of 0 or d leaves one block empty: it has no rotation
+        for rank in (0, 3):
+            with pytest.raises(DimensionMismatchError):
+                dataclasses.replace(part, rank=rank)
 
 
 def test_reconstruction_identity():
