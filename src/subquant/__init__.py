@@ -9,18 +9,13 @@ from .calib import (
     accumulate_activations,
     attach_weights,
     fuse_weight_covariance,
-    kv_key_stats,
-    kv_value_stats,
-    merge,
 )
 from .engine import (
     ErrorReport,
     MixedPrecisionPlan,
     analyze_layer,
-    build_kv_plans,
     build_plan,
     campaign,
-    decompose,
     execute_plan,
     predict_error,
     stats_from_tensors,
@@ -33,7 +28,6 @@ from .linalg import (
     hadamard,
     random_orthogonal,
     sym_eig,
-    trace,
 )
 from .quantizer import (
     QuantResult,
@@ -55,11 +49,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalibStats", "ProjectionGroup", "accumulate_activations", "attach_weights",
-    "fuse_weight_covariance", "kv_key_stats", "kv_value_stats", "merge",
-    "ErrorReport", "MixedPrecisionPlan", "analyze_layer", "build_kv_plans",
-    "build_plan", "campaign", "decompose", "execute_plan", "predict_error",
+    "fuse_weight_covariance", "ErrorReport", "MixedPrecisionPlan",
+    "analyze_layer", "build_plan", "campaign", "execute_plan", "predict_error",
     "stats_from_tensors", "EigenResult", "frobenius_sq", "gram_input",
-    "gram_weight", "hadamard", "random_orthogonal", "sym_eig", "trace",
+    "gram_weight", "hadamard", "random_orthogonal", "sym_eig",
     "QuantResult", "QuantSpec", "combined_error_coeff", "quantize",
     "relative_error_coeff", "SubspacePartition", "full_objective",
     "lambda_weights", "solve_partition", "surrogate_objective",

@@ -16,25 +16,28 @@ import numpy as np
 from . import formats
 from .calib import (
     CalibStats,
-    GROUP_KINDS,
     ProjectionGroup,
     accumulate_activations,
     attach_weights,
 )
 from .engine import analyze_layer, build_plan, campaign, execute_plan
 from .errors import (
+    Checked,
     FormatError,
     NoConvergenceError,
     NoSignalError,
     ScaleRangeError,
     SubquantError,
+    check_fields,
+    is_real,
 )
-from .solver import OBJECTIVES, ROTATIONS, shared_rotations
+from .quantizer import BITS
+from .solver import OBJECTIVE, OBJECTIVES, ROTATION, ROTATIONS, SEED, shared_rotations
 from .synth import SyntheticInstanceSpec
 
 
 @dataclasses.dataclass
-class RunConfig:
+class RunConfig(Checked):
     groups: list = dataclasses.field(default_factory=list)
     rank_ratio: float = 0.125
     bits_low: int = 4
@@ -44,49 +47,59 @@ class RunConfig:
     rotation: str = "random"
 
     def __post_init__(self):
-        # exact types: bool is an int subclass, and neither "4" nor `true` is a count
-        if not (type(self.rank_ratio) is float and 0.0 < self.rank_ratio < 1.0):
-            raise ValueError(f"rank_ratio must be a number in (0, 1), "
-                             f"got {self.rank_ratio!r}")
-        for name, bits in (("bits_low", self.bits_low), ("bits_high", self.bits_high)):
-            if not (type(bits) is int and 2 <= bits <= 16):
-                raise ValueError(f"{name} must be an int in [2, 16], got {bits!r}")
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}, "
-                             f"got {self.objective!r}")
-        if self.rotation not in ROTATIONS:
-            raise ValueError(f"rotation must be one of {ROTATIONS}, "
-                             f"got {self.rotation!r}")
-        if not (type(self.seed) is int and self.seed >= 0):
-            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
-        if not isinstance(self.groups, list):
-            raise ValueError(f"groups must be a list, got {self.groups!r}")
+        check_fields(self, (
+            ("rank_ratio", lambda v: is_real(v) and 0.0 < v < 1.0, "a number in (0, 1)"),
+            ("bits_low", *BITS),
+            ("bits_high", *BITS),
+            ("bits_low", lambda v: v <= self.bits_high,
+             f"at most bits_high ({self.bits_high!r})"),
+            ("objective", *OBJECTIVE),
+            ("seed", *SEED),
+            ("rotation", *ROTATION),
+            ("groups", lambda v: isinstance(v, list), "a list"),
+        ))
+
+
+@dataclasses.dataclass(frozen=True)
+class ConfigGroup(Checked):
+    """One `groups` entry of a config: the projection group it names, and the
+    tensor files that calibrate reads for it."""
+
+    name: str
+    kind: str
+    dim: int
+    activations: tuple[str, ...] = ()
+    weights: tuple[str, ...] = ()
+    group: ProjectionGroup = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "group", ProjectionGroup(self.kind, self.dim, self.name))
+        paths = (lambda v: isinstance(v, (list, tuple))
+                 and all(isinstance(p, str) for p in v), "a list of file paths")
+        check_fields(self, (("activations", *paths), ("weights", *paths)))
 
 
 _FLAGS = ("rank_ratio", "bits_low", "bits_high", "objective", "seed", "rotation")
 
 
 def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
-    """The config file's fields, overridden by the command-line flags given."""
-    obj = {}
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as f:
-            try:
-                obj = json.load(f)
-            except ValueError as e:  # not UTF-8, or not JSON
-                raise FormatError(f"{path}: invalid JSON config: {e}") from e
-        if not isinstance(obj, dict):
-            raise FormatError(f"{path}: config must be a JSON object, got {obj!r}")
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(obj) - known
-    if unknown:
-        raise FormatError(f"{path}: unknown config fields {sorted(unknown)}")
-    try:
-        cfg = RunConfig(**obj)
-    except ValueError as e:
-        raise FormatError(f"{path}: {e}") from e
+    """The config file's fields, overridden by the command-line flags given.
+    The merged values are checked together; an error names the file unless
+    the field at fault came from a flag."""
     flags = {k: getattr(args, k) for k in _FLAGS if getattr(args, k, None) is not None}
-    return dataclasses.replace(cfg, **flags)
+    if path is None:
+        return RunConfig(**flags)
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            obj = json.load(f)
+        except ValueError as e:  # not UTF-8, or not JSON
+            raise FormatError(f"{path}: invalid JSON config: {e}") from e
+    try:
+        return RunConfig.from_json(obj, path, **flags)
+    except FormatError as e:
+        if getattr(e.__cause__, "field", None) in flags:
+            raise e.__cause__ from None
+        raise
 
 
 def default_rank(d: int, rank_ratio: float) -> int:
@@ -98,27 +111,11 @@ def cmd_calibrate(args) -> int:
     if not cfg.groups:
         raise FormatError(f"{args.config}: config declares no groups")
     stats_list = []
-    for i, g in enumerate(cfg.groups):
+    for i, entry in enumerate(cfg.groups):
         where = f"{args.config}: groups[{i}]"
-        if not isinstance(g, dict):
-            raise FormatError(f"{where} must be a JSON object, got {g!r}")
-        for key in ("name", "kind", "dim"):
-            if key not in g:
-                raise FormatError(f"{where} missing field {key!r}")
-        if not isinstance(g["name"], str):
-            raise FormatError(f"{where}.name must be a string, got {g['name']!r}")
-        if g["kind"] not in GROUP_KINDS:
-            raise FormatError(f"{where}.kind: unknown kind {g['kind']!r}")
-        if not (type(g["dim"]) is int and g["dim"] >= 1):
-            raise FormatError(f"{where}.dim must be an int >= 1, got {g['dim']!r}")
-        for key in ("activations", "weights"):
-            files = g.get(key, [])
-            if not (isinstance(files, list) and all(isinstance(f, str) for f in files)):
-                raise FormatError(f"{where}.{key} must be a list of file paths, "
-                                  f"got {files!r}")
-        group = ProjectionGroup(kind=g["kind"], dim=g["dim"], name=g["name"])
-        stats = CalibStats.empty(group)
-        for path in g.get("activations", []):
+        g = ConfigGroup.from_json(entry, where)
+        stats = CalibStats.empty(g.group)
+        for path in g.activations:
             try:
                 batch = formats.map_tensor(path)
                 stats = accumulate_activations(stats, batch)
@@ -126,15 +123,15 @@ def cmd_calibrate(args) -> int:
                 raise  # its message already names the file
             except (OSError, ValueError) as e:
                 raise FormatError(
-                    f"{where} (group {g['name']!r}): activation file {path}: {e}") from e
+                    f"{where} (group {g.name!r}): activation file {path}: {e}") from e
             del batch  # releases the file's mapping
         weights = []
-        for path in g.get("weights", []):
+        for path in g.weights:
             try:
                 weights.append(formats.read_tensor(path))
             except OSError as e:
                 raise FormatError(
-                    f"{where} (group {g['name']!r}): weight file {path}: {e}") from e
+                    f"{where} (group {g.name!r}): weight file {path}: {e}") from e
         if weights:
             stats = attach_weights(stats, weights)
         stats_list.append(stats)
@@ -183,7 +180,7 @@ def cmd_analyze(args) -> int:
     cfg = load_config(args.config, args)
     if args.synthetic is not None:
         with open(args.synthetic, "r", encoding="utf-8") as f:
-            spec = SyntheticInstanceSpec.from_json(json.load(f))
+            spec = SyntheticInstanceSpec.from_json(json.load(f), args.synthetic)
         d = spec.d
     elif args.x is not None and args.w is not None and not args.sweep:
         x = formats.read_tensor(args.x)
@@ -232,8 +229,7 @@ def cmd_compare(args) -> int:
     diff["identical"] = len(a) == len(b) and not diff["deltas"]
     text = json.dumps(diff, sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+        formats.atomic_write(args.out, (text + "\n").encode("utf-8"))
     else:
         print(text)
     return 0

@@ -17,11 +17,10 @@ from .calib import (
     accumulate_activations,
     attach_weights,
 )
-from .errors import DimensionMismatchError
+from .errors import Checked, DimensionMismatchError, check_fields
 from .linalg import as_matrix
 from .quantizer import (
     PER_CHANNEL,
-    PER_TENSOR,
     PER_TOKEN,
     QuantSpec,
     combined_error_coeff,
@@ -31,6 +30,7 @@ from .solver import (
     OBJECTIVE_ACTIVATION,
     OBJECTIVE_JOINT,
     OBJECTIVE_WEIGHT,
+    OBJECTIVE,
     OBJECTIVES,
     ROTATION_RANDOM,
     SubspacePartition,
@@ -53,14 +53,8 @@ def default_weight_spec(bits: int) -> QuantSpec:
     return QuantSpec(bits=bits, symmetric=True, granularity=PER_CHANNEL)
 
 
-def default_kv_spec(bits: int) -> QuantSpec:
-    # plans are built per KV head, so one asymmetric (s, z) pair per rotated
-    # slice realizes per-head asymmetric quantization of the cache
-    return QuantSpec(bits=bits, symmetric=False, granularity=PER_TENSOR)
-
-
 @dataclass(frozen=True)
-class MixedPrecisionPlan:
+class MixedPrecisionPlan(Checked):
     """Executable recipe: subspace partition plus the four quantizers.
 
     Any spec set to None bypasses quantization for that slice (used for
@@ -75,9 +69,12 @@ class MixedPrecisionPlan:
     objective: str = OBJECTIVE_JOINT
 
     def __post_init__(self):
-        if self.spec_low is not None and self.spec_high is not None:
-            if self.spec_high.bits < self.spec_low.bits:
-                raise ValueError("high-precision bits must be >= low-precision bits")
+        low = self.spec_low
+        check_fields(self, (
+            ("objective", *OBJECTIVE),
+            ("spec_high", lambda v: v is None or low is None or v.bits >= low.bits,
+             "of at least spec_low's bits"),
+        ))
 
     @property
     def bits_low(self) -> int | None:
@@ -139,14 +136,6 @@ def _rotated(x: np.ndarray, w: np.ndarray, partition: SubspacePartition):
         raise DimensionMismatchError(
             f"x {x.shape} / w {w.shape} incompatible with partition dim {d}")
     return x, w, (partition.u.T @ x.T).T, partition.u.T @ w
-
-
-def decompose(x: np.ndarray, w: np.ndarray, partition: SubspacePartition):
-    """Split (X, W) into low/high rotated components (X_l, X_h, W_l, W_h),
-    which are views of A = X u and B = u^T W."""
-    _, _, a, b = _rotated(x, w, partition)
-    k = partition.dim - partition.rank
-    return a[:, :k], a[:, k:], b[:k], b[k:]
 
 
 def predict_error(x_energies: tuple[float, float], w_energies: tuple[float, float],
@@ -280,18 +269,3 @@ def campaign(spec: SyntheticInstanceSpec, instances: int, rank: int,
         runs.append(analyze_layer(x, w, rank, bits_low, bits_high,
                                   seed=inst.seed, rotation=rotation))
     return runs
-
-
-def build_kv_plans(kv_stats: list[CalibStats], rank: int, bits_low: int,
-                   bits_high: int, objective: str = OBJECTIVE_JOINT,
-                   seed: int = 0, rotation: str = ROTATION_RANDOM) -> list[MixedPrecisionPlan]:
-    """One plan per KV head; the cached tensor side quantizes asymmetrically
-    over the whole head block, the counterpart uses the weight defaults."""
-    if not kv_stats:
-        raise ValueError("no per-head statistics supplied")
-    with shared_rotations():  # every head shares (seed, rotation)
-        return [build_plan(stats, rank, bits_low, bits_high, objective=objective,
-                           seed=seed, rotation=rotation,
-                           spec_low=default_kv_spec(bits_low),
-                           spec_high=default_kv_spec(bits_high))
-                for stats in kv_stats]

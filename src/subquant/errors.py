@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field checks that
+every validated type runs on construction and on reading a file."""
+
+import dataclasses
+import math
+import sys
 
 
 class SubquantError(Exception):
@@ -48,3 +53,63 @@ class TruncatedPayloadError(FormatError):
 
 class UnsupportedDtypeError(FormatError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# Field checks. Each validated type writes its rules once, as a table of
+# (field, test, description[, error]) entries checked in its __post_init__;
+# `Checked.from_json` runs the same table on a JSON object.
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def is_int(v, lo: int, hi: float = math.inf) -> bool:
+    """An int in [lo, hi). bool is an int subclass, but `true` is not a count."""
+    return type(v) is int and lo <= v < hi
+
+
+def is_real(v, lo: float = -_FLOAT_MAX) -> bool:
+    """A finite number >= lo: NaN fails both bounds, and +-inf and ints too
+    large for a float fail one."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and lo <= v <= _FLOAT_MAX)
+
+
+def check(key: str, value, test, what: str, error=ValueError) -> None:
+    """Raise `error` naming `key`, and holding it as `.field`, unless
+    test(value)."""
+    if not test(value):
+        e = error(f"{key} must be {what}, got {value!r}")
+        e.field = key
+        raise e
+
+
+def check_fields(obj, rules) -> None:
+    """Check each rule of a table on its field of `obj`, in order, so a rule
+    may rely on the ones before it."""
+    for key, *rule in rules:
+        check(key, getattr(obj, key), *rule)
+
+
+class Checked:
+    """Mixin for a dataclass whose __post_init__ checks its rule table."""
+
+    @classmethod
+    def from_json(cls, obj, where: str, **parsed):
+        """The instance a JSON object describes, its keys being the fields;
+        `where` names the file and the object. An absent required field reads
+        as None, and `parsed` supplies fields already built from the file.
+        An unknown field, or any rule the construction breaks, raises
+        HeaderMismatchError naming `where` and the field."""
+        if not isinstance(obj, dict):
+            raise HeaderMismatchError(f"{where} must be a JSON object, got {obj!r}")
+        fields = [f for f in dataclasses.fields(cls) if f.init]
+        unknown = sorted(set(obj) - {f.name for f in fields})
+        if unknown:
+            raise HeaderMismatchError(f"{where}: unknown field(s) {unknown}")
+        required = {f.name: None for f in fields if f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING}
+        try:
+            return cls(**required | obj | parsed)
+        except ValueError as e:
+            raise HeaderMismatchError(f"{where}: {e}") from e

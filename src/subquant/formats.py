@@ -14,8 +14,9 @@ bundle holds two tensors per group: ``i.vectors``, the d x d descending
 eigenbasis, and ``i.eigenvalues``. Its metadata carries the group's rank,
 seed, rotation kind, objective, covariance weights and quantizer specs. The
 composed transform ``u`` is not stored: `read_plan` re-derives it from the
-seeded internal rotations, bit-identical to the solved one. `_check_meta`
-checks every metadata field before any of it is used.
+seeded internal rotations, bit-identical to the solved one. Metadata fields
+are checked by the types they build (`from_json`); this module checks the
+framing, the tensor entries and shapes, and the orthonormality of a basis.
 
 Reports are JSON-lines or CSV with a fixed column order.
 """
@@ -30,21 +31,21 @@ import math
 import mmap
 import os
 import struct
-import sys
 import tempfile
 
 import numpy as np
 
-from .calib import GROUP_KINDS, CalibStats, ProjectionGroup
+from .calib import CalibStats, ProjectionGroup
 from .engine import ErrorReport, MixedPrecisionPlan
 from .errors import (
     BadMagicError,
     HeaderMismatchError,
     TruncatedPayloadError,
     UnsupportedDtypeError,
+    is_int,
 )
-from .quantizer import GRANULARITIES, PER_HEAD, QuantSpec
-from .solver import OBJECTIVES, ROTATIONS, SubspacePartition, shared_rotations
+from .quantizer import QuantSpec
+from .solver import SubspacePartition, shared_rotations
 
 TENSOR_MAGIC = b"CQT1"
 BUNDLE_MAGIC = b"CQB1"
@@ -53,8 +54,6 @@ MAX_BYTES = 4 << 30  # refuse headers that declare larger allocations
 # a plan's quantizer specs, MixedPrecisionPlan.spec_<key>
 SPEC_KEYS = ("low", "high", "low_w", "high_w")
 ORTHO_TOL = 1e-8  # largest |V^T V - I| of a plan's basis
-
-_FLOAT_MAX = sys.float_info.max
 
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 
@@ -75,7 +74,7 @@ def _process_umask() -> int:
 _FILE_MODE = 0o666 & ~_process_umask()
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def atomic_write(path: str, data: bytes) -> None:
     """Write `data` to a unique temp file beside `path`, then rename it over
     `path`. Concurrent writers never share a temp file, and a failed write
     leaves no temp file behind."""
@@ -124,16 +123,6 @@ def _read_header(f, path: str, magic: bytes) -> tuple[dict, int]:
     return header, 8 + hlen
 
 
-def _is_int(v, lo: int, hi: float = math.inf) -> bool:
-    # bool is an int subclass: `true` is not a count
-    return type(v) is int and lo <= v < hi
-
-
-def _is_real(v, lo: float = -_FLOAT_MAX) -> bool:
-    # NaN fails both bounds; +-inf and ints too large for a float fail one
-    return type(v) in (int, float) and lo <= v <= _FLOAT_MAX
-
-
 def _check_entry(entry, path: str, field: str,
                  layout: bool = False) -> tuple[np.dtype, tuple[int, ...], int]:
     """Validate a CQT1 header (`layout=True`) or one CQB1 `tensors` entry;
@@ -150,98 +139,13 @@ def _check_entry(entry, path: str, field: str,
     dtype, shape = entry["dtype"], entry["shape"]
     if not isinstance(dtype, str) or dtype not in _DTYPES:
         raise UnsupportedDtypeError(f"{path}: {field}.dtype {dtype!r}")
-    if not isinstance(shape, list) or not shape or not all(_is_int(s, 1) for s in shape):
+    if not isinstance(shape, list) or not shape or not all(is_int(s, 1) for s in shape):
         raise HeaderMismatchError(
             f"{path}: {field}.shape must be a non-empty list of ints >= 1, got {shape!r}")
     size = math.prod(shape) * _DTYPES[dtype].itemsize
     if size > MAX_BYTES:
         raise HeaderMismatchError(f"{path}: {field} declares {size} bytes, above cap")
     return _DTYPES[dtype], tuple(shape), size
-
-
-def _check_fields(obj: dict, where: str, rules) -> None:
-    """Check each (key, test, description) rule on obj.get(key), in order;
-    a missing key reads as None. Later rules may rely on earlier ones."""
-    for key, test, what in rules:
-        if not test(obj.get(key)):
-            raise HeaderMismatchError(f"{where}.{key} must be {what}, "
-                                      f"got {obj.get(key)!r}")
-
-
-def _group_rules(dim) -> list:
-    """ProjectionGroup JSON, as `ProjectionGroup.from_json` reads it."""
-    return [
-        ("dim", lambda v: _is_int(v, 1), "an int >= 1"),
-        ("kind", lambda v: v in GROUP_KINDS, f"one of {GROUP_KINDS}"),
-        ("name", lambda v: v is None or isinstance(v, str), "a string"),
-        ("member_shapes", lambda v: v is None or isinstance(v, list) and all(
-            isinstance(s, list) and len(s) == 2 and s[0] == dim
-            and all(_is_int(n, 1) for n in s) for s in v),
-         f"a list of [{dim}, int >= 1] shapes"),
-        ("head_dim", lambda v: v is None or _is_int(v, 1), "an int >= 1"),
-        ("head_index", lambda v: v is None or _is_int(v, 0), "an int >= 0"),
-    ]
-
-
-_STATS_RULES = [
-    ("energy_x", lambda v: _is_real(v, 0.0), "a finite number >= 0"),
-    ("energy_w", lambda v: _is_real(v, 0.0), "a finite number >= 0"),
-    ("tokens_seen", lambda v: _is_int(v, 0), "an int >= 0"),
-]
-
-
-def _plan_rules(dim: int) -> list:
-    return [
-        ("objective", lambda v: v in OBJECTIVES, f"one of {OBJECTIVES}"),
-        ("rotation", lambda v: v in ROTATIONS, f"one of {ROTATIONS}"),
-        ("rank", lambda v: _is_int(v, 1, dim), f"an int in [1, {dim})"),
-        ("seed", lambda v: _is_int(v, 0), "an int >= 0"),
-        ("lambda_x", _is_real, "a finite number"),
-        ("lambda_w", _is_real, "a finite number"),
-        ("specs", lambda v: isinstance(v, dict) and all(
-            k in v and (v[k] is None or isinstance(v[k], dict)) for k in SPEC_KEYS),
-         f"an object whose {', '.join(SPEC_KEYS)} are null or objects"),
-    ]
-
-
-def _spec_rules(granularity) -> list:
-    """QuantSpec JSON, as `QuantSpec.from_json` reads it."""
-    head = ((lambda v: _is_int(v, 1), "an int >= 1") if granularity == PER_HEAD
-            else (lambda v: v is None, "absent outside per-head granularity"))
-    return [
-        ("bits", lambda v: _is_int(v, 2, 17), "an int in [2, 16]"),
-        ("symmetric", lambda v: type(v) is bool, "true or false"),
-        ("granularity", lambda v: v in GRANULARITIES, f"one of {GRANULARITIES}"),
-        ("head_dim", *head),
-    ]
-
-
-_BUNDLE_LISTS = {"stats": "groups", "plan": "plans"}
-
-
-def _check_meta(meta, path: str, kind: str) -> list[dict]:
-    """Validate the `meta` block of a CQB1 stats or plan bundle; return its
-    list of per-group entries. Each entry is checked against the schema of
-    its group and of its statistics or plan, quantizer specs included."""
-    field = _BUNDLE_LISTS[kind]
-    if not isinstance(meta, dict) or not isinstance(meta.get(field), list):
-        raise HeaderMismatchError(f"{path}: meta.{field} must be a list")
-    for i, entry in enumerate(meta[field]):
-        where = f"{path}: {field}[{i}]"
-        if not isinstance(entry, dict) or not isinstance(entry.get("group"), dict):
-            raise HeaderMismatchError(f"{where} and its group must be JSON objects")
-        group = entry["group"]
-        _check_fields(group, f"{where}.group", _group_rules(group.get("dim")))
-        if kind == "stats":
-            _check_fields(entry, where, _STATS_RULES)
-            continue
-        _check_fields(entry, where, _plan_rules(group["dim"]))
-        for key in SPEC_KEYS:
-            spec = entry["specs"][key]
-            if spec is not None:
-                _check_fields(spec, f"{where}.specs.{key}",
-                              _spec_rules(spec.get("granularity")))
-    return meta[field]
 
 
 def _tensor(tensors: dict, name: str, shape: tuple, path: str) -> np.ndarray:
@@ -260,7 +164,7 @@ def write_tensor(path: str, name: str, matrix: np.ndarray, dtype: str = "f64") -
     m = np.ascontiguousarray(np.asarray(matrix), dtype=_DTYPES[dtype])
     header = {"name": name, "dtype": dtype, "shape": list(m.shape),
               "layout": "row-major"}
-    _atomic_write(path, _frame(TENSOR_MAGIC, header, m.tobytes()))
+    atomic_write(path, _frame(TENSOR_MAGIC, header, m.tobytes()))
 
 
 def map_tensor(path: str) -> np.ndarray:
@@ -296,19 +200,25 @@ def _write_bundle(path: str, kind: str, meta: dict,
         entries.append({"name": name, "dtype": "f64", "shape": list(a.shape)})
         payload += a.tobytes()
     header = {"kind": kind, "meta": meta, "tensors": entries}
-    _atomic_write(path, _frame(BUNDLE_MAGIC, header, bytes(payload)))
+    atomic_write(path, _frame(BUNDLE_MAGIC, header, bytes(payload)))
 
 
 def _read_bundle(path: str, kind: str) -> tuple[list[dict], dict[str, np.ndarray]]:
-    """The validated per-group metadata entries and the named tensors of a
-    CQB1 bundle of `kind` ("stats" or "plan")."""
+    """The per-group metadata objects and the named tensors of a CQB1 bundle
+    of `kind` ("stats" or "plan"); the types they describe check the rest."""
     with open(path, "rb") as f:
         header, _ = _read_header(f, path, BUNDLE_MAGIC)
         payload = f.read()
     if header.get("kind") != kind:
         raise HeaderMismatchError(
             f"{path}: bundle kind {header.get('kind')!r}, expected {kind!r}")
-    records = _check_meta(header.get("meta"), path, kind)
+    field = {"stats": "groups", "plan": "plans"}[kind]
+    meta = header.get("meta")
+    records = meta.get(field) if isinstance(meta, dict) else None
+    if not (isinstance(records, list) and records
+            and all(isinstance(r, dict) for r in records)):
+        raise HeaderMismatchError(
+            f"{path}: meta.{field} must be a non-empty list of JSON objects")
     entries = header.get("tensors", [])
     if not isinstance(entries, list):
         raise HeaderMismatchError(f"{path}: bundle tensors must be a list")
@@ -339,17 +249,16 @@ def write_stats(path: str, stats_list: list[CalibStats]) -> None:
 
 
 def read_stats(path: str) -> list[CalibStats]:
-    groups, tensors = _read_bundle(path, "stats")
+    entries, tensors = _read_bundle(path, "stats")
     out = []
-    for i, g in enumerate(groups):
-        d = g["group"]["dim"]
-        out.append(CalibStats(
-            group=ProjectionGroup.from_json(g["group"]),
+    for i, entry in enumerate(entries):
+        where = f"{path}: groups[{i}]"
+        group = ProjectionGroup.from_json(entry.get("group"), f"{where}.group")
+        d = group.dim
+        out.append(CalibStats.from_json(
+            entry, where, group=group,
             sigma_x=_tensor(tensors, f"{i}.sigma_x", (d, d), path),
-            sigma_w=_tensor(tensors, f"{i}.sigma_w", (d, d), path),
-            energy_x=g["energy_x"], energy_w=g["energy_w"],
-            tokens_seen=g["tokens_seen"],
-        ))
+            sigma_w=_tensor(tensors, f"{i}.sigma_w", (d, d), path)))
     return out
 
 
@@ -377,29 +286,32 @@ def write_plan(path: str, plans: list[MixedPrecisionPlan]) -> None:
 def read_plan(path: str) -> list[MixedPrecisionPlan]:
     """The plans of a bundle, each `u` derived from its eigenbasis, rank,
     seed and rotation kind; groups of equal width share their rotations."""
-    plans, tensors = _read_bundle(path, "plan")
+    entries, tensors = _read_bundle(path, "plan")
     out = []
     with shared_rotations():
-        for i, p in enumerate(plans):
-            d = p["group"]["dim"]
+        for i, p in enumerate(entries):
+            where = f"{path}: plans[{i}]"
+            group = ProjectionGroup.from_json(p.get("group"), f"{where}.group")
+            d = group.dim
             vectors = _tensor(tensors, f"{i}.vectors", (d, d), path)
             resid = float(np.max(np.abs(vectors.T @ vectors - np.eye(d))))
             if not resid <= ORTHO_TOL:
-                raise HeaderMismatchError(f"{path}: plans[{i}]: basis has "
+                raise HeaderMismatchError(f"{where}: basis has "
                                           f"|V^T V - I|_max = {resid:.3e}")
-            part = SubspacePartition(
-                vectors=vectors,
-                eigenvalues=_tensor(tensors, f"{i}.eigenvalues", (d,), path),
-                rank=p["rank"], seed=p["seed"], rotation=p["rotation"],
-                lambda_x=p["lambda_x"], lambda_w=p["lambda_w"])
-            specs = {f"spec_{k}": None if p["specs"][k] is None
-                     else QuantSpec.from_json(p["specs"][k]) for k in SPEC_KEYS}
-            try:
-                out.append(MixedPrecisionPlan(
-                    partition=part, group=ProjectionGroup.from_json(p["group"]),
-                    objective=p["objective"], **specs))
-            except ValueError as e:  # high bits below low bits
-                raise HeaderMismatchError(f"{path}: plans[{i}]: {e}") from e
+            # the entry's other fields are its partition's
+            part = SubspacePartition.from_json(
+                {k: v for k, v in p.items() if k not in ("group", "objective", "specs")},
+                where, vectors=vectors,
+                eigenvalues=_tensor(tensors, f"{i}.eigenvalues", (d,), path))
+            specs = p.get("specs")
+            if not (isinstance(specs, dict) and sorted(specs) == sorted(SPEC_KEYS)):
+                raise HeaderMismatchError(f"{where}: specs must be an object with "
+                                          f"keys {SPEC_KEYS}, got {specs!r}")
+            out.append(MixedPrecisionPlan.from_json(
+                {"objective": p.get("objective")}, where, partition=part, group=group,
+                **{f"spec_{k}": None if s is None
+                   else QuantSpec.from_json(s, f"{where}.specs.{k}")
+                   for k, s in specs.items()}))
     return out
 
 
@@ -421,21 +333,28 @@ def write_report(path: str, reports: list[ErrorReport], fmt: str = "json",
         with open(path, "a", encoding="utf-8") as f:
             f.write(body)
     else:
-        _atomic_write(path, body.encode("utf-8"))
+        atomic_write(path, body.encode("utf-8"))
 
 
 def read_report(path: str) -> list[dict]:
+    """The rows of a JSON-lines or CSV report; each must hold every column."""
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
-    if text.lstrip().startswith("{"):
-        return [json.loads(line) for line in text.splitlines() if line.strip()]
-    rows = list(csv.DictReader(io.StringIO(text)))
-    for row in rows:
-        missing = [c for c in REPORT_COLUMNS if c not in row]
+    is_json = text.lstrip().startswith("{")
+    if is_json:
+        try:
+            rows = [json.loads(line) for line in text.splitlines() if line.strip()]
+        except json.JSONDecodeError as e:
+            raise HeaderMismatchError(f"{path}: invalid JSON report line: {e}") from e
+    else:
+        rows = list(csv.DictReader(io.StringIO(text)))
+    for i, row in enumerate(rows):
+        # a CSV row shorter than its header reads its absent cells as None
+        missing = REPORT_COLUMNS if not isinstance(row, dict) else [
+            c for c in REPORT_COLUMNS if c not in row or not is_json and row[c] is None]
         if missing:
-            raise HeaderMismatchError(f"{path}: report missing columns {missing}")
-        for col in REPORT_COLUMNS:
-            if col in ("group", "objective"):
-                continue
-            row[col] = None if row[col] in ("", "None") else float(row[col])
+            raise HeaderMismatchError(f"{path}: report row {i} missing columns {missing}")
+        if not is_json:
+            for col in REPORT_COLUMNS[2:]:  # the numeric columns
+                row[col] = None if row[col] in ("", "None") else float(row[col])
     return rows

@@ -129,10 +129,3 @@ def hadamard(d: int) -> np.ndarray:
 def frobenius_sq(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=np.float64)
     return float(np.vdot(m, m))
-
-
-def trace(m: np.ndarray) -> float:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise NonSquareError(f"trace needs a square matrix, got {m.shape}")
-    return float(np.trace(m))

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ScaleRangeError
+from .errors import (
+    Checked,
+    DimensionMismatchError,
+    ScaleRangeError,
+    check_fields,
+    is_int,
+)
 
 PER_TENSOR = "per-tensor"
 PER_TOKEN = "per-token"
@@ -29,8 +35,12 @@ PER_HEAD = "per-head"
 GRANULARITIES = (PER_TENSOR, PER_TOKEN, PER_CHANNEL, PER_HEAD)
 
 
+# the bit-width rule, shared by every bits field
+BITS = (lambda v: is_int(v, 2, 17), "an int in [2, 16]")
+
+
 @dataclass(frozen=True)
-class QuantSpec:
+class QuantSpec(Checked):
     """Bit-width, symmetry and grouping of one quantizer."""
 
     bits: int
@@ -39,15 +49,14 @@ class QuantSpec:
     head_dim: int | None = None
 
     def __post_init__(self):
-        if not 2 <= self.bits <= 16:
-            raise ValueError(f"bits must be in [2, 16], got {self.bits}")
-        if self.granularity not in GRANULARITIES:
-            raise ValueError(f"unknown granularity {self.granularity!r}")
-        if self.granularity == PER_HEAD:
-            if self.head_dim is None or self.head_dim < 1:
-                raise ValueError("per-head granularity requires head_dim >= 1")
-        elif self.head_dim is not None:
-            raise ValueError("head_dim only applies to per-head granularity")
+        check_fields(self, (
+            ("bits", *BITS),
+            ("symmetric", lambda v: type(v) is bool, "true or false"),
+            ("granularity", lambda v: v in GRANULARITIES, f"one of {GRANULARITIES}"),
+            ("head_dim", lambda v: is_int(v, 1), "an int >= 1")
+            if self.granularity == PER_HEAD else
+            ("head_dim", lambda v: v is None, "absent outside per-head granularity"),
+        ))
 
     def to_json(self) -> dict:
         d = {"bits": self.bits, "symmetric": self.symmetric,
@@ -55,11 +64,6 @@ class QuantSpec:
         if self.head_dim is not None:
             d["head_dim"] = self.head_dim
         return d
-
-    @classmethod
-    def from_json(cls, d: dict) -> "QuantSpec":
-        return cls(bits=d["bits"], symmetric=d["symmetric"],
-                   granularity=d["granularity"], head_dim=d.get("head_dim"))
 
 
 @dataclass(frozen=True)

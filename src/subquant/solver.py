@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calib import CalibStats
-from .errors import DimensionMismatchError, NoSignalError
+from .errors import (
+    Checked,
+    DimensionMismatchError,
+    NoSignalError,
+    check,
+    check_fields,
+    is_int,
+    is_real,
+)
 from .linalg import hadamard, random_orthogonal, sym_eig
 
 OBJECTIVE_JOINT = "joint"
@@ -26,9 +34,20 @@ ROTATION_RANDOM = "random"
 ROTATION_HADAMARD = "hadamard"
 ROTATIONS = (ROTATION_RANDOM, ROTATION_HADAMARD)
 
+# the rules of the fields that plans and run configurations share
+OBJECTIVE = (lambda v: v in OBJECTIVES, f"one of {OBJECTIVES}")
+ROTATION = (lambda v: v in ROTATIONS, f"one of {ROTATIONS}")
+SEED = (lambda v: is_int(v, 0), "an int >= 0")
+
+
+def _rank(dim: int) -> tuple:
+    """The rule of a rank in R^dim: both blocks of the partition non-empty."""
+    return (lambda v: is_int(v, 1, dim), f"an int in [1, {dim})",
+            DimensionMismatchError)
+
 
 @dataclass(frozen=True)
-class SubspacePartition:
+class SubspacePartition(Checked):
     """Orthogonal split of R^d into a rank-r high-precision subspace and its
     complement.
 
@@ -49,6 +68,13 @@ class SubspacePartition:
     u: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_fields(self, (
+            ("rank", *_rank(self.dim)),
+            ("seed", *SEED),
+            ("rotation", *ROTATION),
+            ("lambda_x", is_real, "a finite number"),
+            ("lambda_w", is_real, "a finite number"),
+        ))
         # one memory layout for solved and read bases: u is then the same bits
         object.__setattr__(self, "vectors", np.ascontiguousarray(self.vectors))
         r_h = _internal_rotation(self.rank, self.seed, self.rotation)
@@ -78,8 +104,7 @@ def lambda_weights(stats: CalibStats, gamma_low: float,
     """
     if gamma_low <= 0:
         raise ValueError("gamma_low must be > 0")
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
+    check("objective", objective, *OBJECTIVE)
     # a zero energy on one side would silence the *other* covariance entirely;
     # fall back to a unit multiplier there (the common factor cannot change
     # the argmax) so the solver degrades to single-sided selection
@@ -113,8 +138,6 @@ def shared_rotations():
 
 
 def _internal_rotation(dim: int, seed: int, rotation: str) -> np.ndarray:
-    if rotation not in ROTATIONS:
-        raise ValueError(f"unknown rotation kind {rotation!r}")
     use_hadamard = rotation == ROTATION_HADAMARD and dim & (dim - 1) == 0
     memo = _shared.get()
     key = (dim,) if use_hadamard else (dim, seed)
@@ -133,8 +156,7 @@ def solve_partition(stats: CalibStats, rank: int, objective: str = OBJECTIVE_JOI
     """Closed-form solve: p_h spans the top-`rank` eigenvectors of the mixed
     covariance; internal rotations are deterministic in (seed, rotation)."""
     d = stats.group.dim
-    if not 1 <= rank < d:
-        raise ValueError(f"rank must satisfy 1 <= r < d={d}, got {rank}")
+    check("rank", rank, *_rank(d))
     lx, lw = lambda_weights(stats, gamma_low, objective)
     m = lx * stats.sigma_x + lw * stats.sigma_w
     if np.max(np.abs(m)) == 0.0:

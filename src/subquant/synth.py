@@ -8,11 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import Checked, check_fields, is_int, is_real
 from .linalg import random_orthogonal
+from .solver import SEED
 
 
 @dataclass(frozen=True)
-class SyntheticInstanceSpec:
+class SyntheticInstanceSpec(Checked):
     d: int
     n: int
     m: int
@@ -22,26 +24,25 @@ class SyntheticInstanceSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.d, self.n, self.m) < 1:
-            raise ValueError("dims must be >= 1")
-        if len(self.activation_spectrum) != self.d or len(self.weight_spectrum) != self.d:
-            raise ValueError("spectra must have length d")
-        if min(self.activation_spectrum) < 0 or min(self.weight_spectrum) < 0:
-            raise ValueError("variances must be >= 0")
+        size = (lambda v: is_int(v, 1), "an int >= 1")
+        spectrum = (lambda v: isinstance(v, (list, tuple)) and len(v) == self.d
+                    and all(is_real(s, 0.0) for s in v),
+                    f"a list of {self.d} finite variances >= 0")
+        check_fields(self, (
+            ("d", *size), ("n", *size), ("m", *size),
+            ("activation_spectrum", *spectrum),
+            ("weight_spectrum", *spectrum),
+            ("misalignment", is_real, "a finite number"),
+            ("seed", *SEED),
+        ))
+        for key in ("activation_spectrum", "weight_spectrum"):
+            object.__setattr__(self, key, tuple(getattr(self, key)))
 
     def to_json(self) -> dict:
         return {"d": self.d, "n": self.n, "m": self.m,
                 "activation_spectrum": list(self.activation_spectrum),
                 "weight_spectrum": list(self.weight_spectrum),
                 "misalignment": self.misalignment, "seed": self.seed}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SyntheticInstanceSpec":
-        return cls(d=obj["d"], n=obj["n"], m=obj["m"],
-                   activation_spectrum=tuple(obj["activation_spectrum"]),
-                   weight_spectrum=tuple(obj["weight_spectrum"]),
-                   misalignment=obj.get("misalignment", 0.0),
-                   seed=obj.get("seed", 0))
 
 
 def _plane_rotations(d: int, angle: float) -> np.ndarray:

@@ -8,9 +8,6 @@ from subquant.calib import (
     accumulate_activations,
     attach_weights,
     fuse_weight_covariance,
-    kv_key_stats,
-    kv_value_stats,
-    merge,
 )
 from subquant.errors import DimensionMismatchError
 from subquant.linalg import gram_input, gram_weight
@@ -137,65 +134,6 @@ class TestFuse:
         s = attach_weights(s, [np.eye(2)])
         assert np.array_equal(s.sigma_w, np.eye(2))
         assert s.energy_w == 2.0
-
-
-class TestMerge:
-    def test_associativity(self):
-        rng = np.random.default_rng(3)
-        shard = lambda seed: accumulate_activations(
-            CalibStats.empty(group(4)),
-            np.random.default_rng(seed).standard_normal((5, 4)))
-        s, a, b = shard(0), shard(1), shard(2)
-        ab = merge(merge(s, a), b)
-        ba = merge(merge(s, b), a)
-        assert np.allclose(ab.sigma_x, ba.sigma_x, rtol=1e-12)
-        assert ab.energy_x == pytest.approx(ba.energy_x, rel=1e-12)
-        assert ab.tokens_seen == ba.tokens_seen
-
-
-class TestKvStats:
-    def test_value_identity(self):
-        s = kv_value_stats(np.eye(4), np.eye(4))
-        assert np.array_equal(s.sigma_x, np.eye(4))
-        assert np.array_equal(s.sigma_w, np.eye(4))
-        assert s.group.kind == "kv-value"
-
-    def test_value_zero_tokens(self):
-        s = kv_value_stats(np.zeros((3, 4)), np.eye(4))
-        assert np.array_equal(s.sigma_x, np.zeros((4, 4)))
-
-    def test_value_gram_oracle(self):
-        rng = np.random.default_rng(4)
-        v = rng.standard_normal((16, 8))
-        wo = rng.standard_normal((8, 8))
-        s = kv_value_stats(v, wo, head_index=2)
-        assert np.array_equal(s.sigma_x, gram_input(v))
-        assert np.array_equal(s.sigma_w, gram_weight(wo))
-        assert s.energy_x == pytest.approx(np.sum(v**2))
-        assert s.group.head_index == 2
-
-    def test_key_identity(self):
-        s = kv_key_stats(np.eye(4), np.eye(4))
-        assert np.array_equal(s.sigma_x, np.eye(4))
-        assert np.array_equal(s.sigma_w, np.eye(4))
-        assert s.group.kind == "kv-key"
-
-    def test_key_zero_queries(self):
-        s = kv_key_stats(np.eye(4), np.zeros((2, 4)))
-        assert np.array_equal(s.sigma_w, np.zeros((4, 4)))
-
-    def test_key_gram_oracle(self):
-        rng = np.random.default_rng(6)
-        k = rng.standard_normal((12, 8))
-        q = rng.standard_normal((20, 8))
-        s = kv_key_stats(k, q)
-        assert np.array_equal(s.sigma_x, gram_input(k))
-        assert np.array_equal(s.sigma_w, gram_input(q))
-        assert s.energy_w == pytest.approx(np.sum(q**2))
-
-    def test_key_head_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            kv_key_stats(np.zeros((2, 4)), np.zeros((2, 5)))
 
 
 def test_group_member_shapes_must_share_dim():

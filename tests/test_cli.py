@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subquant import calib, cli, formats, solver
+from subquant import calib, cli, engine, formats, solver
 from subquant.calib import CalibStats, ProjectionGroup, accumulate_activations
 from subquant.cli import main
 from subquant.engine import analyze_layer, build_plan, execute_plan, stats_from_tensors
@@ -320,6 +320,101 @@ class TestAnalyze:
         assert run("analyze", "--out", str(tmp_path / "r.jsonl")) == 2
 
 
+def spec_file(tmp_path, obj) -> str:
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _spec_edit(**fields):
+    return lambda spec: spec | fields
+
+
+def _spec_pop(key):
+    return lambda spec: {k: v for k, v in spec.items() if k != key}
+
+
+# edits of a valid synthetic spec, and what the error message must name
+MALFORMED_SPECS = {
+    "string-d": (_spec_edit(d="8"), "d must be"),
+    "no-d": (_spec_pop("d"), "d must be"),
+    "a-list": (lambda spec: [spec], "JSON object"),
+    "number-spectrum": (_spec_edit(activation_spectrum=3), "activation_spectrum"),
+    "string-spectrum": (lambda spec: spec | {"weight_spectrum": [
+        str(v) for v in spec["weight_spectrum"]]}, "weight_spectrum"),
+    "string-misalignment": (_spec_edit(misalignment="x"), "misalignment"),
+}
+
+
+class TestAnalyzeSchema:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
+    def test_malformed_synthetic_spec_exits_2(self, tmp_path, capsys, case):
+        edit, word = MALFORMED_SPECS[case]
+        spec = spec_file(tmp_path, edit(aligned_spec(8, 16, 4, seed=0).to_json()))
+        out = tmp_path / "r.jsonl"
+        assert run("analyze", "--synthetic", spec, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert word in err and spec in err
+        assert not out.exists()
+
+
+class TestBitsOrder:
+    """bits_low above bits_high is a config error, found before any solve."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = engine.solve_partition
+        monkeypatch.setattr(engine, "solve_partition",
+                            lambda *a, **k: calls.append(a) or solve(*a, **k))
+        return calls
+
+    def test_solve_exits_2_naming_bits_low(self, workspace, capsys, solves):
+        stats = str(workspace["tmp"] / "stats.cqb")
+        assert run("calibrate", "--config", workspace["cfg"], "--out", stats) == 0
+        out = workspace["tmp"] / "p.cqb"
+        assert run("solve", "--stats", stats, "--bits-low", "8", "--bits-high", "4",
+                   "--out", str(out)) == 2
+        assert "bits_low" in capsys.readouterr().err
+        assert solves == [] and not out.exists()
+
+    def test_analyze_exits_2_naming_bits_low(self, tmp_path, capsys, solves):
+        spec = spec_file(tmp_path, aligned_spec(8, 16, 4, seed=0).to_json())
+        out = tmp_path / "r.jsonl"
+        assert run("analyze", "--synthetic", spec, "--bits-low", "8",
+                   "--bits-high", "4", "--out", str(out)) == 2
+        assert "bits_low" in capsys.readouterr().err
+        assert solves == [] and not out.exists()
+
+    @pytest.mark.parametrize("fields, flags, bits", [
+        ({"bits_low": 12}, ["--bits-high", "16"], (12, 16)),
+        ({"bits_high": 3}, ["--bits-low", "2"], (2, 3)),
+    ])
+    def test_flags_apply_before_the_check(self, workspace, fields, flags, bits):
+        stats = str(workspace["tmp"] / "stats.cqb")
+        assert run("calibrate", "--config", workspace["cfg"], "--out", stats) == 0
+        cfg = workspace["tmp"] / "bits.json"
+        cfg.write_text(json.dumps(fields))
+        out = workspace["tmp"] / "p.cqb"
+        assert run("solve", "--stats", stats, "--config", str(cfg), *flags,
+                   "--out", str(out)) == 0
+        plan = formats.read_plan(str(out))[0]
+        assert (plan.spec_low.bits, plan.spec_high.bits) == bits
+
+    def test_flag_at_fault_is_named_without_the_file(self, workspace, capsys, solves):
+        stats = str(workspace["tmp"] / "stats.cqb")
+        assert run("calibrate", "--config", workspace["cfg"], "--out", stats) == 0
+        cfg = workspace["tmp"] / "bits.json"
+        cfg.write_text(json.dumps({"bits_high": 4}))
+        out = workspace["tmp"] / "p.cqb"
+        assert run("solve", "--stats", stats, "--config", str(cfg), "--bits-low", "8",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "bits_low must be at most bits_high (4), got 8" in err
+        assert "bits.json" not in err
+        assert solves == [] and not out.exists()
+
+
 class TestCompare:
     def make_report(self, tmp_path, name, bits_low=4):
         rng = np.random.default_rng(1)
@@ -350,6 +445,30 @@ class TestCompare:
         bad = str(tmp_path / "bad.csv")
         Path(bad).write_text("group,objective\ng,joint\n")
         assert run("compare", a, bad) == 2
+
+    @pytest.mark.parametrize("line", ["5", '{"group": "g"}'], ids=["number", "partial"])
+    def test_malformed_json_row_exits_2(self, tmp_path, capsys, line):
+        a = self.make_report(tmp_path, "a.jsonl")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(Path(a).read_text() + line + "\n")
+        assert run("compare", a, str(bad)) == 2
+        assert "row 1" in capsys.readouterr().err
+
+    def test_out_is_replaced_atomically(self, tmp_path, monkeypatch):
+        a = self.make_report(tmp_path, "a.jsonl")
+        out = tmp_path / "diff.json"
+        out.write_text("old\n")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(formats.os, "replace", failing_replace)
+        assert run("compare", a, a, "--out", str(out)) == 2
+        assert out.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "diff.json"]
+        monkeypatch.undo()
+        assert run("compare", a, a, "--out", str(out)) == 0
+        assert json.loads(out.read_text())["identical"]
 
 
 class TestUsability:
@@ -401,6 +520,12 @@ def _in_group(**fields):
     return lambda cfg: cfg["groups"][0].update(fields)
 
 
+def _drop_from_group(key):
+    def edit(cfg):
+        del cfg["groups"][0][key]
+    return edit
+
+
 # edits of the workspace config, and the field the error message must name:
 # fields every command reads, then the groups only calibrate reads
 MALFORMED_CONFIGS = {
@@ -409,6 +534,7 @@ MALFORMED_CONFIGS = {
     "string-bits-low": (_top(bits_low="4"), "bits_low"),
     "bool-bits-high": (_top(bits_high=True), "bits_high"),
     "float-bits-low": (_top(bits_low=4.0), "bits_low"),
+    "bits-low-above-bits-high": (_top(bits_low=8, bits_high=4), "bits_low"),
     "string-rank-ratio": (_top(rank_ratio="0.5"), "rank_ratio"),
     "nan-rank-ratio": (_top(rank_ratio=float("nan")), "rank_ratio"),
     "string-seed": (_top(seed="7"), "seed"),
@@ -425,6 +551,10 @@ MALFORMED_CONFIG_GROUPS = {
     "name-not-a-string": (_in_group(name=["g0"]), "name"),
     "activations-a-string": (_in_group(activations="x.cqt"), "activations"),
     "weights-of-numbers": (_in_group(weights=[1, 2]), "weights"),
+    "kv-kind": (_in_group(kind="kv-key"), "kind"),
+    "head-dim-field": (_in_group(head_dim=8), "head_dim"),
+    "member-shapes-field": (_in_group(member_shapes=[[8, 8]]), "member_shapes"),
+    "no-name": (_drop_from_group("name"), "name"),
 }
 ALL_MALFORMED_CONFIGS = MALFORMED_CONFIGS | MALFORMED_CONFIG_GROUPS
 

@@ -6,18 +6,14 @@ import pytest
 
 from reference import execute_plan_reference
 from subquant import engine, solver
-from subquant.calib import CalibStats, ProjectionGroup, kv_key_stats, kv_value_stats
 from subquant.engine import (
     analyze_layer,
-    build_kv_plans,
     build_plan,
-    decompose,
     execute_plan,
     predict_error,
     stats_from_tensors,
 )
 from subquant.errors import DimensionMismatchError
-from subquant.linalg import random_orthogonal
 from subquant.solver import solve_partition
 from subquant.synth import aligned_spec, generate_instance, weight_anisotropic_spec
 
@@ -32,40 +28,15 @@ def random_instance(n, d, m, seed):
     return rng.standard_normal((n, d)), rng.standard_normal((d, m))
 
 
-class TestDecompose:
-    def test_identity_coordinate_partition(self):
-        s = stats_from_tensors(np.eye(2), np.eye(2))
-        part = solve_partition(s, rank=1, gamma_low=1.0, seed=0,
-                               rotation="hadamard")
-        # p_h = e2, p_l = e1, and both 1x1 Hadamard rotations are [1]
-        part = dataclasses.replace(part, vectors=np.eye(2)[:, ::-1])
-        assert np.array_equal(part.u, np.eye(2))
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        x_l, x_h, w_l, w_h = decompose(x, np.eye(2), part)
-        assert np.array_equal(x_l, x[:, :1])
-        assert np.array_equal(x_h, x[:, 1:])
-
-    def test_recomposition(self):
-        x, w = random_instance(10, 8, 5, seed=0)
-        plan = make_plan(x, w)
-        x_l, x_h, w_l, w_h = decompose(x, w, plan.partition)
-        y = x @ w
-        assert np.linalg.norm(x_l @ w_l + x_h @ w_h - y) <= 1e-6 * np.linalg.norm(y)
-
-    def test_zeros(self):
-        x, w = random_instance(4, 8, 3, seed=1)
-        plan = make_plan(x, w)
-        x_l, x_h, _, _ = decompose(np.zeros((4, 8)), w, plan.partition)
-        assert not x_l.any() and not x_h.any()
-
+class TestExecutePlan:
     def test_shape_mismatch(self):
         x, w = random_instance(4, 8, 3, seed=2)
         plan = make_plan(x, w)
         with pytest.raises(DimensionMismatchError):
-            decompose(np.zeros((4, 7)), w, plan.partition)
+            execute_plan(np.zeros((4, 7)), w, plan)
+        with pytest.raises(DimensionMismatchError):
+            execute_plan(x, np.zeros((7, 3)), plan)
 
-
-class TestExecutePlan:
     def test_bypass_matches_full_precision(self):
         x, w = random_instance(16, 8, 8, seed=3)
         plan = make_plan(x, w, bypass=True)
@@ -265,64 +236,6 @@ class TestInvariantsAndProperties:
         narrow = build_plan(stats, 2, 4, 8, seed=0)
         _, rep2 = execute_plan(x, w, narrow)
         assert wide.exact_error < rep2.exact_error
-
-
-class TestKvPlans:
-    def heads(self, n_heads, seed):
-        rng = np.random.default_rng(seed)
-        return [kv_value_stats(rng.standard_normal((16, 8)),
-                               rng.standard_normal((8, 8)), head_index=h)
-                for h in range(n_heads)]
-
-    def test_identical_stats_identical_partitions(self):
-        rng = np.random.default_rng(12)
-        v, wo = rng.standard_normal((16, 8)), rng.standard_normal((8, 8))
-        stats = [kv_value_stats(v, wo, head_index=h) for h in range(3)]
-        plans = build_kv_plans(stats, rank=1, bits_low=4, bits_high=8, seed=5)
-        assert all(np.array_equal(p.partition.u, plans[0].partition.u)
-                   for p in plans)
-
-    def test_identity_wo_reduces_to_value_covariance_selection(self):
-        rng = np.random.default_rng(13)
-        v = rng.standard_normal((32, 8))
-        stats = kv_value_stats(v, np.eye(8))
-        plans = build_kv_plans([stats], rank=2, bits_low=4, bits_high=8, seed=0)
-        act = solve_partition(stats, rank=2, objective="activation",
-                              gamma_low=1.0, seed=0)
-        overlap = np.linalg.svd(plans[0].partition.p_h.T @ act.p_h,
-                                compute_uv=False)
-        assert np.all(np.abs(overlap - 1.0) < 1e-7)
-
-    def test_per_head_matches_direct_solve(self):
-        stats = self.heads(4, seed=14)
-        plans = build_kv_plans(stats, rank=2, bits_low=4, bits_high=8, seed=7)
-        from subquant.quantizer import combined_error_coeff
-        for st, plan in zip(stats, plans):
-            direct = solve_partition(st, 2, gamma_low=combined_error_coeff(4, 6),
-                                     seed=7)
-            assert np.array_equal(plan.partition.u, direct.u)
-
-    def test_key_path_plans(self):
-        rng = np.random.default_rng(15)
-        stats = [kv_key_stats(rng.standard_normal((16, 8)),
-                              rng.standard_normal((24, 8)), head_index=h)
-                 for h in range(2)]
-        plans = build_kv_plans(stats, rank=1, bits_low=4, bits_high=8)
-        assert len(plans) == 2
-        assert all(p.spec_low.symmetric is False for p in plans)
-
-    def test_heads_share_one_pair_of_rotations(self, rotation_calls):
-        plans = build_kv_plans(self.heads(4, seed=16), rank=2, bits_low=4,
-                               bits_high=8, seed=7)
-        assert rotation_calls == [(2, 7), (6, 8)]
-        r_h, r_l = random_orthogonal(2, 7), random_orthogonal(6, 8)
-        for p in plans:
-            part = p.partition
-            assert np.array_equal(part.u, np.hstack([part.p_l @ r_l, part.p_h @ r_h]))
-
-    def test_empty_stats_rejected(self):
-        with pytest.raises(ValueError):
-            build_kv_plans([], rank=1, bits_low=4, bits_high=8)
 
 
 def test_plan_bit_ordering_enforced():

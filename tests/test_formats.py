@@ -11,7 +11,7 @@ import pytest
 
 from subquant import formats
 from subquant.cli import main
-from subquant.calib import kv_value_stats
+from subquant.calib import CalibStats, ProjectionGroup, accumulate_activations
 from subquant.engine import build_plan, execute_plan, stats_from_tensors
 from subquant.errors import (
     BadMagicError,
@@ -237,7 +237,9 @@ def layer_stats(seed=0):
 class TestStatsBundle:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "s.cqb")
-        stats = [layer_stats(), kv_value_stats(np.eye(4), np.eye(4), name="kv0")]
+        mlp = ProjectionGroup("mlp-input", 4, "mlp0", member_shapes=((4, 6),))
+        stats = [layer_stats(),
+                 accumulate_activations(CalibStats.empty(mlp), np.eye(4))]
         formats.write_stats(path, stats)
         out = formats.read_stats(path)
         assert len(out) == 2
@@ -264,6 +266,7 @@ MALFORMED_META = {
     "meta-not-object": lambda header, key: header.update(meta=[]),
     "no-list": lambda header, key: header["meta"].pop(key),
     "list-not-a-list": lambda header, key: header["meta"].update({key: {}}),
+    "list-empty": lambda header, key: header["meta"].update({key: []}),
     "entry-not-object": lambda header, key: header["meta"][key].__setitem__(0, "g"),
     "group-not-object": lambda header, key: header["meta"][key][0].update(group="g"),
     "no-dim": lambda header, key: header["meta"][key][0]["group"].pop("dim"),
@@ -578,6 +581,21 @@ class TestReports:
         path = str(tmp_path / "r.csv")
         Path(path).write_text("group,objective\na,joint\n")
         with pytest.raises(HeaderMismatchError):
+            formats.read_report(path)
+
+    @pytest.mark.parametrize("line", ["5", "[]", '"row"', '{"group": "g"}'])
+    def test_jsonl_row_must_hold_every_column(self, tmp_path, line):
+        path = str(tmp_path / "r.jsonl")
+        formats.write_report(path, self.make_reports())
+        Path(path).write_text(Path(path).read_text() + line + "\n")
+        with pytest.raises(HeaderMismatchError, match="row 1"):
+            formats.read_report(path)
+
+    def test_csv_short_row_is_schema_error(self, tmp_path):
+        path = str(tmp_path / "r.csv")
+        formats.write_report(path, self.make_reports(), fmt="csv")
+        Path(path).write_text(Path(path).read_text() + "g,joint\n")
+        with pytest.raises(HeaderMismatchError, match="row 1"):
             formats.read_report(path)
 
     def test_append(self, tmp_path):

@@ -1,7 +1,7 @@
-"""Fuzzed inputs: a valid stats bundle, plan bundle or config with one JSON
-value replaced by a value of another type, or with bytes flipped in its
-frame or header, either loads or raises FormatError, and the CLI exits 0 or
-2 on it, never with a traceback."""
+"""Fuzzed inputs: a valid stats bundle, plan bundle, config, tensor file or
+synthetic spec with one JSON value replaced by a value of another type, or
+with bytes flipped in its frame or header, either loads or raises
+FormatError, and the CLI exits 0 or 2 on it, never with a traceback."""
 
 import argparse
 import copy
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from subquant import cli, formats
 from subquant.errors import FormatError
+from subquant.synth import weight_anisotropic_spec
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -70,9 +71,9 @@ def split_bundle(raw: bytes):
     return json.loads(raw[8:8 + hlen]), raw[8 + hlen:], 8 + hlen
 
 
-def frame(header, payload: bytes) -> bytes:
+def frame(header, payload: bytes, magic: bytes = b"CQB1") -> bytes:
     h = json.dumps(header).encode()
-    return b"CQB1" + struct.pack("<I", len(h)) + h + payload
+    return magic + struct.pack("<I", len(h)) + h + payload
 
 
 @pytest.fixture(scope="module")
@@ -97,20 +98,30 @@ def valid(tmp_path_factory):
              "out": str(tmp / "out")}
     with open(paths["config"], "w", encoding="utf-8") as f:
         json.dump(config, f)
+    spec = weight_anisotropic_spec(d, 32, 6, seed=3).to_json()
     assert cli.main(["calibrate", "--config", paths["config"],
                      "--out", paths["stats"]]) == 0
     assert cli.main(["solve", "--stats", paths["stats"], "--config", paths["config"],
                      "--out", paths["plan"]]) == 0
-    return paths | {"config_obj": config}
+    return paths | {"config_obj": config, "spec_obj": spec}
 
 
-def mutate_bundle(path: str, data) -> bytes:
+def mutate_frame(path: str, data, magic: bytes = b"CQB1", focus=("meta",)) -> bytes:
+    """A bundle or tensor file with one header value replaced, or with bytes
+    of its frame or header flipped; the payload is left as it is."""
     with open(path, "rb") as f:
         raw = f.read()
     header, payload, end = split_bundle(raw)
     if data.draw(st.booleans()):
-        return frame(replace_value(header, data, focus=("meta",)), payload)
+        return frame(replace_value(header, data, focus=focus), payload, magic)
     return flip_bytes(raw, end, data)
+
+
+def mutate_json(doc, data) -> bytes:
+    if data.draw(st.booleans()):
+        return json.dumps(replace_value(doc, data)).encode()
+    raw = json.dumps(doc).encode()
+    return flip_bytes(raw, len(raw), data)
 
 
 def loads(read, path: str) -> bool:
@@ -130,7 +141,7 @@ def exits_0_or_2(*argv) -> None:
 @given(data=st.data())
 def test_stats_bundle(valid, data):
     with open(valid["fuzzed"], "wb") as f:
-        f.write(mutate_bundle(valid["stats"], data))
+        f.write(mutate_frame(valid["stats"], data))
     # the CLI reads the file first, and exits 2 on a FormatError
     if loads(formats.read_stats, valid["fuzzed"]):
         exits_0_or_2("solve", "--stats", valid["fuzzed"], "--out", valid["out"])
@@ -140,7 +151,7 @@ def test_stats_bundle(valid, data):
 @given(data=st.data())
 def test_plan_bundle(valid, data):
     with open(valid["fuzzed"], "wb") as f:
-        f.write(mutate_bundle(valid["plan"], data))
+        f.write(mutate_frame(valid["plan"], data))
     if loads(formats.read_plan, valid["fuzzed"]):
         exits_0_or_2("simulate", "--plan", valid["fuzzed"], "--x", valid["x"],
                      "--w", valid["w"], "--out", valid["out"])
@@ -149,15 +160,31 @@ def test_plan_bundle(valid, data):
 @FUZZ
 @given(data=st.data())
 def test_config(valid, data):
-    if data.draw(st.booleans()):
-        raw = json.dumps(replace_value(valid["config_obj"], data)).encode()
-    else:
-        raw = json.dumps(valid["config_obj"]).encode()
-        raw = flip_bytes(raw, len(raw), data)
     with open(valid["fuzzed"], "wb") as f:
-        f.write(raw)
+        f.write(mutate_json(valid["config_obj"], data))
     flags = argparse.Namespace(**dict.fromkeys(cli._FLAGS))
     if loads(lambda path: cli.load_config(path, flags), valid["fuzzed"]):
         exits_0_or_2("calibrate", "--config", valid["fuzzed"], "--out", valid["out"])
         exits_0_or_2("solve", "--stats", valid["stats"], "--config", valid["fuzzed"],
                      "--out", valid["out"])
+
+
+@FUZZ
+@given(data=st.data())
+def test_tensor_file(valid, data):
+    role = data.draw(st.sampled_from(["x", "w"]))
+    with open(valid["fuzzed"], "wb") as f:
+        f.write(mutate_frame(valid[role], data, magic=b"CQT1", focus=()))
+    if loads(formats.read_tensor, valid["fuzzed"]):
+        tensors = {"x": valid["x"], "w": valid["w"], role: valid["fuzzed"]}
+        exits_0_or_2("simulate", "--plan", valid["plan"], "--x", tensors["x"],
+                     "--w", tensors["w"], "--out", valid["out"])
+
+
+@FUZZ
+@given(data=st.data())
+def test_synthetic_spec(valid, data):
+    with open(valid["fuzzed"], "wb") as f:
+        f.write(mutate_json(valid["spec_obj"], data))
+    exits_0_or_2("analyze", "--synthetic", valid["fuzzed"], "--rank", "2",
+                 "--out", valid["out"])

@@ -14,7 +14,6 @@ from subquant.linalg import (
     hadamard,
     random_orthogonal,
     sym_eig,
-    trace,
 )
 
 
@@ -165,12 +164,6 @@ class TestArithmetic:
     def test_frobenius_sq(self):
         assert frobenius_sq(np.array([[3.0, 4.0]])) == 25.0
         assert frobenius_sq(np.zeros((4, 4))) == 0.0
-
-    def test_trace(self):
-        assert trace(np.diag([2.0, 5.0])) == 7.0
-        assert trace(np.eye(6)) == 6.0
-        with pytest.raises(NonSquareError):
-            trace(np.zeros((2, 3)))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

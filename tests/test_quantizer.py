@@ -38,7 +38,7 @@ class TestQuantSpec:
 
     def test_json_round_trip(self):
         spec = QuantSpec(bits=8, symmetric=False, granularity="per-head", head_dim=4)
-        assert QuantSpec.from_json(spec.to_json()) == spec
+        assert QuantSpec.from_json(spec.to_json(), "spec") == spec
 
 
 class TestQuantize:
