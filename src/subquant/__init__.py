@@ -17,6 +17,7 @@ from .engine import (
     build_plan,
     campaign,
     execute_plan,
+    measure_plan,
     predict_error,
     stats_from_tensors,
 )
@@ -50,9 +51,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CalibStats", "ProjectionGroup", "accumulate_activations", "attach_weights",
     "fuse_weight_covariance", "ErrorReport", "MixedPrecisionPlan",
-    "analyze_layer", "build_plan", "campaign", "execute_plan", "predict_error",
-    "stats_from_tensors", "EigenResult", "frobenius_sq", "gram_input",
-    "gram_weight", "hadamard", "random_orthogonal", "sym_eig",
+    "analyze_layer", "build_plan", "campaign", "execute_plan", "measure_plan",
+    "predict_error", "stats_from_tensors", "EigenResult", "frobenius_sq",
+    "gram_input", "gram_weight", "hadamard", "random_orthogonal", "sym_eig",
     "QuantResult", "QuantSpec", "combined_error_coeff", "quantize",
     "relative_error_coeff", "SubspacePartition", "full_objective",
     "lambda_weights", "solve_partition", "surrogate_objective",

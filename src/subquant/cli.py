@@ -20,7 +20,7 @@ from .calib import (
     accumulate_activations,
     attach_weights,
 )
-from .engine import analyze_layer, build_plan, campaign, execute_plan
+from .engine import analyze_layer, build_plan, campaign, measure_plan
 from .errors import (
     Checked,
     FormatError,
@@ -32,7 +32,7 @@ from .errors import (
     is_real,
 )
 from .quantizer import BITS
-from .solver import OBJECTIVE, OBJECTIVES, ROTATION, ROTATIONS, SEED, shared_rotations
+from .solver import OBJECTIVE, OBJECTIVES, ROTATION, ROTATIONS, SEED
 from .synth import SyntheticInstanceSpec
 
 
@@ -143,13 +143,12 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config, args)
     stats_list = formats.read_stats(args.stats)
     plans = []
-    with shared_rotations():  # every group gets the config's one seed
-        for stats in stats_list:
-            rank = args.rank if args.rank is not None else default_rank(
-                stats.group.dim, cfg.rank_ratio)
-            plans.append(build_plan(
-                stats, rank, cfg.bits_low, cfg.bits_high, objective=cfg.objective,
-                seed=cfg.seed, rotation=cfg.rotation))
+    for stats in stats_list:
+        rank = args.rank if args.rank is not None else default_rank(
+            stats.group.dim, cfg.rank_ratio)
+        plans.append(build_plan(
+            stats, rank, cfg.bits_low, cfg.bits_high, objective=cfg.objective,
+            seed=cfg.seed, rotation=cfg.rotation))
     formats.write_plan(args.out, plans)
     return 0
 
@@ -171,8 +170,7 @@ def cmd_simulate(args) -> int:
                                    spec_low_w=None, spec_high_w=None)
     x = formats.read_tensor(args.x)
     w = formats.read_tensor(args.w)
-    _, report = execute_plan(x, w, plan)
-    formats.write_report(args.out, [report], fmt=args.format)
+    formats.write_report(args.out, [measure_plan(x, w, plan)], fmt=args.format)
     return 0
 
 

@@ -39,7 +39,7 @@ from .solver import (
 )
 from .synth import SyntheticInstanceSpec, generate_instance
 
-# float64 bytes of one residual block in execute_plan, and its fewest rows:
+# float64 bytes of one error block in the row-block form, and its fewest rows:
 # at large m a block of a few rows makes each product a poor GEMM
 BLOCK_BYTES = 1 << 20
 MIN_BLOCK_ROWS = 256
@@ -124,18 +124,120 @@ class ErrorReport:
         }
 
 
-def _rotated(x: np.ndarray, w: np.ndarray, partition: SubspacePartition):
-    """Validated (X, W) and the rotated A = X u, B = u^T W.
+def _quantized(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
+               errors: bool):
+    """Rotate (X, W) to A = X u and B = u^T W, then quantize each block of
+    A and B in place, giving A_hat and B_hat.
 
-    A is column-major, so its low and high column blocks are contiguous and
-    each per-token group reduces across contiguous columns."""
+    Returns L, R and the block energies ((x_low, x_high), (w_low, w_high))
+    of A and B. L is column-major, so each column block is contiguous and
+    each per-token group reduces across contiguous columns. With `errors`,
+    L = [dA | A_hat] (n x 2d) and R = [B_hat; dB] (2d x m) also hold the
+    quantization errors dA = A - A_hat and dB = B - B_hat; without, L = A_hat
+    and R = B_hat."""
+    d, k = plan.partition.dim, plan.partition.dim - plan.partition.rank
+    u = plan.partition.u
+    h = 2 if errors else 1
+    l = np.empty((x.shape[0], h * d), order="F")
+    r = np.empty((h * d, w.shape[1]))
+    a, b = l[:, -d:], r[:d]
+    np.matmul(u.T, x.T, out=a.T)
+    np.matmul(u.T, w, out=b)
+    ex = np.einsum("ij,ij->j", a, a)
+    ew = np.einsum("ij,ij->i", b, b)
+    da, db = (l[:, :d], r[d:]) if errors else (None, None)
+    for mat, err, index, spec in ((a, da, np.s_[:, :k], plan.spec_low),
+                                  (a, da, np.s_[:, k:], plan.spec_high),
+                                  (b, db, np.s_[:k], plan.spec_low_w),
+                                  (b, db, np.s_[k:], plan.spec_high_w)):
+        block = mat[index]
+        q = block if spec is None else quantize(block, spec).dequantized
+        if errors:
+            np.subtract(block, q, out=err[index])
+        if spec is not None:
+            block[...] = q
+    energies = ((float(ex[:k].sum()), float(ex[k:].sum())),
+                (float(ew[:k].sum()), float(ew[k:].sum())))
+    return l, r, energies
+
+
+def use_gram_form(n: int, d: int, m: int) -> bool:
+    """Whether ||X W - A_hat B_hat||^2 costs less from 2d x 2d Grams, about
+    4 d^2 (n + m) multiply-adds, than from row blocks, about 2 n d m."""
+    return 2 * d * (n + m) < n * m
+
+
+def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
+             output: bool) -> tuple[np.ndarray | None, ErrorReport]:
+    """The report of `plan` on (X, W) and, when `output`, Y_hat = A_hat B_hat.
+
+    exact_error is ||E||^2 for E = X W - A_hat B_hat, in one of two forms
+    chosen by shape (`use_gram_form`). Neither allocates an n x m array
+    besides Y_hat:
+      - Gram: E = A B - A_hat B_hat = dA B + A_hat dB (X W = A B, u being
+        orthogonal; B = B_hat + dB), from the 2d x 2d Grams of
+        L = [dA | A_hat] and R = [B_hat; dB];
+      - row blocks: ||X_b W - A_hat_b B_hat||^2 summed over blocks of rows
+        in one reused buffer; A_hat_b B_hat goes into Y_hat's rows, or into
+        a second reused buffer.
+    A plan that quantizes nothing has A_hat = A and B_hat = B: its error is
+    0, whatever the rounding of the rotation."""
     x = as_matrix(x, "x")
     w = as_matrix(w, "w")
-    d = partition.dim
+    d = plan.partition.dim
     if x.shape[1] != d or w.shape[0] != d:
         raise DimensionMismatchError(
             f"x {x.shape} / w {w.shape} incompatible with partition dim {d}")
-    return x, w, (partition.u.T @ x.T).T, partition.u.T @ w
+    n, m = x.shape[0], w.shape[1]
+    quantizes = any(spec is not None for spec in (
+        plan.spec_low, plan.spec_high, plan.spec_low_w, plan.spec_high_w))
+    gram = quantizes and use_gram_form(n, d, m)
+    l, r, (ex, ew) = _quantized(x, w, plan, errors=gram)
+    a_hat, b_hat = l[:, -d:], r[:d]
+    y_hat = None
+    if not quantizes:
+        exact = 0.0
+    elif gram:
+        # [B; dB] = T R with T = [[I, I], [0, I]], so ||E||^2 = ||L T R||^2
+        # = <L^T L, T (R R^T) T^T>: add R R^T's second block row and column
+        # to its first
+        g = r @ r.T
+        g[:d] += g[d:]
+        g[:, :d] += g[:, d:]
+        # a sum of squares that rounding may take just below 0
+        exact = max(float(np.vdot(l.T @ l, g)), 0.0)
+    else:
+        rows = max(MIN_BLOCK_ROWS, BLOCK_BYTES // (8 * m))
+        e = np.empty((min(rows, n), m))
+        y = np.empty((n, m)) if output else np.empty_like(e)
+        exact = 0.0
+        for lo in range(0, n, rows):
+            e_b = e[:min(rows, n - lo)]
+            y_b = y[lo:lo + rows] if output else y[:len(e_b)]
+            np.matmul(x[lo:lo + rows], w, out=e_b)
+            np.matmul(a_hat[lo:lo + rows], b_hat, out=y_b)
+            e_b -= y_b
+            exact += float(np.vdot(e_b, e_b))
+        y_hat = y if output else None
+    if output and y_hat is None:  # one product, formed after measuring
+        y_hat = a_hat @ b_hat
+    r_high = plan.partition.rank
+    if plan.bits_low is not None and plan.bits_high is not None:
+        predicted = predict_error(ex, ew, plan.bits_low, plan.bits_high,
+                                  (d - r_high, r_high))
+    else:
+        predicted = 0.0
+    report = ErrorReport(
+        group=plan.group.name or plan.group.kind,
+        objective=plan.objective,
+        exact_error=exact,
+        predicted_error=predicted,
+        energy_x_low=ex[0], energy_x_high=ex[1],
+        energy_w_low=ew[0], energy_w_high=ew[1],
+        bits_low=plan.bits_low, bits_high=plan.bits_high,
+        rank=r_high, seed=plan.partition.seed,
+    )
+    return y_hat, report
 
 
 def predict_error(x_energies: tuple[float, float], w_energies: tuple[float, float],
@@ -149,50 +251,18 @@ def predict_error(x_energies: tuple[float, float], w_energies: tuple[float, floa
     return gl * xl * wl + gh * xh * wh
 
 
+def measure_plan(x: np.ndarray, w: np.ndarray,
+                 plan: MixedPrecisionPlan) -> ErrorReport:
+    """The error report of the two-subspace quantized matmul, without forming
+    its n x m output."""
+    return _measure(x, w, plan, output=False)[1]
+
+
 def execute_plan(x: np.ndarray, w: np.ndarray,
                  plan: MixedPrecisionPlan) -> tuple[np.ndarray, ErrorReport]:
-    """Run the two-subspace quantized matmul and measure the output error.
-
-    Each quantized block is written back into A = X u or B = u^T W, so
-    Y_hat = A B is one product, and ||XW - Y_hat||^2 is summed over blocks of
-    rows in one reused buffer: Y_hat is the only n x m array allocated."""
-    x, w, a, b = _rotated(x, w, plan.partition)
-    d, r = plan.partition.dim, plan.partition.rank
-    k = d - r
-    ex = np.einsum("ij,ij->j", a, a)
-    ew = np.einsum("ij,ij->i", b, b)
-    exl, exh = float(ex[:k].sum()), float(ex[k:].sum())
-    ewl, ewh = float(ew[:k].sum()), float(ew[k:].sum())
-    for block, spec in ((a[:, :k], plan.spec_low), (a[:, k:], plan.spec_high),
-                        (b[:k], plan.spec_low_w), (b[k:], plan.spec_high_w)):
-        if spec is not None:
-            block[...] = quantize(block, spec).dequantized
-    y_hat = a @ b
-    if plan.bits_low is not None and plan.bits_high is not None:
-        predicted = predict_error((exl, exh), (ewl, ewh),
-                                  plan.bits_low, plan.bits_high, (k, r))
-    else:
-        predicted = 0.0
-    n, m = y_hat.shape
-    rows = max(MIN_BLOCK_ROWS, BLOCK_BYTES // (8 * m))
-    buf = np.empty((min(rows, n), m))
-    exact = 0.0
-    for lo in range(0, n, rows):
-        resid = buf[:min(rows, n - lo)]
-        np.matmul(x[lo:lo + rows], w, out=resid)
-        resid -= y_hat[lo:lo + rows]
-        exact += float(np.vdot(resid, resid))
-    report = ErrorReport(
-        group=plan.group.name or plan.group.kind,
-        objective=plan.objective,
-        exact_error=exact,
-        predicted_error=predicted,
-        energy_x_low=exl, energy_x_high=exh,
-        energy_w_low=ewl, energy_w_high=ewh,
-        bits_low=plan.bits_low, bits_high=plan.bits_high,
-        rank=r, seed=plan.partition.seed,
-    )
-    return y_hat, report
+    """Run the two-subspace quantized matmul: Y_hat = A_hat B_hat, and the
+    report `measure_plan` gives, bit for bit."""
+    return _measure(x, w, plan, output=True)
 
 
 def build_plan(stats: CalibStats, rank: int, bits_low: int, bits_high: int,
@@ -243,7 +313,7 @@ def analyze_layer(x: np.ndarray, w: np.ndarray, rank: int, bits_low: int,
         for objective in (OBJECTIVE_JOINT, OBJECTIVE_ACTIVATION, OBJECTIVE_WEIGHT):
             plan = build_plan(stats, rank, bits_low, bits_high,
                               objective=objective, seed=seed, rotation=rotation)
-            _, reports[objective] = execute_plan(x, w, plan)
+            reports[objective] = measure_plan(x, w, plan)
     baseline = reports[OBJECTIVE_ACTIVATION].exact_error
     out = []
     for objective in OBJECTIVES:

@@ -62,6 +62,9 @@ class UnsupportedDtypeError(FormatError):
 
 _FLOAT_MAX = sys.float_info.max
 
+# the largest array, in bytes, that a file header or a synthetic spec may ask for
+MAX_BYTES = 4 << 30
+
 
 def is_int(v, lo: int, hi: float = math.inf) -> bool:
     """An int in [lo, hi). bool is an int subclass, but `true` is not a count."""

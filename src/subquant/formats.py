@@ -13,10 +13,11 @@ A stats bundle holds ``i.sigma_x`` and ``i.sigma_w`` per group ``i``. A plan
 bundle holds two tensors per group: ``i.vectors``, the d x d descending
 eigenbasis, and ``i.eigenvalues``. Its metadata carries the group's rank,
 seed, rotation kind, objective, covariance weights and quantizer specs. The
-composed transform ``u`` is not stored: `read_plan` re-derives it from the
-seeded internal rotations, bit-identical to the solved one. Metadata fields
-are checked by the types they build (`from_json`); this module checks the
-framing, the tensor entries and shapes, and the orthonormality of a basis.
+composed transform ``u`` is not stored: a partition read back derives it from
+the seeded internal rotations on first use, bit-identical to the solved one.
+Metadata fields are checked by the types they build (`from_json`); this
+module checks the framing, the tensor entries and shapes, and the
+orthonormality of a basis.
 
 Reports are JSON-lines or CSV with a fixed column order.
 """
@@ -38,6 +39,7 @@ import numpy as np
 from .calib import CalibStats, ProjectionGroup
 from .engine import ErrorReport, MixedPrecisionPlan
 from .errors import (
+    MAX_BYTES,
     BadMagicError,
     HeaderMismatchError,
     TruncatedPayloadError,
@@ -45,11 +47,10 @@ from .errors import (
     is_int,
 )
 from .quantizer import QuantSpec
-from .solver import SubspacePartition, shared_rotations
+from .solver import SubspacePartition
 
 TENSOR_MAGIC = b"CQT1"
 BUNDLE_MAGIC = b"CQB1"
-MAX_BYTES = 4 << 30  # refuse headers that declare larger allocations
 
 # a plan's quantizer specs, MixedPrecisionPlan.spec_<key>
 SPEC_KEYS = ("low", "high", "low_w", "high_w")
@@ -284,34 +285,33 @@ def write_plan(path: str, plans: list[MixedPrecisionPlan]) -> None:
 
 
 def read_plan(path: str) -> list[MixedPrecisionPlan]:
-    """The plans of a bundle, each `u` derived from its eigenbasis, rank,
-    seed and rotation kind; groups of equal width share their rotations."""
+    """The plans of a bundle. Each partition derives its `u` from its
+    eigenbasis, rank, seed and rotation kind when `u` is first used."""
     entries, tensors = _read_bundle(path, "plan")
     out = []
-    with shared_rotations():
-        for i, p in enumerate(entries):
-            where = f"{path}: plans[{i}]"
-            group = ProjectionGroup.from_json(p.get("group"), f"{where}.group")
-            d = group.dim
-            vectors = _tensor(tensors, f"{i}.vectors", (d, d), path)
-            resid = float(np.max(np.abs(vectors.T @ vectors - np.eye(d))))
-            if not resid <= ORTHO_TOL:
-                raise HeaderMismatchError(f"{where}: basis has "
-                                          f"|V^T V - I|_max = {resid:.3e}")
-            # the entry's other fields are its partition's
-            part = SubspacePartition.from_json(
-                {k: v for k, v in p.items() if k not in ("group", "objective", "specs")},
-                where, vectors=vectors,
-                eigenvalues=_tensor(tensors, f"{i}.eigenvalues", (d,), path))
-            specs = p.get("specs")
-            if not (isinstance(specs, dict) and sorted(specs) == sorted(SPEC_KEYS)):
-                raise HeaderMismatchError(f"{where}: specs must be an object with "
-                                          f"keys {SPEC_KEYS}, got {specs!r}")
-            out.append(MixedPrecisionPlan.from_json(
-                {"objective": p.get("objective")}, where, partition=part, group=group,
-                **{f"spec_{k}": None if s is None
-                   else QuantSpec.from_json(s, f"{where}.specs.{k}")
-                   for k, s in specs.items()}))
+    for i, p in enumerate(entries):
+        where = f"{path}: plans[{i}]"
+        group = ProjectionGroup.from_json(p.get("group"), f"{where}.group")
+        d = group.dim
+        vectors = _tensor(tensors, f"{i}.vectors", (d, d), path)
+        resid = float(np.max(np.abs(vectors.T @ vectors - np.eye(d))))
+        if not resid <= ORTHO_TOL:
+            raise HeaderMismatchError(f"{where}: basis has "
+                                      f"|V^T V - I|_max = {resid:.3e}")
+        # the entry's other fields are its partition's
+        part = SubspacePartition.from_json(
+            {k: v for k, v in p.items() if k not in ("group", "objective", "specs")},
+            where, vectors=vectors,
+            eigenvalues=_tensor(tensors, f"{i}.eigenvalues", (d,), path))
+        specs = p.get("specs")
+        if not (isinstance(specs, dict) and sorted(specs) == sorted(SPEC_KEYS)):
+            raise HeaderMismatchError(f"{where}: specs must be an object with "
+                                      f"keys {SPEC_KEYS}, got {specs!r}")
+        out.append(MixedPrecisionPlan.from_json(
+            {"objective": p.get("objective")}, where, partition=part, group=group,
+            **{f"spec_{k}": None if s is None
+               else QuantSpec.from_json(s, f"{where}.specs.{k}")
+               for k, s in specs.items()}))
     return out
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,9 +55,9 @@ class SubspacePartition(Checked):
     A partition is its descending eigenbasis `vectors` (the first `rank`
     columns span the high-precision subspace), the seed and kind of its
     internal rotations, and the covariance weights. The composed transform
-    u = [p_l r_l, p_h r_h] (low block first) is derived from them on
-    construction, so a partition read back from a file has the same `u`
-    bit for bit."""
+    u = [p_l r_l, p_h r_h] (low block first) is derived from them on first
+    use, so a partition read back from a file has the same `u` bit for bit,
+    and one whose `u` is never used computes no rotation."""
 
     vectors: np.ndarray
     eigenvalues: np.ndarray
@@ -65,7 +66,6 @@ class SubspacePartition(Checked):
     rotation: str
     lambda_x: float
     lambda_w: float
-    u: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_fields(self, (
@@ -77,9 +77,12 @@ class SubspacePartition(Checked):
         ))
         # one memory layout for solved and read bases: u is then the same bits
         object.__setattr__(self, "vectors", np.ascontiguousarray(self.vectors))
+
+    @functools.cached_property
+    def u(self) -> np.ndarray:
         r_h = _internal_rotation(self.rank, self.seed, self.rotation)
         r_l = _internal_rotation(self.dim - self.rank, self.seed + 1, self.rotation)
-        object.__setattr__(self, "u", np.hstack([self.p_l @ r_l, self.p_h @ r_h]))
+        return np.hstack([self.p_l @ r_l, self.p_h @ r_h])
 
     @property
     def dim(self) -> int:
@@ -126,10 +129,11 @@ _shared: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 def shared_rotations():
     """Scope in which every internal rotation is computed once.
 
-    Inside it, plans that ask for the same rotation (same size and seed, or
-    the same Hadamard size) share one read-only array, bit-identical to a
-    fresh one. The arrays are dropped when the scope exits; outside any
-    scope each plan gets a fresh, writable rotation."""
+    Inside it, the partitions whose `u` is derived there share each
+    rotation they ask for in common (same size and seed, or the same
+    Hadamard size): one read-only array, bit-identical to a fresh one. The
+    arrays are dropped when the scope exits; outside any scope each plan
+    gets a fresh, writable rotation."""
     token = _shared.set({})
     try:
         yield

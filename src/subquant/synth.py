@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Checked, check_fields, is_int, is_real
+from .errors import MAX_BYTES, Checked, check_fields, is_int, is_real
 from .linalg import random_orthogonal
 from .solver import SEED
 
@@ -28,8 +28,15 @@ class SyntheticInstanceSpec(Checked):
         spectrum = (lambda v: isinstance(v, (list, tuple)) and len(v) == self.d
                     and all(is_real(s, 0.0) for s in v),
                     f"a list of {self.d} finite variances >= 0")
+        fits = f"to fit in {MAX_BYTES >> 30} GiB"
         check_fields(self, (
             ("d", *size), ("n", *size), ("m", *size),
+            ("d", lambda v: 8 * v * v <= MAX_BYTES,
+             f"small enough for a d x d float64 rotation {fits}"),
+            ("n", lambda v: 8 * v * self.d <= MAX_BYTES,
+             f"small enough for X (n x d, float64) {fits}"),
+            ("m", lambda v: 8 * self.d * v <= MAX_BYTES,
+             f"small enough for W (d x m, float64) {fits}"),
             ("activation_spectrum", *spectrum),
             ("weight_spectrum", *spectrum),
             ("misalignment", is_real, "a finite number"),

@@ -209,7 +209,8 @@ class TestSolve:
             "--out", plan_b, "--seed", "7")
         assert Path(a).read_bytes() == Path(plan_b).read_bytes()
 
-    def test_groups_of_equal_width_share_rotations(self, workspace, rotation_calls):
+    def test_only_simulate_derives_u_and_only_for_its_group(self, workspace,
+                                                             rotation_calls):
         cfg = dict(workspace["cfg_obj"])
         cfg["groups"] = [dict(cfg["groups"][0], name=name) for name in ("g0", "g1")]
         cfg_path = workspace["tmp"] / "two.json"
@@ -219,10 +220,13 @@ class TestSolve:
         assert run("calibrate", "--config", str(cfg_path), "--out", stats) == 0
         assert run("solve", "--stats", stats, "--config", str(cfg_path),
                    "--out", plan) == 0
-        assert rotation_calls == [(1, 7), (7, 8)]  # rank 1 of d=8, seed 7
-        # reading the plan derives both groups' u from one pair of rotations
+        assert rotation_calls == []  # a plan file holds no u
         formats.read_plan(plan)
-        assert rotation_calls == [(1, 7), (7, 8)] * 2
+        assert rotation_calls == []
+        assert run("simulate", "--plan", plan, "--group", "g1",
+                   "--x", workspace["x1"], "--w", workspace["w"],
+                   "--out", str(workspace["tmp"] / "r.jsonl")) == 0
+        assert rotation_calls == [(1, 7), (7, 8)]  # rank 1 of d=8, seed 7
 
     def test_eigensolver_failure_exits_1(self, workspace, monkeypatch, capsys):
         stats = str(workspace["tmp"] / "stats.cqb")
@@ -343,6 +347,10 @@ MALFORMED_SPECS = {
     "string-spectrum": (lambda spec: spec | {"weight_spectrum": [
         str(v) for v in spec["weight_spectrum"]]}, "weight_spectrum"),
     "string-misalignment": (_spec_edit(misalignment="x"), "misalignment"),
+    # float64 arrays beyond 4 GiB: X (n x d), W (d x m), a d x d rotation
+    "huge-n": (_spec_edit(n=10**15), "n must be small enough for X"),
+    "huge-m": (_spec_edit(m=10**15), "m must be small enough for W"),
+    "huge-d": (_spec_edit(d=2**15), "d must be small enough"),
 }
 
 

@@ -10,10 +10,19 @@ from subquant.engine import (
     analyze_layer,
     build_plan,
     execute_plan,
+    measure_plan,
     predict_error,
     stats_from_tensors,
+    use_gram_form,
 )
 from subquant.errors import DimensionMismatchError
+from subquant.quantizer import (
+    GRANULARITIES,
+    PER_HEAD,
+    PER_TOKEN,
+    QuantResult,
+    QuantSpec,
+)
 from subquant.solver import solve_partition
 from subquant.synth import aligned_spec, generate_instance, weight_anisotropic_spec
 
@@ -45,12 +54,14 @@ class TestExecutePlan:
         assert np.linalg.norm(y_hat - y) <= 1e-6 * np.linalg.norm(y)
         assert report.bits_low is None
 
-    def test_grid_aligned_exact(self, monkeypatch):
+    @pytest.mark.parametrize("n,m", [(6, 4), (64, 64)], ids=["rows", "gram"])
+    def test_grid_aligned_exact(self, monkeypatch, n, m):
         # integer tensors whose per-group ranges hit the scale-1 grid quantize
         # losslessly in the identity basis
+        assert use_gram_form(n, 4, m) == (n == 64)
         rng = np.random.default_rng(4)
-        x = rng.integers(-7, 8, size=(6, 4)).astype(float)
-        w = rng.integers(-7, 8, size=(4, 4)).astype(float)
+        x = rng.integers(-7, 8, size=(n, 4)).astype(float)
+        w = rng.integers(-7, 8, size=(4, m)).astype(float)
         x[:, 0] = 7.0  # per-token groups of x_l span cols 0..2: max|.| = 7
         w[0, :] = 7.0  # per-channel groups of w_l span rows 0..2: max|.| = 7
         # x_h / w_h groups are single elements, which always round-trip
@@ -65,8 +76,9 @@ class TestExecutePlan:
             plan, partition=ident,
             spec_low=dataclasses.replace(plan.spec_low, symmetric=True),
             spec_high=dataclasses.replace(plan.spec_high, symmetric=True))
-        _, report = execute_plan(x, w, plan)
-        assert report.exact_error == 0.0
+        for report in (measure_plan(x, w, plan), execute_plan(x, w, plan)[1]):
+            assert report.exact_error == 0.0
+            assert report.exact_error_root == 0.0
 
     @pytest.mark.parametrize("seed,n,bypass", [(s, 576, False) for s in range(5)]
                              + [(5, 549, False), (6, 549, True)],
@@ -84,9 +96,12 @@ class TestExecutePlan:
             np.sum((y_ref - x @ w) ** 2), rel=1e-9)
 
     def test_block_rows_at_d_512(self, monkeypatch):
-        # m = 1024 fits 128 rows in BLOCK_BYTES; the floor raises that to 256
-        x, w = random_instance(600, 512, 1024, seed=8)
+        # m = 1024 fits 128 rows in BLOCK_BYTES; the floor raises that to 256.
+        # After B = u^T W, each block is two products, X_b W and A_hat_b B_hat
+        n, m = 600, 1024
+        x, w = random_instance(n, 512, m, seed=8)
         plan = make_plan(x, w, rank=64)
+        assert not use_gram_form(n, 512, m)
         rows = []
 
         class RecordingNumpy:
@@ -94,12 +109,13 @@ class TestExecutePlan:
                 return getattr(np, name)
 
             def matmul(self, a, b, out):
-                rows.append(out.shape[0])
+                if out.shape[1] == m:
+                    rows.append(out.shape[0])
                 return np.matmul(a, b, out=out)
 
         monkeypatch.setattr(engine, "np", RecordingNumpy())
         y_hat, report = execute_plan(x, w, plan)
-        assert rows == [256, 256, 88]
+        assert rows == [512, 256, 256, 256, 256, 88, 88]
         assert report.exact_error == pytest.approx(np.sum((x @ w - y_hat) ** 2),
                                                    rel=1e-9)
 
@@ -124,6 +140,118 @@ class TestExecutePlan:
             pytest.approx(np.sum(x**2), rel=1e-9)
         assert report.energy_w_low + report.energy_w_high == \
             pytest.approx(np.sum(w**2), rel=1e-9)
+
+
+# (n, d, m) on each side of the shape rule; with rows = 48 (see `blocked`)
+# the row-block shape spans three blocks and a tail
+SHAPES = {"gram": (120, 8, 64), "rows": (120, 16, 16)}
+SPECS = [(bits, granularity, symmetric) for bits in (2, 4, 8, 16)
+         for granularity in GRANULARITIES for symmetric in (False, True)]
+
+
+def spec_plan(x, w, bits, granularity, symmetric):
+    """A rank-2 plan whose four quantizers share one spec."""
+    head_dim = 2 if granularity == PER_HEAD else None
+    spec = QuantSpec(bits, symmetric, granularity, head_dim)
+    return make_plan(x, w, rank=2, bits_low=bits, bits_high=bits, seed=bits,
+                     spec_low=spec, spec_high=spec, spec_low_w=spec,
+                     spec_high_w=spec)
+
+
+@pytest.fixture
+def blocked(monkeypatch):
+    """Row blocks of 48 rows."""
+    monkeypatch.setattr(engine, "MIN_BLOCK_ROWS", 1)
+    monkeypatch.setattr(engine, "BLOCK_BYTES", 48 * 8 * 16)
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMeasurePlan:
+    @pytest.mark.parametrize("form", sorted(SHAPES))
+    def test_shapes_fall_on_their_side_of_the_rule(self, form):
+        assert use_gram_form(*SHAPES[form]) == (form == "gram")
+
+    @pytest.mark.parametrize("form", sorted(SHAPES))
+    @pytest.mark.parametrize("bits,granularity,symmetric", SPECS)
+    def test_matches_reference(self, blocked, form, bits, granularity, symmetric):
+        n, d, m = SHAPES[form]
+        x, w = random_instance(n, d, m, seed=bits)
+        plan = spec_plan(x, w, bits, granularity, symmetric)
+        y_ref = execute_plan_reference(x, w, plan)
+        assert measure_plan(x, w, plan).exact_error == pytest.approx(
+            np.sum((y_ref - x @ w) ** 2), rel=1e-9)
+
+    @pytest.mark.parametrize("bits,granularity,symmetric", SPECS)
+    def test_gram_and_row_block_forms_agree(self, blocked, monkeypatch, bits,
+                                            granularity, symmetric):
+        x, w = random_instance(*SHAPES["gram"], seed=bits)
+        plan = spec_plan(x, w, bits, granularity, symmetric)
+        errors = []
+        for gram in (True, False):
+            monkeypatch.setattr(engine, "use_gram_form", lambda n, d, m: gram)
+            errors.append(measure_plan(x, w, plan).exact_error)
+        assert errors[0] == pytest.approx(errors[1], rel=1e-10)
+
+    @pytest.mark.parametrize("form", sorted(SHAPES))
+    @pytest.mark.parametrize("bypass", [False, True], ids=["quantized", "bypass"])
+    def test_execute_reports_what_measure_reports(self, blocked, form, bypass):
+        x, w = random_instance(*SHAPES[form], seed=12)
+        plan = make_plan(x, w, rank=3, bypass=bypass)
+        y_hat, executed = execute_plan(x, w, plan)
+        assert measure_plan(x, w, plan) == executed
+        if bypass:
+            assert executed.exact_error == 0.0 and executed.exact_error_root == 0.0
+            assert np.allclose(y_hat, x @ w, rtol=1e-9, atol=1e-12)
+
+    def test_gram_sum_rounded_below_zero_is_clamped(self, monkeypatch):
+        # scaling the activations by 3 and the weights by 1/3 leaves
+        # A_hat B_hat = A B, so ||E||^2 = 0 and the Gram sum is rounding
+        # alone (about -4e-12 unclamped, with OpenBLAS, for this seed)
+        monkeypatch.setattr(engine, "quantize", lambda x, spec: QuantResult(
+            x * (3.0 if spec.granularity == PER_TOKEN else 1 / 3.0), None, None))
+        x, w = random_instance(64, 4, 64, seed=0)
+        assert use_gram_form(64, 4, 64)
+        report = measure_plan(x, w, make_plan(x, w, rank=1))
+        assert 0.0 <= report.exact_error < 1e-9
+        assert np.isfinite(report.exact_error_root)
+
+    def test_gram_form_holds_no_quarter_of_an_n_by_m_array(self):
+        n, d, m = 8192, 16, 512
+        assert use_gram_form(n, d, m)
+        x, w = random_instance(n, d, m, seed=13)
+        plan = make_plan(x, w, rank=2)
+        assert traced_peak(measure_plan, x, w, plan) < n * m * 8 / 4
+
+    @pytest.mark.parametrize("n,d,m", [(8192, 16, 512), (4096, 256, 512)],
+                             ids=["gram", "rows"])
+    def test_error_needs_no_quarter_of_an_n_by_m_array(self, monkeypatch, n, d, m):
+        # In the row-block form (2d(n + m) >= nm) the rotated operands
+        # alone outweigh n m / 4, so count what is allocated beyond them
+        x, w = random_instance(n, d, m, seed=14)
+        plan = make_plan(x, w, rank=d // 8)
+        quantized, held = engine._quantized, []
+
+        def operands(*args, **kwargs):
+            out = quantized(*args, **kwargs)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return out
+
+        monkeypatch.setattr(engine, "_quantized", operands)
+        for fn in (measure_plan, execute_plan):
+            peak = traced_peak(fn, x, w, plan) - held.pop()
+            if fn is measure_plan:
+                assert peak < n * m * 8 / 4
+            else:
+                assert peak >= n * m * 8
 
 
 class TestPredictError:
@@ -187,6 +315,7 @@ class TestAnalyzeLayer:
             plan = build_plan(stats, 2, 4, 8, objective=rep.objective, seed=4)
             _, alone = execute_plan(x, w, plan)
             assert rep.exact_error == alone.exact_error
+            assert rep.exact_error == measure_plan(x, w, plan).exact_error
 
     def test_report_order_and_objectives(self):
         x, w = random_instance(16, 8, 4, seed=9)

@@ -19,6 +19,7 @@ from subquant.errors import (
     TruncatedPayloadError,
     UnsupportedDtypeError,
 )
+from subquant.solver import shared_rotations
 
 
 class TestTensorContainer:
@@ -503,17 +504,16 @@ class TestPlanBundle:
         x, w = rng.standard_normal((128, 32)), rng.standard_normal((32, 16))
         plan = build_plan(stats_from_tensors(x, w), 4, 4, 8, seed=9,
                           rotation="hadamard")
-        assert rotation_calls == [(28, 10)]
         path = str(tmp_path / "p.cqb")
         formats.write_plan(path, [plan])
         loaded = formats.read_plan(path)[0]
-        assert rotation_calls == [(28, 10), (28, 10)]
+        assert rotation_calls == []  # u is derived on first use
         assert loaded.partition.rotation == "hadamard"
         assert np.array_equal(loaded.partition.u, plan.partition.u)
+        assert rotation_calls == [(28, 10), (28, 10)]
         assert np.array_equal(execute_plan(x, w, loaded)[0], execute_plan(x, w, plan)[0])
 
-    def test_groups_of_equal_width_share_rotations_on_read(self, tmp_path,
-                                                           rotation_calls):
+    def test_read_derives_no_rotation(self, tmp_path, rotation_calls):
         rng = np.random.default_rng(6)
         plans = []
         for name in ("a", "b"):
@@ -522,11 +522,14 @@ class TestPlanBundle:
                                     seed=3))
         path = str(tmp_path / "p.cqb")
         formats.write_plan(path, plans)
-        del rotation_calls[:]
         loaded = formats.read_plan(path)
+        assert rotation_calls == []
+        # groups of equal width derive their u from one pair of rotations
+        # inside a shared scope
+        with shared_rotations():
+            for a, b in zip(plans, loaded):
+                assert np.array_equal(a.partition.u, b.partition.u)
         assert rotation_calls == [(2, 3), (6, 4)]
-        for a, b in zip(plans, loaded):
-            assert np.array_equal(a.partition.u, b.partition.u)
 
     def test_round_trip_and_reexecution(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -129,9 +129,9 @@ class TestSolvePartition:
         part = solve_partition(s, rank=2, gamma_low=1.0, seed=0,
                                rotation="hadamard")
         # r=2 is a power of two -> Hadamard; d-r=4 as well
-        assert rotation_calls == []
         assert np.array_equal(part.u, np.hstack([part.p_l @ hadamard(4),
                                                  part.p_h @ hadamard(2)]))
+        assert rotation_calls == []
 
     def test_hadamard_falls_back_to_random_for_other_sizes(self, rotation_calls):
         s = stats_from_sigmas(random_psd(6, 9), random_psd(6, 10))
@@ -139,9 +139,9 @@ class TestSolvePartition:
                                rotation="hadamard")
         part = dataclasses.replace(part, rank=1)
         # blocks of 1 and 5: H_1 = [1], and 5 is not a power of two
-        assert rotation_calls == [(5, 1)]
         assert np.array_equal(part.u, np.hstack([part.p_l @ random_orthogonal(5, 1),
                                                  part.p_h]))
+        assert rotation_calls == [(5, 1)]
 
     def test_stores_one_basis_and_derives_the_rest(self):
         s = stats_from_sigmas(random_psd(6, 9), random_psd(6, 10))
@@ -169,8 +169,9 @@ class TestSharedRotations:
         s = self.stats()
         a = solve_partition(s, rank=2, gamma_low=1.0, seed=3)
         b = solve_partition(s, rank=2, gamma_low=1.0, seed=3)
-        assert len(rotation_calls) == 4
+        assert rotation_calls == []  # u is derived on first use
         assert np.array_equal(a.u, b.u)
+        assert len(rotation_calls) == 4
         r1 = solver._internal_rotation(6, 4, "random")
         r2 = solver._internal_rotation(6, 4, "random")
         assert r1 is not r2 and np.array_equal(r1, r2)
@@ -184,6 +185,8 @@ class TestSharedRotations:
                                 gamma_low=1.0, seed=3)
             had = solve_partition(s, rank=4, gamma_low=1.0, seed=3,
                                   rotation="hadamard")
+            assert rotation_calls == []
+            us = [part.u for part in (a, b, had)]  # derived in the scope
             assert rotation_calls == [(2, 3), (6, 4)]
             r_h = solver._internal_rotation(2, 3, "random")
             r_l = solver._internal_rotation(6, 4, "random")
@@ -195,9 +198,9 @@ class TestSharedRotations:
         assert np.array_equal(r_h, random_orthogonal(2, 3))
         assert np.array_equal(r_l, random_orthogonal(6, 4))
         assert np.array_equal(h, hadamard(4))
-        for part in (a, b):
-            assert np.array_equal(part.u, np.hstack([part.p_l @ r_l, part.p_h @ r_h]))
-        assert np.array_equal(had.u, np.hstack([had.p_l @ h, had.p_h @ h]))
+        for part, u in zip((a, b), us):
+            assert np.array_equal(u, np.hstack([part.p_l @ r_l, part.p_h @ r_h]))
+        assert np.array_equal(us[2], np.hstack([had.p_l @ h, had.p_h @ h]))
         for r in (r_h, r_l, h):
             assert not r.flags.writeable
             with pytest.raises(ValueError):
@@ -209,24 +212,30 @@ class TestSharedRotations:
         outside = solve_partition(s, rank=4, gamma_low=1.0, seed=5,
                                   rotation=rotation)
         with shared_rotations():
+            # the first u derived in the scope computes the rotations
             solve_partition(s, rank=4, objective="weight", gamma_low=1.0,
-                            seed=5, rotation=rotation)
+                            seed=5, rotation=rotation).u
             inside = solve_partition(s, rank=4, gamma_low=1.0, seed=5,
                                      rotation=rotation)
-        for name in ("u", "vectors", "eigenvalues"):
+            u_inside = inside.u
+        assert np.array_equal(u_inside, outside.u)
+        for name in ("vectors", "eigenvalues"):
             assert np.array_equal(getattr(inside, name), getattr(outside, name))
 
     def test_nothing_is_cached_after_the_scope(self, rotation_calls):
         s = self.stats()
+        def derive_u():
+            return solve_partition(s, rank=2, gamma_low=1.0, seed=3).u
+
         with shared_rotations():
-            solve_partition(s, rank=2, gamma_low=1.0, seed=3)
-            solve_partition(s, rank=2, gamma_low=1.0, seed=3)
+            derive_u()
+            derive_u()
         assert len(rotation_calls) == 2
         assert solver._shared.get() is None
         with shared_rotations():
-            solve_partition(s, rank=2, gamma_low=1.0, seed=3)
+            derive_u()
         assert len(rotation_calls) == 4
-        solve_partition(s, rank=2, gamma_low=1.0, seed=3)
+        derive_u()
         assert len(rotation_calls) == 6
 
     def test_scope_is_dropped_when_its_body_raises(self):
