@@ -47,7 +47,7 @@ def run(workdir, d, n, m, rank, bits_low, bits_high, seed):
             return code
 
     row = formats.read_report(report)[0]
-    print(json.dumps(row, indent=2, sort_keys=True))
+    print(json.dumps(row.to_json(), indent=2, sort_keys=True))
     return 0
 
 

@@ -47,10 +47,6 @@ class ProjectionGroup(Checked):
         object.__setattr__(self, "member_shapes",
                            tuple(tuple(s) for s in self.member_shapes))
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "dim": self.dim, "name": self.name,
-                "member_shapes": [list(s) for s in self.member_shapes]}
-
 
 @dataclass(frozen=True)
 class CalibStats(Checked):

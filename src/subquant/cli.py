@@ -1,7 +1,8 @@
 """Command-line front end: calibrate -> solve -> simulate -> analyze -> compare.
 
 Exit codes: 0 success, 1 numerical failure (no convergence / no signal /
-quantizer range overflow), 2 usage, I/O, or schema errors.
+a quantizer range or a measurement that overflows), 2 usage, I/O, or schema
+errors.
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ class ConfigGroup(Checked):
         paths = (lambda v: isinstance(v, (list, tuple))
                  and all(isinstance(p, str) for p in v), "a list of file paths")
         check_fields(self, (("activations", *paths), ("weights", *paths)))
+        for key in ("activations", "weights"):
+            object.__setattr__(self, key, tuple(getattr(self, key)))
 
 
 _FLAGS = ("rank_ratio", "bits_low", "bits_high", "objective", "seed", "rotation")
@@ -214,9 +217,10 @@ def cmd_compare(args) -> int:
     b = formats.read_report(args.report_b)
     diff = {"rows_a": len(a), "rows_b": len(b), "deltas": []}
     for i, (ra, rb) in enumerate(zip(a, b)):
+        ra, rb = ra.to_json(), rb.to_json()
         row = {"row": i}
         for col in formats.REPORT_COLUMNS:
-            va, vb = ra.get(col), rb.get(col)
+            va, vb = ra[col], rb[col]
             if isinstance(va, (int, float)) and isinstance(vb, (int, float)):
                 if va != vb:
                     row[col] = vb - va

@@ -6,7 +6,8 @@ u^T W, each sliced into low/high blocks and quantized at its own bit-width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,9 +18,17 @@ from .calib import (
     accumulate_activations,
     attach_weights,
 )
-from .errors import Checked, DimensionMismatchError, check_fields
+from .errors import (
+    Checked,
+    DimensionMismatchError,
+    ScaleRangeError,
+    check_fields,
+    is_int,
+    is_real,
+)
 from .linalg import as_matrix
 from .quantizer import (
+    BITS,
     PER_CHANNEL,
     PER_TOKEN,
     QuantSpec,
@@ -33,6 +42,7 @@ from .solver import (
     OBJECTIVE,
     OBJECTIVES,
     ROTATION_RANDOM,
+    SEED,
     SubspacePartition,
     shared_rotations,
     solve_partition,
@@ -43,14 +53,6 @@ from .synth import SyntheticInstanceSpec, generate_instance
 # at large m a block of a few rows makes each product a poor GEMM
 BLOCK_BYTES = 1 << 20
 MIN_BLOCK_ROWS = 256
-
-
-def default_activation_spec(bits: int) -> QuantSpec:
-    return QuantSpec(bits=bits, symmetric=False, granularity=PER_TOKEN)
-
-
-def default_weight_spec(bits: int) -> QuantSpec:
-    return QuantSpec(bits=bits, symmetric=True, granularity=PER_CHANNEL)
 
 
 @dataclass(frozen=True)
@@ -86,11 +88,15 @@ class MixedPrecisionPlan(Checked):
 
 
 @dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(Checked):
+    """One row of a report. Its fields, in order, are the report's columns."""
+
     group: str
     objective: str
     exact_error: float          # ||y_hat - y||_F^2
+    exact_error_root: float = field(init=False)
     predicted_error: float
+    relative_reduction: float | None
     energy_x_low: float
     energy_x_high: float
     energy_w_low: float
@@ -99,29 +105,33 @@ class ErrorReport:
     bits_high: int | None
     rank: int
     seed: int
-    relative_reduction: float | None = None
 
-    @property
-    def exact_error_root(self) -> float:
-        return float(np.sqrt(self.exact_error))
+    def __post_init__(self):
+        energy = (lambda v: is_real(v, 0.0), "a finite number >= 0")
+        bits = (lambda v: v is None or BITS[0](v), f"null or {BITS[1]}")
+        check_fields(self, (
+            ("group", lambda v: isinstance(v, str), "a string"),
+            ("objective", *OBJECTIVE),
+            ("exact_error", *energy), ("predicted_error", *energy),
+            ("relative_reduction", lambda v: v is None or is_real(v),
+             "null or a finite number"),
+            ("energy_x_low", *energy), ("energy_x_high", *energy),
+            ("energy_w_low", *energy), ("energy_w_high", *energy),
+            ("bits_low", *bits), ("bits_high", *bits),
+            ("rank", lambda v: is_int(v, 1), "an int >= 1"),
+            ("seed", *SEED),
+        ))
+        object.__setattr__(self, "exact_error_root", math.sqrt(self.exact_error))
+
+    @classmethod
+    def from_json(cls, obj, where: str, **parsed):
+        """A row read back: its derived exact_error_root is computed anew."""
+        if isinstance(obj, dict):
+            obj = {k: v for k, v in obj.items() if k != "exact_error_root"}
+        return super().from_json(obj, where, **parsed)
 
     def to_json(self) -> dict:
-        return {
-            "group": self.group,
-            "objective": self.objective,
-            "exact_error": self.exact_error,
-            "exact_error_root": self.exact_error_root,
-            "predicted_error": self.predicted_error,
-            "relative_reduction": self.relative_reduction,
-            "energy_x_low": self.energy_x_low,
-            "energy_x_high": self.energy_x_high,
-            "energy_w_low": self.energy_w_low,
-            "energy_w_high": self.energy_w_high,
-            "bits_low": self.bits_low,
-            "bits_high": self.bits_high,
-            "rank": self.rank,
-            "seed": self.seed,
-        }
+        return super().to_json() | {"exact_error_root": self.exact_error_root}
 
 
 def _quantized(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
@@ -167,6 +177,8 @@ def use_gram_form(n: int, d: int, m: int) -> bool:
     return 2 * d * (n + m) < n * m
 
 
+# an overflow is reported by the finite check on the measurement, not warned of
+@np.errstate(over="ignore", invalid="ignore")
 def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
              output: bool) -> tuple[np.ndarray | None, ErrorReport]:
     """The report of `plan` on (X, W) and, when `output`, Y_hat = A_hat B_hat.
@@ -181,7 +193,8 @@ def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
         in one reused buffer; A_hat_b B_hat goes into Y_hat's rows, or into
         a second reused buffer.
     A plan that quantizes nothing has A_hat = A and B_hat = B: its error is
-    0, whatever the rounding of the rotation."""
+    0, whatever the rounding of the rotation. An error, predicted error or
+    energy that over- or underflows float64 raises ScaleRangeError."""
     x = as_matrix(x, "x")
     w = as_matrix(w, "w")
     d = plan.partition.dim
@@ -227,11 +240,16 @@ def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
                                   (d - r_high, r_high))
     else:
         predicted = 0.0
+    if not all(math.isfinite(v) for v in (exact, predicted, *ex, *ew)):
+        raise ScaleRangeError(f"measuring group {plan.group.name or plan.group.kind!r} "
+                              f"overflows float64: error {exact!r}, predicted "
+                              f"{predicted!r}, energies x {ex}, w {ew}")
     report = ErrorReport(
         group=plan.group.name or plan.group.kind,
         objective=plan.objective,
         exact_error=exact,
         predicted_error=predicted,
+        relative_reduction=None,
         energy_x_low=ex[0], energy_x_high=ex[1],
         energy_w_low=ew[0], energy_w_high=ew[1],
         bits_low=plan.bits_low, bits_high=plan.bits_high,
@@ -267,28 +285,18 @@ def execute_plan(x: np.ndarray, w: np.ndarray,
 
 def build_plan(stats: CalibStats, rank: int, bits_low: int, bits_high: int,
                objective: str = OBJECTIVE_JOINT, seed: int = 0,
-               rotation: str = ROTATION_RANDOM, bypass: bool = False,
-               spec_low: QuantSpec | None = None,
-               spec_high: QuantSpec | None = None,
-               spec_low_w: QuantSpec | None = None,
-               spec_high_w: QuantSpec | None = None) -> MixedPrecisionPlan:
-    """Solve the partition for a group and attach quantizer specs (defaults:
-    per-token asymmetric activations, per-channel symmetric weights)."""
+               rotation: str = ROTATION_RANDOM) -> MixedPrecisionPlan:
+    """Solve the partition for a group and attach the default quantizer specs:
+    per-token asymmetric activations, per-channel symmetric weights."""
     d = stats.group.dim
     gamma_low = combined_error_coeff(bits_low, d - rank)
     partition = solve_partition(stats, rank, objective=objective,
                                 gamma_low=gamma_low, seed=seed, rotation=rotation)
-    if bypass:
-        specs = (None, None, None, None)
-    else:
-        specs = (spec_low or default_activation_spec(bits_low),
-                 spec_high or default_activation_spec(bits_high),
-                 spec_low_w or default_weight_spec(bits_low),
-                 spec_high_w or default_weight_spec(bits_high))
-    return MixedPrecisionPlan(partition=partition, spec_low=specs[0],
-                              spec_high=specs[1], spec_low_w=specs[2],
-                              spec_high_w=specs[3], group=stats.group,
-                              objective=objective)
+    x_low, x_high = (QuantSpec(b, False, PER_TOKEN) for b in (bits_low, bits_high))
+    w_low, w_high = (QuantSpec(b, True, PER_CHANNEL) for b in (bits_low, bits_high))
+    return MixedPrecisionPlan(partition=partition, spec_low=x_low, spec_high=x_high,
+                              spec_low_w=w_low, spec_high_w=w_high,
+                              group=stats.group, objective=objective)
 
 
 def stats_from_tensors(x: np.ndarray, w: np.ndarray,

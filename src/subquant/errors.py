@@ -5,6 +5,8 @@ import dataclasses
 import math
 import sys
 
+import numpy as np
+
 
 class SubquantError(Exception):
     """Base class for all package-specific errors."""
@@ -23,8 +25,8 @@ class NoConvergenceError(SubquantError, ArithmeticError):
 
 
 class ScaleRangeError(SubquantError, ArithmeticError):
-    """A quantization group's range over- or underflows float64, so its
-    scale is not a finite positive number."""
+    """A value over- or underflows float64: a quantization group's scale,
+    or a measured error or energy, is not a finite number."""
 
 
 class NoSignalError(SubquantError, ValueError):
@@ -58,7 +60,8 @@ class UnsupportedDtypeError(FormatError):
 # ---------------------------------------------------------------------------
 # Field checks. Each validated type writes its rules once, as a table of
 # (field, test, description[, error]) entries checked in its __post_init__;
-# `Checked.from_json` runs the same table on a JSON object.
+# `Checked.from_json` runs the same table on a JSON object, and
+# `Checked.to_json` writes that object.
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -94,8 +97,22 @@ def check_fields(obj, rules) -> None:
         check(key, getattr(obj, key), *rule)
 
 
+def _json_value(v):
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
+    return v.to_json() if isinstance(v, Checked) else v
+
+
 class Checked:
     """Mixin for a dataclass whose __post_init__ checks its rule table."""
+
+    def to_json(self) -> dict:
+        """The JSON object `from_json` reads back: every init field, nested
+        validated values as their own objects and tuples as lists. Array
+        fields are left out; files store arrays as tensors."""
+        return {f.name: _json_value(getattr(self, f.name))
+                for f in dataclasses.fields(self)
+                if f.init and not isinstance(getattr(self, f.name), np.ndarray)}
 
     @classmethod
     def from_json(cls, obj, where: str, **parsed):

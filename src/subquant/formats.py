@@ -19,13 +19,15 @@ Metadata fields are checked by the types they build (`from_json`); this
 module checks the framing, the tensor entries and shapes, and the
 orthonormality of a basis.
 
-Reports are JSON-lines or CSV with a fixed column order.
+Reports are JSON-lines or CSV. Their columns are the fields of `ErrorReport`,
+in order, which checks each row on reading.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -58,11 +60,10 @@ ORTHO_TOL = 1e-8  # largest |V^T V - I| of a plan's basis
 
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 
-REPORT_COLUMNS = [
-    "group", "objective", "exact_error", "exact_error_root", "predicted_error",
-    "relative_reduction", "energy_x_low", "energy_x_high", "energy_w_low",
-    "energy_w_high", "bits_low", "bits_high", "rank", "seed",
-]
+# a report's columns, and those whose CSV cells are read as text, not numbers
+REPORT_COLUMNS = [f.name for f in dataclasses.fields(ErrorReport)]
+_TEXT_COLUMNS = {f.name for f in dataclasses.fields(ErrorReport)
+                 if f.type in ("str", str)}
 
 
 def _process_umask() -> int:
@@ -240,13 +241,10 @@ def _read_bundle(path: str, kind: str) -> tuple[list[dict], dict[str, np.ndarray
 
 
 def write_stats(path: str, stats_list: list[CalibStats]) -> None:
-    meta, tensors = [], []
-    for i, st in enumerate(stats_list):
-        meta.append({"group": st.group.to_json(), "energy_x": st.energy_x,
-                     "energy_w": st.energy_w, "tokens_seen": st.tokens_seen})
-        tensors.append((f"{i}.sigma_x", st.sigma_x))
-        tensors.append((f"{i}.sigma_w", st.sigma_w))
-    _write_bundle(path, "stats", {"groups": meta}, tensors)
+    tensors = [(f"{i}.{key}", getattr(st, key)) for i, st in enumerate(stats_list)
+               for key in ("sigma_x", "sigma_w")]
+    _write_bundle(path, "stats", {"groups": [st.to_json() for st in stats_list]},
+                  tensors)
 
 
 def read_stats(path: str) -> list[CalibStats]:
@@ -266,21 +264,12 @@ def read_stats(path: str) -> list[CalibStats]:
 def write_plan(path: str, plans: list[MixedPrecisionPlan]) -> None:
     meta, tensors = [], []
     for i, plan in enumerate(plans):
-        part = plan.partition
-        specs = {k: getattr(plan, f"spec_{k}") for k in SPEC_KEYS}
-        meta.append({
-            "group": plan.group.to_json(),
-            "objective": plan.objective,
-            "seed": part.seed,
-            "rotation": part.rotation,
-            "rank": part.rank,
-            "lambda_x": part.lambda_x,
-            "lambda_w": part.lambda_w,
-            "specs": {k: None if s is None else s.to_json()
-                      for k, s in specs.items()},
-        })
-        tensors.append((f"{i}.vectors", part.vectors))
-        tensors.append((f"{i}.eigenvalues", part.eigenvalues))
+        # the partition's fields, beside the plan's group, objective and specs
+        entry = plan.to_json()
+        entry["specs"] = {k: entry.pop(f"spec_{k}") for k in SPEC_KEYS}
+        meta.append(entry.pop("partition") | entry)
+        tensors.append((f"{i}.vectors", plan.partition.vectors))
+        tensors.append((f"{i}.eigenvalues", plan.partition.eigenvalues))
     _write_bundle(path, "plan", {"plans": meta}, tensors)
 
 
@@ -315,46 +304,44 @@ def read_plan(path: str) -> list[MixedPrecisionPlan]:
     return out
 
 
-def write_report(path: str, reports: list[ErrorReport], fmt: str = "json",
-                 append: bool = False) -> None:
+def write_report(path: str, reports: list[ErrorReport], fmt: str = "json") -> None:
     rows = [r.to_json() for r in reports]
     if fmt == "json":
         body = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=REPORT_COLUMNS, lineterminator="\n")
-        if not (append and os.path.exists(path)):
-            writer.writeheader()
+        writer.writeheader()
         writer.writerows(rows)
         body = buf.getvalue()
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    if append and os.path.exists(path):
-        with open(path, "a", encoding="utf-8") as f:
-            f.write(body)
-    else:
-        atomic_write(path, body.encode("utf-8"))
+    atomic_write(path, body.encode("utf-8"))
 
 
-def read_report(path: str) -> list[dict]:
-    """The rows of a JSON-lines or CSV report; each must hold every column."""
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    is_json = text.lstrip().startswith("{")
-    if is_json:
-        try:
+def _cell(column: str, text):
+    """A CSV cell as its JSON value: text in a text column; elsewhere an
+    empty cell is null and a number is an int or a float. Anything else is
+    left as it is, for ErrorReport's rules to reject."""
+    if column in _TEXT_COLUMNS or not isinstance(text, str):
+        return text
+    for number in (int, float):
+        with contextlib.suppress(ValueError):
+            return number(text)
+    return None if text == "" else text
+
+
+def read_report(path: str) -> list[ErrorReport]:
+    """The rows of a JSON-lines or CSV report, each checked by ErrorReport."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+        if text.lstrip().startswith("{"):
             rows = [json.loads(line) for line in text.splitlines() if line.strip()]
-        except json.JSONDecodeError as e:
-            raise HeaderMismatchError(f"{path}: invalid JSON report line: {e}") from e
-    else:
-        rows = list(csv.DictReader(io.StringIO(text)))
-    for i, row in enumerate(rows):
-        # a CSV row shorter than its header reads its absent cells as None
-        missing = REPORT_COLUMNS if not isinstance(row, dict) else [
-            c for c in REPORT_COLUMNS if c not in row or not is_json and row[c] is None]
-        if missing:
-            raise HeaderMismatchError(f"{path}: report row {i} missing columns {missing}")
-        if not is_json:
-            for col in REPORT_COLUMNS[2:]:  # the numeric columns
-                row[col] = None if row[col] in ("", "None") else float(row[col])
-    return rows
+        else:
+            rows = [{k: _cell(k, v) for k, v in row.items()} for row in csv.DictReader(
+                io.StringIO(text), restkey="(cells beyond the header)")]
+    except (UnicodeDecodeError, json.JSONDecodeError, csv.Error, RecursionError) as e:
+        raise HeaderMismatchError(f"{path}: not a JSON-lines or CSV report: {e}") from e
+    return [ErrorReport.from_json(row, f"{path}: report row {i}")
+            for i, row in enumerate(rows)]

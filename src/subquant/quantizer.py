@@ -58,13 +58,6 @@ class QuantSpec(Checked):
             ("head_dim", lambda v: v is None, "absent outside per-head granularity"),
         ))
 
-    def to_json(self) -> dict:
-        d = {"bits": self.bits, "symmetric": self.symmetric,
-             "granularity": self.granularity}
-        if self.head_dim is not None:
-            d["head_dim"] = self.head_dim
-        return d
-
 
 @dataclass(frozen=True)
 class QuantResult:

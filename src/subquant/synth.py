@@ -45,12 +45,6 @@ class SyntheticInstanceSpec(Checked):
         for key in ("activation_spectrum", "weight_spectrum"):
             object.__setattr__(self, key, tuple(getattr(self, key)))
 
-    def to_json(self) -> dict:
-        return {"d": self.d, "n": self.n, "m": self.m,
-                "activation_spectrum": list(self.activation_spectrum),
-                "weight_spectrum": list(self.weight_spectrum),
-                "misalignment": self.misalignment, "seed": self.seed}
-
 
 def _plane_rotations(d: int, angle: float) -> np.ndarray:
     """Product of Givens rotations by `angle` in planes (0,1), (2,3), ..."""

@@ -177,6 +177,23 @@ class TestMalformedInputs:
                    "--out", str(workspace["tmp"] / "r.jsonl")) == 1
         assert "overflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n,m", [(16, 8), (64, 64)], ids=["rows", "gram"])
+    def test_measurement_overflow_exits_1(self, workspace, capsys, n, m):
+        stats = str(workspace["tmp"] / "stats.cqb")
+        plan = str(workspace["tmp"] / "plan.cqb")
+        run("calibrate", "--config", workspace["cfg"], "--out", stats)
+        run("solve", "--stats", stats, "--out", plan)
+        rng = np.random.default_rng(1)
+        x, w = str(workspace["tmp"] / "huge.cqt"), str(workspace["tmp"] / "wide.cqt")
+        formats.write_tensor(x, "huge", rng.standard_normal((n, 8)) * 1e200)
+        formats.write_tensor(w, "wide", rng.standard_normal((8, m)))
+        assert engine.use_gram_form(n, 8, m) == (m == 64)
+        out = workspace["tmp"] / "r.jsonl"
+        assert run("simulate", "--plan", plan, "--x", x, "--w", w,
+                   "--out", str(out)) == 1
+        assert "overflows float64" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     def solve(self, workspace, *extra):
@@ -259,7 +276,7 @@ class TestSimulate:
         row = formats.read_report(report)[0]
         plan = formats.read_plan(plan_path)[0]
         _, rep = execute_plan(workspace["x1_arr"], workspace["w_arr"], plan)
-        assert row["exact_error"] == rep.exact_error
+        assert row.exact_error == rep.exact_error
 
     def test_bypass_near_zero_error(self, workspace):
         stats = str(workspace["tmp"] / "stats.cqb")
@@ -271,7 +288,7 @@ class TestSimulate:
             "--w", workspace["w"], "--bypass", "--out", report)
         row = formats.read_report(report)[0]
         y = workspace["x1_arr"] @ workspace["w_arr"]
-        assert row["exact_error"] <= 1e-12 * np.sum(y**2)
+        assert row.exact_error <= 1e-12 * np.sum(y**2)
 
 
 class TestAnalyze:
@@ -283,8 +300,8 @@ class TestAnalyze:
         assert run("analyze", "--synthetic", spec_path, "--rank", "2",
                    "--out", report) == 0
         rows = formats.read_report(report)
-        joint = next(r for r in rows if r["objective"] == "joint")
-        assert joint["relative_reduction"] > 0.0
+        joint = next(r for r in rows if r.objective == "joint")
+        assert joint.relative_reduction > 0.0
 
     def test_sweep_summary(self, tmp_path, capsys):
         spec = weight_anisotropic_spec(16, 64, 8, seed=0)
@@ -309,7 +326,7 @@ class TestAnalyze:
         for k in range(3):
             x, w = generate_instance(dataclasses.replace(spec, seed=5 + k))
             joint = analyze_layer(x, w, 2, 4, 8, seed=5 + k)[0]
-            assert rows[3 * k]["exact_error"] == joint.exact_error
+            assert rows[3 * k].exact_error == joint.exact_error
 
     def test_bad_sweep_exits_2(self, workspace):
         spec_path = str(workspace["tmp"] / "spec.json")

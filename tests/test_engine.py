@@ -15,7 +15,7 @@ from subquant.engine import (
     stats_from_tensors,
     use_gram_form,
 )
-from subquant.errors import DimensionMismatchError
+from subquant.errors import DimensionMismatchError, ScaleRangeError
 from subquant.quantizer import (
     GRANULARITIES,
     PER_HEAD,
@@ -27,9 +27,14 @@ from subquant.solver import solve_partition
 from subquant.synth import aligned_spec, generate_instance, weight_anisotropic_spec
 
 
-def make_plan(x, w, rank=2, bits_low=4, bits_high=8, seed=0, **kw):
-    return build_plan(stats_from_tensors(x, w), rank, bits_low, bits_high,
-                      seed=seed, **kw)
+def make_plan(x, w, rank=2, bits_low=4, bits_high=8, seed=0, bypass=False,
+              **specs):
+    """A plan with the default specs, or none with `bypass`; `specs` replaces
+    some of them (spec_low=..., ...)."""
+    plan = build_plan(stats_from_tensors(x, w), rank, bits_low, bits_high, seed=seed)
+    if bypass:
+        specs = dict.fromkeys(("spec_low", "spec_high", "spec_low_w", "spec_high_w"))
+    return dataclasses.replace(plan, **specs)
 
 
 def random_instance(n, d, m, seed):
@@ -210,6 +215,17 @@ class TestMeasurePlan:
         if bypass:
             assert executed.exact_error == 0.0 and executed.exact_error_root == 0.0
             assert np.allclose(y_hat, x @ w, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("form", sorted(SHAPES))
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_overflowing_measurement_raises(self, blocked, form, scale):
+        # a plan solved on unit-scale data, measured on an X far beyond it:
+        # unchecked, the Gram form's error reads NaN and the row blocks' inf
+        x, w = random_instance(*SHAPES[form], seed=4)
+        plan = make_plan(x, w)
+        for measure in (measure_plan, lambda *a: execute_plan(*a)[1]):
+            with pytest.raises(ScaleRangeError, match="overflows float64"):
+                measure(x * scale, w, plan)
 
     def test_gram_sum_rounded_below_zero_is_clamped(self, monkeypatch):
         # scaling the activations by 3 and the weights by 1/3 leaves

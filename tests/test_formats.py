@@ -1,4 +1,7 @@
+import csv
+import dataclasses
 import json
+import math
 import os
 import re
 import struct
@@ -12,7 +15,13 @@ import pytest
 from subquant import formats
 from subquant.cli import main
 from subquant.calib import CalibStats, ProjectionGroup, accumulate_activations
-from subquant.engine import build_plan, execute_plan, stats_from_tensors
+from subquant.engine import (
+    analyze_layer,
+    build_plan,
+    execute_plan,
+    measure_plan,
+    stats_from_tensors,
+)
 from subquant.errors import (
     BadMagicError,
     HeaderMismatchError,
@@ -566,13 +575,63 @@ class TestReports:
         _, rep = execute_plan(x, w, plan)
         return [rep]
 
+    def varied_reports(self):
+        """The three objectives' reports on one layer, and a full-precision
+        one, whose bits and relative reduction are null."""
+        rng = np.random.default_rng(2)
+        x, w = rng.standard_normal((16, 8)), rng.standard_normal((8, 4))
+        plan = build_plan(stats_from_tensors(x, w, name="g"), 2, 4, 8)
+        bypass = dataclasses.replace(plan, spec_low=None, spec_high=None,
+                                     spec_low_w=None, spec_high_w=None)
+        return analyze_layer(x, w, 2, 4, 8) + [measure_plan(x, w, bypass)]
+
     def test_jsonl_round_trip(self, tmp_path):
         path = str(tmp_path / "r.jsonl")
-        reps = self.make_reports()
+        reps = self.varied_reports()
         formats.write_report(path, reps)
-        rows = formats.read_report(path)
-        assert rows[0]["exact_error"] == reps[0].exact_error
-        assert rows[0]["group"] == "g"
+        assert formats.read_report(path) == reps
+
+    def test_csv_round_trip(self, tmp_path):
+        path = str(tmp_path / "r.csv")
+        reps = self.varied_reports()
+        formats.write_report(path, reps, fmt="csv")
+        assert formats.read_report(path) == reps
+
+    def test_deeply_nested_jsonl_is_schema_error(self, tmp_path):
+        path = str(tmp_path / "r.jsonl")
+        Path(path).write_text('{"group": ' + "[" * 100_000 + "]" * 100_000 + "}\n")
+        with pytest.raises(HeaderMismatchError, match="not a JSON-lines or CSV"):
+            formats.read_report(path)
+
+    def test_integer_cells_read_as_numbers(self, tmp_path):
+        # an int beyond int64 still has a float square root
+        path = str(tmp_path / "r.jsonl")
+        row = self.make_reports()[0].to_json() | {"exact_error": 10 ** 30}
+        Path(path).write_text(json.dumps(row) + "\n")
+        assert formats.read_report(path)[0].exact_error_root == 1e15
+
+    @pytest.mark.parametrize("field,value", [
+        ("rank", "8"), ("exact_error", math.nan), ("exact_error", math.inf),
+        ("bits_low", 1), ("extra", 0.0)])
+    def test_jsonl_bad_cell_names_row_and_field(self, tmp_path, field, value):
+        path = str(tmp_path / "r.jsonl")
+        row = self.make_reports()[0].to_json() | {field: value}
+        Path(path).write_text(json.dumps(row) + "\n")
+        with pytest.raises(HeaderMismatchError, match=f"row 0: .*{field}"):
+            formats.read_report(path)
+
+    @pytest.mark.parametrize("field,cell", [
+        ("rank", "8.0"), ("exact_error", "nan"), ("exact_error", "inf"),
+        ("bits_low", "1"), ("seed", "seven"), ("extra", "0.0")])
+    def test_csv_bad_cell_names_row_and_field(self, tmp_path, field, cell):
+        path = str(tmp_path / "r.csv")
+        row = self.make_reports()[0].to_json() | {field: cell}
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            writer = csv.DictWriter(f, fieldnames=list(row), lineterminator="\n")
+            writer.writeheader()
+            writer.writerow(row)
+        with pytest.raises(HeaderMismatchError, match=f"row 0: .*{field}"):
+            formats.read_report(path)
 
     def test_csv_column_order(self, tmp_path):
         path = str(tmp_path / "r.csv")
@@ -601,9 +660,3 @@ class TestReports:
         with pytest.raises(HeaderMismatchError, match="row 1"):
             formats.read_report(path)
 
-    def test_append(self, tmp_path):
-        path = str(tmp_path / "r.jsonl")
-        reps = self.make_reports()
-        formats.write_report(path, reps)
-        formats.write_report(path, reps, append=True)
-        assert len(formats.read_report(path)) == 2

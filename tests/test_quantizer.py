@@ -1,15 +1,22 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import quantize_reference
-from subquant.errors import ScaleRangeError, SubquantError
+from subquant.calib import ProjectionGroup
+from subquant.cli import ConfigGroup, RunConfig
+from subquant.engine import build_plan, measure_plan, stats_from_tensors
+from subquant.errors import Checked, ScaleRangeError, SubquantError
 from subquant.quantizer import (
     QuantSpec,
     combined_error_coeff,
     quantize,
     relative_error_coeff,
 )
+from subquant.synth import weight_anisotropic_spec
 
 
 GROUPINGS = [("per-tensor", None), ("per-token", None),
@@ -36,9 +43,40 @@ class TestQuantSpec:
         with pytest.raises(Exception):
             quantize(np.zeros((2, 4)), spec)
 
-    def test_json_round_trip(self):
-        spec = QuantSpec(bits=8, symmetric=False, granularity="per-head", head_dim=4)
-        assert QuantSpec.from_json(spec.to_json(), "spec") == spec
+
+def checked_examples() -> dict:
+    """One value of each validated type, by type name."""
+    rng = np.random.default_rng(0)
+    x, w = rng.standard_normal((32, 8)), rng.standard_normal((8, 6))
+    stats = stats_from_tensors(x, w, name="g")
+    plan = dataclasses.replace(build_plan(stats, 2, 4, 8), spec_high=None)
+    values = (
+        QuantSpec(bits=8, symmetric=False, granularity="per-head", head_dim=4),
+        ProjectionGroup("mlp-input", 8, "g", member_shapes=((8, 6), (8, 2))),
+        stats, plan, plan.partition, measure_plan(x, w, plan),
+        weight_anisotropic_spec(8, 32, 6, seed=3),
+        RunConfig(groups=[{"name": "g"}], rank_ratio=0.25, seed=3),
+        ConfigGroup("g", "attn-input", 8, activations=("x.cqt",)),
+    )
+    return {type(v).__name__: v for v in values}
+
+
+def read_back(value):
+    """`value` rebuilt from its JSON text as a file reader rebuilds it: nested
+    validated fields from their own objects, arrays passed as they are."""
+    parsed = {}
+    for f in dataclasses.fields(value):
+        v = getattr(value, f.name)
+        if f.init and isinstance(v, (np.ndarray, Checked)):
+            parsed[f.name] = read_back(v) if isinstance(v, Checked) else v
+    obj = json.loads(json.dumps(value.to_json()))
+    return type(value).from_json(obj, "value", **parsed)
+
+
+@pytest.mark.parametrize("name", sorted(t.__name__ for t in Checked.__subclasses__()))
+def test_json_round_trip(name):
+    value = checked_examples()[name]
+    assert read_back(value) == value
 
 
 class TestQuantize:
