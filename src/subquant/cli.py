@@ -92,11 +92,8 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     flags = {k: getattr(args, k) for k in _FLAGS if getattr(args, k, None) is not None}
     if path is None:
         return RunConfig(**flags)
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except ValueError as e:  # not UTF-8, or not JSON
-            raise FormatError(f"{path}: invalid JSON config: {e}") from e
+    with open(path, "rb") as f:
+        obj = formats.parse_json(f.read(), f"{path}: invalid JSON config")
     try:
         return RunConfig.from_json(obj, path, **flags)
     except FormatError as e:
@@ -180,8 +177,9 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config, args)
     if args.synthetic is not None:
-        with open(args.synthetic, "r", encoding="utf-8") as f:
-            spec = SyntheticInstanceSpec.from_json(json.load(f), args.synthetic)
+        with open(args.synthetic, "rb") as f:
+            obj = formats.parse_json(f.read(), f"{args.synthetic}: invalid JSON spec")
+        spec = SyntheticInstanceSpec.from_json(obj, args.synthetic)
         d = spec.d
     elif args.x is not None and args.w is not None and not args.sweep:
         x = formats.read_tensor(args.x)
@@ -308,7 +306,7 @@ def main(argv=None) -> int:
     except (NoConvergenceError, NoSignalError, ScaleRangeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (SubquantError, OSError, ValueError, json.JSONDecodeError) as e:
+    except (SubquantError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

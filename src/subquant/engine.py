@@ -22,6 +22,7 @@ from .errors import (
     Checked,
     DimensionMismatchError,
     ScaleRangeError,
+    check,
     check_fields,
     is_int,
     is_real,
@@ -71,7 +72,9 @@ class MixedPrecisionPlan(Checked):
     objective: str = OBJECTIVE_JOINT
 
     def __post_init__(self):
-        low = self.spec_low
+        low, dim = self.spec_low, self.group.dim
+        check("partition", self.partition.dim, lambda v: v == dim,
+              f"of the group's dim ({dim})", DimensionMismatchError)
         check_fields(self, (
             ("objective", *OBJECTIVE),
             ("spec_high", lambda v: v is None or low is None or v.bits >= low.bits,

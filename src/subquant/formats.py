@@ -76,16 +76,17 @@ def _process_umask() -> int:
 _FILE_MODE = 0o666 & ~_process_umask()
 
 
-def atomic_write(path: str, data: bytes) -> None:
-    """Write `data` to a unique temp file beside `path`, then rename it over
-    `path`. Concurrent writers never share a temp file, and a failed write
-    leaves no temp file behind."""
+def atomic_write(path: str, *chunks) -> None:
+    """Write the byte buffers `chunks` in order to a unique temp file beside
+    `path`, then rename it over `path`. Concurrent writers never share a temp
+    file, and a failed write leaves no temp file behind."""
     directory, base = os.path.split(path)
     fd, tmp = tempfile.mkstemp(prefix=base + ".", suffix=".tmp", dir=directory or ".")
     try:
         with os.fdopen(fd, "wb") as f:
             os.fchmod(f.fileno(), _FILE_MODE)
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -93,36 +94,19 @@ def atomic_write(path: str, data: bytes) -> None:
         raise
 
 
-def _dump_header(obj: dict) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def _frame(magic: bytes, header: dict, payload: bytes) -> bytes:
-    h = _dump_header(header)
-    return magic + struct.pack("<I", len(h)) + h + payload
-
-
-def _read_header(f, path: str, magic: bytes) -> tuple[dict, int]:
-    """Parse the framing and JSON header of an open file; return the header
-    and the payload's byte offset."""
-    head = f.read(8)
-    if head[:4] != magic:
-        raise BadMagicError(f"{path}: expected magic {magic!r}, got {head[:4]!r}")
-    if len(head) < 8:
-        raise TruncatedPayloadError(f"{path}: file shorter than header frame")
-    (hlen,) = struct.unpack("<I", head[4:8])
-    if hlen > MAX_BYTES:
-        raise HeaderMismatchError(f"{path}: header length {hlen} exceeds cap")
-    raw = f.read(hlen)
-    if len(raw) < hlen:
-        raise TruncatedPayloadError(f"{path}: truncated JSON header")
+def parse_json(text: str | bytes, where: str):
+    """The value of a JSON document. Text that is not UTF-8, not JSON, or
+    nested too deep to parse raises HeaderMismatchError naming `where`."""
     try:
-        header = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise HeaderMismatchError(f"{path}: invalid JSON header: {e}") from e
-    if not isinstance(header, dict):
-        raise HeaderMismatchError(f"{path}: header is not a JSON object")
-    return header, 8 + hlen
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        raise HeaderMismatchError(f"{where}: {e}") from e
+
+
+def _write(path: str, magic: bytes, header: dict, arrays: list[np.ndarray]) -> None:
+    """Frame `header` and write the C-contiguous `arrays` after it as they are."""
+    h = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    atomic_write(path, magic + struct.pack("<I", len(h)) + h, *arrays)
 
 
 def _check_entry(entry, path: str, field: str,
@@ -150,43 +134,76 @@ def _check_entry(entry, path: str, field: str,
     return _DTYPES[dtype], tuple(shape), size
 
 
+def _map(path: str, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    """The JSON header of a CQT1 or CQB1 file, and its tensors by name as
+    read-only arrays in the file's dtype, backed by one memory map: nothing
+    is read until it is used.
+
+    The file size must be the header's plus the tensors' exactly. The mapping
+    is released with the last reference to its arrays. Files are replaced by
+    rename, never rewritten in place, so a mapped payload does not change
+    under its reader."""
+    with open(path, "rb") as f:
+        head = f.read(8)
+        if head[:4] != magic:
+            raise BadMagicError(f"{path}: expected magic {magic!r}, got {head[:4]!r}")
+        if len(head) < 8:
+            raise TruncatedPayloadError(f"{path}: file shorter than header frame")
+        (hlen,) = struct.unpack("<I", head[4:8])
+        if hlen > MAX_BYTES:
+            raise HeaderMismatchError(f"{path}: header length {hlen} exceeds cap")
+        raw = f.read(hlen)
+        if len(raw) < hlen:
+            raise TruncatedPayloadError(f"{path}: truncated JSON header")
+        header = parse_json(raw, f"{path}: invalid JSON header")
+        if not isinstance(header, dict):
+            raise HeaderMismatchError(f"{path}: header is not a JSON object")
+        tensor = magic == TENSOR_MAGIC
+        entries = [header] if tensor else header.get("tensors", [])
+        if not isinstance(entries, list):
+            raise HeaderMismatchError(f"{path}: bundle tensors must be a list")
+        specs = [_check_entry(e, path, "header" if tensor else f"tensors[{i}]",
+                              layout=tensor) for i, e in enumerate(entries)]
+        offset = 8 + hlen
+        payload = os.fstat(f.fileno()).st_size - offset
+        size = sum(nbytes for _, _, nbytes in specs)
+        if payload != size:
+            raise TruncatedPayloadError(
+                f"{path}: payload is {payload} bytes, header declares {size}")
+        mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    tensors = {}
+    for entry, (dtype, shape, nbytes) in zip(entries, specs):
+        tensors[entry["name"]] = np.frombuffer(
+            mapped, dtype, nbytes // dtype.itemsize, offset).reshape(shape)
+        offset += nbytes
+    return header, tensors
+
+
 def _tensor(tensors: dict, name: str, shape: tuple, path: str) -> np.ndarray:
-    """The bundle tensor `name`, which must have `shape`."""
+    """The bundle tensor `name`, which must have `shape`, as a float64 array
+    of its own."""
     if name not in tensors:
         raise HeaderMismatchError(f"{path}: missing tensor {name!r}")
     if tensors[name].shape != shape:
         raise HeaderMismatchError(f"{path}: tensor {name!r} has shape "
                                   f"{tensors[name].shape}, expected {shape}")
-    return tensors[name]
+    return np.array(tensors[name], dtype=np.float64)
 
 
 def write_tensor(path: str, name: str, matrix: np.ndarray, dtype: str = "f64") -> None:
     if dtype not in _DTYPES:
         raise UnsupportedDtypeError(f"unsupported dtype {dtype!r}")
-    m = np.ascontiguousarray(np.asarray(matrix), dtype=_DTYPES[dtype])
-    header = {"name": name, "dtype": dtype, "shape": list(m.shape),
-              "layout": "row-major"}
-    atomic_write(path, _frame(TENSOR_MAGIC, header, m.tobytes()))
+    m = np.ascontiguousarray(matrix, dtype=_DTYPES[dtype])
+    _write(path, TENSOR_MAGIC, {"name": name, "dtype": dtype, "shape": list(m.shape),
+                                "layout": "row-major"}, [m])
 
 
 def map_tensor(path: str) -> np.ndarray:
     """Read-only array of a CQT1 payload in the file's dtype, backed by a
-    memory map: nothing is read until it is used.
-
-    The header is checked as `read_tensor` checks it, and the file size
-    must match it exactly. The mapping is released with the last reference
-    to the array. Files are replaced by rename, never rewritten in place, so
-    a mapped payload does not change under its reader."""
-    with open(path, "rb") as f:
-        header, offset = _read_header(f, path, TENSOR_MAGIC)
-        dtype, shape, size = _check_entry(header, path, "header", layout=True)
-        payload = os.fstat(f.fileno()).st_size - offset
-        if payload != size:
-            raise TruncatedPayloadError(
-                f"{path}: payload is {payload} bytes, header declares {size}")
-        mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-    return np.frombuffer(mapped, dtype=dtype, count=size // dtype.itemsize,
-                         offset=offset).reshape(shape)
+    memory map (see `_map`)."""
+    _, tensors = _map(path, TENSOR_MAGIC)
+    (array,) = tensors.values()
+    return array
 
 
 def read_tensor(path: str) -> np.ndarray:
@@ -196,21 +213,17 @@ def read_tensor(path: str) -> np.ndarray:
 
 def _write_bundle(path: str, kind: str, meta: dict,
                   tensors: list[tuple[str, np.ndarray]]) -> None:
-    entries, payload = [], bytearray()
-    for name, arr in tensors:
-        a = np.ascontiguousarray(np.asarray(arr), dtype="<f8")
-        entries.append({"name": name, "dtype": "f64", "shape": list(a.shape)})
-        payload += a.tobytes()
-    header = {"kind": kind, "meta": meta, "tensors": entries}
-    atomic_write(path, _frame(BUNDLE_MAGIC, header, bytes(payload)))
+    arrays = [np.ascontiguousarray(a, dtype="<f8") for _, a in tensors]
+    entries = [{"name": name, "dtype": "f64", "shape": list(a.shape)}
+               for (name, _), a in zip(tensors, arrays)]
+    _write(path, BUNDLE_MAGIC, {"kind": kind, "meta": meta, "tensors": entries}, arrays)
 
 
 def _read_bundle(path: str, kind: str) -> tuple[list[dict], dict[str, np.ndarray]]:
-    """The per-group metadata objects and the named tensors of a CQB1 bundle
-    of `kind` ("stats" or "plan"); the types they describe check the rest."""
-    with open(path, "rb") as f:
-        header, _ = _read_header(f, path, BUNDLE_MAGIC)
-        payload = f.read()
+    """The per-group metadata objects and the mapped tensors by name of a
+    CQB1 bundle of `kind` ("stats" or "plan"); the types they describe check
+    the rest."""
+    header, tensors = _map(path, BUNDLE_MAGIC)
     if header.get("kind") != kind:
         raise HeaderMismatchError(
             f"{path}: bundle kind {header.get('kind')!r}, expected {kind!r}")
@@ -221,22 +234,6 @@ def _read_bundle(path: str, kind: str) -> tuple[list[dict], dict[str, np.ndarray
             and all(isinstance(r, dict) for r in records)):
         raise HeaderMismatchError(
             f"{path}: meta.{field} must be a non-empty list of JSON objects")
-    entries = header.get("tensors", [])
-    if not isinstance(entries, list):
-        raise HeaderMismatchError(f"{path}: bundle tensors must be a list")
-    tensors, offset = {}, 0
-    for i, entry in enumerate(entries):
-        dtype, shape, size = _check_entry(entry, path, f"tensors[{i}]")
-        chunk = payload[offset:offset + size]
-        if len(chunk) != size:
-            raise TruncatedPayloadError(f"{path}: truncated payload for "
-                                        f"tensor {entry['name']!r}")
-        tensors[entry["name"]] = np.frombuffer(chunk, dtype=dtype).reshape(
-            shape).astype(np.float64)
-        offset += size
-    if offset != len(payload):
-        raise TruncatedPayloadError(
-            f"{path}: {len(payload) - offset} trailing payload bytes")
     return records, tensors
 
 
@@ -332,16 +329,23 @@ def _cell(column: str, text):
 
 
 def read_report(path: str) -> list[ErrorReport]:
-    """The rows of a JSON-lines or CSV report, each checked by ErrorReport."""
+    """The rows of a JSON-lines or CSV report, each checked by ErrorReport.
+    A CSV header with no row after it must name the report's columns."""
+    where = f"{path}: not a JSON-lines or CSV report"
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
         if text.lstrip().startswith("{"):
-            rows = [json.loads(line) for line in text.splitlines() if line.strip()]
+            rows = [parse_json(line, where) for line in text.splitlines() if line.strip()]
         else:
-            rows = [{k: _cell(k, v) for k, v in row.items()} for row in csv.DictReader(
-                io.StringIO(text), restkey="(cells beyond the header)")]
-    except (UnicodeDecodeError, json.JSONDecodeError, csv.Error, RecursionError) as e:
-        raise HeaderMismatchError(f"{path}: not a JSON-lines or CSV report: {e}") from e
+            reader = csv.DictReader(io.StringIO(text),
+                                    restkey="(cells beyond the header)")
+            rows = [{k: _cell(k, v) for k, v in row.items()} for row in reader]
+            if not rows and reader.fieldnames and \
+                    sorted(reader.fieldnames) != sorted(REPORT_COLUMNS):
+                raise HeaderMismatchError(f"{where}: CSV header {reader.fieldnames} "
+                                          f"is not the columns {REPORT_COLUMNS}")
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise HeaderMismatchError(f"{where}: {e}") from e
     return [ErrorReport.from_json(row, f"{path}: report row {i}")
             for i, row in enumerate(rows)]

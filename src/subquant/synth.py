@@ -47,16 +47,15 @@ class SyntheticInstanceSpec(Checked):
 
 
 def _plane_rotations(d: int, angle: float) -> np.ndarray:
-    """Product of Givens rotations by `angle` in planes (0,1), (2,3), ..."""
+    """Product of Givens rotations by `angle` in planes (0,1), (2,3), ...:
+    the planes are disjoint, so each rotation is one 2x2 diagonal block."""
     g = np.eye(d)
     c, s = np.cos(angle), np.sin(angle)
-    for i in range(0, d - 1, 2):
-        r = np.eye(d)
-        r[i, i] = c
-        r[i + 1, i + 1] = c
-        r[i, i + 1] = -s
-        r[i + 1, i] = s
-        g = g @ r
+    pairs = np.arange(0, d - 1, 2)
+    g[pairs, pairs] = g[pairs + 1, pairs + 1] = c
+    # a zero sine gives +0.0 here, as it does in the product of the rotations
+    g[pairs, pairs + 1] = 0.0 - s
+    g[pairs + 1, pairs] = s + 0.0
     return g
 
 

@@ -75,14 +75,20 @@ class TestCalibrate:
                    "--out", str(workspace["tmp"] / "s.cqb")) == 2
 
 
-def calibrate_shard(workspace, shard, name="shard.json"):
-    """Run calibrate on a config whose one group reads `shard`."""
+def calibrate_config(workspace, shard, name="shard.json") -> str:
+    """A config whose one group reads `shard`."""
     cfg = dict(workspace["cfg_obj"])
     cfg["groups"] = [dict(cfg["groups"][0], activations=[shard])]
     cfg_path = workspace["tmp"] / name
     cfg_path.write_text(json.dumps(cfg))
+    return str(cfg_path)
+
+
+def calibrate_shard(workspace, shard, name="shard.json"):
+    """Run calibrate on a config whose one group reads `shard`."""
     out = str(workspace["tmp"] / "shard_stats.cqb")
-    return run("calibrate", "--config", str(cfg_path), "--out", out), out
+    return run("calibrate", "--config", calibrate_config(workspace, shard, name),
+               "--out", out), out
 
 
 class TestCalibrateStreaming:
@@ -193,6 +199,49 @@ class TestMalformedInputs:
                    "--out", str(out)) == 1
         assert "overflows float64" in capsys.readouterr().err
         assert not out.exists()
+
+
+def nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+def framed(magic: bytes, header: str) -> bytes:
+    h = header.encode()
+    return magic + struct.pack("<I", len(h)) + h
+
+
+class TestDeeplyNestedJSON:
+    """JSON nested too deep to parse is a schema error naming its file:
+    exit 2 with no traceback, and no output file."""
+
+    def exits_2(self, capsys, bad, out, *argv):
+        assert run(*argv, "--out", str(out)) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config(self, workspace, capsys):
+        cfg = workspace["tmp"] / "deep.json"
+        cfg.write_text(nested(200_000))
+        self.exits_2(capsys, cfg, workspace["tmp"] / "s.cqb",
+                     "calibrate", "--config", str(cfg))
+
+    def test_synthetic_spec(self, tmp_path, capsys):
+        spec = aligned_spec(8, 16, 4, seed=0).to_json() | {"d": "deep"}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec).replace('"deep"', nested(200_000)))
+        self.exits_2(capsys, path, tmp_path / "r.jsonl",
+                     "analyze", "--synthetic", str(path))
+
+    def test_tensor_header(self, workspace, capsys):
+        shard = workspace["tmp"] / "deep.cqt"
+        shard.write_bytes(framed(b"CQT1", '{"name": ' + nested(100_000) + "}"))
+        self.exits_2(capsys, shard, workspace["tmp"] / "s.cqb", "calibrate",
+                     "--config", calibrate_config(workspace, str(shard)))
+
+    def test_bundle_header(self, tmp_path, capsys):
+        stats = tmp_path / "deep.cqb"
+        stats.write_bytes(framed(b"CQB1", '{"kind": ' + nested(100_000) + "}"))
+        self.exits_2(capsys, stats, tmp_path / "p.cqb", "solve", "--stats", str(stats))
 
 
 class TestSolve:
@@ -478,6 +527,13 @@ class TestCompare:
         bad.write_text(Path(a).read_text() + line + "\n")
         assert run("compare", a, str(bad)) == 2
         assert "row 1" in capsys.readouterr().err
+
+    def test_non_reports_exit_2(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.txt"
+        a.write_text("[1, 2]\n")
+        b.write_text("hello\n")
+        assert run("compare", str(a), str(b)) == 2
+        assert "CSV header" in capsys.readouterr().err
 
     def test_out_is_replaced_atomically(self, tmp_path, monkeypatch):
         a = self.make_report(tmp_path, "a.jsonl")

@@ -6,6 +6,7 @@ import pytest
 
 from reference import execute_plan_reference
 from subquant import engine, solver
+from subquant.calib import ProjectionGroup
 from subquant.engine import (
     analyze_layer,
     build_plan,
@@ -387,3 +388,11 @@ def test_plan_bit_ordering_enforced():
     x, w = random_instance(8, 8, 4, seed=16)
     with pytest.raises(ValueError):
         make_plan(x, w, bits_low=8, bits_high=4)
+
+
+def test_plan_partition_must_have_the_group_dim():
+    x, w = random_instance(16, 8, 4, seed=17)
+    plan = make_plan(x, w)
+    with pytest.raises(DimensionMismatchError, match="partition must be of the "
+                                                     "group's dim \\(16\\), got 8"):
+        dataclasses.replace(plan, group=ProjectionGroup("attn-input", 16, "g"))

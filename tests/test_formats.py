@@ -7,6 +7,7 @@ import re
 import struct
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,50 @@ class TestMapTensor:
             formats.map_tensor(path)
 
 
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCopyFree:
+    """Writers write the arrays they are given, and readers allocate little
+    beyond the arrays they return (d = 256: 1 MiB of stats tensors)."""
+
+    @pytest.fixture
+    def wide(self):
+        rng = np.random.default_rng(6)
+        d = 256
+        stats = stats_from_tensors(rng.standard_normal((2 * d, d)),
+                                   rng.standard_normal((d, d)), name="wide")
+        return stats, stats.sigma_x.nbytes + stats.sigma_w.nbytes
+
+    def test_write_stats(self, tmp_path, wide):
+        stats, nbytes = wide
+        assert traced_peak(formats.write_stats, str(tmp_path / "s.cqb"), [stats]) \
+            < nbytes / 4
+
+    def test_read_stats(self, tmp_path, wide):
+        stats, nbytes = wide
+        path = str(tmp_path / "s.cqb")
+        formats.write_stats(path, [stats])
+        assert traced_peak(formats.read_stats, path) < 1.25 * nbytes
+
+    def test_write_plan(self, tmp_path, wide):
+        plan = build_plan(wide[0], 32, 4, 8)
+        nbytes = plan.partition.vectors.nbytes + plan.partition.eigenvalues.nbytes
+        assert traced_peak(formats.write_plan, str(tmp_path / "p.cqb"), [plan]) \
+            < nbytes / 4
+
+    def test_write_f32_tensor_converts_once(self, tmp_path, wide):
+        sigma = wide[0].sigma_x
+        assert traced_peak(formats.write_tensor, str(tmp_path / "t.cqt"), "s",
+                           sigma, "f32") < 1.25 * sigma.nbytes / 2
+
+
 class TestAtomicWrite:
     def test_concurrent_writers_leave_valid_file_and_no_temp(self, tmp_path):
         path = str(tmp_path / "t.cqt")
@@ -259,6 +304,13 @@ class TestStatsBundle:
             assert a.energy_x == b.energy_x and a.energy_w == b.energy_w
             assert a.tokens_seen == b.tokens_seen
             assert a.group == b.group
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "s.cqb"
+        formats.write_stats(str(path), [layer_stats()])
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(TruncatedPayloadError):
+            formats.read_stats(str(path))
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = str(tmp_path / "s.cqb")
@@ -602,6 +654,19 @@ class TestReports:
         Path(path).write_text('{"group": ' + "[" * 100_000 + "]" * 100_000 + "}\n")
         with pytest.raises(HeaderMismatchError, match="not a JSON-lines or CSV"):
             formats.read_report(path)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_no_rows_is_an_empty_report(self, tmp_path, fmt):
+        path = str(tmp_path / f"r.{fmt}")
+        formats.write_report(path, [], fmt=fmt)
+        assert formats.read_report(path) == []
+
+    @pytest.mark.parametrize("text", ["hello\n", "[1, 2]\n", "group,objective\n"])
+    def test_csv_header_is_checked_without_rows(self, tmp_path, text):
+        path = tmp_path / "r.csv"
+        path.write_text(text)
+        with pytest.raises(HeaderMismatchError, match="CSV header"):
+            formats.read_report(str(path))
 
     def test_integer_cells_read_as_numbers(self, tmp_path):
         # an int beyond int64 still has a float square root
