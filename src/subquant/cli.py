@@ -21,7 +21,7 @@ from .calib import (
     accumulate_activations,
     attach_weights,
 )
-from .engine import analyze_layer, build_plan, campaign, measure_plan
+from .engine import analyze_layer, bit_widths, build_plan, campaign, measure_plan
 from .errors import (
     Checked,
     FormatError,
@@ -32,7 +32,6 @@ from .errors import (
     check_fields,
     is_real,
 )
-from .quantizer import BITS
 from .solver import OBJECTIVE, OBJECTIVES, ROTATION, ROTATIONS, SEED
 from .synth import SyntheticInstanceSpec
 
@@ -50,10 +49,7 @@ class RunConfig(Checked):
     def __post_init__(self):
         check_fields(self, (
             ("rank_ratio", lambda v: is_real(v) and 0.0 < v < 1.0, "a number in (0, 1)"),
-            ("bits_low", *BITS),
-            ("bits_high", *BITS),
-            ("bits_low", lambda v: v <= self.bits_high,
-             f"at most bits_high ({self.bits_high!r})"),
+            *bit_widths(self),
             ("objective", *OBJECTIVE),
             ("seed", *SEED),
             ("rotation", *ROTATION),
@@ -165,9 +161,6 @@ def _select_plan(plans, group_name):
 def cmd_simulate(args) -> int:
     plans = formats.read_plan(args.plan)
     plan = _select_plan(plans, args.group)
-    if args.bypass:
-        plan = dataclasses.replace(plan, spec_low=None, spec_high=None,
-                                   spec_low_w=None, spec_high_w=None)
     x = formats.read_tensor(args.x)
     w = formats.read_tensor(args.w)
     formats.write_report(args.out, [measure_plan(x, w, plan)], fmt=args.format)
@@ -242,22 +235,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "subspace selection.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def plan_flags(p, objective=True):
+        """--config and the flags that override its plan fields."""
         p.add_argument("--config", default=None)
         p.add_argument("--rank-ratio", dest="rank_ratio", type=float, default=None)
         p.add_argument("--bits-low", dest="bits_low", type=int, default=None)
         p.add_argument("--bits-high", dest="bits_high", type=int, default=None)
-        p.add_argument("--objective", choices=OBJECTIVES, default=None)
+        if objective:
+            p.add_argument("--objective", choices=OBJECTIVES, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--rotation", choices=ROTATIONS, default=None)
 
     p = sub.add_parser("calibrate", help="accumulate statistics from tensor files")
-    common(p)
+    p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("solve", help="solve subspace partitions from statistics")
-    common(p)
+    plan_flags(p)
     p.add_argument("--stats", required=True)
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -268,15 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--w", required=True)
     p.add_argument("--group", default=None)
-    p.add_argument("--bypass", action="store_true",
-                   help="disable quantization (full-precision reference)")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="compare joint / activation-only / "
                                        "weight-only objectives on one layer")
-    common(p)
+    plan_flags(p, objective=False)  # analyze runs all three objectives
     p.add_argument("--synthetic", default=None,
                    help="JSON file with a synthetic instance spec")
     p.add_argument("--x", default=None)

@@ -45,6 +45,7 @@ from .solver import (
     ROTATION_RANDOM,
     SEED,
     SubspacePartition,
+    rank_rule,
     shared_rotations,
     solve_partition,
 )
@@ -56,38 +57,37 @@ BLOCK_BYTES = 1 << 20
 MIN_BLOCK_ROWS = 256
 
 
+def bit_widths(obj) -> tuple:
+    """The rules of the `bits_low`/`bits_high` pair of `obj`: two bit-widths,
+    the low one at most the high one."""
+    return (("bits_low", *BITS), ("bits_high", *BITS),
+            ("bits_low", lambda v: v <= obj.bits_high,
+             f"at most bits_high ({obj.bits_high!r})"))
+
+
 @dataclass(frozen=True)
 class MixedPrecisionPlan(Checked):
-    """Executable recipe: subspace partition plus the four quantizers.
-
-    Any spec set to None bypasses quantization for that slice (used for
-    full-precision reference runs)."""
+    """Executable recipe: a subspace partition and the bit-widths of its two
+    blocks. Within a block, activations and weights share the bit-width, in
+    the one scheme the error model covers: activations per-token asymmetric,
+    weights per-channel symmetric. The four quantizers derive from that."""
 
     partition: SubspacePartition
-    spec_low: QuantSpec | None
-    spec_high: QuantSpec | None
-    spec_low_w: QuantSpec | None
-    spec_high_w: QuantSpec | None
+    bits_low: int
+    bits_high: int
     group: ProjectionGroup
     objective: str = OBJECTIVE_JOINT
 
     def __post_init__(self):
-        low, dim = self.spec_low, self.group.dim
+        dim = self.group.dim
         check("partition", self.partition.dim, lambda v: v == dim,
               f"of the group's dim ({dim})", DimensionMismatchError)
-        check_fields(self, (
-            ("objective", *OBJECTIVE),
-            ("spec_high", lambda v: v is None or low is None or v.bits >= low.bits,
-             "of at least spec_low's bits"),
-        ))
+        check_fields(self, bit_widths(self) + (("objective", *OBJECTIVE),))
 
-    @property
-    def bits_low(self) -> int | None:
-        return None if self.spec_low is None else self.spec_low.bits
-
-    @property
-    def bits_high(self) -> int | None:
-        return None if self.spec_high is None else self.spec_high.bits
+    spec_low = property(lambda self: QuantSpec(self.bits_low, False, PER_TOKEN))
+    spec_high = property(lambda self: QuantSpec(self.bits_high, False, PER_TOKEN))
+    spec_low_w = property(lambda self: QuantSpec(self.bits_low, True, PER_CHANNEL))
+    spec_high_w = property(lambda self: QuantSpec(self.bits_high, True, PER_CHANNEL))
 
 
 @dataclass(frozen=True)
@@ -104,14 +104,13 @@ class ErrorReport(Checked):
     energy_x_high: float
     energy_w_low: float
     energy_w_high: float
-    bits_low: int | None
-    bits_high: int | None
+    bits_low: int
+    bits_high: int
     rank: int
     seed: int
 
     def __post_init__(self):
         energy = (lambda v: is_real(v, 0.0), "a finite number >= 0")
-        bits = (lambda v: v is None or BITS[0](v), f"null or {BITS[1]}")
         check_fields(self, (
             ("group", lambda v: isinstance(v, str), "a string"),
             ("objective", *OBJECTIVE),
@@ -120,7 +119,7 @@ class ErrorReport(Checked):
              "null or a finite number"),
             ("energy_x_low", *energy), ("energy_x_high", *energy),
             ("energy_w_low", *energy), ("energy_w_high", *energy),
-            ("bits_low", *bits), ("bits_high", *bits),
+            *bit_widths(self),
             ("rank", lambda v: is_int(v, 1), "an int >= 1"),
             ("seed", *SEED),
         ))
@@ -164,11 +163,10 @@ def _quantized(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
                                   (b, db, np.s_[:k], plan.spec_low_w),
                                   (b, db, np.s_[k:], plan.spec_high_w)):
         block = mat[index]
-        q = block if spec is None else quantize(block, spec).dequantized
+        q = quantize(block, spec).dequantized
         if errors:
             np.subtract(block, q, out=err[index])
-        if spec is not None:
-            block[...] = q
+        block[...] = q
     energies = ((float(ex[:k].sum()), float(ex[k:].sum())),
                 (float(ew[:k].sum()), float(ew[k:].sum())))
     return l, r, energies
@@ -195,9 +193,8 @@ def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
       - row blocks: ||X_b W - A_hat_b B_hat||^2 summed over blocks of rows
         in one reused buffer; A_hat_b B_hat goes into Y_hat's rows, or into
         a second reused buffer.
-    A plan that quantizes nothing has A_hat = A and B_hat = B: its error is
-    0, whatever the rounding of the rotation. An error, predicted error or
-    energy that over- or underflows float64 raises ScaleRangeError."""
+    An error, predicted error or energy that over- or underflows float64
+    raises ScaleRangeError."""
     x = as_matrix(x, "x")
     w = as_matrix(w, "w")
     d = plan.partition.dim
@@ -205,15 +202,11 @@ def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
         raise DimensionMismatchError(
             f"x {x.shape} / w {w.shape} incompatible with partition dim {d}")
     n, m = x.shape[0], w.shape[1]
-    quantizes = any(spec is not None for spec in (
-        plan.spec_low, plan.spec_high, plan.spec_low_w, plan.spec_high_w))
-    gram = quantizes and use_gram_form(n, d, m)
+    gram = use_gram_form(n, d, m)
     l, r, (ex, ew) = _quantized(x, w, plan, errors=gram)
     a_hat, b_hat = l[:, -d:], r[:d]
     y_hat = None
-    if not quantizes:
-        exact = 0.0
-    elif gram:
+    if gram:
         # [B; dB] = T R with T = [[I, I], [0, I]], so ||E||^2 = ||L T R||^2
         # = <L^T L, T (R R^T) T^T>: add R R^T's second block row and column
         # to its first
@@ -238,11 +231,8 @@ def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
     if output and y_hat is None:  # one product, formed after measuring
         y_hat = a_hat @ b_hat
     r_high = plan.partition.rank
-    if plan.bits_low is not None and plan.bits_high is not None:
-        predicted = predict_error(ex, ew, plan.bits_low, plan.bits_high,
-                                  (d - r_high, r_high))
-    else:
-        predicted = 0.0
+    predicted = predict_error(ex, ew, plan.bits_low, plan.bits_high,
+                              (d - r_high, r_high))
     if not all(math.isfinite(v) for v in (exact, predicted, *ex, *ew)):
         raise ScaleRangeError(f"measuring group {plan.group.name or plan.group.kind!r} "
                               f"overflows float64: error {exact!r}, predicted "
@@ -289,17 +279,16 @@ def execute_plan(x: np.ndarray, w: np.ndarray,
 def build_plan(stats: CalibStats, rank: int, bits_low: int, bits_high: int,
                objective: str = OBJECTIVE_JOINT, seed: int = 0,
                rotation: str = ROTATION_RANDOM) -> MixedPrecisionPlan:
-    """Solve the partition for a group and attach the default quantizer specs:
-    per-token asymmetric activations, per-channel symmetric weights."""
+    """Solve the partition of a group for its low block's bit-width, and
+    pair it with the two bit-widths."""
     d = stats.group.dim
+    check("rank", rank, *rank_rule(d))
     gamma_low = combined_error_coeff(bits_low, d - rank)
     partition = solve_partition(stats, rank, objective=objective,
                                 gamma_low=gamma_low, seed=seed, rotation=rotation)
-    x_low, x_high = (QuantSpec(b, False, PER_TOKEN) for b in (bits_low, bits_high))
-    w_low, w_high = (QuantSpec(b, True, PER_CHANNEL) for b in (bits_low, bits_high))
-    return MixedPrecisionPlan(partition=partition, spec_low=x_low, spec_high=x_high,
-                              spec_low_w=w_low, spec_high_w=w_high,
-                              group=stats.group, objective=objective)
+    return MixedPrecisionPlan(partition=partition, bits_low=bits_low,
+                              bits_high=bits_high, group=stats.group,
+                              objective=objective)
 
 
 def stats_from_tensors(x: np.ndarray, w: np.ndarray,

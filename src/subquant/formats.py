@@ -12,9 +12,11 @@ statistics and plan matrices are always persisted as f64.
 A stats bundle holds ``i.sigma_x`` and ``i.sigma_w`` per group ``i``. A plan
 bundle holds two tensors per group: ``i.vectors``, the d x d descending
 eigenbasis, and ``i.eigenvalues``. Its metadata carries the group's rank,
-seed, rotation kind, objective, covariance weights and quantizer specs. The
-composed transform ``u`` is not stored: a partition read back derives it from
-the seeded internal rotations on first use, bit-identical to the solved one.
+seed, rotation kind, objective, covariance weights and the two bit-widths
+``bits_low`` and ``bits_high``; a plan written with the four quantizer
+``specs`` of earlier versions is rejected, naming the field. The composed
+transform ``u`` is not stored: a partition read back derives it from the
+seeded internal rotations on first use, bit-identical to the solved one.
 Metadata fields are checked by the types they build (`from_json`); this
 module checks the framing, the tensor entries and shapes, and the
 orthonormality of a basis.
@@ -48,15 +50,14 @@ from .errors import (
     UnsupportedDtypeError,
     is_int,
 )
-from .quantizer import QuantSpec
 from .solver import SubspacePartition
 
 TENSOR_MAGIC = b"CQT1"
 BUNDLE_MAGIC = b"CQB1"
 
-# a plan's quantizer specs, MixedPrecisionPlan.spec_<key>
-SPEC_KEYS = ("low", "high", "low_w", "high_w")
 ORTHO_TOL = 1e-8  # largest |V^T V - I| of a plan's basis
+# the fields of a plan entry that are the plan's, not its partition's
+_PLAN_FIELDS = ("group", "objective", "bits_low", "bits_high")
 
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 
@@ -79,18 +80,24 @@ _FILE_MODE = 0o666 & ~_process_umask()
 def atomic_write(path: str, *chunks) -> None:
     """Write the byte buffers `chunks` in order to a unique temp file beside
     `path`, then rename it over `path`. Concurrent writers never share a temp
-    file, and a failed write leaves no temp file behind."""
+    file, and a failed write leaves no temp file behind. An OSError names
+    `path`, not the temp file, and keeps its errno."""
     directory, base = os.path.split(path)
-    fd, tmp = tempfile.mkstemp(prefix=base + ".", suffix=".tmp", dir=directory or ".")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(prefix=base + ".", suffix=".tmp",
+                                   dir=directory or ".")
         with os.fdopen(fd, "wb") as f:
             os.fchmod(f.fileno(), _FILE_MODE)
             for chunk in chunks:
                 f.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+    except BaseException as e:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(e, OSError) and e.errno is not None:
+            raise OSError(e.errno, e.strerror, path) from e
         raise
 
 
@@ -261,9 +268,8 @@ def read_stats(path: str) -> list[CalibStats]:
 def write_plan(path: str, plans: list[MixedPrecisionPlan]) -> None:
     meta, tensors = [], []
     for i, plan in enumerate(plans):
-        # the partition's fields, beside the plan's group, objective and specs
+        # the partition's fields, beside the plan's group, objective and bits
         entry = plan.to_json()
-        entry["specs"] = {k: entry.pop(f"spec_{k}") for k in SPEC_KEYS}
         meta.append(entry.pop("partition") | entry)
         tensors.append((f"{i}.vectors", plan.partition.vectors))
         tensors.append((f"{i}.eigenvalues", plan.partition.eigenvalues))
@@ -280,24 +286,20 @@ def read_plan(path: str) -> list[MixedPrecisionPlan]:
         group = ProjectionGroup.from_json(p.get("group"), f"{where}.group")
         d = group.dim
         vectors = _tensor(tensors, f"{i}.vectors", (d, d), path)
-        resid = float(np.max(np.abs(vectors.T @ vectors - np.eye(d))))
+        # |V^T V - I| formed in the Gram's own buffer: no d x d temporaries
+        gram = vectors.T @ vectors
+        gram.flat[::d + 1] -= 1.0
+        resid = float(np.max(np.abs(gram, out=gram)))
         if not resid <= ORTHO_TOL:
             raise HeaderMismatchError(f"{where}: basis has "
                                       f"|V^T V - I|_max = {resid:.3e}")
-        # the entry's other fields are its partition's
+        # the entry's fields that are not the plan's are its partition's
+        own = {k: v for k, v in p.items() if k in _PLAN_FIELDS}
         part = SubspacePartition.from_json(
-            {k: v for k, v in p.items() if k not in ("group", "objective", "specs")},
-            where, vectors=vectors,
+            {k: v for k, v in p.items() if k not in own}, where, vectors=vectors,
             eigenvalues=_tensor(tensors, f"{i}.eigenvalues", (d,), path))
-        specs = p.get("specs")
-        if not (isinstance(specs, dict) and sorted(specs) == sorted(SPEC_KEYS)):
-            raise HeaderMismatchError(f"{where}: specs must be an object with "
-                                      f"keys {SPEC_KEYS}, got {specs!r}")
-        out.append(MixedPrecisionPlan.from_json(
-            {"objective": p.get("objective")}, where, partition=part, group=group,
-            **{f"spec_{k}": None if s is None
-               else QuantSpec.from_json(s, f"{where}.specs.{k}")
-               for k, s in specs.items()}))
+        out.append(MixedPrecisionPlan.from_json(own, where, partition=part,
+                                                group=group))
     return out
 
 

@@ -41,7 +41,7 @@ ROTATION = (lambda v: v in ROTATIONS, f"one of {ROTATIONS}")
 SEED = (lambda v: is_int(v, 0), "an int >= 0")
 
 
-def _rank(dim: int) -> tuple:
+def rank_rule(dim: int) -> tuple:
     """The rule of a rank in R^dim: both blocks of the partition non-empty."""
     return (lambda v: is_int(v, 1, dim), f"an int in [1, {dim})",
             DimensionMismatchError)
@@ -69,7 +69,7 @@ class SubspacePartition(Checked):
 
     def __post_init__(self):
         check_fields(self, (
-            ("rank", *_rank(self.dim)),
+            ("rank", *rank_rule(self.dim)),
             ("seed", *SEED),
             ("rotation", *ROTATION),
             ("lambda_x", is_real, "a finite number"),
@@ -160,7 +160,7 @@ def solve_partition(stats: CalibStats, rank: int, objective: str = OBJECTIVE_JOI
     """Closed-form solve: p_h spans the top-`rank` eigenvectors of the mixed
     covariance; internal rotations are deterministic in (seed, rotation)."""
     d = stats.group.dim
-    check("rank", rank, *_rank(d))
+    check("rank", rank, *rank_rule(d))
     lx, lw = lambda_weights(stats, gamma_low, objective)
     m = lx * stats.sigma_x + lw * stats.sigma_w
     if np.max(np.abs(m)) == 0.0:

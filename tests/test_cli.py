@@ -312,6 +312,21 @@ class TestSolve:
         assert run("solve", "--stats", stats, "--rank", "99",
                    "--out", str(workspace["tmp"] / "p.cqb")) == 2
 
+    def test_group_of_dim_1_exits_2_naming_rank(self, workspace, capsys):
+        # no rank splits R^1 in two: the default rank of 1 is out of range
+        shard = str(workspace["tmp"] / "x1d.cqt")
+        formats.write_tensor(shard, "x1d", np.ones((4, 1)))
+        cfg = {"groups": [{"name": "g", "kind": "attn-input", "dim": 1,
+                           "activations": [shard]}]}
+        cfg_path = workspace["tmp"] / "dim1.json"
+        cfg_path.write_text(json.dumps(cfg))
+        stats = str(workspace["tmp"] / "s1.cqb")
+        assert run("calibrate", "--config", str(cfg_path), "--out", stats) == 0
+        out = workspace["tmp"] / "p1.cqb"
+        assert run("solve", "--stats", stats, "--out", str(out)) == 2
+        assert "rank must be an int in [1, 1), got 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_matches_library(self, workspace):
@@ -326,18 +341,6 @@ class TestSimulate:
         plan = formats.read_plan(plan_path)[0]
         _, rep = execute_plan(workspace["x1_arr"], workspace["w_arr"], plan)
         assert row.exact_error == rep.exact_error
-
-    def test_bypass_near_zero_error(self, workspace):
-        stats = str(workspace["tmp"] / "stats.cqb")
-        plan_path = str(workspace["tmp"] / "plan.cqb")
-        report = str(workspace["tmp"] / "rep.jsonl")
-        run("calibrate", "--config", workspace["cfg"], "--out", stats)
-        run("solve", "--stats", stats, "--out", plan_path)
-        run("simulate", "--plan", plan_path, "--x", workspace["x1"],
-            "--w", workspace["w"], "--bypass", "--out", report)
-        row = formats.read_report(report)[0]
-        y = workspace["x1_arr"] @ workspace["w_arr"]
-        assert row.exact_error <= 1e-12 * np.sum(y**2)
 
 
 class TestAnalyze:
@@ -388,6 +391,14 @@ class TestAnalyze:
 
     def test_requires_inputs(self, tmp_path):
         assert run("analyze", "--out", str(tmp_path / "r.jsonl")) == 2
+
+    def test_rank_above_dim_exits_2_naming_rank(self, tmp_path, capsys):
+        spec = spec_file(tmp_path, aligned_spec(16, 32, 8, seed=0).to_json())
+        out = tmp_path / "r.jsonl"
+        assert run("analyze", "--synthetic", spec, "--rank", "20",
+                   "--out", str(out)) == 2
+        assert "rank must be an int in [1, 16), got 20" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def spec_file(tmp_path, obj) -> str:
@@ -473,7 +484,7 @@ class TestBitsOrder:
         assert run("solve", "--stats", stats, "--config", str(cfg), *flags,
                    "--out", str(out)) == 0
         plan = formats.read_plan(str(out))[0]
-        assert (plan.spec_low.bits, plan.spec_high.bits) == bits
+        assert (plan.bits_low, plan.bits_high) == bits
 
     def test_flag_at_fault_is_named_without_the_file(self, workspace, capsys, solves):
         stats = str(workspace["tmp"] / "stats.cqb")
@@ -552,6 +563,63 @@ class TestCompare:
         assert json.loads(out.read_text())["identical"]
 
 
+class TestEveryFlagIsRead:
+    """From a fixed baseline, changing any one flag a command takes changes
+    the bytes it writes."""
+
+    @pytest.fixture
+    def layer(self, tmp_path):
+        x, w = generate_instance(weight_anisotropic_spec(16, 64, 16, seed=1))
+        paths = {"x": str(tmp_path / "x.cqt"), "w": str(tmp_path / "w.cqt"),
+                 "cfg": str(tmp_path / "cfg.json"), "stats": str(tmp_path / "s.cqb")}
+        formats.write_tensor(paths["x"], "x", x)
+        formats.write_tensor(paths["w"], "w", w)
+        Path(paths["cfg"]).write_text(json.dumps({"groups": [
+            {"name": "g", "kind": "attn-input", "dim": 16,
+             "activations": [paths["x"]], "weights": [paths["w"]]}]}))
+        assert run("calibrate", "--config", paths["cfg"], "--out", paths["stats"]) == 0
+        # a config that sets one field away from its default
+        Path(paths["cfg"]).write_text(json.dumps({"bits_low": 3}))
+        return paths
+
+    FLAGS = {"--config": None, "--rank-ratio": "0.25", "--bits-low": "3",
+             "--bits-high": "6", "--seed": "5", "--rotation": "hadamard",
+             "--rank": "4"}
+
+    def outputs(self, tmp_path, layer, command, flags):
+        """The bytes `command` writes from the baseline, then with each flag."""
+        args = {"solve": ["--stats", layer["stats"]],
+                "analyze": ["--x", layer["x"], "--w", layer["w"]]}[command]
+        out = []
+        for i, (flag, value) in enumerate([(None, None), *flags.items()]):
+            path = tmp_path / f"{command}.{i}"
+            extra = [] if flag is None else [flag, value or layer["cfg"]]
+            assert run(command, *args, *extra, "--out", str(path)) == 0
+            out.append(path.read_bytes())
+        return out
+
+    def test_solve(self, tmp_path, layer):
+        flags = self.FLAGS | {"--objective": "weight"}
+        base, *changed = self.outputs(tmp_path, layer, "solve", flags)
+        assert [flag for flag, b in zip(flags, changed) if b == base] == []
+
+    def test_analyze(self, tmp_path, layer):
+        flags = self.FLAGS | {"--format": "csv"}
+        base, *changed = self.outputs(tmp_path, layer, "analyze", flags)
+        assert [flag for flag, b in zip(flags, changed) if b == base] == []
+
+    @pytest.mark.parametrize("command, flag", [
+        ("calibrate", ["--seed", "3"]), ("calibrate", ["--bits-low", "3"]),
+        ("analyze", ["--objective", "weight"]), ("simulate", ["--bypass"])])
+    def test_flags_nothing_reads_are_rejected(self, capsys, command, flag):
+        required = {"calibrate": ["--config", "c.json"], "analyze": [],
+                    "simulate": ["--plan", "p.cqb", "--x", "x.cqt", "--w", "w.cqt"]}
+        with pytest.raises(SystemExit) as e:
+            main([command, *required[command], "--out", "o", *flag])
+        assert e.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 class TestUsability:
     def test_help_exits_zero(self, capsys):
         for argv in (["--help"], ["solve", "--help"], ["analyze", "--help"]):
@@ -585,6 +653,12 @@ class TestUsability:
         Path(cfg_path).write_text(json.dumps({"quant": {"bits": 4}}))
         assert run("solve", "--stats", stats, "--config", cfg_path,
                    "--out", str(workspace["tmp"] / "p.cqb")) == 2
+
+    def test_unwritable_out_names_it_not_a_temp_file(self, workspace, capsys):
+        out = str(workspace["tmp"] / "missing_dir" / "s.cqb")
+        assert run("calibrate", "--config", workspace["cfg"], "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"No such file or directory: '{out}'" in err and ".tmp" not in err
 
     def test_bad_config_field_exits_2(self, workspace):
         cfg_path = str(workspace["tmp"] / "weird.json")

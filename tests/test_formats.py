@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -225,6 +224,14 @@ class TestCopyFree:
         assert traced_peak(formats.write_plan, str(tmp_path / "p.cqb"), [plan]) \
             < nbytes / 4
 
+    def test_read_plan(self, tmp_path, wide):
+        # the basis's float64 copy and one d x d Gram for its orthonormality
+        plan = build_plan(wide[0], 32, 4, 8)
+        nbytes = plan.partition.vectors.nbytes + plan.partition.eigenvalues.nbytes
+        path = str(tmp_path / "p.cqb")
+        formats.write_plan(path, [plan])
+        assert traced_peak(formats.read_plan, path) < 2.25 * nbytes
+
     def test_write_f32_tensor_converts_once(self, tmp_path, wide):
         sigma = wide[0].sigma_x
         assert traced_peak(formats.write_tensor, str(tmp_path / "t.cqt"), "s",
@@ -274,6 +281,12 @@ class TestAtomicWrite:
             formats.write_tensor(path, "t", np.zeros((2, 2)))
         assert os.listdir(tmp_path) == ["t.cqt"]
         assert read_raw(path) == before
+
+    def test_unwritable_path_is_named_not_its_temp_file(self, tmp_path):
+        path = str(tmp_path / "missing_dir" / "t.cqt")
+        with pytest.raises(FileNotFoundError) as e:
+            formats.write_tensor(path, "t", np.eye(2))
+        assert e.value.filename == path and ".tmp" not in str(e.value)
 
     def test_file_mode_as_open_creates_it(self, tmp_path):
         path = str(tmp_path / "t.cqt")
@@ -351,10 +364,6 @@ def _entry(**fields):
     return lambda header, key: header["meta"][key][0].update(fields)
 
 
-def _spec(name, **fields):
-    return lambda header, key: header["meta"][key][0]["specs"][name].update(fields)
-
-
 def _pop(field):
     return lambda header, key: header["meta"][key][0].pop(field)
 
@@ -370,8 +379,6 @@ MALFORMED_STATS_META = {
     "bool-tokens": _entry(tokens_seen=True),
 }
 MALFORMED_PLAN_META = {
-    "no-specs": _pop("specs"),
-    "specs-not-object": _entry(specs=[]),
     "no-rank": _pop("rank"),
     "string-rank": _entry(rank="3"),
     "float-rank": _entry(rank=2.0),
@@ -388,21 +395,13 @@ MALFORMED_PLAN_META = {
     "bool-lambda": _entry(lambda_w=True),
     "nan-lambda": _entry(lambda_x=float("nan")),
     "inf-lambda": _entry(lambda_w=float("-inf")),
-    "spec-missing": lambda header, key: header["meta"][key][0]["specs"].pop("high_w"),
-    "spec-list": lambda header, key: header["meta"][key][0]["specs"].update(
-        low=[4, False, "per-token"]),
-    "spec-string-bits": _spec("low", bits="4"),
-    "spec-bool-bits": _spec("high", bits=True),
-    "spec-bits-below-2": _spec("low_w", bits=1),
-    "spec-bits-above-16": _spec("high_w", bits=17),
-    "spec-no-bits": lambda header, key:
-        header["meta"][key][0]["specs"]["low"].pop("bits"),
-    "spec-string-symmetric": _spec("low", symmetric="no"),
-    "spec-unknown-granularity": _spec("low", granularity="per-row"),
-    "spec-head-dim-outside-per-head": _spec("low", head_dim=4),
-    "spec-per-head-without-head-dim": _spec("low", granularity="per-head"),
-    "spec-per-head-zero-head-dim": _spec("low", granularity="per-head", head_dim=0),
-    "spec-high-bits-below-low": _spec("high", bits=2),
+    "no-bits-low": _pop("bits_low"),
+    "no-bits-high": _pop("bits_high"),
+    "string-bits": _entry(bits_low="4"),
+    "bool-bits": _entry(bits_high=True),
+    "bits-below-2": _entry(bits_low=1),
+    "bits-above-16": _entry(bits_high=17),
+    "high-bits-below-low": _entry(bits_high=2),
 }
 
 
@@ -531,6 +530,26 @@ class TestPlanSchema:
         assert word in capsys.readouterr().err
         assert not out.exists()
 
+    def test_plan_with_quantizer_specs_exits_2_naming_them(self, tmp_path, capsys):
+        # the format of earlier versions: four quantizer specs, no bit-widths
+        x, w, x_path, w_path = plan_inputs(tmp_path)
+        path = str(tmp_path / "p.cqb")
+        formats.write_plan(path, [build_plan(stats_from_tensors(x, w), 2, 4, 8)])
+        spec = {"bits": 4, "symmetric": False, "granularity": "per-token",
+                "head_dim": None}
+
+        def parent_format(header, key):
+            entry = header["meta"][key][0]
+            del entry["bits_low"], entry["bits_high"]
+            entry["specs"] = dict.fromkeys(("low", "high", "low_w", "high_w"), spec)
+
+        edit_bundle_header(path, parent_format, "plans")
+        out = tmp_path / "r.jsonl"
+        assert main(["simulate", "--plan", path, "--x", x_path, "--w", w_path,
+                     "--out", str(out)]) == 2
+        assert "unknown field(s) ['specs']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stats_tensor_of_wrong_shape(self, tmp_path, capsys):
         path = str(tmp_path / "s.cqb")
         formats.write_stats(path, [layer_stats()])
@@ -600,7 +619,7 @@ class TestPlanBundle:
         formats.write_plan(path, [plan])
         loaded = formats.read_plan(path)[0]
         assert np.array_equal(loaded.partition.u, plan.partition.u)
-        assert loaded.spec_low == plan.spec_low
+        assert (loaded.bits_low, loaded.bits_high) == (plan.bits_low, plan.bits_high)
         assert loaded.objective == plan.objective
         assert loaded.partition.seed == plan.partition.seed
         assert loaded.partition.rotation == plan.partition.rotation
@@ -628,14 +647,12 @@ class TestReports:
         return [rep]
 
     def varied_reports(self):
-        """The three objectives' reports on one layer, and a full-precision
-        one, whose bits and relative reduction are null."""
+        """The three objectives' reports on one layer, and one at other
+        bit-widths whose relative reduction is null."""
         rng = np.random.default_rng(2)
         x, w = rng.standard_normal((16, 8)), rng.standard_normal((8, 4))
-        plan = build_plan(stats_from_tensors(x, w, name="g"), 2, 4, 8)
-        bypass = dataclasses.replace(plan, spec_low=None, spec_high=None,
-                                     spec_low_w=None, spec_high_w=None)
-        return analyze_layer(x, w, 2, 4, 8) + [measure_plan(x, w, bypass)]
+        plan = build_plan(stats_from_tensors(x, w, name="g"), 2, 3, 6)
+        return analyze_layer(x, w, 2, 4, 8) + [measure_plan(x, w, plan)]
 
     def test_jsonl_round_trip(self, tmp_path):
         path = str(tmp_path / "r.jsonl")

@@ -49,7 +49,7 @@ def checked_examples() -> dict:
     rng = np.random.default_rng(0)
     x, w = rng.standard_normal((32, 8)), rng.standard_normal((8, 6))
     stats = stats_from_tensors(x, w, name="g")
-    plan = dataclasses.replace(build_plan(stats, 2, 4, 8), spec_high=None)
+    plan = build_plan(stats, 2, 4, 6)
     values = (
         QuantSpec(bits=8, symmetric=False, granularity="per-head", head_dim=4),
         ProjectionGroup("mlp-input", 8, "g", member_shapes=((8, 6), (8, 2))),
