@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -63,6 +64,12 @@ def bit_widths(obj) -> tuple:
     return (("bits_low", *BITS), ("bits_high", *BITS),
             ("bits_low", lambda v: v <= obj.bits_high,
              f"at most bits_high ({obj.bits_high!r})"))
+
+
+def check_bit_widths(bits_low: int, bits_high: int) -> None:
+    """Check the `bit_widths` rules on a pair before any work is spent on it."""
+    pair = SimpleNamespace(bits_low=bits_low, bits_high=bits_high)
+    check_fields(pair, bit_widths(pair))
 
 
 @dataclass(frozen=True)
@@ -283,6 +290,7 @@ def build_plan(stats: CalibStats, rank: int, bits_low: int, bits_high: int,
     pair it with the two bit-widths."""
     d = stats.group.dim
     check("rank", rank, *rank_rule(d))
+    check_bit_widths(bits_low, bits_high)
     gamma_low = combined_error_coeff(bits_low, d - rank)
     partition = solve_partition(stats, rank, objective=objective,
                                 gamma_low=gamma_low, seed=seed, rotation=rotation)
@@ -332,6 +340,7 @@ def campaign(spec: SyntheticInstanceSpec, instances: int, rank: int,
     rotations. Returns one (joint, activation-only, weight-only) list per draw."""
     if instances < 1:
         raise ValueError(f"instances must be >= 1, got {instances}")
+    check_bit_widths(bits_low, bits_high)
     runs = []
     for k in range(instances):
         inst = replace(spec, seed=seed0 + k)

@@ -4,6 +4,7 @@ the analyze command, the demo scripts, and the test campaigns."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,9 @@ import numpy as np
 from .errors import MAX_BYTES, Checked, check_fields, is_int, is_real
 from .linalg import random_orthogonal
 from .solver import SEED
+
+# float64 bytes of one row block of X; each block draws from its own stream
+BLOCK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -59,17 +63,51 @@ def _plane_rotations(d: int, angle: float) -> np.ndarray:
     return g
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity
+        return os.cpu_count() or 1
+
+
 def generate_instance(spec: SyntheticInstanceSpec) -> tuple[np.ndarray, np.ndarray]:
     """Draw (X, W): X rows have covariance Q_a diag(act) Q_a^T; W columns have
     covariance Q_w diag(wt) Q_w^T with Q_w = Q_a rotated by the misalignment
-    angle, so the two principal bases diverge controllably."""
+    angle, so the two principal bases diverge controllably.
+
+    X is drawn in row blocks of BLOCK_BYTES, its only n x d array. Block 0
+    draws from the instance's stream, PCG64(seed), which then draws W; block
+    k >= 1 draws from child k - 1 of SeedSequence(seed). The blocks' normals
+    are drawn in parallel, one thread per CPU, and each block is then mixed
+    in place through one buffer; the bytes do not depend on the CPU count.
+    An instance that fits in one block is the single-stream draw."""
+    d, n = spec.d, spec.n
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    q_a = random_orthogonal(spec.d, spec.seed + 1)
-    q_w = q_a @ _plane_rotations(spec.d, spec.misalignment)
-    x = rng.standard_normal((spec.n, spec.d)) @ (
-        np.sqrt(np.asarray(spec.activation_spectrum)) [:, None] * q_a.T)
+    q_a = random_orthogonal(d, spec.seed + 1)
+    q_w = q_a @ _plane_rotations(d, spec.misalignment)
+    rows = BLOCK_BYTES // (8 * d)
+    starts = range(0, n, rows)
+    x = np.empty((n, d))
+    if len(starts) == 1:
+        rng.standard_normal(out=x)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        streams = [rng] + [np.random.Generator(np.random.PCG64(s)) for s in
+                           np.random.SeedSequence(spec.seed).spawn(len(starts) - 1)]
+        # mixing inside the threads would compete with BLAS's own threads
+        with ThreadPoolExecutor(min(_cpus(), len(starts))) as pool:
+            list(pool.map(lambda g, lo: g.standard_normal(out=x[lo:lo + rows]),
+                          streams, starts))
+    mix = np.sqrt(np.asarray(spec.activation_spectrum))[:, None] * q_a.T
+    buf = np.empty((min(rows, n), d))
+    for lo in starts:
+        block = buf[:min(rows, n - lo)]
+        np.matmul(x[lo:lo + rows], mix, out=block)
+        x[lo:lo + rows] = block
     w = q_w @ (np.sqrt(np.asarray(spec.weight_spectrum))[:, None]
-               * rng.standard_normal((spec.d, spec.m)))
+               * rng.standard_normal((d, spec.m)))
     return x, w
 
 

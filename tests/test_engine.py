@@ -369,6 +369,19 @@ def test_plan_bit_ordering_enforced():
         make_plan(x, w, bits_low=8, bits_high=4)
 
 
+@pytest.mark.parametrize("bits_low, bits_high", [(8, 4), (4, 17), (1, 8)])
+def test_bad_bit_widths_fail_before_any_work(monkeypatch, bits_low, bits_high):
+    calls = []
+    monkeypatch.setattr(engine, "solve_partition", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(engine, "generate_instance", lambda *a, **k: calls.append(a))
+    x, w = random_instance(8, 8, 4, seed=16)
+    with pytest.raises(ValueError, match="bits_"):
+        build_plan(stats_from_tensors(x, w), 2, bits_low, bits_high)
+    with pytest.raises(ValueError, match="bits_"):
+        engine.campaign(weight_anisotropic_spec(8, 16, 4, 0), 2, 2, bits_low, bits_high)
+    assert calls == []
+
+
 def test_plan_partition_must_have_the_group_dim():
     x, w = random_instance(16, 8, 4, seed=17)
     plan = make_plan(x, w)

@@ -1,9 +1,19 @@
+import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from subquant.synth import _plane_rotations
+from subquant import synth
+from subquant.linalg import random_orthogonal
+from subquant.synth import (
+    SyntheticInstanceSpec,
+    _plane_rotations,
+    generate_instance,
+    weight_anisotropic_spec,
+)
 
 
 def givens_product(d, angle):
@@ -23,3 +33,97 @@ def givens_product(d, angle):
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 16, 65])
 def test_plane_rotations_are_the_product_of_givens_rotations(d, angle):
     assert _plane_rotations(d, angle).tobytes() == givens_product(d, angle).tobytes()
+
+
+def single_stream(spec):
+    """The instance drawn from one stream: all of X's normals, then W's."""
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    q_a = random_orthogonal(spec.d, spec.seed + 1)
+    q_w = q_a @ _plane_rotations(spec.d, spec.misalignment)
+    x = rng.standard_normal((spec.n, spec.d)) @ (
+        np.sqrt(np.asarray(spec.activation_spectrum))[:, None] * q_a.T)
+    w = q_w @ (np.sqrt(np.asarray(spec.weight_spectrum))[:, None]
+               * rng.standard_normal((spec.d, spec.m)))
+    return x, w
+
+
+def spread_spec(d, n, m, seed, misalignment=0.3):
+    return SyntheticInstanceSpec(
+        d=d, n=n, m=m, activation_spectrum=tuple(4.0 / (1 + i) for i in range(d)),
+        weight_spectrum=tuple(1.0 + (i % 3) for i in range(d)),
+        misalignment=misalignment, seed=seed)
+
+
+ONE_BLOCK = synth.BLOCK_BYTES // (8 * 64)  # rows of one block at d = 64
+
+
+@pytest.mark.parametrize("spec", [
+    weight_anisotropic_spec(1, 1, 1, 0),
+    weight_anisotropic_spec(16, 64, 16, 1),
+    weight_anisotropic_spec(64, 256, 64, 5),
+    weight_anisotropic_spec(256, 1024, 768, 3),
+    spread_spec(7, 300, 5, 12),
+    spread_spec(64, ONE_BLOCK, 8, 9),  # exactly one block
+], ids=lambda s: f"d{s.d}-n{s.n}-m{s.m}-seed{s.seed}")
+def test_one_block_instance_is_the_single_stream_draw(spec):
+    for got, want in zip(generate_instance(spec), single_stream(spec)):
+        assert got.tobytes() == want.tobytes()
+
+
+ROWS = 20000  # with d = 8 and n = 65536: three blocks and a tail of 5536 rows
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    monkeypatch.setattr(synth, "BLOCK_BYTES", 8 * 8 * ROWS)
+    return spread_spec(8, 3 * ROWS + 5536, 6, 21)
+
+
+class TestRowBlocks:
+    def test_draws_are_repeatable(self, blocks):
+        first, second = generate_instance(blocks), generate_instance(blocks)
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_bytes_do_not_depend_on_the_pool(self, blocks, monkeypatch, workers):
+        default = generate_instance(blocks)
+        monkeypatch.setattr(synth, "_cpus", lambda: workers)
+        for a, b in zip(generate_instance(blocks), default):
+            assert a.tobytes() == b.tobytes()
+
+    def test_block_zero_and_w_come_from_the_instance_stream(self, blocks):
+        x, w = generate_instance(blocks)
+        head, head_w = single_stream(dataclasses.replace(blocks, n=ROWS))
+        assert x[:ROWS].tobytes() == head.tobytes()
+        assert w.tobytes() == head_w.tobytes()
+
+    def test_no_two_blocks_are_equal(self, blocks):
+        x, _ = generate_instance(blocks)
+        for i, j in itertools.combinations(range(0, blocks.n, ROWS), 2):
+            k = min(ROWS, blocks.n - j)
+            assert not np.any(np.all(x[i:i + k] == x[j:j + k], axis=1))
+
+    def test_sample_covariance_matches_the_spectrum(self, blocks):
+        x, _ = generate_instance(blocks)
+        q_a = random_orthogonal(blocks.d, blocks.seed + 1)
+        cov = q_a @ np.diag(blocks.activation_spectrum) @ q_a.T
+        # each entry of X^T X / n has standard error
+        # sqrt((cov_ii cov_jj + cov_ij^2) / n) for zero-mean normal rows;
+        # allow 6 of them, over the whole draw and over each full block
+        var = np.diag(cov)
+        se = np.sqrt(np.outer(var, var) + cov ** 2)
+        for lo, hi in ((0, blocks.n), (0, ROWS), (ROWS, 2 * ROWS), (2 * ROWS, 3 * ROWS)):
+            sample = x[lo:hi].T @ x[lo:hi] / (hi - lo)
+            assert np.all(np.abs(sample - cov) <= 6 * se / math.sqrt(hi - lo))
+
+    def test_x_is_the_only_n_by_d_array(self, monkeypatch):
+        monkeypatch.setattr(synth, "BLOCK_BYTES", 8 * 8 * 4096)
+        spec = spread_spec(8, 65536, 4, 3)
+        tracemalloc.start()
+        try:
+            x, _ = generate_instance(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * x.nbytes
