@@ -1,20 +1,17 @@
 #!/usr/bin/env python3
 """Objective ablation campaign over seeded synthetic instances.
 
-For each instance we select the high-precision subspace with the joint,
-activation-only, and weight-only objectives, simulate the mixed-precision
-matmul, and report win rates and mean relative error reduction of joint
-over the activation-only baseline.
+Maps a family preset and its sizes to `engine.campaign`, instances seeded
+0, 1, ..., and prints the family with `engine.summarize`'s summary: the
+campaign `subquant analyze --synthetic SPEC --sweep N` runs and summarizes.
 """
 
 import argparse
 import json
 import sys
 
-import numpy as np
-
 from subquant import formats
-from subquant.engine import campaign
+from subquant.engine import campaign, summarize
 from subquant.synth import aligned_spec, weight_anisotropic_spec
 
 FAMILIES = {"weight-anisotropic": weight_anisotropic_spec, "aligned": aligned_spec}
@@ -38,21 +35,10 @@ def main():
     spec = FAMILIES[args.family](args.dim, args.tokens, args.out_features, seed=0)
     runs = campaign(spec, args.instances, rank=args.rank,
                     bits_low=args.bits_low, bits_high=args.bits_high)
-    wins_act = sum(joint.exact_error <= act.exact_error for joint, act, _ in runs)
-    wins_wt = sum(joint.exact_error <= wt.exact_error for joint, _, wt in runs)
-    reductions = [joint.relative_reduction for joint, _, _ in runs]
-
     if args.report:
         formats.write_report(args.report, [rep for run in runs for rep in run])
-
-    print(json.dumps({
-        "family": args.family,
-        "instances": args.instances,
-        "win_rate_vs_activation": wins_act / args.instances,
-        "win_rate_vs_weight": wins_wt / args.instances,
-        "mean_relative_reduction": float(np.mean(reductions)),
-        "median_relative_reduction": float(np.median(reductions)),
-    }, indent=2, sort_keys=True))
+    print(json.dumps({"family": args.family, **summarize(runs)}, indent=2,
+                     sort_keys=True))
     return 0
 
 

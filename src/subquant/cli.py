@@ -12,8 +12,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from . import formats
 from .calib import (
     CalibStats,
@@ -21,7 +19,8 @@ from .calib import (
     accumulate_activations,
     attach_weights,
 )
-from .engine import analyze_layer, bit_widths, build_plan, campaign, measure_plan
+from .engine import (
+    analyze_layer, bit_widths, build_plan, campaign, measure_plan, summarize)
 from .errors import (
     Checked,
     FormatError,
@@ -73,7 +72,9 @@ class ConfigGroup(Checked):
         object.__setattr__(self, "group", ProjectionGroup(self.kind, self.dim, self.name))
         paths = (lambda v: isinstance(v, (list, tuple))
                  and all(isinstance(p, str) for p in v), "a list of file paths")
-        check_fields(self, (("activations", *paths), ("weights", *paths)))
+        # without activations Sigma_X is 0, and every objective is weight-only
+        check_fields(self, (("activations", *paths), ("weights", *paths),
+                            ("activations", len, f"non-empty for group {self.name!r}")))
         for key in ("activations", "weights"):
             object.__setattr__(self, key, tuple(getattr(self, key)))
 
@@ -81,35 +82,42 @@ class ConfigGroup(Checked):
 _FLAGS = ("rank_ratio", "bits_low", "bits_high", "objective", "seed", "rotation")
 
 
-def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
-    """The config file's fields, overridden by the command-line flags given.
+def load_config(path: str | None, args: argparse.Namespace, **defaults) -> RunConfig:
+    """The config file's fields over `defaults`, overridden by the flags given.
     The merged values are checked together; an error names the file unless
     the field at fault came from a flag."""
     flags = {k: getattr(args, k) for k in _FLAGS if getattr(args, k, None) is not None}
     if path is None:
-        return RunConfig(**flags)
+        return RunConfig(**defaults | flags)
     with open(path, "rb") as f:
         obj = formats.parse_json(f.read(), f"{path}: invalid JSON config")
     try:
-        return RunConfig.from_json(obj, path, **flags)
+        return RunConfig.from_json(defaults | obj if isinstance(obj, dict) else obj,
+                                   path, **flags)
     except FormatError as e:
         if getattr(e.__cause__, "field", None) in flags:
             raise e.__cause__ from None
         raise
 
 
-def default_rank(d: int, rank_ratio: float) -> int:
-    return max(1, int(d * rank_ratio))
+def rank_of(args, cfg: RunConfig, d: int) -> int:
+    """--rank if given, else the config's rank_ratio of d, at least 1."""
+    return args.rank if args.rank is not None else max(1, int(d * cfg.rank_ratio))
 
 
 def cmd_calibrate(args) -> int:
     cfg = load_config(args.config, args)
     if not cfg.groups:
         raise FormatError(f"{args.config}: config declares no groups")
+    groups = [ConfigGroup.from_json(entry, f"{args.config}: groups[{i}]")
+              for i, entry in enumerate(cfg.groups)]
+    names = [g.name for g in groups]
+    for name in names:
+        if names.count(name) > 1:
+            raise FormatError(f"{args.config}: two groups are named {name!r}")
     stats_list = []
-    for i, entry in enumerate(cfg.groups):
+    for i, g in enumerate(groups):
         where = f"{args.config}: groups[{i}]"
-        g = ConfigGroup.from_json(entry, where)
         stats = CalibStats.empty(g.group)
         for path in g.activations:
             try:
@@ -137,69 +145,49 @@ def cmd_calibrate(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config, args)
-    stats_list = formats.read_stats(args.stats)
-    plans = []
-    for stats in stats_list:
-        rank = args.rank if args.rank is not None else default_rank(
-            stats.group.dim, cfg.rank_ratio)
-        plans.append(build_plan(
-            stats, rank, cfg.bits_low, cfg.bits_high, objective=cfg.objective,
-            seed=cfg.seed, rotation=cfg.rotation))
+    plans = [build_plan(stats, rank_of(args, cfg, stats.group.dim), cfg.bits_low,
+                        cfg.bits_high, objective=cfg.objective, seed=cfg.seed,
+                        rotation=cfg.rotation)
+             for stats in formats.read_stats(args.stats)]
     formats.write_plan(args.out, plans)
     return 0
 
 
-def _select_plan(plans, group_name):
-    if group_name is None:
-        return plans[0]
-    for plan in plans:
-        if plan.group.name == group_name:
-            return plan
-    raise FormatError(f"no plan for group {group_name!r}")
-
-
 def cmd_simulate(args) -> int:
     plans = formats.read_plan(args.plan)
-    plan = _select_plan(plans, args.group)
+    if args.group is not None:
+        plans = [plan for plan in plans if plan.group.name == args.group]
+        if len(plans) != 1:
+            raise FormatError(f"{args.plan} holds {len(plans)} groups named "
+                              f"{args.group!r}, not one")
     x = formats.read_tensor(args.x)
     w = formats.read_tensor(args.w)
-    formats.write_report(args.out, [measure_plan(x, w, plan)], fmt=args.format)
+    formats.write_report(args.out, [measure_plan(x, w, plans[0])], fmt=args.format)
     return 0
 
 
 def cmd_analyze(args) -> int:
-    cfg = load_config(args.config, args)
+    if args.synthetic is not None and (args.x is not None or args.w is not None):
+        raise FormatError("analyze takes --synthetic or --x and --w, not both")
+    if args.synthetic is None and (args.x is None or args.w is None or args.sweep):
+        raise FormatError("analyze needs either --synthetic or both --x and --w "
+                          "(--sweep needs --synthetic)")
     if args.synthetic is not None:
         with open(args.synthetic, "rb") as f:
             obj = formats.parse_json(f.read(), f"{args.synthetic}: invalid JSON spec")
         spec = SyntheticInstanceSpec.from_json(obj, args.synthetic)
-        d = spec.d
-    elif args.x is not None and args.w is not None and not args.sweep:
+        # draw k is seeded run_seed + k: --seed, else the config's, else the spec's
+        cfg = load_config(args.config, args, seed=spec.seed)
+        runs = campaign(spec, args.sweep or 1, rank_of(args, cfg, spec.d), cfg.bits_low,
+                        cfg.bits_high, seed0=cfg.seed, rotation=cfg.rotation)
+    else:
+        cfg = load_config(args.config, args)
         x = formats.read_tensor(args.x)
         w = formats.read_tensor(args.w)
-        d = x.shape[1]
-    else:
-        raise FormatError("analyze needs either --synthetic or both --x and --w "
-                          "(--sweep needs --synthetic)")
-    rank = args.rank if args.rank is not None else default_rank(d, cfg.rank_ratio)
-
-    if args.sweep:
-        runs = campaign(spec, args.sweep, rank, cfg.bits_low, cfg.bits_high,
-                        seed0=cfg.seed, rotation=cfg.rotation)
-        summary = {"instances": args.sweep,
-                   "win_rate": float(np.mean([j.exact_error <= a.exact_error
-                                              for j, a, _ in runs])),
-                   "mean_relative_reduction": float(np.mean(
-                       [j.relative_reduction for j, _, _ in runs]))}
-        print(json.dumps(summary, sort_keys=True))
-    elif args.synthetic is not None:
-        runs = campaign(spec, 1, rank, cfg.bits_low, cfg.bits_high,
-                        seed0=spec.seed, rotation=cfg.rotation)
-    else:
-        runs = [analyze_layer(x, w, rank, cfg.bits_low, cfg.bits_high,
-                              seed=cfg.seed, rotation=cfg.rotation)]
-    formats.write_report(args.out, [rep for run in runs for rep in run],
-                         fmt=args.format)
+        runs = [analyze_layer(x, w, rank_of(args, cfg, x.shape[1]), cfg.bits_low,
+                              cfg.bits_high, seed=cfg.seed, rotation=cfg.rotation)]
+    formats.write_report(args.out, [rep for run in runs for rep in run], fmt=args.format)
+    print(json.dumps(summarize(runs), sort_keys=True))
     return 0
 
 
@@ -276,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", default=None)
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--sweep", type=int, default=0,
-                   help="run N seeded draws of the --synthetic spec (seeds "
-                        "--seed, --seed + 1, ...) and print a summary row")
+                   help="run N draws of the --synthetic spec, seeded S, S + 1, "
+                        "...; S is --seed, else the config's seed, else the spec's")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_analyze)
@@ -296,12 +284,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NoConvergenceError, NoSignalError, ScaleRangeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except (SubquantError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        numerical = (NoConvergenceError, NoSignalError, ScaleRangeError)
+        return 1 if isinstance(e, numerical) else 2
 
 
 if __name__ == "__main__":

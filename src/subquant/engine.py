@@ -348,3 +348,17 @@ def campaign(spec: SyntheticInstanceSpec, instances: int, rank: int,
         runs.append(analyze_layer(x, w, rank, bits_low, bits_high,
                                   seed=inst.seed, rotation=rotation))
     return runs
+
+
+def summarize(runs: list[list[ErrorReport]]) -> dict:
+    """The summary of `campaign`'s runs: their count, the share in which
+    joint's error is at most each baseline's, and the mean and median of
+    joint's relative reduction."""
+    joint, act, weight = zip(*runs)
+    reductions = [j.relative_reduction for j in joint]
+    wins = lambda base: float(np.mean([j.exact_error <= b.exact_error
+                                       for j, b in zip(joint, base)]))
+    return {"instances": len(runs), "win_rate_vs_activation": wins(act),
+            "win_rate_vs_weight": wins(weight),
+            "mean_relative_reduction": float(np.mean(reductions)),
+            "median_relative_reduction": float(np.median(reductions))}

@@ -10,7 +10,8 @@ import pytest
 from subquant import calib, cli, engine, formats, solver
 from subquant.calib import CalibStats, ProjectionGroup, accumulate_activations
 from subquant.cli import main
-from subquant.engine import analyze_layer, build_plan, execute_plan, stats_from_tensors
+from subquant.engine import (
+    analyze_layer, build_plan, execute_plan, stats_from_tensors, summarize)
 from subquant.synth import aligned_spec, generate_instance, weight_anisotropic_spec
 
 
@@ -73,6 +74,39 @@ class TestCalibrate:
         Path(cfg_path).write_text(json.dumps(cfg))
         assert run("calibrate", "--config", cfg_path,
                    "--out", str(workspace["tmp"] / "s.cqb")) == 2
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = []
+        for name in ("map_tensor", "read_tensor"):
+            read = getattr(formats, name)
+            monkeypatch.setattr(formats, name,
+                                lambda path, read=read: calls.append(path) or read(path))
+        return calls
+
+    # a second group after the workspace's valid one, and what the error names
+    SECOND_GROUPS = {
+        "no-activations": ({"name": "g1", "activations": []},
+                           "activations must be non-empty for group 'g1'"),
+        "activations-left-out": ({"name": "g1", "activations": None},
+                                 "activations must be non-empty for group 'g1'"),
+        "same-name": ({}, "two groups are named 'g0'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SECOND_GROUPS))
+    def test_bad_second_group_exits_2_before_any_read(self, workspace, capsys,
+                                                      reads, case):
+        edit, message = self.SECOND_GROUPS[case]
+        second = {k: v for k, v in (workspace["cfg_obj"]["groups"][0] | edit).items()
+                  if v is not None}
+        cfg = workspace["cfg_obj"] | {"groups": [workspace["cfg_obj"]["groups"][0],
+                                                 second]}
+        cfg_path = workspace["tmp"] / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = workspace["tmp"] / "s.cqb"
+        assert run("calibrate", "--config", str(cfg_path), "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert reads == [] and not out.exists()
 
 
 def calibrate_config(workspace, shard, name="shard.json") -> str:
@@ -342,6 +376,19 @@ class TestSimulate:
         _, rep = execute_plan(workspace["x1_arr"], workspace["w_arr"], plan)
         assert row.exact_error == rep.exact_error
 
+    def test_group_named_twice_in_the_plan_exits_2(self, workspace, capsys):
+        stats = stats_from_tensors(workspace["x1_arr"], workspace["w_arr"], name="g")
+        plan_path = str(workspace["tmp"] / "plan.cqb")
+        formats.write_plan(plan_path, [build_plan(stats, 2, 4, 8, seed=s) for s in (1, 2)])
+        out = workspace["tmp"] / "rep.jsonl"
+        for group, count in (("g", 2), ("h", 0)):
+            assert run("simulate", "--plan", plan_path, "--group", group,
+                       "--x", workspace["x1"], "--w", workspace["w"],
+                       "--out", str(out)) == 2
+            assert (f"{plan_path} holds {count} groups named {group!r}, not one"
+                    in capsys.readouterr().err)
+            assert not out.exists()
+
 
 class TestAnalyze:
     def test_synthetic_weight_dominant(self, tmp_path):
@@ -363,9 +410,12 @@ class TestAnalyze:
         assert run("analyze", "--synthetic", spec_path, "--rank", "2",
                    "--sweep", "5", "--out", report) == 0
         summary = json.loads(capsys.readouterr().out)
+        rows = formats.read_report(report)
+        assert len(rows) == 15
+        assert summary == summarize([rows[k:k + 3] for k in range(0, 15, 3)])
         assert summary["instances"] == 5
-        assert 0.0 <= summary["win_rate"] <= 1.0
-        assert len(formats.read_report(report)) == 15
+        assert 0.0 <= summary["win_rate_vs_activation"] <= 1.0
+        assert 0.0 <= summary["win_rate_vs_weight"] <= 1.0
 
     def test_sweep_draws_from_synthetic_spec(self, tmp_path):
         spec = aligned_spec(16, 64, 8, seed=0)
@@ -391,6 +441,58 @@ class TestAnalyze:
 
     def test_requires_inputs(self, tmp_path):
         assert run("analyze", "--out", str(tmp_path / "r.jsonl")) == 2
+
+    @pytest.mark.parametrize("tensors", [["--x"], ["--w"], ["--x", "--w"]])
+    def test_synthetic_and_tensors_exit_2_naming_both(self, workspace, capsys,
+                                                      tensors):
+        spec = spec_file(workspace["tmp"], aligned_spec(8, 16, 4, seed=0).to_json())
+        out = workspace["tmp"] / "r.jsonl"
+        paths = {"--x": workspace["x1"], "--w": workspace["w"]}
+        given = [a for flag in tensors for a in (flag, paths[flag])]
+        assert run("analyze", "--synthetic", spec, *given, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "--synthetic or --x and --w, not both" in err
+        assert not out.exists()
+
+    # spec seed 11; (config file, flags) -> the seed of draw 0
+    SEED_RULE = {
+        "spec": (None, [], 11),
+        "config-without-seed": ({"bits_low": 4}, [], 11),
+        "config": ({"seed": 7}, [], 7),
+        "flag": (None, ["--seed", "5"], 5),
+        "flag-over-config": ({"seed": 7}, ["--seed", "5"], 5),
+    }
+
+    @pytest.mark.parametrize("sweep", [None, 3])
+    @pytest.mark.parametrize("case", sorted(SEED_RULE))
+    def test_draw_k_is_seeded_run_seed_plus_k(self, tmp_path, case, sweep):
+        cfg, flags, run_seed = self.SEED_RULE[case]
+        spec = aligned_spec(8, 24, 4, seed=11)
+        argv = ["--synthetic", spec_file(tmp_path, spec.to_json()), "--rank", "2"]
+        if cfg is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        if sweep is not None:
+            argv += ["--sweep", str(sweep)]
+        report = str(tmp_path / "rep.jsonl")
+        assert run("analyze", *argv, *flags, "--out", report) == 0
+        rows = formats.read_report(report)
+        assert len(rows) == 3 * (sweep or 1)
+        for k in range(sweep or 1):
+            seed = run_seed + k
+            x, w = generate_instance(dataclasses.replace(spec, seed=seed))
+            assert rows[3 * k:3 * k + 3] == analyze_layer(x, w, 2, 4, 8, seed=seed)
+
+    def test_sweep_1_is_no_sweep(self, tmp_path, capsys):
+        spec = spec_file(tmp_path, weight_anisotropic_spec(16, 64, 8, seed=3).to_json())
+        outputs = []
+        for i, sweep in enumerate([[], ["--sweep", "1"]]):
+            report = tmp_path / f"rep{i}.jsonl"
+            assert run("analyze", "--synthetic", spec, "--rank", "2", *sweep,
+                       "--out", str(report)) == 0
+            outputs.append((report.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][1])["instances"] == 1
 
     def test_rank_above_dim_exits_2_naming_rank(self, tmp_path, capsys):
         spec = spec_file(tmp_path, aligned_spec(16, 32, 8, seed=0).to_json())

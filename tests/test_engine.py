@@ -8,6 +8,7 @@ from reference import execute_plan_reference
 from subquant import engine, solver
 from subquant.calib import ProjectionGroup
 from subquant.engine import (
+    ErrorReport,
     analyze_layer,
     build_plan,
     execute_plan,
@@ -24,7 +25,7 @@ from subquant.quantizer import (
     QuantResult,
     QuantSpec,
 )
-from subquant.solver import solve_partition
+from subquant.solver import OBJECTIVES, solve_partition
 from subquant.synth import aligned_spec, generate_instance, weight_anisotropic_spec
 
 
@@ -305,6 +306,24 @@ class TestAnalyzeLayer:
                                           bits_high=8, seed=k)
             wins += joint.exact_error <= act.exact_error
         assert wins >= 18
+
+    def test_summarize(self):
+        # joint's error against (activation, weight): two wins of three and
+        # one of three; joint's relative reductions 0.5, 0.0 and -0.25
+        def run(joint, act, weight):
+            return [ErrorReport(group="g", objective=o, exact_error=e,
+                                predicted_error=0.0,
+                                relative_reduction=1.0 - e / act,
+                                energy_x_low=0.0, energy_x_high=0.0,
+                                energy_w_low=0.0, energy_w_high=0.0,
+                                bits_low=4, bits_high=8, rank=1, seed=0)
+                    for o, e in zip(OBJECTIVES, (joint, act, weight))]
+
+        runs = [run(1.0, 2.0, 0.5), run(2.0, 2.0, 1.0), run(5.0, 4.0, 6.0)]
+        assert engine.summarize(runs) == {
+            "instances": 3, "win_rate_vs_activation": 2 / 3,
+            "win_rate_vs_weight": 1 / 3, "mean_relative_reduction": 0.25 / 3,
+            "median_relative_reduction": 0.0}
 
     def test_each_rotation_is_computed_once_per_call(self, rotation_calls):
         x, w = random_instance(32, 16, 8, seed=9)
