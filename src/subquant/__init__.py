@@ -32,7 +32,6 @@ from .linalg import (
 )
 from .quantizer import (
     QuantResult,
-    QuantSpec,
     combined_error_coeff,
     quantize,
     relative_error_coeff,
@@ -54,7 +53,7 @@ __all__ = [
     "analyze_layer", "build_plan", "campaign", "execute_plan", "measure_plan",
     "predict_error", "stats_from_tensors", "EigenResult", "frobenius_sq",
     "gram_input", "gram_weight", "hadamard", "random_orthogonal", "sym_eig",
-    "QuantResult", "QuantSpec", "combined_error_coeff", "quantize",
+    "QuantResult", "combined_error_coeff", "quantize",
     "relative_error_coeff", "SubspacePartition", "full_objective",
     "lambda_weights", "solve_partition", "surrogate_objective",
     "SyntheticInstanceSpec", "generate_instance",

@@ -30,22 +30,13 @@ class ProjectionGroup(Checked):
     kind: str
     dim: int
     name: str = ""
-    member_shapes: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         check_fields(self, (
             ("kind", lambda v: v in GROUP_KINDS, f"one of {GROUP_KINDS}"),
             ("dim", lambda v: is_int(v, 1), "an int >= 1"),
             ("name", lambda v: isinstance(v, str), "a string"),
-            ("member_shapes", lambda v: isinstance(v, (list, tuple)) and all(
-                isinstance(s, (list, tuple)) and len(s) == 2
-                and all(is_int(n, 1) for n in s) for s in v),
-             "a list of [rows, cols] shapes of ints >= 1"),
-            ("member_shapes", lambda v: all(s[0] == self.dim for s in v),
-             f"shapes of {self.dim} rows", DimensionMismatchError),
         ))
-        object.__setattr__(self, "member_shapes",
-                           tuple(tuple(s) for s in self.member_shapes))
 
 
 @dataclass(frozen=True)

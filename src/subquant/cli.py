@@ -72,9 +72,11 @@ class ConfigGroup(Checked):
         object.__setattr__(self, "group", ProjectionGroup(self.kind, self.dim, self.name))
         paths = (lambda v: isinstance(v, (list, tuple))
                  and all(isinstance(p, str) for p in v), "a list of file paths")
-        # without activations Sigma_X is 0, and every objective is weight-only
+        # without activations Sigma_X is 0, and every objective is weight-only;
+        # without weights Sigma_W is 0, and every objective is activation-only
         check_fields(self, (("activations", *paths), ("weights", *paths),
-                            ("activations", len, f"non-empty for group {self.name!r}")))
+                            ("activations", len, f"non-empty for group {self.name!r}"),
+                            ("weights", len, f"non-empty for group {self.name!r}")))
         for key in ("activations", "weights"):
             object.__setattr__(self, key, tuple(getattr(self, key)))
 
@@ -136,9 +138,7 @@ def cmd_calibrate(args) -> int:
             except OSError as e:
                 raise FormatError(
                     f"{where} (group {g.name!r}): weight file {path}: {e}") from e
-        if weights:
-            stats = attach_weights(stats, weights)
-        stats_list.append(stats)
+        stats_list.append(attach_weights(stats, weights))
     formats.write_stats(args.out, stats_list)
     return 0
 

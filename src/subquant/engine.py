@@ -29,14 +29,7 @@ from .errors import (
     is_real,
 )
 from .linalg import as_matrix
-from .quantizer import (
-    BITS,
-    PER_CHANNEL,
-    PER_TOKEN,
-    QuantSpec,
-    combined_error_coeff,
-    quantize,
-)
+from .quantizer import BITS, combined_error_coeff, quantize
 from .solver import (
     OBJECTIVE_ACTIVATION,
     OBJECTIVE_JOINT,
@@ -76,8 +69,8 @@ def check_bit_widths(bits_low: int, bits_high: int) -> None:
 class MixedPrecisionPlan(Checked):
     """Executable recipe: a subspace partition and the bit-widths of its two
     blocks. Within a block, activations and weights share the bit-width, in
-    the one scheme the error model covers: activations per-token asymmetric,
-    weights per-channel symmetric. The four quantizers derive from that."""
+    the one scheme the error model covers: activations asymmetric with one
+    group per token, weights symmetric with one group per output channel."""
 
     partition: SubspacePartition
     bits_low: int
@@ -90,11 +83,6 @@ class MixedPrecisionPlan(Checked):
         check("partition", self.partition.dim, lambda v: v == dim,
               f"of the group's dim ({dim})", DimensionMismatchError)
         check_fields(self, bit_widths(self) + (("objective", *OBJECTIVE),))
-
-    spec_low = property(lambda self: QuantSpec(self.bits_low, False, PER_TOKEN))
-    spec_high = property(lambda self: QuantSpec(self.bits_high, False, PER_TOKEN))
-    spec_low_w = property(lambda self: QuantSpec(self.bits_low, True, PER_CHANNEL))
-    spec_high_w = property(lambda self: QuantSpec(self.bits_high, True, PER_CHANNEL))
 
 
 @dataclass(frozen=True)
@@ -148,9 +136,11 @@ def _quantized(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
     """Rotate (X, W) to A = X u and B = u^T W, then quantize each block of
     A and B in place, giving A_hat and B_hat.
 
+    A row of A is a token, quantized asymmetrically; a row of B^T, a
+    transposed view of B, is an output channel, quantized symmetrically.
     Returns L, R and the block energies ((x_low, x_high), (w_low, w_high))
     of A and B. L is column-major, so each column block is contiguous and
-    each per-token group reduces across contiguous columns. With `errors`,
+    each token reduces across contiguous columns. With `errors`,
     L = [dA | A_hat] (n x 2d) and R = [B_hat; dB] (2d x m) also hold the
     quantization errors dA = A - A_hat and dB = B - B_hat; without, L = A_hat
     and R = B_hat."""
@@ -164,16 +154,15 @@ def _quantized(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
     np.matmul(u.T, w, out=b)
     ex = np.einsum("ij,ij->j", a, a)
     ew = np.einsum("ij,ij->i", b, b)
-    da, db = (l[:, :d], r[d:]) if errors else (None, None)
-    for mat, err, index, spec in ((a, da, np.s_[:, :k], plan.spec_low),
-                                  (a, da, np.s_[:, k:], plan.spec_high),
-                                  (b, db, np.s_[:k], plan.spec_low_w),
-                                  (b, db, np.s_[k:], plan.spec_high_w)):
-        block = mat[index]
-        q = quantize(block, spec).dequantized
-        if errors:
-            np.subtract(block, q, out=err[index])
-        block[...] = q
+    da, dbt = (l[:, :d], r[d:].T) if errors else (None, None)
+    for mat, err, symmetric in ((a, da, False), (b.T, dbt, True)):
+        for cols, bits in ((np.s_[:, :k], plan.bits_low),
+                           (np.s_[:, k:], plan.bits_high)):
+            block = mat[cols]
+            q = quantize(block, bits, symmetric).dequantized
+            if errors:
+                np.subtract(block, q, out=err[cols])
+            block[...] = q
     energies = ((float(ex[:k].sum()), float(ex[k:].sum())),
                 (float(ew[:k].sum()), float(ew[k:].sum())))
     return l, r, energies

@@ -1,6 +1,8 @@
-"""Simulated uniform quantization (quantize-dequantize) with per-tensor,
-per-token, per-channel and per-head granularities, plus the analytic
-relative-error coefficients used by the error model.
+"""Simulated uniform quantization (quantize-dequantize) of each row of a
+matrix as one group, plus the analytic relative-error coefficients used by
+the error model. A caller picks the groups by the rows it passes: the rows
+of X u are tokens, and those of (u^T W)^T, a transposed view, are output
+channels.
 
 Conventions, fixed for reproducibility:
   - symmetric grid is the restricted range +/-(2^(N-1)-1) with zero-point 0
@@ -20,43 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    Checked,
-    DimensionMismatchError,
-    ScaleRangeError,
-    check_fields,
-    is_int,
-)
-
-PER_TENSOR = "per-tensor"
-PER_TOKEN = "per-token"
-PER_CHANNEL = "per-channel"
-PER_HEAD = "per-head"
-GRANULARITIES = (PER_TENSOR, PER_TOKEN, PER_CHANNEL, PER_HEAD)
-
+from .errors import DimensionMismatchError, ScaleRangeError, check, is_int
 
 # the bit-width rule, shared by every bits field
 BITS = (lambda v: is_int(v, 2, 17), "an int in [2, 16]")
-
-
-@dataclass(frozen=True)
-class QuantSpec(Checked):
-    """Bit-width, symmetry and grouping of one quantizer."""
-
-    bits: int
-    symmetric: bool
-    granularity: str
-    head_dim: int | None = None
-
-    def __post_init__(self):
-        check_fields(self, (
-            ("bits", *BITS),
-            ("symmetric", lambda v: type(v) is bool, "true or false"),
-            ("granularity", lambda v: v in GRANULARITIES, f"one of {GRANULARITIES}"),
-            ("head_dim", lambda v: is_int(v, 1), "an int >= 1")
-            if self.granularity == PER_HEAD else
-            ("head_dim", lambda v: v is None, "absent outside per-head granularity"),
-        ))
 
 
 @dataclass(frozen=True)
@@ -64,37 +33,6 @@ class QuantResult:
     dequantized: np.ndarray
     scales: np.ndarray
     zero_points: np.ndarray
-
-
-def _to_groups(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
-    """View the matrix as (groups, group_size)."""
-    rows, cols = x.shape
-    if spec.granularity == PER_TENSOR:
-        return x.reshape(1, rows * cols)
-    if spec.granularity == PER_TOKEN:
-        return x.reshape(rows, cols)
-    if spec.granularity == PER_CHANNEL:
-        return x.T.reshape(cols, rows)
-    # per-head: contiguous blocks of head_dim columns, one group per block
-    hd = spec.head_dim
-    if cols % hd != 0:
-        raise DimensionMismatchError(
-            f"head_dim {hd} does not divide column count {cols}")
-    heads = cols // hd
-    return x.reshape(rows, heads, hd).transpose(1, 0, 2).reshape(heads, rows * hd)
-
-
-def _from_groups(g: np.ndarray, shape: tuple[int, int], spec: QuantSpec) -> np.ndarray:
-    rows, cols = shape
-    if spec.granularity == PER_TENSOR:
-        return g.reshape(rows, cols)
-    if spec.granularity == PER_TOKEN:
-        return g.reshape(rows, cols)
-    if spec.granularity == PER_CHANNEL:
-        return g.reshape(cols, rows).T
-    hd = spec.head_dim
-    heads = cols // hd
-    return g.reshape(heads, rows, hd).transpose(1, 0, 2).reshape(rows, cols)
 
 
 def _check_finite(*extremes: np.ndarray) -> None:
@@ -116,25 +54,27 @@ def _checked_scale(span: np.ndarray, qmax: float) -> np.ndarray:
     return s
 
 
-def quantize(x: np.ndarray, spec: QuantSpec) -> QuantResult:
-    """Group-wise round-to-nearest quantize-dequantize simulation.
+def quantize(x: np.ndarray, bits: int, symmetric: bool) -> QuantResult:
+    """Round-to-nearest quantize-dequantize of each row of `x` as one group,
+    giving one scale and zero-point per row.
 
-    One group-shaped buffer holds the quantized level q, then, in place, the
+    One buffer of x's shape holds the quantized level q, then, in place, the
     dequantized value q*s (+z) and the extreme-level snaps; the arithmetic is
     step for step that of `tests/reference.py`, so results match it bit for bit.
-    `x` is read in its own memory order and validated through its per-group
-    extremes, so it is not scanned a second time."""
+    `x` may be a view in either memory order, a transposed one included: it
+    is read in place and validated through its per-row extremes, so it is not
+    scanned a second time."""
+    check("bits", bits, *BITS)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionMismatchError(f"x must be 2-d, got shape {x.shape}")
-    g = _to_groups(x, spec)
-    if spec.symmetric:
-        qmax = float(2 ** (spec.bits - 1) - 1)
-        t = np.abs(g)
+    if symmetric:
+        qmax = float(2 ** (bits - 1) - 1)
+        t = np.abs(x)
         amax = np.max(t, axis=1, keepdims=True)
         _check_finite(amax)
         s = _checked_scale(amax, qmax)
-        np.divide(g, s, out=t)
+        np.divide(x, s, out=t)
         # round half away from zero, clipped: copysign(min(floor(|t|+.5), qmax), t)
         q = np.abs(t)
         q += 0.5
@@ -149,15 +89,15 @@ def quantize(x: np.ndarray, spec: QuantSpec) -> QuantResult:
         np.copyto(q, -amax, where=bottom)
         zps = np.zeros(len(s))
     else:
-        qmax = float(2**spec.bits - 1)
-        mn = np.min(g, axis=1, keepdims=True)
-        mx = np.max(g, axis=1, keepdims=True)
+        qmax = float(2**bits - 1)
+        mn = np.min(x, axis=1, keepdims=True)
+        mx = np.max(x, axis=1, keepdims=True)
         _check_finite(mn, mx)
         with np.errstate(over="ignore"):  # reported by _checked_scale
             span = mx - mn
         s = _checked_scale(span, qmax)
-        # (g - z)/s >= 0 with z = min, so rounding half away is floor(t + .5)
-        q = g - mn
+        # (x - z)/s >= 0 with z = min, so rounding half away is floor(t + .5)
+        q = x - mn
         q /= s
         q += 0.5
         np.floor(q, out=q)
@@ -168,11 +108,7 @@ def quantize(x: np.ndarray, spec: QuantSpec) -> QuantResult:
         np.copyto(q, mn, where=bottom)
         np.copyto(q, mx, where=top)
         zps = mn[:, 0].copy()
-    return QuantResult(
-        dequantized=_from_groups(q, x.shape, spec),
-        scales=s[:, 0].copy(),
-        zero_points=zps,
-    )
+    return QuantResult(dequantized=q, scales=s[:, 0].copy(), zero_points=zps)
 
 
 def relative_error_coeff(bits: int) -> float:

@@ -10,8 +10,6 @@ import math
 
 import numpy as np
 
-from subquant.quantizer import QuantSpec
-
 
 def _round_half_away(t: float) -> float:
     return math.copysign(math.floor(abs(t) + 0.5), t)
@@ -49,29 +47,19 @@ def _quantize_group(values, bits, symmetric):
     return out, s, z
 
 
-def _groups(shape, spec):
-    """Index groups as lists of (row, col) tuples, matching the library's
-    grouping definitions."""
+def _groups(shape):
+    """Index groups as lists of (row, col) tuples: each row is a group."""
     rows, cols = shape
-    if spec.granularity == "per-tensor":
-        return [[(i, j) for i in range(rows) for j in range(cols)]]
-    if spec.granularity == "per-token":
-        return [[(i, j) for j in range(cols)] for i in range(rows)]
-    if spec.granularity == "per-channel":
-        return [[(i, j) for i in range(rows)] for j in range(cols)]
-    hd = spec.head_dim
-    heads = cols // hd
-    return [[(i, h * hd + j) for i in range(rows) for j in range(hd)]
-            for h in range(heads)]
+    return [[(i, j) for j in range(cols)] for i in range(rows)]
 
 
-def quantize_reference(x: np.ndarray, spec: QuantSpec):
+def quantize_reference(x: np.ndarray, bits: int, symmetric: bool):
     """Element-wise reference quantizer; must agree with the library bit-for-bit."""
     out = np.empty_like(x, dtype=np.float64)
     scales, zps = [], []
-    for idx in _groups(x.shape, spec):
+    for idx in _groups(x.shape):
         vals = [float(x[i, j]) for i, j in idx]
-        deq, s, z = _quantize_group(vals, spec.bits, spec.symmetric)
+        deq, s, z = _quantize_group(vals, bits, symmetric)
         for (i, j), v in zip(idx, deq):
             out[i, j] = v
         scales.append(s)
@@ -79,16 +67,17 @@ def quantize_reference(x: np.ndarray, spec: QuantSpec):
     return out, np.array(scales), np.array(zps)
 
 
-def execute_plan_reference(x, w, plan):
-    """Naive mixed-precision matmul built from the reference quantizer."""
+def execute_plan_reference(x, w, plan, quantize=None):
+    """Naive mixed-precision matmul built from the reference quantizer, or
+    from `quantize(m, bits, symmetric)`, which returns m dequantized. As in
+    the plan's scheme, the rows of A = X u (tokens) are quantized
+    asymmetrically and those of B^T = (u^T W)^T (output channels)
+    symmetrically."""
+    q = quantize or (lambda m, *args: quantize_reference(m, *args)[0])
     u = plan.partition.u
     d, r = u.shape[0], plan.partition.rank
     u_l, u_h = u[:, : d - r], u[:, d - r:]
     x_l, x_h = x @ u_l, x @ u_h
     w_l, w_h = u_l.T @ w, u_h.T @ w
-
-    def q(m, spec):
-        return m if spec is None else quantize_reference(m, spec)[0]
-
-    return (q(x_l, plan.spec_low) @ q(w_l, plan.spec_low_w)
-            + q(x_h, plan.spec_high) @ q(w_h, plan.spec_high_w))
+    return (q(x_l, plan.bits_low, False) @ q(w_l.T, plan.bits_low, True).T
+            + q(x_h, plan.bits_high, False) @ q(w_h.T, plan.bits_high, True).T)

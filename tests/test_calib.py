@@ -134,8 +134,3 @@ class TestFuse:
         s = attach_weights(s, [np.eye(2)])
         assert np.array_equal(s.sigma_w, np.eye(2))
         assert s.energy_w == 2.0
-
-
-def test_group_member_shapes_must_share_dim():
-    with pytest.raises(DimensionMismatchError):
-        ProjectionGroup(kind="attn-input", dim=4, member_shapes=((5, 2),))

@@ -90,6 +90,10 @@ class TestCalibrate:
                            "activations must be non-empty for group 'g1'"),
         "activations-left-out": ({"name": "g1", "activations": None},
                                  "activations must be non-empty for group 'g1'"),
+        "no-weights": ({"name": "g1", "weights": []},
+                       "weights must be non-empty for group 'g1'"),
+        "weights-left-out": ({"name": "g1", "weights": None},
+                             "weights must be non-empty for group 'g1'"),
         "same-name": ({}, "two groups are named 'g0'"),
     }
 
@@ -350,8 +354,10 @@ class TestSolve:
         # no rank splits R^1 in two: the default rank of 1 is out of range
         shard = str(workspace["tmp"] / "x1d.cqt")
         formats.write_tensor(shard, "x1d", np.ones((4, 1)))
+        weight = str(workspace["tmp"] / "w1d.cqt")
+        formats.write_tensor(weight, "w1d", np.ones((1, 1)))
         cfg = {"groups": [{"name": "g", "kind": "attn-input", "dim": 1,
-                           "activations": [shard]}]}
+                           "activations": [shard], "weights": [weight]}]}
         cfg_path = workspace["tmp"] / "dim1.json"
         cfg_path.write_text(json.dumps(cfg))
         stats = str(workspace["tmp"] / "s1.cqb")

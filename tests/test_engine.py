@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference import execute_plan_reference
+from groupings import as_rows
+from reference import execute_plan_reference, quantize_reference
 from subquant import engine, solver
 from subquant.calib import ProjectionGroup
 from subquant.engine import (
@@ -18,13 +19,7 @@ from subquant.engine import (
     use_gram_form,
 )
 from subquant.errors import DimensionMismatchError, ScaleRangeError
-from subquant.quantizer import (
-    GRANULARITIES,
-    PER_HEAD,
-    PER_TOKEN,
-    QuantResult,
-    QuantSpec,
-)
+from subquant.quantizer import QuantResult, quantize
 from subquant.solver import OBJECTIVES, solve_partition
 from subquant.synth import aligned_spec, generate_instance, weight_anisotropic_spec
 
@@ -137,26 +132,34 @@ class TestExecutePlan:
 # (n, d, m) on each side of the shape rule; with rows = 48 (see `blocked`)
 # the row-block shape spans three blocks and a tail
 SHAPES = {"gram": (120, 8, 64), "rows": (120, 16, 16)}
+GRANULARITIES = ("per-tensor", "per-token", "per-channel", "per-head")
 SPECS = [(bits, granularity, symmetric) for bits in (2, 4, 8, 16)
          for granularity in GRANULARITIES for symmetric in (False, True)]
 
 
-@dataclasses.dataclass(frozen=True)
-class OneSpecPlan(engine.MixedPrecisionPlan):
-    """A plan whose four quantizers share `spec`. A plan quantizes in one
-    scheme, but the two forms of the measured error hold for any quantizer,
-    so they are checked against every kind."""
+def grouped(dequantize, granularity, symmetric):
+    """A quantizer (m, bits, _) -> m dequantized that applies `dequantize`
+    to the groups of `granularity` (heads of 2 columns) at `symmetric`,
+    whatever symmetry it is asked for. A plan quantizes in one scheme, but
+    the two forms of the measured error hold for any quantizer, so they are
+    checked against these, on the A and the B^T side alike."""
+    def q(m, bits, _):
+        flat = as_rows(np.arange(m.size).reshape(m.shape), granularity, 2)
+        out = np.empty(m.size)
+        out[flat] = dequantize(as_rows(m, granularity, 2), bits, symmetric)
+        return out.reshape(m.shape)
+    return q
 
-    spec: QuantSpec = None
-    spec_low = spec_high = spec_low_w = spec_high_w = property(lambda self: self.spec)
 
-
-def spec_plan(x, w, bits, granularity, symmetric):
-    """A rank-2 plan whose four quantizers share one spec."""
-    head_dim = 2 if granularity == PER_HEAD else None
+def spec_plan(monkeypatch, x, w, bits, granularity, symmetric):
+    """A rank-2 plan at `bits` whose four blocks the engine quantizes as
+    `grouped`, and the same quantizer built on the reference."""
+    lib = grouped(lambda g, *a: quantize(g, *a).dequantized, granularity, symmetric)
+    monkeypatch.setattr(engine, "quantize",
+                        lambda m, *a: QuantResult(lib(m, *a), None, None))
     plan = make_plan(x, w, rank=2, bits_low=bits, bits_high=bits, seed=bits)
-    return OneSpecPlan(plan.partition, bits, bits, plan.group,
-                       spec=QuantSpec(bits, symmetric, granularity, head_dim))
+    return plan, grouped(lambda g, *a: quantize_reference(g, *a)[0],
+                         granularity, symmetric)
 
 
 @pytest.fixture
@@ -182,11 +185,12 @@ class TestMeasurePlan:
 
     @pytest.mark.parametrize("form", sorted(SHAPES))
     @pytest.mark.parametrize("bits,granularity,symmetric", SPECS)
-    def test_matches_reference(self, blocked, form, bits, granularity, symmetric):
+    def test_matches_reference(self, blocked, monkeypatch, form, bits, granularity,
+                               symmetric):
         n, d, m = SHAPES[form]
         x, w = random_instance(n, d, m, seed=bits)
-        plan = spec_plan(x, w, bits, granularity, symmetric)
-        y_ref = execute_plan_reference(x, w, plan)
+        plan, reference = spec_plan(monkeypatch, x, w, bits, granularity, symmetric)
+        y_ref = execute_plan_reference(x, w, plan, reference)
         assert measure_plan(x, w, plan).exact_error == pytest.approx(
             np.sum((y_ref - x @ w) ** 2), rel=1e-9)
 
@@ -194,7 +198,7 @@ class TestMeasurePlan:
     def test_gram_and_row_block_forms_agree(self, blocked, monkeypatch, bits,
                                             granularity, symmetric):
         x, w = random_instance(*SHAPES["gram"], seed=bits)
-        plan = spec_plan(x, w, bits, granularity, symmetric)
+        plan, _ = spec_plan(monkeypatch, x, w, bits, granularity, symmetric)
         errors = []
         for gram in (True, False):
             monkeypatch.setattr(engine, "use_gram_form", lambda n, d, m: gram)
@@ -223,8 +227,8 @@ class TestMeasurePlan:
         # scaling the activations by 3 and the weights by 1/3 leaves
         # A_hat B_hat = A B, so ||E||^2 = 0 and the Gram sum is rounding
         # alone (about -4e-12 unclamped, with OpenBLAS, for this seed)
-        monkeypatch.setattr(engine, "quantize", lambda x, spec: QuantResult(
-            x * (3.0 if spec.granularity == PER_TOKEN else 1 / 3.0), None, None))
+        monkeypatch.setattr(engine, "quantize", lambda x, bits, symmetric: QuantResult(
+            x * (1 / 3.0 if symmetric else 3.0), None, None))
         x, w = random_instance(64, 4, 64, seed=0)
         assert use_gram_form(64, 4, 64)
         report = measure_plan(x, w, make_plan(x, w, rank=1))
