@@ -162,7 +162,7 @@ def cmd_simulate(args) -> int:
                               f"{args.group!r}, not one")
     x = formats.read_tensor(args.x)
     w = formats.read_tensor(args.w)
-    formats.write_report(args.out, [measure_plan(x, w, plans[0])], fmt=args.format)
+    formats.write_report(args.out, [measure_plan(x, w, plans[0])])
     return 0
 
 
@@ -186,7 +186,7 @@ def cmd_analyze(args) -> int:
         w = formats.read_tensor(args.w)
         runs = [analyze_layer(x, w, rank_of(args, cfg, x.shape[1]), cfg.bits_low,
                               cfg.bits_high, seed=cfg.seed, rotation=cfg.rotation)]
-    formats.write_report(args.out, [rep for run in runs for rep in run], fmt=args.format)
+    formats.write_report(args.out, [rep for run in runs for rep in run])
     print(json.dumps(summarize(runs), sort_keys=True))
     return 0
 
@@ -252,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", required=True)
     p.add_argument("--group", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="compare joint / activation-only / "
@@ -267,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run N draws of the --synthetic spec, seeded S, S + 1, "
                         "...; S is --seed, else the config's seed, else the spec's")
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("compare", help="diff two report files")

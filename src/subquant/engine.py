@@ -7,7 +7,7 @@ u^T W, each sliced into low/high blocks and quantized at its own bit-width.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -92,7 +92,6 @@ class ErrorReport(Checked):
     group: str
     objective: str
     exact_error: float          # ||y_hat - y||_F^2
-    exact_error_root: float = field(init=False)
     predicted_error: float
     relative_reduction: float | None
     energy_x_low: float
@@ -118,17 +117,6 @@ class ErrorReport(Checked):
             ("rank", lambda v: is_int(v, 1), "an int >= 1"),
             ("seed", *SEED),
         ))
-        object.__setattr__(self, "exact_error_root", math.sqrt(self.exact_error))
-
-    @classmethod
-    def from_json(cls, obj, where: str, **parsed):
-        """A row read back: its derived exact_error_root is computed anew."""
-        if isinstance(obj, dict):
-            obj = {k: v for k, v in obj.items() if k != "exact_error_root"}
-        return super().from_json(obj, where, **parsed)
-
-    def to_json(self) -> dict:
-        return super().to_json() | {"exact_error_root": self.exact_error_root}
 
 
 def _quantized(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,

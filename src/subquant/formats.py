@@ -9,28 +9,30 @@ metadata plus a ``tensors`` list of ``{name, dtype, shape}`` entries whose
 payloads follow concatenated in order. Stats and plan files are bundles;
 statistics and plan matrices are always persisted as f64.
 
-A stats bundle holds ``i.sigma_x`` and ``i.sigma_w`` per group ``i``. A plan
-bundle holds two tensors per group: ``i.vectors``, the d x d descending
-eigenbasis, and ``i.eigenvalues``. Its metadata carries the group's rank,
-seed, rotation kind, objective, covariance weights and the two bit-widths
-``bits_low`` and ``bits_high``; a plan written with the four quantizer
-``specs`` of earlier versions is rejected, naming the field. The composed
-transform ``u`` is not stored: a partition read back derives it from the
-seeded internal rotations on first use, bit-identical to the solved one.
-Metadata fields are checked by the types they build (`from_json`); this
-module checks the framing, the tensor entries and shapes, and the
-orthonormality of a basis.
+Each metadata entry, and each report row, is its type's `to_json` object,
+read back by that type's `from_json`, which checks its fields.
 
-Reports are JSON-lines or CSV. Their columns are the fields of `ErrorReport`,
-in order, which checks each row on reading.
+A stats bundle holds ``i.sigma_x`` and ``i.sigma_w`` per group ``i``, and
+its ``groups`` are `CalibStats.to_json` objects. A plan bundle holds two
+tensors per group: ``i.vectors``, the d x d descending eigenbasis, and
+``i.eigenvalues``. Its ``plans`` are `MixedPrecisionPlan.to_json` objects:
+the group, objective and the two bit-widths, with the rank, seed, rotation
+kind and covariance weights nested under ``partition``. An entry in an
+earlier layout (the partition's fields beside the plan's, or four quantizer
+``specs``) is rejected, naming the field. The composed transform ``u`` is
+not stored: a partition read back derives it from the seeded internal
+rotations on first use, bit-identical to the solved one. This module checks
+the framing, the tensor entries and shapes, and the orthonormality of a
+basis.
+
+A report is JSON lines: one `ErrorReport.to_json` object per line, keys
+sorted.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import dataclasses
-import io
 import json
 import math
 import mmap
@@ -56,15 +58,11 @@ TENSOR_MAGIC = b"CQT1"
 BUNDLE_MAGIC = b"CQB1"
 
 ORTHO_TOL = 1e-8  # largest |V^T V - I| of a plan's basis
-# the fields of a plan entry that are the plan's, not its partition's
-_PLAN_FIELDS = ("group", "objective", "bits_low", "bits_high")
 
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 
-# a report's columns, and those whose CSV cells are read as text, not numbers
+# a report's columns: the fields of ErrorReport, in order
 REPORT_COLUMNS = [f.name for f in dataclasses.fields(ErrorReport)]
-_TEXT_COLUMNS = {f.name for f in dataclasses.fields(ErrorReport)
-                 if f.type in ("str", str)}
 
 
 def _process_umask() -> int:
@@ -198,9 +196,16 @@ def _tensor(tensors: dict, name: str, shape: tuple, path: str) -> np.ndarray:
 
 
 def write_tensor(path: str, name: str, matrix: np.ndarray, dtype: str = "f64") -> None:
+    """Write `matrix` as a CQT1 tensor in `dtype`. A finite value that
+    overflows `dtype` raises ValueError and writes nothing; NaN and +-inf
+    are written as they are, for the readers to reject."""
     if dtype not in _DTYPES:
         raise UnsupportedDtypeError(f"unsupported dtype {dtype!r}")
-    m = np.ascontiguousarray(matrix, dtype=_DTYPES[dtype])
+    try:
+        with np.errstate(over="raise"):
+            m = np.ascontiguousarray(matrix, dtype=_DTYPES[dtype])
+    except FloatingPointError as e:
+        raise ValueError(f"tensor {name!r}: a value overflows {dtype}") from e
     _write(path, TENSOR_MAGIC, {"name": name, "dtype": dtype, "shape": list(m.shape),
                                 "layout": "row-major"}, [m])
 
@@ -266,14 +271,10 @@ def read_stats(path: str) -> list[CalibStats]:
 
 
 def write_plan(path: str, plans: list[MixedPrecisionPlan]) -> None:
-    meta, tensors = [], []
-    for i, plan in enumerate(plans):
-        # the partition's fields, beside the plan's group, objective and bits
-        entry = plan.to_json()
-        meta.append(entry.pop("partition") | entry)
-        tensors.append((f"{i}.vectors", plan.partition.vectors))
-        tensors.append((f"{i}.eigenvalues", plan.partition.eigenvalues))
-    _write_bundle(path, "plan", {"plans": meta}, tensors)
+    tensors = [(f"{i}.{key}", getattr(plan.partition, key))
+               for i, plan in enumerate(plans) for key in ("vectors", "eigenvalues")]
+    _write_bundle(path, "plan", {"plans": [plan.to_json() for plan in plans]},
+                  tensors)
 
 
 def read_plan(path: str) -> list[MixedPrecisionPlan]:
@@ -281,9 +282,9 @@ def read_plan(path: str) -> list[MixedPrecisionPlan]:
     eigenbasis, rank, seed and rotation kind when `u` is first used."""
     entries, tensors = _read_bundle(path, "plan")
     out = []
-    for i, p in enumerate(entries):
+    for i, entry in enumerate(entries):
         where = f"{path}: plans[{i}]"
-        group = ProjectionGroup.from_json(p.get("group"), f"{where}.group")
+        group = ProjectionGroup.from_json(entry.get("group"), f"{where}.group")
         d = group.dim
         vectors = _tensor(tensors, f"{i}.vectors", (d, d), path)
         # |V^T V - I| formed in the Gram's own buffer: no d x d temporaries
@@ -293,61 +294,26 @@ def read_plan(path: str) -> list[MixedPrecisionPlan]:
         if not resid <= ORTHO_TOL:
             raise HeaderMismatchError(f"{where}: basis has "
                                       f"|V^T V - I|_max = {resid:.3e}")
-        # the entry's fields that are not the plan's are its partition's
-        own = {k: v for k, v in p.items() if k in _PLAN_FIELDS}
         part = SubspacePartition.from_json(
-            {k: v for k, v in p.items() if k not in own}, where, vectors=vectors,
+            entry.get("partition"), f"{where}.partition", vectors=vectors,
             eigenvalues=_tensor(tensors, f"{i}.eigenvalues", (d,), path))
-        out.append(MixedPrecisionPlan.from_json(own, where, partition=part,
+        out.append(MixedPrecisionPlan.from_json(entry, where, partition=part,
                                                 group=group))
     return out
 
 
-def write_report(path: str, reports: list[ErrorReport], fmt: str = "json") -> None:
-    rows = [r.to_json() for r in reports]
-    if fmt == "json":
-        body = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=REPORT_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        body = buf.getvalue()
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    atomic_write(path, body.encode("utf-8"))
-
-
-def _cell(column: str, text):
-    """A CSV cell as its JSON value: text in a text column; elsewhere an
-    empty cell is null and a number is an int or a float. Anything else is
-    left as it is, for ErrorReport's rules to reject."""
-    if column in _TEXT_COLUMNS or not isinstance(text, str):
-        return text
-    for number in (int, float):
-        with contextlib.suppress(ValueError):
-            return number(text)
-    return None if text == "" else text
+def write_report(path: str, reports: list[ErrorReport]) -> None:
+    atomic_write(path, "".join(json.dumps(r.to_json(), sort_keys=True) + "\n"
+                               for r in reports).encode("utf-8"))
 
 
 def read_report(path: str) -> list[ErrorReport]:
-    """The rows of a JSON-lines or CSV report, each checked by ErrorReport.
-    A CSV header with no row after it must name the report's columns."""
-    where = f"{path}: not a JSON-lines or CSV report"
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-        if text.lstrip().startswith("{"):
-            rows = [parse_json(line, where) for line in text.splitlines() if line.strip()]
-        else:
-            reader = csv.DictReader(io.StringIO(text),
-                                    restkey="(cells beyond the header)")
-            rows = [{k: _cell(k, v) for k, v in row.items()} for row in reader]
-            if not rows and reader.fieldnames and \
-                    sorted(reader.fieldnames) != sorted(REPORT_COLUMNS):
-                raise HeaderMismatchError(f"{where}: CSV header {reader.fieldnames} "
-                                          f"is not the columns {REPORT_COLUMNS}")
-    except (UnicodeDecodeError, csv.Error) as e:
-        raise HeaderMismatchError(f"{where}: {e}") from e
-    return [ErrorReport.from_json(row, f"{path}: report row {i}")
-            for i, row in enumerate(rows)]
+    """The rows of a JSON-lines report, each checked by ErrorReport. Blank
+    lines are skipped, so an empty file is an empty report."""
+    with open(path, "rb") as f:
+        lines = [line for line in f.read().splitlines() if line.strip()]
+    out = []
+    for i, line in enumerate(lines):
+        where = f"{path}: report row {i}"
+        out.append(ErrorReport.from_json(parse_json(line, f"{where} is not JSON"), where))
+    return out

@@ -633,11 +633,14 @@ class TestCompare:
         assert not diff["identical"]
         assert "exact_error" in diff["deltas"][0]
 
-    def test_missing_column_schema_error(self, tmp_path):
+    def test_missing_column_schema_error(self, tmp_path, capsys):
         a = self.make_report(tmp_path, "a.jsonl")
         bad = str(tmp_path / "bad.csv")
         Path(bad).write_text("group,objective\ng,joint\n")
-        assert run("compare", a, bad) == 2
+        out = tmp_path / "diff.json"
+        assert run("compare", a, bad, "--out", str(out)) == 2
+        assert f"{bad}: report row 0 is not JSON" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", ["5", '{"group": "g"}'], ids=["number", "partial"])
     def test_malformed_json_row_exits_2(self, tmp_path, capsys, line):
@@ -652,7 +655,21 @@ class TestCompare:
         a.write_text("[1, 2]\n")
         b.write_text("hello\n")
         assert run("compare", str(a), str(b)) == 2
-        assert "CSV header" in capsys.readouterr().err
+        assert f"{a}: report row 0 must be a JSON object" in capsys.readouterr().err
+        assert run("compare", str(b), str(b)) == 2
+        assert f"{b}: report row 0 is not JSON" in capsys.readouterr().err
+
+    def test_exact_error_root_row_exits_2(self, tmp_path, capsys):
+        # the column earlier versions derived from exact_error
+        a = self.make_report(tmp_path, "a.jsonl")
+        rooted = tmp_path / "rooted.jsonl"
+        rooted.write_text(json.dumps(json.loads(Path(a).read_text())
+                                     | {"exact_error_root": 1.0}) + "\n")
+        out = tmp_path / "diff.json"
+        assert run("compare", a, str(rooted), "--out", str(out)) == 2
+        assert f"{rooted}: report row 0: unknown field(s) ['exact_error_root']" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_is_replaced_atomically(self, tmp_path, monkeypatch):
         a = self.make_report(tmp_path, "a.jsonl")
@@ -712,13 +729,13 @@ class TestEveryFlagIsRead:
         assert [flag for flag, b in zip(flags, changed) if b == base] == []
 
     def test_analyze(self, tmp_path, layer):
-        flags = self.FLAGS | {"--format": "csv"}
-        base, *changed = self.outputs(tmp_path, layer, "analyze", flags)
-        assert [flag for flag, b in zip(flags, changed) if b == base] == []
+        base, *changed = self.outputs(tmp_path, layer, "analyze", self.FLAGS)
+        assert [flag for flag, b in zip(self.FLAGS, changed) if b == base] == []
 
     @pytest.mark.parametrize("command, flag", [
         ("calibrate", ["--seed", "3"]), ("calibrate", ["--bits-low", "3"]),
-        ("analyze", ["--objective", "weight"]), ("simulate", ["--bypass"])])
+        ("analyze", ["--objective", "weight"]), ("simulate", ["--bypass"]),
+        ("simulate", ["--format", "json"]), ("analyze", ["--format", "csv"])])
     def test_flags_nothing_reads_are_rejected(self, capsys, command, flag):
         required = {"calibrate": ["--config", "c.json"], "analyze": [],
                     "simulate": ["--plan", "p.cqb", "--x", "x.cqt", "--w", "w.cqt"]}

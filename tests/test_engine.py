@@ -66,7 +66,6 @@ class TestExecutePlan:
         plan = dataclasses.replace(plan, partition=ident)
         for report in (measure_plan(x, w, plan), execute_plan(x, w, plan)[1]):
             assert report.exact_error == 0.0
-            assert report.exact_error_root == 0.0
 
     @pytest.mark.parametrize("seed,n", [(s, 576) for s in range(5)] + [(5, 549)],
                              ids=["0", "1", "2", "3", "4", "tail"])
@@ -233,7 +232,6 @@ class TestMeasurePlan:
         assert use_gram_form(64, 4, 64)
         report = measure_plan(x, w, make_plan(x, w, rank=1))
         assert 0.0 <= report.exact_error < 1e-9
-        assert np.isfinite(report.exact_error_root)
 
     def test_gram_form_holds_no_quarter_of_an_n_by_m_array(self):
         n, d, m = 8192, 16, 512

@@ -1,4 +1,3 @@
-import csv
 import json
 import math
 import os
@@ -55,6 +54,20 @@ class TestTensorContainer:
         assert header["shape"] == [2, 3] and header["layout"] == "row-major"
         payload = raw[8 + hlen:]
         assert payload == b"".join(struct.pack("<d", float(v)) for v in range(6))
+
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_f32_overflow_rejected_and_nothing_written(self, tmp_path, value):
+        path = tmp_path / "t.cqt"
+        with pytest.raises(ValueError, match="tensor 'x'.*overflows f32"):
+            formats.write_tensor(str(path), "x", [[1.0, value]], dtype="f32")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_values_written_for_readers_to_reject(self, tmp_path):
+        path = str(tmp_path / "t.cqt")
+        formats.write_tensor(path, "x", [[np.inf, np.nan, -np.inf]], dtype="f32")
+        assert np.array_equal(formats.map_tensor(path),
+                              np.array([[np.inf, np.nan, -np.inf]], dtype="<f4"),
+                              equal_nan=True)
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "bad.cqt")
@@ -365,6 +378,14 @@ def _pop(field):
     return lambda header, key: header["meta"][key][0].pop(field)
 
 
+def _partition(**fields):
+    return lambda header, key: header["meta"][key][0]["partition"].update(fields)
+
+
+def _partition_pop(field):
+    return lambda header, key: header["meta"][key][0]["partition"].pop(field)
+
+
 MALFORMED_STATS_META = {
     "string-energy": _entry(energy_x="1.0"),
     "negative-energy": _entry(energy_w=-1.0),
@@ -376,22 +397,22 @@ MALFORMED_STATS_META = {
     "bool-tokens": _entry(tokens_seen=True),
 }
 MALFORMED_PLAN_META = {
-    "no-rank": _pop("rank"),
-    "string-rank": _entry(rank="3"),
-    "float-rank": _entry(rank=2.0),
-    "bool-rank": _entry(rank=True),
-    "zero-rank": _entry(rank=0),
-    "full-rank": _entry(rank=8),
-    "no-seed": _pop("seed"),
-    "string-seed": _entry(seed="3"),
-    "bool-seed": _entry(seed=False),
-    "negative-seed": _entry(seed=-1),
-    "unknown-rotation": _entry(rotation="givens"),
+    "no-rank": _partition_pop("rank"),
+    "string-rank": _partition(rank="3"),
+    "float-rank": _partition(rank=2.0),
+    "bool-rank": _partition(rank=True),
+    "zero-rank": _partition(rank=0),
+    "full-rank": _partition(rank=8),
+    "no-seed": _partition_pop("seed"),
+    "string-seed": _partition(seed="3"),
+    "bool-seed": _partition(seed=False),
+    "negative-seed": _partition(seed=-1),
+    "unknown-rotation": _partition(rotation="givens"),
     "unknown-objective": _entry(objective="nope"),
-    "string-lambda": _entry(lambda_x="1.0"),
-    "bool-lambda": _entry(lambda_w=True),
-    "nan-lambda": _entry(lambda_x=float("nan")),
-    "inf-lambda": _entry(lambda_w=float("-inf")),
+    "string-lambda": _partition(lambda_x="1.0"),
+    "bool-lambda": _partition(lambda_w=True),
+    "nan-lambda": _partition(lambda_x=float("nan")),
+    "inf-lambda": _partition(lambda_w=float("-inf")),
     "no-bits-low": _pop("bits_low"),
     "no-bits-high": _pop("bits_high"),
     "string-bits": _entry(bits_low="4"),
@@ -399,6 +420,8 @@ MALFORMED_PLAN_META = {
     "bits-below-2": _entry(bits_low=1),
     "bits-above-16": _entry(bits_high=17),
     "high-bits-below-low": _entry(bits_high=2),
+    "no-partition": _pop("partition"),
+    "partition-not-object": _entry(partition=[]),
 }
 
 
@@ -547,6 +570,24 @@ class TestPlanSchema:
         assert "unknown field(s) ['specs']" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_flat_plan_entry_exits_2_naming_partition(self, tmp_path, capsys):
+        # the layout of earlier versions: the partition's fields beside the plan's
+        x, w, x_path, w_path = plan_inputs(tmp_path)
+        path = str(tmp_path / "p.cqb")
+        formats.write_plan(path, [build_plan(stats_from_tensors(x, w), 2, 4, 8)])
+
+        def flat_format(header, key):
+            entry = header["meta"][key][0]
+            entry |= entry.pop("partition")
+
+        edit_bundle_header(path, flat_format, "plans")
+        out = tmp_path / "r.jsonl"
+        assert main(["simulate", "--plan", path, "--x", x_path, "--w", w_path,
+                     "--out", str(out)]) == 2
+        assert f"{path}: plans[0].partition must be a JSON object" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stats_tensor_of_wrong_shape(self, tmp_path, capsys):
         path = str(tmp_path / "s.cqb")
         formats.write_stats(path, [layer_stats()])
@@ -561,14 +602,17 @@ class TestPlanBundle:
         x, w, _, _ = plan_inputs(tmp_path)
         stats = stats_from_tensors(x, w)
         path = str(tmp_path / "p.cqb")
-        formats.write_plan(path, [build_plan(stats, 2, 4, 8),
-                                  build_plan(stats, 3, 4, 8, rotation="hadamard")])
+        plans = [build_plan(stats, 2, 4, 8),
+                 build_plan(stats, 3, 4, 8, rotation="hadamard")]
+        formats.write_plan(path, plans)
         header, tensors = bundle_tensors(path)
         assert [(e["name"], e["shape"]) for e in header["tensors"]] == [
             ("0.vectors", [8, 8]), ("0.eigenvalues", [8]),
             ("1.vectors", [8, 8]), ("1.eigenvalues", [8])]
-        assert [(p["rank"], p["seed"], p["rotation"]) for p in header["meta"]["plans"]] \
-            == [(2, 0, "random"), (3, 0, "hadamard")]
+        # each entry is its plan's own JSON object, the partition nested
+        assert header["meta"]["plans"] == [p.to_json() for p in plans]
+        assert [(p["partition"]["rank"], p["partition"]["rotation"])
+                for p in header["meta"]["plans"]] == [(2, "random"), (3, "hadamard")]
         plan = build_plan(stats, 2, 4, 8)
         assert np.array_equal(tensors["0.vectors"], plan.partition.vectors)
         assert np.array_equal(tensors["0.eigenvalues"], plan.partition.eigenvalues)
@@ -657,41 +701,46 @@ class TestReports:
         formats.write_report(path, reps)
         assert formats.read_report(path) == reps
 
-    def test_csv_round_trip(self, tmp_path):
+    def test_csv_report_is_rejected(self, tmp_path):
+        # the CSV layout earlier versions could write: a header, then rows
         path = str(tmp_path / "r.csv")
-        reps = self.varied_reports()
-        formats.write_report(path, reps, fmt="csv")
-        assert formats.read_report(path) == reps
+        row = self.make_reports()[0].to_json()
+        Path(path).write_text(",".join(row) + "\n"
+                              + ",".join(str(v) for v in row.values()) + "\n")
+        with pytest.raises(HeaderMismatchError,
+                           match=re.escape(f"{path}: report row 0 is not JSON")):
+            formats.read_report(path)
 
     def test_deeply_nested_jsonl_is_schema_error(self, tmp_path):
         path = str(tmp_path / "r.jsonl")
         Path(path).write_text('{"group": ' + "[" * 100_000 + "]" * 100_000 + "}\n")
-        with pytest.raises(HeaderMismatchError, match="not a JSON-lines or CSV"):
+        with pytest.raises(HeaderMismatchError, match="report row 0 is not JSON"):
             formats.read_report(path)
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_no_rows_is_an_empty_report(self, tmp_path, fmt):
-        path = str(tmp_path / f"r.{fmt}")
-        formats.write_report(path, [], fmt=fmt)
+    def test_no_rows_is_an_empty_report(self, tmp_path):
+        path = str(tmp_path / "r.jsonl")
+        formats.write_report(path, [])
+        assert Path(path).read_bytes() == b""
         assert formats.read_report(path) == []
 
     @pytest.mark.parametrize("text", ["hello\n", "[1, 2]\n", "group,objective\n"])
     def test_csv_header_is_checked_without_rows(self, tmp_path, text):
+        # a line that is not a report row, alone, is not an empty report
         path = tmp_path / "r.csv"
         path.write_text(text)
-        with pytest.raises(HeaderMismatchError, match="CSV header"):
+        with pytest.raises(HeaderMismatchError, match="report row 0"):
             formats.read_report(str(path))
 
     def test_integer_cells_read_as_numbers(self, tmp_path):
-        # an int beyond int64 still has a float square root
+        # an int beyond int64 is a finite number
         path = str(tmp_path / "r.jsonl")
         row = self.make_reports()[0].to_json() | {"exact_error": 10 ** 30}
         Path(path).write_text(json.dumps(row) + "\n")
-        assert formats.read_report(path)[0].exact_error_root == 1e15
+        assert formats.read_report(path)[0].exact_error == 10 ** 30
 
     @pytest.mark.parametrize("field,value", [
         ("rank", "8"), ("exact_error", math.nan), ("exact_error", math.inf),
-        ("bits_low", 1), ("extra", 0.0)])
+        ("bits_low", 1), ("extra", 0.0), ("exact_error_root", 0.0)])
     def test_jsonl_bad_cell_names_row_and_field(self, tmp_path, field, value):
         path = str(tmp_path / "r.jsonl")
         row = self.make_reports()[0].to_json() | {field: value}
@@ -703,20 +752,22 @@ class TestReports:
         ("rank", "8.0"), ("exact_error", "nan"), ("exact_error", "inf"),
         ("bits_low", "1"), ("seed", "seven"), ("extra", "0.0")])
     def test_csv_bad_cell_names_row_and_field(self, tmp_path, field, cell):
-        path = str(tmp_path / "r.csv")
+        # a cell as a CSV report held it, as text, is not read as a number
+        path = str(tmp_path / "r.jsonl")
         row = self.make_reports()[0].to_json() | {field: cell}
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=list(row), lineterminator="\n")
-            writer.writeheader()
-            writer.writerow(row)
+        Path(path).write_text(json.dumps(row) + "\n")
         with pytest.raises(HeaderMismatchError, match=f"row 0: .*{field}"):
             formats.read_report(path)
 
-    def test_csv_column_order(self, tmp_path):
-        path = str(tmp_path / "r.csv")
-        formats.write_report(path, self.make_reports(), fmt="csv")
-        header = Path(path).read_text().splitlines()[0].split(",")
-        assert header == formats.REPORT_COLUMNS
+    def test_jsonl_keys_sorted_one_row_per_line(self, tmp_path):
+        path = str(tmp_path / "r.jsonl")
+        reps = self.varied_reports()
+        formats.write_report(path, reps)
+        lines = Path(path).read_text().splitlines()
+        assert len(lines) == len(reps)
+        for line, rep in zip(lines, reps):
+            assert list(json.loads(line)) == sorted(formats.REPORT_COLUMNS)
+            assert line == json.dumps(rep.to_json(), sort_keys=True)
 
     def test_csv_missing_column_is_schema_error(self, tmp_path):
         path = str(tmp_path / "r.csv")
@@ -733,8 +784,8 @@ class TestReports:
             formats.read_report(path)
 
     def test_csv_short_row_is_schema_error(self, tmp_path):
-        path = str(tmp_path / "r.csv")
-        formats.write_report(path, self.make_reports(), fmt="csv")
+        path = str(tmp_path / "r.jsonl")
+        formats.write_report(path, self.make_reports())
         Path(path).write_text(Path(path).read_text() + "g,joint\n")
         with pytest.raises(HeaderMismatchError, match="row 1"):
             formats.read_report(path)
