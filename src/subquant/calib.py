@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import Checked, DimensionMismatchError, check_fields, is_int, is_real
-from .linalg import as_matrix, frobenius_sq, gram_input, gram_weight
+from .linalg import as_matrix, gram_input, gram_weight
 
 ATTN_INPUT = "attn-input"
 MLP_INPUT = "mlp-input"
@@ -29,13 +29,13 @@ class ProjectionGroup(Checked):
 
     kind: str
     dim: int
-    name: str = ""
+    name: str
 
     def __post_init__(self):
         check_fields(self, (
             ("kind", lambda v: v in GROUP_KINDS, f"one of {GROUP_KINDS}"),
             ("dim", lambda v: is_int(v, 1), "an int >= 1"),
-            ("name", lambda v: isinstance(v, str), "a string"),
+            ("name", lambda v: isinstance(v, str) and v != "", "a non-empty string"),
         ))
 
 
@@ -90,28 +90,23 @@ def accumulate_activations(stats: CalibStats, batch: np.ndarray) -> CalibStats:
                    tokens_seen=stats.tokens_seen + n)
 
 
-def fuse_weight_covariance(weights: list[np.ndarray]) -> tuple[np.ndarray, float]:
-    """Sum of W_i W_i^T and of ||W_i||_F^2 over layers sharing an input."""
+def attach_weights(stats: CalibStats, weights: list[np.ndarray]) -> CalibStats:
+    """Set the fused weight covariance of a group, the sum of W_i W_i^T, and
+    its energy, the sum of ||W_i||_F^2, from its member weights. An error
+    about a member names it weights[i], and holds i as `.member`."""
     if not weights:
         raise DimensionMismatchError("empty weight list")
-    mats = [as_matrix(w, f"weights[{i}]") for i, w in enumerate(weights)]
-    d = mats[0].shape[0]
-    for i, w in enumerate(mats):
-        if w.shape[0] != d:
-            raise DimensionMismatchError(
-                f"weights[{i}] has leading dim {w.shape[0]}, expected {d}")
-    sigma = np.zeros((d, d))
-    energy = 0.0
-    for w in mats:
-        sigma += gram_weight(w)
-        energy += frobenius_sq(w)
-    return sigma, energy
-
-
-def attach_weights(stats: CalibStats, weights: list[np.ndarray]) -> CalibStats:
-    """Set the fused weight covariance of a group from its member weights."""
-    sigma, energy = fuse_weight_covariance(weights)
-    if sigma.shape[0] != stats.group.dim:
-        raise DimensionMismatchError(
-            f"fused covariance dim {sigma.shape[0]} vs group dim {stats.group.dim}")
+    d = stats.group.dim
+    sigma, energy = np.zeros((d, d)), 0.0
+    for i, w in enumerate(weights):
+        try:
+            w = as_matrix(w, f"weights[{i}]")
+            if w.shape[0] != d:
+                raise DimensionMismatchError(
+                    f"weights[{i}] has leading dim {w.shape[0]}, group dim is {d}")
+            sigma += gram_weight(w)
+        except ValueError as e:
+            e.member = i
+            raise
+        energy += float(np.vdot(w, w))
     return replace(stats, sigma_w=sigma, energy_w=energy)

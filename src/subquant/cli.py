@@ -138,7 +138,14 @@ def cmd_calibrate(args) -> int:
             except OSError as e:
                 raise FormatError(
                     f"{where} (group {g.name!r}): weight file {path}: {e}") from e
-        stats_list.append(attach_weights(stats, weights))
+        try:
+            stats_list.append(attach_weights(stats, weights))
+        except ValueError as e:
+            # an energy that overflows is the fault of the files together
+            path = (g.weights[e.member] if hasattr(e, "member")
+                    else ", ".join(g.weights))
+            raise FormatError(
+                f"{where} (group {g.name!r}): weight file {path}: {e}") from e
     formats.write_stats(args.out, stats_list)
     return 0
 
@@ -160,6 +167,10 @@ def cmd_simulate(args) -> int:
         if len(plans) != 1:
             raise FormatError(f"{args.plan} holds {len(plans)} groups named "
                               f"{args.group!r}, not one")
+    elif len(plans) > 1:
+        names = [plan.group.name for plan in plans]
+        raise FormatError(f"{args.plan} holds groups {names}: "
+                          "choose one with --group")
     x = formats.read_tensor(args.x)
     w = formats.read_tensor(args.w)
     formats.write_report(args.out, [measure_plan(x, w, plans[0])])

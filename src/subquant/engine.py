@@ -218,11 +218,11 @@ def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
     predicted = predict_error(ex, ew, plan.bits_low, plan.bits_high,
                               (d - r_high, r_high))
     if not all(math.isfinite(v) for v in (exact, predicted, *ex, *ew)):
-        raise ScaleRangeError(f"measuring group {plan.group.name or plan.group.kind!r} "
+        raise ScaleRangeError(f"measuring group {plan.group.name!r} "
                               f"overflows float64: error {exact!r}, predicted "
                               f"{predicted!r}, energies x {ex}, w {ew}")
     report = ErrorReport(
-        group=plan.group.name or plan.group.kind,
+        group=plan.group.name,
         objective=plan.objective,
         exact_error=exact,
         predicted_error=predicted,

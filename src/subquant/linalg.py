@@ -124,8 +124,3 @@ def hadamard(d: int) -> np.ndarray:
     while h.shape[0] < d:
         h = np.block([[h, h], [h, -h]])
     return h / np.sqrt(d)
-
-
-def frobenius_sq(m: np.ndarray) -> float:
-    m = np.asarray(m, dtype=np.float64)
-    return float(np.vdot(m, m))

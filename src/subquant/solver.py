@@ -178,17 +178,3 @@ def surrogate_objective(partition: SubspacePartition, stats: CalibStats) -> floa
             f"partition dim {partition.dim} vs stats dim {stats.group.dim}")
     m = partition.lambda_x * stats.sigma_x + partition.lambda_w * stats.sigma_w
     return float(np.trace(partition.p_h.T @ m @ partition.p_h))
-
-
-def full_objective(partition: SubspacePartition, stats: CalibStats,
-                   gamma_low: float, gamma_high: float) -> float:
-    """Pre-truncation objective including the quadratic cross-penalty term
-    the surrogate drops; exposed to quantify the truncation gap."""
-    if partition.dim != stats.group.dim:
-        raise DimensionMismatchError(
-            f"partition dim {partition.dim} vs stats dim {stats.group.dim}")
-    xh = float(np.trace(partition.p_h.T @ stats.sigma_x @ partition.p_h))
-    wh = float(np.trace(partition.p_h.T @ stats.sigma_w @ partition.p_h))
-    return (gamma_low * stats.energy_w * xh
-            + gamma_low * stats.energy_x * wh
-            - (gamma_low + gamma_high) * xh * wh)

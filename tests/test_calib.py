@@ -7,7 +7,6 @@ from subquant.calib import (
     ProjectionGroup,
     accumulate_activations,
     attach_weights,
-    fuse_weight_covariance,
 )
 from subquant.errors import DimensionMismatchError
 from subquant.linalg import gram_input, gram_weight
@@ -102,22 +101,27 @@ class TestAccumulate:
 
 
 class TestFuse:
+    def fuse(self, weights, dim=None):
+        dim = weights[0].shape[0] if dim is None else dim
+        s = attach_weights(CalibStats.empty(group(dim)), weights)
+        return s.sigma_w, s.energy_w
+
     def test_two_identities(self):
-        sigma, energy = fuse_weight_covariance([np.eye(2), np.eye(2)])
+        sigma, energy = self.fuse([np.eye(2), np.eye(2)])
         assert np.array_equal(sigma, 2 * np.eye(2))
         assert energy == 4.0
 
     def test_single_member_is_gram(self):
         rng = np.random.default_rng(1)
         w = rng.standard_normal((4, 3))
-        sigma, energy = fuse_weight_covariance([w])
+        sigma, energy = self.fuse([w])
         assert np.array_equal(sigma, gram_weight(w))
         assert energy == pytest.approx(np.sum(w**2))
 
     def test_three_members_sum_oracle(self):
         rng = np.random.default_rng(2)
         ws = [rng.standard_normal((4, 3)) for _ in range(3)]
-        sigma, energy = fuse_weight_covariance(ws)
+        sigma, energy = self.fuse(ws)
         expected = sum(w @ w.T for w in ws)
         assert np.allclose(sigma, expected, rtol=1e-12)
         assert energy == pytest.approx(sum(np.sum(w**2) for w in ws), rel=1e-12)
@@ -125,9 +129,18 @@ class TestFuse:
 
     def test_empty_and_mismatched(self):
         with pytest.raises(DimensionMismatchError):
-            fuse_weight_covariance([])
+            self.fuse([], dim=2)
         with pytest.raises(DimensionMismatchError):
-            fuse_weight_covariance([np.eye(2), np.eye(3)])
+            self.fuse([np.eye(2), np.eye(3)])
+
+    @pytest.mark.parametrize("weights, member", [
+        ([np.eye(3)], 0), ([np.eye(2), np.eye(3)], 1),
+        ([np.eye(2), np.full((2, 2), np.nan)], 1)],
+        ids=["only-member-wrong-dim", "second-member-wrong-dim", "non-finite"])
+    def test_error_names_the_member_at_fault(self, weights, member):
+        with pytest.raises(ValueError, match=f"weights\\[{member}\\]") as e:
+            attach_weights(CalibStats.empty(group(2)), weights)
+        assert e.value.member == member
 
     def test_attach_weights(self):
         s = CalibStats.empty(group(2))

@@ -75,6 +75,48 @@ class TestCalibrate:
         assert run("calibrate", "--config", cfg_path,
                    "--out", str(workspace["tmp"] / "s.cqb")) == 2
 
+    def calibrate_with_weights(self, workspace, weights):
+        """Calibrate the workspace config with its group's weight files
+        replaced: the exit code, the config's path and whether the stats file
+        was written."""
+        cfg = dict(workspace["cfg_obj"])
+        cfg["groups"] = [dict(cfg["groups"][0], weights=weights)]
+        cfg_path = str(workspace["tmp"] / "weights.json")
+        Path(cfg_path).write_text(json.dumps(cfg))
+        out = workspace["tmp"] / "stats.cqb"
+        code = run("calibrate", "--config", cfg_path, "--out", str(out))
+        return code, cfg_path, out.exists()
+
+    @pytest.mark.parametrize("second", [False, True], ids=["only-file", "second-file"])
+    def test_weight_file_of_wrong_dim_is_named(self, workspace, capsys, second):
+        wide = str(workspace["tmp"] / "w16.cqt")
+        formats.write_tensor(wide, "w16", np.ones((16, 8)))
+        weights = [workspace["w"], wide] if second else [wide]
+        code, cfg_path, written = self.calibrate_with_weights(workspace, weights)
+        err = capsys.readouterr().err
+        assert code == 2 and not written
+        assert (f"{cfg_path}: groups[0] (group 'g0'): weight file {wide}: "
+                f"weights[{len(weights) - 1}] has leading dim 16, group dim is 8" in err)
+
+    def test_non_finite_weight_file_is_named(self, workspace, capsys):
+        bad = str(workspace["tmp"] / "wnan.cqt")
+        formats.write_tensor(bad, "wnan", np.full((8, 8), np.nan))
+        code, cfg_path, written = self.calibrate_with_weights(workspace, [bad])
+        err = capsys.readouterr().err
+        assert code == 2 and not written
+        assert (f"{cfg_path}: groups[0] (group 'g0'): weight file {bad}: "
+                "weights[0] contains non-finite entries" in err)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_weight_energy_overflow_names_the_files(self, workspace, capsys):
+        huge = str(workspace["tmp"] / "whuge.cqt")
+        formats.write_tensor(huge, "whuge", np.full((8, 8), 1e200))
+        code, cfg_path, written = self.calibrate_with_weights(workspace, [huge])
+        err = capsys.readouterr().err
+        assert code == 2 and not written
+        assert (f"{cfg_path}: groups[0] (group 'g0'): weight file {huge}: "
+                "energy_w must be a finite number >= 0, got inf" in err)
+
     @pytest.fixture
     def reads(self, monkeypatch):
         calls = []
@@ -394,6 +436,21 @@ class TestSimulate:
             assert (f"{plan_path} holds {count} groups named {group!r}, not one"
                     in capsys.readouterr().err)
             assert not out.exists()
+
+    def test_plan_of_two_groups_needs_group(self, workspace, capsys):
+        plans = [build_plan(stats_from_tensors(workspace["x1_arr"], workspace["w_arr"],
+                                               name=name), 2, 4, 8) for name in ("g0", "g1")]
+        plan_path = str(workspace["tmp"] / "plan.cqb")
+        formats.write_plan(plan_path, plans)
+        out = workspace["tmp"] / "rep.jsonl"
+        args = ["--plan", plan_path, "--x", workspace["x1"], "--w", workspace["w"],
+                "--out", str(out)]
+        assert run("simulate", *args) == 2
+        assert (f"{plan_path} holds groups ['g0', 'g1']: choose one with --group"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        assert run("simulate", *args, "--group", "g1") == 0
+        assert formats.read_report(str(out))[0].group == "g1"
 
 
 class TestAnalyze:
@@ -835,6 +892,7 @@ MALFORMED_CONFIG_GROUPS = {
     "head-dim-field": (_in_group(head_dim=8), "head_dim"),
     "member-shapes-field": (_in_group(member_shapes=[[8, 8]]), "member_shapes"),
     "no-name": (_drop_from_group("name"), "name"),
+    "empty-name": (_in_group(name=""), "name"),
 }
 ALL_MALFORMED_CONFIGS = MALFORMED_CONFIGS | MALFORMED_CONFIG_GROUPS
 

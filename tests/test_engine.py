@@ -409,3 +409,10 @@ def test_plan_partition_must_have_the_group_dim():
     with pytest.raises(DimensionMismatchError, match="partition must be of the "
                                                      "group's dim \\(16\\), got 8"):
         dataclasses.replace(plan, group=ProjectionGroup("attn-input", 16, "g"))
+
+
+@pytest.mark.parametrize("name", ["", None])
+def test_group_name_is_required_and_non_empty(name):
+    x, w = random_instance(16, 8, 4, seed=18)
+    with pytest.raises(ValueError, match="name must be a non-empty string"):
+        stats_from_tensors(x, w, name=name)

@@ -364,6 +364,8 @@ MALFORMED_META = {
     "zero-dim": _group(dim=0),
     "unknown-kind": _group(kind="conv"),
     "name-not-string": _group(name=5),
+    "no-name": lambda header, key: header["meta"][key][0]["group"].pop("name"),
+    "empty-name": _group(name=""),
     "member-shapes-field": _group(member_shapes=[[8, 8]]),
     "string-head-dim": _group(head_dim="8"),
     "negative-head-index": _group(head_index=-1),
@@ -471,6 +473,24 @@ class TestBundleMetaSchema:
                      "--out", str(out)]) == 2
         assert path in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["groups", "plans"])
+def test_empty_group_name_exits_2_naming_name(tmp_path, capsys, key):
+    x, w, x_path, w_path = plan_inputs(tmp_path)
+    path = str(tmp_path / "bundle.cqb")
+    if key == "groups":
+        formats.write_stats(path, [stats_from_tensors(x, w)])
+        argv = ["solve", "--stats", path]
+    else:
+        formats.write_plan(path, [build_plan(stats_from_tensors(x, w), 2, 4, 8)])
+        argv = ["simulate", "--plan", path, "--x", x_path, "--w", w_path]
+    edit_bundle_header(path, _group(name=""), key)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert (f"{path}: {key}[0].group: name must be a non-empty string, got ''"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def bundle_tensors(path):

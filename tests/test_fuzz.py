@@ -105,8 +105,9 @@ def valid(tmp_path_factory):
     assert cli.main(["solve", "--stats", paths["stats"], "--config", paths["config"],
                      "--out", paths["plan"]]) == 0
     paths["report"] = str(tmp / "report.jsonl")
-    assert cli.main(["simulate", "--plan", paths["plan"], "--x", paths["x"],
-                     "--w", paths["w"], "--out", paths["report"]]) == 0
+    assert cli.main(["simulate", "--plan", paths["plan"], "--group", "g0",
+                     "--x", paths["x"], "--w", paths["w"],
+                     "--out", paths["report"]]) == 0
     return paths | {"config_obj": config, "spec_obj": spec}
 
 
@@ -157,8 +158,8 @@ def test_plan_bundle(valid, data):
     with open(valid["fuzzed"], "wb") as f:
         f.write(mutate_frame(valid["plan"], data))
     if loads(formats.read_plan, valid["fuzzed"]):
-        exits_0_or_2("simulate", "--plan", valid["fuzzed"], "--x", valid["x"],
-                     "--w", valid["w"], "--out", valid["out"])
+        exits_0_or_2("simulate", "--plan", valid["fuzzed"], "--group", "g0",
+                     "--x", valid["x"], "--w", valid["w"], "--out", valid["out"])
 
 
 @FUZZ
@@ -181,8 +182,8 @@ def test_tensor_file(valid, data):
         f.write(mutate_frame(valid[role], data, magic=b"CQT1", focus=()))
     if loads(formats.read_tensor, valid["fuzzed"]):
         tensors = {"x": valid["x"], "w": valid["w"], role: valid["fuzzed"]}
-        exits_0_or_2("simulate", "--plan", valid["plan"], "--x", tensors["x"],
-                     "--w", tensors["w"], "--out", valid["out"])
+        exits_0_or_2("simulate", "--plan", valid["plan"], "--group", "g0",
+                     "--x", tensors["x"], "--w", tensors["w"], "--out", valid["out"])
 
 
 @FUZZ

@@ -8,7 +8,6 @@ from subquant.errors import (
     NotSymmetricError,
 )
 from subquant.linalg import (
-    frobenius_sq,
     gram_input,
     gram_weight,
     hadamard,
@@ -161,10 +160,6 @@ class TestHadamard:
 
 
 class TestArithmetic:
-    def test_frobenius_sq(self):
-        assert frobenius_sq(np.array([[3.0, 4.0]])) == 25.0
-        assert frobenius_sq(np.zeros((4, 4))) == 0.0
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))

@@ -9,7 +9,6 @@ from subquant.errors import DimensionMismatchError, NoSignalError
 from subquant.linalg import hadamard, random_orthogonal, sym_eig
 from subquant.solver import (
     ROTATIONS,
-    full_objective,
     lambda_weights,
     shared_rotations,
     solve_partition,
@@ -268,13 +267,6 @@ class TestObjectives:
         part = solve_partition(s, rank=3, gamma_low=0.05, seed=2)
         assert surrogate_objective(part, s) == pytest.approx(
             float(np.sum(part.eigenvalues[:3])), rel=1e-8)
-
-    def test_full_objective_reduces_to_surrogate_without_penalty(self):
-        # gamma_low + gamma_high = 0 is the hypothetical no-penalty limit
-        s = stats_from_sigmas(random_psd(5, 15), random_psd(5, 16))
-        part = solve_partition(s, rank=2, gamma_low=1.0, seed=0)
-        full = full_objective(part, s, gamma_low=1.0, gamma_high=-1.0)
-        assert full == pytest.approx(surrogate_objective(part, s), rel=1e-9)
 
     def test_full_and_surrogate_agree_on_diagonal_argmax(self):
         # exhaustive check over canonical axes with a small cross-penalty
