@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """End-to-end demo of the CLI pipeline on a synthetic layer.
 
-Generates a seeded instance, writes the tensors to disk, then drives
-calibrate -> solve -> simulate through the `subquant` CLI and prints the
-resulting error report.
+Generates a seeded instance, writes the tensors to disk (X as f32, the dtype
+of real calibration dumps, so calibrate and simulate read a mapped f32
+shard), then drives calibrate -> solve -> simulate through the `subquant` CLI
+and prints the resulting error report.
 """
 
 import argparse
@@ -21,7 +22,7 @@ def run(workdir, d, n, m, rank, bits_low, bits_high, seed):
     x, w = generate_instance(weight_anisotropic_spec(d, n, m, seed=seed))
     x_path = os.path.join(workdir, "x.cqt")
     w_path = os.path.join(workdir, "w.cqt")
-    formats.write_tensor(x_path, "x", x)
+    formats.write_tensor(x_path, "x", x, dtype="f32")
     formats.write_tensor(w_path, "w", w)
 
     cfg_path = os.path.join(workdir, "config.json")

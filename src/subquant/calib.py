@@ -65,12 +65,14 @@ class CalibStats(Checked):
                    energy_x=0.0, energy_w=0.0, tokens_seen=0)
 
 
+# an energy that overflows is reported by CalibStats' check, not warned of
+@np.errstate(over="ignore", invalid="ignore")
 def accumulate_activations(stats: CalibStats, batch: np.ndarray) -> CalibStats:
     """Fold one n x d activation batch into the running statistics.
 
     `batch` may be any 2-d float32/float64 array, a memory-mapped one
     included. It is walked in blocks of rows, each converted to float64 and
-    validated once (by `gram_input`), so the batch is never copied whole."""
+    validated once by `gram_input`, so the batch is never copied whole."""
     batch = np.asarray(batch)
     if batch.ndim != 2:
         raise DimensionMismatchError(f"batch must be 2-d, got shape {batch.shape}")
@@ -83,13 +85,14 @@ def accumulate_activations(stats: CalibStats, batch: np.ndarray) -> CalibStats:
     rows = max(d, BLOCK_BYTES // (8 * d))
     sigma, energy = stats.sigma_x.copy(), stats.energy_x
     for lo in range(0, n, rows):
-        g = gram_input(np.asarray(batch[lo:lo + rows], dtype=np.float64))
+        g = gram_input(batch[lo:lo + rows])
         sigma += g
         energy += float(np.trace(g))
     return replace(stats, sigma_x=sigma, energy_x=energy,
                    tokens_seen=stats.tokens_seen + n)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as accumulate_activations
 def attach_weights(stats: CalibStats, weights: list[np.ndarray]) -> CalibStats:
     """Set the fused weight covariance of a group, the sum of W_i W_i^T, and
     its energy, the sum of ||W_i||_F^2, from its member weights. An error

@@ -122,15 +122,13 @@ def cmd_calibrate(args) -> int:
         where = f"{args.config}: groups[{i}]"
         stats = CalibStats.empty(g.group)
         for path in g.activations:
-            try:
-                batch = formats.map_tensor(path)
-                stats = accumulate_activations(stats, batch)
+            try:  # the file's mapping is released with its array
+                stats = accumulate_activations(stats, formats.map_tensor(path))
             except FormatError:
                 raise  # its message already names the file
             except (OSError, ValueError) as e:
                 raise FormatError(
                     f"{where} (group {g.name!r}): activation file {path}: {e}") from e
-            del batch  # releases the file's mapping
         weights = []
         for path in g.weights:
             try:
@@ -171,7 +169,7 @@ def cmd_simulate(args) -> int:
         names = [plan.group.name for plan in plans]
         raise FormatError(f"{args.plan} holds groups {names}: "
                           "choose one with --group")
-    x = formats.read_tensor(args.x)
+    x = formats.map_tensor(args.x)
     w = formats.read_tensor(args.w)
     formats.write_report(args.out, [measure_plan(x, w, plans[0])])
     return 0
@@ -193,7 +191,7 @@ def cmd_analyze(args) -> int:
                         cfg.bits_high, seed0=cfg.seed, rotation=cfg.rotation)
     else:
         cfg = load_config(args.config, args)
-        x = formats.read_tensor(args.x)
+        x = formats.map_tensor(args.x)
         w = formats.read_tensor(args.w)
         runs = [analyze_layer(x, w, rank_of(args, cfg, x.shape[1]), cfg.bits_low,
                               cfg.bits_high, seed=cfg.seed, rotation=cfg.rotation)]

@@ -45,8 +45,8 @@ from .solver import (
 )
 from .synth import SyntheticInstanceSpec, generate_instance
 
-# float64 bytes of one error block in the row-block form, and its fewest rows:
-# at large m a block of a few rows makes each product a poor GEMM
+# float64 bytes of a row block's widest buffer, and its fewest rows: at large
+# m a block of a few rows makes each product a poor GEMM
 BLOCK_BYTES = 1 << 20
 MIN_BLOCK_ROWS = 256
 
@@ -119,46 +119,24 @@ class ErrorReport(Checked):
         ))
 
 
-def _quantized(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
-               errors: bool):
-    """Rotate (X, W) to A = X u and B = u^T W, then quantize each block of
-    A and B in place, giving A_hat and B_hat.
-
-    A row of A is a token, quantized asymmetrically; a row of B^T, a
-    transposed view of B, is an output channel, quantized symmetrically.
-    Returns L, R and the block energies ((x_low, x_high), (w_low, w_high))
-    of A and B. L is column-major, so each column block is contiguous and
-    each token reduces across contiguous columns. With `errors`,
-    L = [dA | A_hat] (n x 2d) and R = [B_hat; dB] (2d x m) also hold the
-    quantization errors dA = A - A_hat and dB = B - B_hat; without, L = A_hat
-    and R = B_hat."""
-    d, k = plan.partition.dim, plan.partition.dim - plan.partition.rank
-    u = plan.partition.u
-    h = 2 if errors else 1
-    l = np.empty((x.shape[0], h * d), order="F")
-    r = np.empty((h * d, w.shape[1]))
-    a, b = l[:, -d:], r[:d]
-    np.matmul(u.T, x.T, out=a.T)
-    np.matmul(u.T, w, out=b)
-    ex = np.einsum("ij,ij->j", a, a)
-    ew = np.einsum("ij,ij->i", b, b)
-    da, dbt = (l[:, :d], r[d:].T) if errors else (None, None)
-    for mat, err, symmetric in ((a, da, False), (b.T, dbt, True)):
-        for cols, bits in ((np.s_[:, :k], plan.bits_low),
-                           (np.s_[:, k:], plan.bits_high)):
-            block = mat[cols]
-            q = quantize(block, bits, symmetric).dequantized
-            if errors:
-                np.subtract(block, q, out=err[cols])
-            block[...] = q
-    energies = ((float(ex[:k].sum()), float(ex[k:].sum())),
-                (float(ew[:k].sum()), float(ew[k:].sum())))
-    return l, r, energies
+def _quantize_columns(mat: np.ndarray, err: np.ndarray | None, k: int,
+                      plan: MixedPrecisionPlan, symmetric: bool) -> None:
+    """Quantize the low (first k) and high column blocks of `mat` in place at
+    the plan's bit-widths, a row being a group; with `err`, store the error."""
+    for cols, bits in ((np.s_[:, :k], plan.bits_low),
+                       (np.s_[:, k:], plan.bits_high)):
+        block = mat[cols]
+        q = quantize(block, bits, symmetric).dequantized
+        if err is not None:
+            np.subtract(block, q, out=err[cols])
+        block[...] = q
 
 
 def use_gram_form(n: int, d: int, m: int) -> bool:
-    """Whether ||X W - A_hat B_hat||^2 costs less from 2d x 2d Grams, about
-    4 d^2 (n + m) multiply-adds, than from row blocks, about 2 n d m."""
+    """Whether to measure ||X W - A_hat B_hat||^2 from 2d x 2d Grams, which
+    numpy forms as symmetric rank-k updates (about 2 d^2 (n + m) multiply-
+    adds), rather than from row blocks (2 n d m). `execute_plan` also forms
+    Y_hat (n d m) in either form, so this rule is its break-even."""
     return 2 * d * (n + m) < n * m
 
 
@@ -168,28 +146,61 @@ def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
              output: bool) -> tuple[np.ndarray | None, ErrorReport]:
     """The report of `plan` on (X, W) and, when `output`, Y_hat = A_hat B_hat.
 
+    B = u^T W is quantized once, a row of B^T (a transposed view) being an
+    output channel. X, a mapped array included, is read in one pass over row
+    blocks, each converted to float64 and validated once, then rotated to
+    A_b = X_b u in a reused column-major buffer and quantized, a row (token)
+    reducing across contiguous columns.
+
     exact_error is ||E||^2 for E = X W - A_hat B_hat, in one of two forms
-    chosen by shape (`use_gram_form`). Neither allocates an n x m array
-    besides Y_hat:
+    chosen by shape (`use_gram_form`). Neither holds an n-row array besides
+    Y_hat, which gets A_hat_b B_hat in its rows:
       - Gram: E = A B - A_hat B_hat = dA B + A_hat dB (X W = A B, u being
-        orthogonal; B = B_hat + dB), from the 2d x 2d Grams of
-        L = [dA | A_hat] and R = [B_hat; dB];
-      - row blocks: ||X_b W - A_hat_b B_hat||^2 summed over blocks of rows
-        in one reused buffer; A_hat_b B_hat goes into Y_hat's rows, or into
-        a second reused buffer.
+        orthogonal), from the Gram of R = [B_hat; dB] and the summed Grams
+        of L_b = [dA_b | A_hat_b], all 2d x 2d;
+      - row blocks: ||X_b W - A_hat_b B_hat||^2 summed, in reused buffers.
     An error, predicted error or energy that over- or underflows float64
     raises ScaleRangeError."""
-    x = as_matrix(x, "x")
     w = as_matrix(w, "w")
+    x = np.asarray(x)
     d = plan.partition.dim
-    if x.shape[1] != d or w.shape[0] != d:
+    if x.ndim != 2 or x.shape[1] != d or w.shape[0] != d:
         raise DimensionMismatchError(
             f"x {x.shape} / w {w.shape} incompatible with partition dim {d}")
     n, m = x.shape[0], w.shape[1]
+    u, k = plan.partition.u, d - plan.partition.rank
     gram = use_gram_form(n, d, m)
-    l, r, (ex, ew) = _quantized(x, w, plan, errors=gram)
-    a_hat, b_hat = l[:, -d:], r[:d]
-    y_hat = None
+    r = np.empty((2 * d if gram else d, m))
+    b_hat = r[:d]
+    np.matmul(u.T, w, out=b_hat)
+    ew = np.einsum("ij,ij->i", b_hat, b_hat)
+    _quantize_columns(b_hat.T, r[d:].T if gram else None, k, plan, symmetric=True)
+    # widest buffer: L_b (2d columns), or X_b W (m) and A_b (d). A Gram-form
+    # block has at least 2d rows, as each adds a fresh 2d x 2d Gram
+    width = 2 * d if gram else max(d, m)
+    rows = max(MIN_BLOCK_ROWS, BLOCK_BYTES // (8 * width), width if gram else 0)
+    l = np.empty((min(rows, n), len(r)), order="F")
+    # Y_hat, or the row form's scratch block for A_hat_b B_hat
+    y = np.empty((n, m)) if output else None if gram else np.empty((len(l), m))
+    gl = np.zeros((2 * d, 2 * d)) if gram else None
+    e = None if gram else np.empty((len(l), m))  # X_b W
+    ex, exact = np.zeros(d), 0.0
+    for lo in range(0, n, rows):
+        x_b = as_matrix(x[lo:lo + rows], "x")
+        t = len(x_b)
+        l_b = l[:t]
+        a = l_b[:, -d:]
+        np.matmul(u.T, x_b.T, out=a.T)
+        ex += np.einsum("ij,ij->j", a, a)
+        _quantize_columns(a, l_b[:, :d] if gram else None, k, plan, symmetric=False)
+        if y is not None:
+            y_b = np.matmul(a, b_hat, out=y[lo:lo + t] if output else y[:t])
+        if gram:
+            gl += l_b.T @ l_b
+        else:
+            e_b = np.matmul(x_b, w, out=e[:t])
+            e_b -= y_b
+            exact += float(np.vdot(e_b, e_b))
     if gram:
         # [B; dB] = T R with T = [[I, I], [0, I]], so ||E||^2 = ||L T R||^2
         # = <L^T L, T (R R^T) T^T>: add R R^T's second block row and column
@@ -198,25 +209,9 @@ def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
         g[:d] += g[d:]
         g[:, :d] += g[:, d:]
         # a sum of squares that rounding may take just below 0
-        exact = max(float(np.vdot(l.T @ l, g)), 0.0)
-    else:
-        rows = max(MIN_BLOCK_ROWS, BLOCK_BYTES // (8 * m))
-        e = np.empty((min(rows, n), m))
-        y = np.empty((n, m)) if output else np.empty_like(e)
-        exact = 0.0
-        for lo in range(0, n, rows):
-            e_b = e[:min(rows, n - lo)]
-            y_b = y[lo:lo + rows] if output else y[:len(e_b)]
-            np.matmul(x[lo:lo + rows], w, out=e_b)
-            np.matmul(a_hat[lo:lo + rows], b_hat, out=y_b)
-            e_b -= y_b
-            exact += float(np.vdot(e_b, e_b))
-        y_hat = y if output else None
-    if output and y_hat is None:  # one product, formed after measuring
-        y_hat = a_hat @ b_hat
-    r_high = plan.partition.rank
-    predicted = predict_error(ex, ew, plan.bits_low, plan.bits_high,
-                              (d - r_high, r_high))
+        exact = max(float(np.vdot(gl, g)), 0.0)
+    ex, ew = ((float(v[:k].sum()), float(v[k:].sum())) for v in (ex, ew))
+    predicted = predict_error(ex, ew, plan.bits_low, plan.bits_high, (k, d - k))
     if not all(math.isfinite(v) for v in (exact, predicted, *ex, *ew)):
         raise ScaleRangeError(f"measuring group {plan.group.name!r} "
                               f"overflows float64: error {exact!r}, predicted "
@@ -230,9 +225,9 @@ def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
         energy_x_low=ex[0], energy_x_high=ex[1],
         energy_w_low=ew[0], energy_w_high=ew[1],
         bits_low=plan.bits_low, bits_high=plan.bits_high,
-        rank=r_high, seed=plan.partition.seed,
+        rank=plan.partition.rank, seed=plan.partition.seed,
     )
-    return y_hat, report
+    return y if output else None, report
 
 
 def predict_error(x_energies: tuple[float, float], w_energies: tuple[float, float],
@@ -278,9 +273,10 @@ def build_plan(stats: CalibStats, rank: int, bits_low: int, bits_high: int,
 
 def stats_from_tensors(x: np.ndarray, w: np.ndarray,
                        name: str = "layer") -> CalibStats:
-    """Single-layer statistics straight from an (X, W) pair."""
-    x = as_matrix(x, "x")
-    group = ProjectionGroup(kind=ATTN_INPUT, dim=x.shape[1], name=name)
+    """Single-layer statistics straight from an (X, W) pair. X, a mapped
+    array included, is checked against W, then read in row blocks."""
+    w = as_matrix(w, "w")
+    group = ProjectionGroup(kind=ATTN_INPUT, dim=w.shape[0], name=name)
     stats = accumulate_activations(CalibStats.empty(group), x)
     return attach_weights(stats, [w])
 

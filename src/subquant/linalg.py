@@ -22,8 +22,10 @@ SYMMETRY_TOL = 1e-9
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return a 2-d float64 array with all entries finite."""
-    m = np.asarray(a, dtype=np.float64)
+    """Validate and return a 2-d, aligned float64 array with all entries
+    finite. numpy multiplies an unaligned array (a view of a mapped file's
+    payload may be one) by a slower path that rounds differently."""
+    m = np.require(a, np.float64, "A")
     if m.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-d, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -76,28 +78,27 @@ def sym_eig(m: np.ndarray) -> EigenResult:
 
 
 def gram_input(x: np.ndarray) -> np.ndarray:
-    """X^T X for an n x d activation batch (uncentered second moment).
-
-    Validated through its output: diag(X^T X)_j = sum_i x_ij^2 has no
-    cancellation, so it is finite exactly when column j is finite and its
-    square sum does not overflow. No separate pass over X is needed."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionMismatchError(f"x must be 2-d, got shape {x.shape}")
-    if x.shape[0] < 1:
-        raise DimensionMismatchError("empty activation batch")
-    g = x.T @ x
-    if not np.all(np.isfinite(np.diagonal(g))):
-        raise ValueError("x contains non-finite entries, or its squares overflow")
-    return g
+    """X^T X for an n x d activation batch (uncentered second moment)."""
+    return _gram(np.require(x, np.float64, "A").T, "x")  # aligned: see as_matrix
 
 
 def gram_weight(w: np.ndarray) -> np.ndarray:
     """W W^T for a d x m weight matrix."""
-    w = as_matrix(w, "w")
-    if w.shape[1] < 1:
-        raise DimensionMismatchError("empty weight matrix")
-    return w @ w.T
+    return _gram(np.require(w, np.float64, "A"), "w")
+
+
+# an overflow is reported by the check on the diagonal, not warned of
+@np.errstate(over="ignore", invalid="ignore")
+def _gram(a: np.ndarray, name: str) -> np.ndarray:
+    """A A^T, validated through its output: (A A^T)_ii = sum_j a_ij^2 has no
+    cancellation, so it is finite exactly when row i of A is finite and its
+    square sum does not overflow. No separate pass over A is needed."""
+    if a.ndim != 2 or a.size == 0:
+        raise DimensionMismatchError(f"{name} must be a non-empty 2-d array")
+    g = a @ a.T
+    if not np.all(np.isfinite(np.diagonal(g))):
+        raise ValueError(f"{name} contains non-finite entries, or its squares overflow")
+    return g
 
 
 def random_orthogonal(d: int, seed: int) -> np.ndarray:

@@ -107,15 +107,42 @@ class TestCalibrate:
         assert (f"{cfg_path}: groups[0] (group 'g0'): weight file {bad}: "
                 "weights[0] contains non-finite entries" in err)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_weight_energy_overflow_names_the_files(self, workspace, capsys):
+        # each member's row square sums are finite (8 * 1.2e307), their sum
+        # over the two members, like the energy, is not
         huge = str(workspace["tmp"] / "whuge.cqt")
-        formats.write_tensor(huge, "whuge", np.full((8, 8), 1e200))
-        code, cfg_path, written = self.calibrate_with_weights(workspace, [huge])
+        formats.write_tensor(huge, "whuge", np.full((8, 8), 3.5e153))
+        code, cfg_path, written = self.calibrate_with_weights(workspace, [huge, huge])
         err = capsys.readouterr().err
         assert code == 2 and not written
-        assert (f"{cfg_path}: groups[0] (group 'g0'): weight file {huge}: "
+        assert (f"{cfg_path}: groups[0] (group 'g0'): weight file {huge}, {huge}: "
                 "energy_w must be a finite number >= 0, got inf" in err)
+
+    # a file whose squares overflow float64 (1e200), or whose square sums of
+    # rows are finite but whose energy is not (one row of 8 x 1.2e154)
+    OVERFLOWS = {
+        "weight": ("weight", np.full((8, 8), 1e200),
+                   "w contains non-finite entries, or its squares overflow"),
+        "activation": ("activation", np.full((16, 8), 1e200),
+                       "x contains non-finite entries, or its squares overflow"),
+        "activation-energy": ("activation", np.full((1, 8), 1.2e154),
+                              "energy_x must be a finite number >= 0, got inf"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWS))
+    def test_overflowing_file_exits_2_naming_it(self, workspace, capsys, case):
+        kind, array, message = self.OVERFLOWS[case]
+        path = str(workspace["tmp"] / "huge.cqt")
+        formats.write_tensor(path, "huge", array)
+        cfg = dict(workspace["cfg_obj"])
+        cfg["groups"] = [dict(cfg["groups"][0], **{f"{kind}s": [path]})]
+        cfg_path = str(workspace["tmp"] / "huge.json")
+        Path(cfg_path).write_text(json.dumps(cfg))
+        out = workspace["tmp"] / "stats.cqb"
+        assert run("calibrate", "--config", cfg_path, "--out", str(out)) == 2
+        assert (f"{cfg_path}: groups[0] (group 'g0'): {kind} file {path}: {message}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.fixture
     def reads(self, monkeypatch):
@@ -451,6 +478,38 @@ class TestSimulate:
         assert not out.exists()
         assert run("simulate", *args, "--group", "g1") == 0
         assert formats.read_report(str(out))[0].group == "g1"
+
+    @pytest.mark.parametrize("m", [64, 8], ids=["gram", "rows"])
+    def test_mapped_f32_x_reports_as_its_f64_copy(self, workspace, monkeypatch, m):
+        # blocks of MIN_BLOCK_ROWS (256): three and a 37-row tail
+        monkeypatch.setattr(engine, "BLOCK_BYTES", 1)
+        n = 3 * 256 + 37
+        assert engine.use_gram_form(n, 8, m) == (m == 64)
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((n, 8)).astype(np.float32)
+        tmp = workspace["tmp"]
+        w = str(tmp / "w_out.cqt")
+        formats.write_tensor(w, "w", rng.standard_normal((8, m)))
+        stats, plan = str(tmp / "stats.cqb"), str(tmp / "plan.cqb")
+        run("calibrate", "--config", workspace["cfg"], "--out", stats)
+        run("solve", "--stats", stats, "--out", plan)
+        read = formats.read_tensor
+        reads = []
+        monkeypatch.setattr(formats, "read_tensor",
+                            lambda path: reads.append(path) or read(path))
+        reports = {}
+        for dtype in ("f32", "f64"):
+            path = str(tmp / f"x_{dtype}.cqt")
+            formats.write_tensor(path, "x", x, dtype=dtype)
+            for command, args in (("simulate", ["--plan", plan]),
+                                  ("analyze", ["--rank", "2"])):
+                out = tmp / f"{command}_{dtype}.jsonl"
+                assert run(command, *args, "--x", path, "--w", w,
+                           "--out", str(out)) == 0
+                reports[command, dtype] = out.read_bytes()
+        for command in ("simulate", "analyze"):
+            assert reports[command, "f32"] == reports[command, "f64"]
+        assert reads == [w] * 4  # X is mapped, never copied whole
 
 
 class TestAnalyze:

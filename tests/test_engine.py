@@ -6,7 +6,7 @@ import pytest
 
 from groupings import as_rows
 from reference import execute_plan_reference, quantize_reference
-from subquant import engine, solver
+from subquant import engine, formats, solver
 from subquant.calib import ProjectionGroup
 from subquant.engine import (
     ErrorReport,
@@ -137,15 +137,18 @@ SPECS = [(bits, granularity, symmetric) for bits in (2, 4, 8, 16)
 
 
 def grouped(dequantize, granularity, symmetric):
-    """A quantizer (m, bits, _) -> m dequantized that applies `dequantize`
-    to the groups of `granularity` (heads of 2 columns) at `symmetric`,
-    whatever symmetry it is asked for. A plan quantizes in one scheme, but
-    the two forms of the measured error hold for any quantizer, so they are
-    checked against these, on the A and the B^T side alike."""
-    def q(m, bits, _):
-        flat = as_rows(np.arange(m.size).reshape(m.shape), granularity, 2)
+    """A quantizer (m, bits, side) -> m dequantized that applies `dequantize`
+    at `symmetric`, whatever symmetry it is asked for, to the groups of
+    `granularity` (heads of 2 columns) on the B^T side, which the engine
+    asks for symmetric groups. A plan quantizes in one scheme, but the two
+    forms of the measured error hold for any quantizer, so they are checked
+    against these. The engine reads X in row blocks, so a group of A must lie
+    in one row: on the A side the groups are tokens."""
+    def q(m, bits, side):
+        by = granularity if side else "per-token"
+        flat = as_rows(np.arange(m.size).reshape(m.shape), by, 2)
         out = np.empty(m.size)
-        out[flat] = dequantize(as_rows(m, granularity, 2), bits, symmetric)
+        out[flat] = dequantize(as_rows(m, by, 2), bits, symmetric)
         return out.reshape(m.shape)
     return q
 
@@ -242,26 +245,55 @@ class TestMeasurePlan:
 
     @pytest.mark.parametrize("n,d,m", [(8192, 16, 512), (4096, 256, 512)],
                              ids=["gram", "rows"])
-    def test_error_needs_no_quarter_of_an_n_by_m_array(self, monkeypatch, n, d, m):
-        # In the row-block form (2d(n + m) >= nm) the rotated operands
-        # alone outweigh n m / 4, so count what is allocated beyond them
+    def test_error_needs_no_quarter_of_an_n_by_m_array(self, n, d, m):
         x, w = random_instance(n, d, m, seed=14)
         plan = make_plan(x, w, rank=d // 8)
-        quantized, held = engine._quantized, []
-
-        def operands(*args, **kwargs):
-            out = quantized(*args, **kwargs)
-            held.append(tracemalloc.get_traced_memory()[0])
-            tracemalloc.reset_peak()
-            return out
-
-        monkeypatch.setattr(engine, "_quantized", operands)
+        plan.partition.u  # derived on first use; a plan's cost, not the error's
+        # count what is allocated beyond the one operand held throughout,
+        # B_hat = u^T W quantized, of W's shape
         for fn in (measure_plan, execute_plan):
-            peak = traced_peak(fn, x, w, plan) - held.pop()
+            peak = traced_peak(fn, x, w, plan) - w.nbytes
             if fn is measure_plan:
                 assert peak < n * m * 8 / 4
             else:
                 assert peak >= n * m * 8
+
+    @pytest.mark.parametrize("form", sorted(SHAPES))
+    def test_mapped_f32_x_reports_as_its_f64_copy(self, tmp_path, monkeypatch, form):
+        # blocks of MIN_BLOCK_ROWS (256): three and a 37-row tail
+        monkeypatch.setattr(engine, "BLOCK_BYTES", 1)
+        (_, d, m), n = SHAPES[form], 3 * 256 + 37
+        assert use_gram_form(n, d, m) == (form == "gram")
+        x, w = random_instance(n, d, m, seed=19)
+        path = str(tmp_path / "x.cqt")
+        formats.write_tensor(path, "x", x, dtype="f32")
+        mapped, copy = formats.map_tensor(path), formats.read_tensor(path)
+        assert mapped.dtype == np.float32
+        plan = make_plan(copy, w, rank=2)
+        assert measure_plan(mapped, w, plan) == measure_plan(copy, w, plan)
+        (y_mapped, mapped_report), (y_copy, copy_report) = (
+            execute_plan(mapped, w, plan), execute_plan(copy, w, plan))
+        assert mapped_report == copy_report
+        assert np.array_equal(y_mapped, y_copy)
+        assert analyze_layer(mapped, w, 2, 4, 8) == analyze_layer(copy, w, 2, 4, 8)
+        errors = []
+        for gram in (True, False):
+            monkeypatch.setattr(engine, "use_gram_form", lambda n, d, m: gram)
+            errors.append(measure_plan(mapped, w, plan).exact_error)
+        assert errors[0] == pytest.approx(errors[1], rel=1e-10)
+
+    @pytest.mark.parametrize("n,d,m", [(4096, 16, 512), (2048, 64, 64)],
+                             ids=["gram", "rows"])
+    def test_peak_does_not_grow_with_n(self, n, d, m):
+        # beyond X, W and u, which are held before the call, 8n rows peak
+        # within 10% of n rows (n is one whole block)
+        x, w = random_instance(8 * n, d, m, seed=20)
+        assert use_gram_form(n, d, m) == use_gram_form(8 * n, d, m) == (d == 16)
+        plan = make_plan(x, w, rank=d // 8)
+        plan.partition.u  # derived before tracing
+        small, large = (traced_peak(measure_plan, x[:rows], w, plan)
+                        for rows in (n, 8 * n))
+        assert large <= 1.1 * small
 
 
 class TestPredictError:
