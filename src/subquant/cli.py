@@ -37,6 +37,9 @@ from .synth import SyntheticInstanceSpec
 
 @dataclasses.dataclass
 class RunConfig(Checked):
+    """A run's config: its plan fields, and the `groups` that calibrate reads,
+    each entry parsed to a ConfigGroup, so every command checks them all."""
+
     groups: list = dataclasses.field(default_factory=list)
     rank_ratio: float = 0.125
     bits_low: int = 4
@@ -54,6 +57,12 @@ class RunConfig(Checked):
             ("rotation", *ROTATION),
             ("groups", lambda v: isinstance(v, list), "a list"),
         ))
+        self.groups = [ConfigGroup.from_json(entry, f"groups[{i}]")
+                       for i, entry in enumerate(self.groups)]
+        names = [g.name for g in self.groups]
+        for name in names:
+            if names.count(name) > 1:
+                raise FormatError(f"two groups are named {name!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,14 +120,8 @@ def cmd_calibrate(args) -> int:
     cfg = load_config(args.config, args)
     if not cfg.groups:
         raise FormatError(f"{args.config}: config declares no groups")
-    groups = [ConfigGroup.from_json(entry, f"{args.config}: groups[{i}]")
-              for i, entry in enumerate(cfg.groups)]
-    names = [g.name for g in groups]
-    for name in names:
-        if names.count(name) > 1:
-            raise FormatError(f"{args.config}: two groups are named {name!r}")
     stats_list = []
-    for i, g in enumerate(groups):
+    for i, g in enumerate(cfg.groups):
         where = f"{args.config}: groups[{i}]"
         stats = CalibStats.empty(g.group)
         for path in g.activations:
@@ -193,7 +196,7 @@ def cmd_analyze(args) -> int:
         cfg = load_config(args.config, args)
         x = formats.map_tensor(args.x)
         w = formats.read_tensor(args.w)
-        runs = [analyze_layer(x, w, rank_of(args, cfg, x.shape[1]), cfg.bits_low,
+        runs = [analyze_layer(x, w, rank_of(args, cfg, w.shape[0]), cfg.bits_low,
                               cfg.bits_high, seed=cfg.seed, rotation=cfg.rotation)]
     formats.write_report(args.out, [rep for run in runs for rep in run])
     print(json.dumps(summarize(runs), sort_keys=True))

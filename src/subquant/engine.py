@@ -33,14 +33,12 @@ from .quantizer import BITS, combined_error_coeff, quantize
 from .solver import (
     OBJECTIVE_ACTIVATION,
     OBJECTIVE_JOINT,
-    OBJECTIVE_WEIGHT,
     OBJECTIVE,
     OBJECTIVES,
     ROTATION_RANDOM,
     SEED,
     SubspacePartition,
     rank_rule,
-    shared_rotations,
     solve_partition,
 )
 from .synth import SyntheticInstanceSpec, generate_instance
@@ -289,19 +287,13 @@ def analyze_layer(x: np.ndarray, w: np.ndarray, rank: int, bits_low: int,
     Returns reports in the order (joint, activation-only, weight-only), each
     carrying its error reduction relative to the activation-only selection."""
     stats = stats_from_tensors(x, w)
-    reports: dict[str, ErrorReport] = {}
-    with shared_rotations():  # the three plans share (seed, rotation)
-        for objective in (OBJECTIVE_JOINT, OBJECTIVE_ACTIVATION, OBJECTIVE_WEIGHT):
-            plan = build_plan(stats, rank, bits_low, bits_high,
-                              objective=objective, seed=seed, rotation=rotation)
-            reports[objective] = measure_plan(x, w, plan)
-    baseline = reports[OBJECTIVE_ACTIVATION].exact_error
-    out = []
-    for objective in OBJECTIVES:
-        rep = reports[objective]
-        red = 0.0 if baseline == 0.0 else 1.0 - rep.exact_error / baseline
-        out.append(replace(rep, relative_reduction=red))
-    return out
+    reports = [measure_plan(x, w, build_plan(stats, rank, bits_low, bits_high,
+                                             objective=objective, seed=seed,
+                                             rotation=rotation))
+               for objective in OBJECTIVES]
+    baseline = reports[OBJECTIVES.index(OBJECTIVE_ACTIVATION)].exact_error
+    return [replace(rep, relative_reduction=0.0 if baseline == 0.0
+                    else 1.0 - rep.exact_error / baseline) for rep in reports]
 
 
 def campaign(spec: SyntheticInstanceSpec, instances: int, rank: int,

@@ -7,8 +7,6 @@ composes the full orthogonal transform with seeded internal rotations.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 from dataclasses import dataclass
 
@@ -120,37 +118,14 @@ def lambda_weights(stats: CalibStats, gamma_low: float,
     return lx, lw
 
 
-# (dim, seed) or (dim,) -> read-only rotation, inside `shared_rotations()`
-_shared: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "shared_rotations", default=None)
-
-
-@contextlib.contextmanager
-def shared_rotations():
-    """Scope in which every internal rotation is computed once.
-
-    Inside it, the partitions whose `u` is derived there share each
-    rotation they ask for in common (same size and seed, or the same
-    Hadamard size): one read-only array, bit-identical to a fresh one. The
-    arrays are dropped when the scope exits; outside any scope each plan
-    gets a fresh, writable rotation."""
-    token = _shared.set({})
-    try:
-        yield
-    finally:
-        _shared.reset(token)
-
-
+# one u needs two rotations, and every plan of one size and seed the same two
+@functools.lru_cache(maxsize=2)
 def _internal_rotation(dim: int, seed: int, rotation: str) -> np.ndarray:
+    """The seeded internal rotation of a block of `dim`, read-only: a pure
+    function of its arguments, so plans of one shape and seed share it."""
     use_hadamard = rotation == ROTATION_HADAMARD and dim & (dim - 1) == 0
-    memo = _shared.get()
-    key = (dim,) if use_hadamard else (dim, seed)
-    if memo is not None and key in memo:
-        return memo[key]
     r = hadamard(dim) if use_hadamard else random_orthogonal(dim, seed)
-    if memo is not None:
-        r.flags.writeable = False
-        memo[key] = r
+    r.flags.writeable = False
     return r
 
 

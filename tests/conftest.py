@@ -5,7 +5,8 @@ from subquant import solver
 
 @pytest.fixture
 def rotation_calls(monkeypatch):
-    """(dim, seed) of every random rotation computed while the test runs."""
+    """(dim, seed) of every random rotation computed while the test runs. The
+    rotation cache is emptied before and after, so no test sees another's."""
     calls = []
     rotation = solver.random_orthogonal
 
@@ -14,4 +15,6 @@ def rotation_calls(monkeypatch):
         return rotation(d, seed)
 
     monkeypatch.setattr(solver, "random_orthogonal", counting)
-    return calls
+    solver._internal_rotation.cache_clear()
+    yield calls
+    solver._internal_rotation.cache_clear()

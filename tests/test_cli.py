@@ -576,6 +576,17 @@ class TestAnalyze:
         assert "--synthetic or --x and --w, not both" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rank", [[], ["--rank", "2"]], ids=["ratio", "rank"])
+    @pytest.mark.parametrize("shape", [(16 * 8,), (2, 8, 8)], ids=["1-d", "3-d"])
+    def test_x_not_2d_exits_2(self, workspace, capsys, shape, rank):
+        x = str(workspace["tmp"] / "x_nd.cqt")
+        formats.write_tensor(x, "x", np.ones(shape))
+        out = workspace["tmp"] / "r.jsonl"
+        assert run("analyze", "--x", x, "--w", workspace["w"], *rank,
+                   "--out", str(out)) == 2
+        assert "must be 2-d" in capsys.readouterr().err
+        assert not out.exists()
+
     # spec seed 11; (config file, flags) -> the seed of draw 0
     SEED_RULE = {
         "spec": (None, [], 11),
@@ -923,7 +934,8 @@ def _drop_from_group(key):
 
 
 # edits of the workspace config, and the field the error message must name:
-# fields every command reads, then the groups only calibrate reads
+# the plan fields, then the groups, which only calibrate reads but every
+# command checks
 MALFORMED_CONFIGS = {
     "not-an-object": (lambda cfg: 5, "JSON object"),
     "a-list": (lambda cfg: [cfg], "JSON object"),
@@ -973,7 +985,7 @@ class TestConfigSchema:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    @pytest.mark.parametrize("case", sorted(ALL_MALFORMED_CONFIGS))
     def test_solve_exits_2_naming_the_field(self, workspace, capsys, case):
         stats = str(workspace["tmp"] / "stats.cqb")
         assert run("calibrate", "--config", workspace["cfg"], "--out", stats) == 0

@@ -27,7 +27,6 @@ from subquant.errors import (
     TruncatedPayloadError,
     UnsupportedDtypeError,
 )
-from subquant.solver import shared_rotations
 
 
 class TestTensorContainer:
@@ -651,7 +650,7 @@ class TestPlanBundle:
         assert rotation_calls == []  # u is derived on first use
         assert loaded.partition.rotation == "hadamard"
         assert np.array_equal(loaded.partition.u, plan.partition.u)
-        assert rotation_calls == [(28, 10), (28, 10)]
+        assert rotation_calls == [(28, 10)]  # the second u reads it back
         assert np.array_equal(execute_plan(x, w, loaded)[0], execute_plan(x, w, plan)[0])
 
     def test_read_derives_no_rotation(self, tmp_path, rotation_calls):
@@ -665,11 +664,9 @@ class TestPlanBundle:
         formats.write_plan(path, plans)
         loaded = formats.read_plan(path)
         assert rotation_calls == []
-        # groups of equal width derive their u from one pair of rotations
-        # inside a shared scope
-        with shared_rotations():
-            for a, b in zip(plans, loaded):
-                assert np.array_equal(a.partition.u, b.partition.u)
+        # groups of equal width and seed derive their u from one pair of rotations
+        for a, b in zip(plans, loaded):
+            assert np.array_equal(a.partition.u, b.partition.u)
         assert rotation_calls == [(2, 3), (6, 4)]
 
     def test_round_trip_and_reexecution(self, tmp_path):

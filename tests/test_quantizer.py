@@ -31,12 +31,14 @@ def checked_examples() -> dict:
     x, w = rng.standard_normal((32, 8)), rng.standard_normal((8, 6))
     stats = stats_from_tensors(x, w, name="g")
     plan = build_plan(stats, 2, 4, 6)
+    group = ConfigGroup("g", "attn-input", 8, activations=("x.cqt",),
+                        weights=("w.cqt",))
     values = (
         ProjectionGroup("mlp-input", 8, "g"),
         stats, plan, plan.partition, measure_plan(x, w, plan),
         weight_anisotropic_spec(8, 32, 6, seed=3),
-        RunConfig(groups=[{"name": "g"}], rank_ratio=0.25, seed=3),
-        ConfigGroup("g", "attn-input", 8, activations=("x.cqt",), weights=("w.cqt",)),
+        RunConfig(groups=[group.to_json()], rank_ratio=0.25, seed=3),
+        group,
     )
     return {type(v).__name__: v for v in values}
 

@@ -10,7 +10,6 @@ from subquant.linalg import hadamard, random_orthogonal, sym_eig
 from subquant.solver import (
     ROTATIONS,
     lambda_weights,
-    shared_rotations,
     solve_partition,
     surrogate_objective,
 )
@@ -159,90 +158,66 @@ class TestSolvePartition:
         assert np.array_equal(a.u, b.u)
 
 
-class TestSharedRotations:
+class TestRotationCache:
     def stats(self, d=8):
         return stats_from_sigmas(random_psd(d, 20), random_psd(d, 21))
 
-    def test_outside_a_scope_each_plan_gets_a_fresh_writable_rotation(
+    @pytest.mark.parametrize("dim,seed,rotation,fresh", [
+        (6, 4, "random", lambda: random_orthogonal(6, 4)),
+        (4, 3, "hadamard", lambda: hadamard(4)),
+        (5, 1, "hadamard", lambda: random_orthogonal(5, 1)),  # not a power of two
+    ], ids=["random", "hadamard", "fallback"])
+    def test_read_only_and_equal_to_fresh(self, rotation_calls, dim, seed,
+                                          rotation, fresh):
+        r = solver._internal_rotation(dim, seed, rotation)
+        assert r is solver._internal_rotation(dim, seed, rotation)
+        assert np.array_equal(r, fresh())
+        assert not r.flags.writeable
+        with pytest.raises(ValueError):
+            r[0, 0] = 0.0
+
+    def test_plans_of_one_shape_and_seed_compute_each_rotation_once(
             self, rotation_calls):
         s = self.stats()
-        a = solve_partition(s, rank=2, gamma_low=1.0, seed=3)
-        b = solve_partition(s, rank=2, gamma_low=1.0, seed=3)
+        parts = [solve_partition(s, rank=2, objective=objective, gamma_low=1.0,
+                                 seed=3) for objective in solver.OBJECTIVES]
         assert rotation_calls == []  # u is derived on first use
-        assert np.array_equal(a.u, b.u)
-        assert len(rotation_calls) == 4
-        r1 = solver._internal_rotation(6, 4, "random")
-        r2 = solver._internal_rotation(6, 4, "random")
-        assert r1 is not r2 and np.array_equal(r1, r2)
-        assert r1.flags.writeable and r2.flags.writeable
-
-    def test_shared_arrays_are_read_only_and_bit_identical(self, rotation_calls):
-        s = self.stats()
-        with shared_rotations():
-            a = solve_partition(s, rank=2, gamma_low=1.0, seed=3)
-            b = solve_partition(s, rank=2, objective="activation",
-                                gamma_low=1.0, seed=3)
-            had = solve_partition(s, rank=4, gamma_low=1.0, seed=3,
-                                  rotation="hadamard")
-            assert rotation_calls == []
-            us = [part.u for part in (a, b, had)]  # derived in the scope
-            assert rotation_calls == [(2, 3), (6, 4)]
-            r_h = solver._internal_rotation(2, 3, "random")
-            r_l = solver._internal_rotation(6, 4, "random")
-            assert r_h is solver._internal_rotation(2, 3, "random")
-            # a Hadamard block depends on its size alone: both blocks of 4 share it
-            h = solver._internal_rotation(4, 3, "hadamard")
-            assert h is solver._internal_rotation(4, 4, "hadamard")
+        us = [part.u for part in parts]
         assert rotation_calls == [(2, 3), (6, 4)]
-        assert np.array_equal(r_h, random_orthogonal(2, 3))
-        assert np.array_equal(r_l, random_orthogonal(6, 4))
-        assert np.array_equal(h, hadamard(4))
-        for part, u in zip((a, b), us):
+        r_h, r_l = random_orthogonal(2, 3), random_orthogonal(6, 4)
+        for part, u in zip(parts, us):
             assert np.array_equal(u, np.hstack([part.p_l @ r_l, part.p_h @ r_h]))
-        assert np.array_equal(us[2], np.hstack([had.p_l @ h, had.p_h @ h]))
-        for r in (r_h, r_l, h):
-            assert not r.flags.writeable
-            with pytest.raises(ValueError):
-                r[0, 0] = 0.0
+
+    def test_a_third_key_evicts_the_least_recently_used(self, rotation_calls):
+        for dim, seed in ((2, 3), (6, 4), (2, 3), (5, 9), (2, 3), (6, 4)):
+            solver._internal_rotation(dim, seed, "random")
+        # (2, 3) was used last when (5, 9) came in, so (6, 4) was evicted
+        assert rotation_calls == [(2, 3), (6, 4), (5, 9), (6, 4)]
+        assert solver._internal_rotation.cache_info().currsize == 2
+
+    def test_the_key_includes_the_kind(self, rotation_calls):
+        r = solver._internal_rotation(4, 3, "random")
+        h = solver._internal_rotation(4, 3, "hadamard")
+        assert np.array_equal(r, random_orthogonal(4, 3))
+        assert np.array_equal(h, hadamard(4))
+        assert not np.array_equal(r, h)
+        assert rotation_calls == [(4, 3)]
 
     @pytest.mark.parametrize("rotation", ROTATIONS)
-    def test_plans_inside_and_outside_a_scope_agree_bit_for_bit(self, rotation):
+    def test_cached_and_fresh_rotations_give_the_same_plan(self, rotation_calls,
+                                                           rotation):
         s = self.stats()
-        outside = solve_partition(s, rank=4, gamma_low=1.0, seed=5,
-                                  rotation=rotation)
-        with shared_rotations():
-            # the first u derived in the scope computes the rotations
-            solve_partition(s, rank=4, objective="weight", gamma_low=1.0,
-                            seed=5, rotation=rotation).u
-            inside = solve_partition(s, rank=4, gamma_low=1.0, seed=5,
-                                     rotation=rotation)
-            u_inside = inside.u
-        assert np.array_equal(u_inside, outside.u)
+        # the first u computes the rotations, the second reads them back
+        solve_partition(s, rank=4, objective="weight", gamma_low=1.0, seed=5,
+                        rotation=rotation).u
+        cached = solve_partition(s, rank=4, gamma_low=1.0, seed=5,
+                                 rotation=rotation)
+        u_cached = cached.u
+        solver._internal_rotation.cache_clear()
+        fresh = solve_partition(s, rank=4, gamma_low=1.0, seed=5, rotation=rotation)
+        assert np.array_equal(u_cached, fresh.u)
         for name in ("vectors", "eigenvalues"):
-            assert np.array_equal(getattr(inside, name), getattr(outside, name))
-
-    def test_nothing_is_cached_after_the_scope(self, rotation_calls):
-        s = self.stats()
-        def derive_u():
-            return solve_partition(s, rank=2, gamma_low=1.0, seed=3).u
-
-        with shared_rotations():
-            derive_u()
-            derive_u()
-        assert len(rotation_calls) == 2
-        assert solver._shared.get() is None
-        with shared_rotations():
-            derive_u()
-        assert len(rotation_calls) == 4
-        derive_u()
-        assert len(rotation_calls) == 6
-
-    def test_scope_is_dropped_when_its_body_raises(self):
-        with pytest.raises(NoSignalError):
-            with shared_rotations():
-                solve_partition(stats_from_sigmas(np.zeros((3, 3)), np.zeros((3, 3))),
-                                rank=1, gamma_low=1.0, seed=0)
-        assert solver._shared.get() is None
+            assert np.array_equal(getattr(cached, name), getattr(fresh, name))
 
 
 class TestObjectives:
