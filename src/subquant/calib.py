@@ -12,15 +12,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import Checked, DimensionMismatchError, check_fields, is_int, is_real
-from .linalg import as_matrix, gram_input, gram_weight
+from .linalg import as_matrix, gram_input, gram_weight, row_blocks
 
 ATTN_INPUT = "attn-input"
 MLP_INPUT = "mlp-input"
 GROUP_KINDS = (ATTN_INPUT, MLP_INPUT)
-
-# float64 bytes of one activation block in accumulation; a block still has at
-# least d rows, because each block adds a fresh d x d Gram to the running sum
-BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -73,23 +69,14 @@ def accumulate_activations(stats: CalibStats, batch: np.ndarray) -> CalibStats:
     `batch` may be any 2-d float32/float64 array, a memory-mapped one
     included. It is walked in blocks of rows, each converted to float64 and
     validated once by `gram_input`, so the batch is never copied whole."""
-    batch = np.asarray(batch)
-    if batch.ndim != 2:
-        raise DimensionMismatchError(f"batch must be 2-d, got shape {batch.shape}")
-    n, d = batch.shape
-    if d != stats.group.dim:
-        raise DimensionMismatchError(
-            f"batch has {d} columns, group dim is {stats.group.dim}")
-    if n < 1:
-        raise DimensionMismatchError("empty activation batch")
-    rows = max(d, BLOCK_BYTES // (8 * d))
+    d = stats.group.dim
     sigma, energy = stats.sigma_x.copy(), stats.energy_x
-    for lo in range(0, n, rows):
-        g = gram_input(batch[lo:lo + rows])
+    for block in row_blocks(batch, d, d, gram=True):
+        g = gram_input(block)
         sigma += g
         energy += float(np.trace(g))
     return replace(stats, sigma_x=sigma, energy_x=energy,
-                   tokens_seen=stats.tokens_seen + n)
+                   tokens_seen=stats.tokens_seen + len(batch))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as accumulate_activations

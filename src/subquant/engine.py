@@ -28,7 +28,7 @@ from .errors import (
     is_int,
     is_real,
 )
-from .linalg import as_matrix
+from .linalg import as_matrix, row_blocks
 from .quantizer import BITS, combined_error_coeff, quantize
 from .solver import (
     OBJECTIVE_ACTIVATION,
@@ -42,11 +42,6 @@ from .solver import (
     solve_partition,
 )
 from .synth import SyntheticInstanceSpec, generate_instance
-
-# float64 bytes of a row block's widest buffer, and its fewest rows: at large
-# m a block of a few rows makes each product a poor GEMM
-BLOCK_BYTES = 1 << 20
-MIN_BLOCK_ROWS = 256
 
 
 def bit_widths(obj) -> tuple:
@@ -160,31 +155,29 @@ def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
     An error, predicted error or energy that over- or underflows float64
     raises ScaleRangeError."""
     w = as_matrix(w, "w")
-    x = np.asarray(x)
     d = plan.partition.dim
-    if x.ndim != 2 or x.shape[1] != d or w.shape[0] != d:
+    if w.shape[0] != d:
         raise DimensionMismatchError(
-            f"x {x.shape} / w {w.shape} incompatible with partition dim {d}")
-    n, m = x.shape[0], w.shape[1]
-    u, k = plan.partition.u, d - plan.partition.rank
-    gram = use_gram_form(n, d, m)
+            f"w {w.shape} incompatible with partition dim {d}")
+    x, m = np.asarray(x), w.shape[1]
+    # widest buffer: L_b (2d columns, each block adding a fresh 2d x 2d Gram),
+    # or X_b W (m) and A_b (d); an X that is not 2-d is left to `row_blocks`
+    gram = x.ndim == 2 and use_gram_form(len(x), d, m)
+    blocks = row_blocks(x, d, 2 * d if gram else max(d, m), gram)
+    n, u, k = len(x), plan.partition.u, d - plan.partition.rank
     r = np.empty((2 * d if gram else d, m))
     b_hat = r[:d]
     np.matmul(u.T, w, out=b_hat)
     ew = np.einsum("ij,ij->i", b_hat, b_hat)
     _quantize_columns(b_hat.T, r[d:].T if gram else None, k, plan, symmetric=True)
-    # widest buffer: L_b (2d columns), or X_b W (m) and A_b (d). A Gram-form
-    # block has at least 2d rows, as each adds a fresh 2d x 2d Gram
-    width = 2 * d if gram else max(d, m)
-    rows = max(MIN_BLOCK_ROWS, BLOCK_BYTES // (8 * width), width if gram else 0)
-    l = np.empty((min(rows, n), len(r)), order="F")
+    l = np.empty((len(blocks[0]), len(r)), order="F")
     # Y_hat, or the row form's scratch block for A_hat_b B_hat
     y = np.empty((n, m)) if output else None if gram else np.empty((len(l), m))
     gl = np.zeros((2 * d, 2 * d)) if gram else None
     e = None if gram else np.empty((len(l), m))  # X_b W
     ex, exact = np.zeros(d), 0.0
-    for lo in range(0, n, rows):
-        x_b = as_matrix(x[lo:lo + rows], "x")
+    for lo, x_b in zip(range(0, n, len(l)), blocks):
+        x_b = as_matrix(x_b, "x")
         t = len(x_b)
         l_b = l[:t]
         a = l_b[:, -d:]

@@ -1,6 +1,6 @@
 """Dense real matrix kernels: symmetric eigendecomposition (LAPACK `eigh`),
-seeded orthogonal matrices (LAPACK QR), Sylvester-Hadamard construction, and
-the small arithmetic helpers the rest of the package relies on.
+seeded orthogonal matrices (LAPACK QR), Sylvester-Hadamard construction, the
+row blocks X is streamed in, and the helpers the rest of the package uses.
 
 All routines operate on 2-d float64 numpy arrays and are pure functions.
 """
@@ -19,6 +19,24 @@ from .errors import (
 )
 
 SYMMETRY_TOL = 1e-9
+
+# float64 bytes of a row block's widest buffer, and its fewest rows: at large
+# widths a block of a few rows makes each product a poor GEMM
+BLOCK_BYTES = 1 << 20
+MIN_BLOCK_ROWS = 256
+
+
+def row_blocks(x, d: int, width: int, gram: bool) -> list:
+    """Check that `x` (a mapped array included) is 2-d with `d` columns and
+    at least one row, and return its row blocks as views. A block holds about
+    BLOCK_BYTES in the pass's widest float64 buffer, `width` columns, and at
+    least MIN_BLOCK_ROWS rows, and `width` rows if each adds a Gram (`gram`)."""
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[1] != d or len(x) < 1:
+        raise DimensionMismatchError(f"x must be 2-d with {d} columns "
+                                     f"and at least one row, got shape {x.shape}")
+    rows = max(MIN_BLOCK_ROWS, BLOCK_BYTES // (8 * width), width if gram else 0)
+    return [x[lo:lo + rows] for lo in range(0, len(x), rows)]
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

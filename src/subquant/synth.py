@@ -82,6 +82,8 @@ def generate_instance(spec: SyntheticInstanceSpec) -> tuple[np.ndarray, np.ndarr
     are drawn in parallel, one thread per CPU, and each block is then mixed
     in place through one buffer; the bytes do not depend on the CPU count.
     An instance that fits in one block is the single-stream draw."""
+    from concurrent.futures import ThreadPoolExecutor  # only a draw needs it
+
     d, n = spec.d, spec.n
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     q_a = random_orthogonal(d, spec.seed + 1)
@@ -89,17 +91,15 @@ def generate_instance(spec: SyntheticInstanceSpec) -> tuple[np.ndarray, np.ndarr
     rows = BLOCK_BYTES // (8 * d)
     starts = range(0, n, rows)
     x = np.empty((n, d))
-    if len(starts) == 1:
-        rng.standard_normal(out=x)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        streams = [rng] + [np.random.Generator(np.random.PCG64(s)) for s in
-                           np.random.SeedSequence(spec.seed).spawn(len(starts) - 1)]
-        # mixing inside the threads would compete with BLAS's own threads
-        with ThreadPoolExecutor(min(_cpus(), len(starts))) as pool:
-            list(pool.map(lambda g, lo: g.standard_normal(out=x[lo:lo + rows]),
-                          streams, starts))
+    streams = [np.random.Generator(np.random.PCG64(s)) for s in
+               np.random.SeedSequence(spec.seed).spawn(len(starts) - 1)]
+    draw = lambda g, lo: g.standard_normal(out=x[lo:lo + rows])
+    # the caller draws block 0, so one block starts no thread; mixing inside
+    # the threads would compete with BLAS's own threads
+    with ThreadPoolExecutor(min(_cpus(), len(starts))) as pool:
+        rest = pool.map(draw, streams, starts[1:])
+        draw(rng, 0)
+        list(rest)
     mix = np.sqrt(np.asarray(spec.activation_spectrum))[:, None] * q_a.T
     buf = np.empty((min(rows, n), d))
     for lo in starts:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subquant import calib
+from subquant import calib, linalg
 from subquant.calib import (
     CalibStats,
     ProjectionGroup,
@@ -53,7 +53,8 @@ class TestAccumulate:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200],
                              ids=["nan", "+inf", "-inf", "square-overflows"])
     def test_non_finite_rejected(self, monkeypatch, row, value):
-        monkeypatch.setattr(calib, "BLOCK_BYTES", 4 * 8 * 3)  # 4 rows of d=3
+        monkeypatch.setattr(linalg, "MIN_BLOCK_ROWS", 1)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 4 * 8 * 3)  # 4 rows of d=3
         batch = np.ones((11, 3))
         batch[row, 1] = value
         with pytest.raises(ValueError):
@@ -64,7 +65,8 @@ class TestAccumulate:
         batch = np.random.default_rng(9).standard_normal((11, 3)).astype(dtype)
         whole = accumulate_activations(CalibStats.empty(group(3)),
                                        batch.astype(np.float64))
-        monkeypatch.setattr(calib, "BLOCK_BYTES", 4 * 8 * 3)
+        monkeypatch.setattr(linalg, "MIN_BLOCK_ROWS", 1)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 4 * 8 * 3)  # 4 rows of d=3
         blocked = accumulate_activations(CalibStats.empty(group(3)), batch)
         assert np.allclose(blocked.sigma_x, whole.sigma_x, rtol=1e-12, atol=0)
         assert blocked.energy_x == pytest.approx(whole.energy_x, rel=1e-12)

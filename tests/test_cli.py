@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subquant import calib, cli, engine, formats, solver
+from subquant import cli, engine, formats, linalg, solver
 from subquant.calib import CalibStats, ProjectionGroup, accumulate_activations
 from subquant.cli import main
 from subquant.engine import (
@@ -205,7 +205,9 @@ class TestCalibrateStreaming:
         formats.write_tensor(shard, "x32", x, dtype="f32")
         group = ProjectionGroup(kind="attn-input", dim=8, name="g0")
         whole = accumulate_activations(CalibStats.empty(group), x.astype(np.float64))
-        monkeypatch.setattr(calib, "BLOCK_BYTES", 5 * 8 * 8)  # 5-row blocks
+        # 5-row blocks, raised to d = 8 rows as each adds a d x d Gram
+        monkeypatch.setattr(linalg, "MIN_BLOCK_ROWS", 1)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 5 * 8 * 8)
         code, out = calibrate_shard(workspace, shard)
         assert code == 0
         stats = formats.read_stats(out)[0]
@@ -220,7 +222,8 @@ class TestCalibrateStreaming:
         x[17, 3] = value
         shard = str(workspace["tmp"] / "bad.cqt")
         formats.write_tensor(shard, "bad", x, dtype="f32")
-        monkeypatch.setattr(calib, "BLOCK_BYTES", 5 * 8 * 8)
+        monkeypatch.setattr(linalg, "MIN_BLOCK_ROWS", 1)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 5 * 8 * 8)
         code, out = calibrate_shard(workspace, shard)
         assert code == 2
         assert shard in capsys.readouterr().err
@@ -482,7 +485,7 @@ class TestSimulate:
     @pytest.mark.parametrize("m", [64, 8], ids=["gram", "rows"])
     def test_mapped_f32_x_reports_as_its_f64_copy(self, workspace, monkeypatch, m):
         # blocks of MIN_BLOCK_ROWS (256): three and a 37-row tail
-        monkeypatch.setattr(engine, "BLOCK_BYTES", 1)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 1)
         n = 3 * 256 + 37
         assert engine.use_gram_form(n, 8, m) == (m == 64)
         rng = np.random.default_rng(11)

@@ -6,7 +6,7 @@ import pytest
 
 from groupings import as_rows
 from reference import execute_plan_reference, quantize_reference
-from subquant import engine, formats, solver
+from subquant import engine, formats, linalg, solver
 from subquant.calib import ProjectionGroup
 from subquant.engine import (
     ErrorReport,
@@ -42,6 +42,13 @@ class TestExecutePlan:
         with pytest.raises(DimensionMismatchError):
             execute_plan(x, np.zeros((7, 3)), plan)
 
+    @pytest.mark.parametrize("measure", [measure_plan, execute_plan],
+                             ids=["measure", "execute"])
+    def test_x_with_no_rows_rejected(self, measure):
+        x, w = random_instance(4, 8, 3, seed=2)
+        with pytest.raises(DimensionMismatchError, match="at least one row"):
+            measure(np.empty((0, 8)), w, make_plan(x, w))
+
     @pytest.mark.parametrize("n,m", [(6, 4), (64, 64)], ids=["rows", "gram"])
     def test_grid_aligned_exact(self, monkeypatch, n, m):
         # integer tensors whose per-group ranges hit the scale-1 grids of
@@ -72,7 +79,7 @@ class TestExecutePlan:
     def test_matches_straight_line_reference(self, monkeypatch, seed, n):
         # 5-row residual blocks are raised to the 256-row floor: 576 rows make
         # three blocks, 549 leave a 37-row tail
-        monkeypatch.setattr(engine, "BLOCK_BYTES", 5 * 8 * 16)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 5 * 8 * 16)
         x, w = random_instance(n, 16, 16, seed=seed)
         plan = make_plan(x, w, rank=2)
         y_hat, report = execute_plan(x, w, plan)
@@ -166,9 +173,9 @@ def spec_plan(monkeypatch, x, w, bits, granularity, symmetric):
 
 @pytest.fixture
 def blocked(monkeypatch):
-    """Row blocks of 48 rows."""
-    monkeypatch.setattr(engine, "MIN_BLOCK_ROWS", 1)
-    monkeypatch.setattr(engine, "BLOCK_BYTES", 48 * 8 * 16)
+    """Measurement's row blocks of 48 rows (calibration's too at d = 16)."""
+    monkeypatch.setattr(linalg, "MIN_BLOCK_ROWS", 1)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 48 * 8 * 16)
 
 
 def traced_peak(fn, *args) -> int:
@@ -261,7 +268,7 @@ class TestMeasurePlan:
     @pytest.mark.parametrize("form", sorted(SHAPES))
     def test_mapped_f32_x_reports_as_its_f64_copy(self, tmp_path, monkeypatch, form):
         # blocks of MIN_BLOCK_ROWS (256): three and a 37-row tail
-        monkeypatch.setattr(engine, "BLOCK_BYTES", 1)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 1)
         (_, d, m), n = SHAPES[form], 3 * 256 + 37
         assert use_gram_form(n, d, m) == (form == "gram")
         x, w = random_instance(n, d, m, seed=19)

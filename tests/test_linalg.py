@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subquant.engine import use_gram_form
 from subquant.errors import (
     DimensionMismatchError,
     NonSquareError,
@@ -12,6 +13,7 @@ from subquant.linalg import (
     gram_weight,
     hadamard,
     random_orthogonal,
+    row_blocks,
     sym_eig,
 )
 
@@ -111,6 +113,36 @@ class TestGram:
         s = gram_input(rng.standard_normal((6, 8)))
         evals = np.linalg.eigvalsh(s)
         assert evals.min() >= -1e-9 * np.linalg.norm(s)
+
+
+# each pass's blocks at the benchmark's shapes under the default 1 MiB and
+# 256-row floor: (n, d, m), the width of the widest buffer, whether each
+# block adds a fresh Gram of that width, and the rows of each block
+BENCH_BLOCKS = {
+    "calibration-pipeline-shard": ((16384, 64, None), 64, True, [2048] * 8),
+    "gram-form-pipeline": ((16384, 64, 512), 128, True, [1024] * 16),
+    "row-form-wide": ((1024, 256, 768), 768, False, [256] * 4),
+    "row-form-ablation": ((256, 64, 64), 64, False, [256]),
+}
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("case", sorted(BENCH_BLOCKS))
+    def test_rows_at_the_benchmark_shapes(self, case):
+        (n, d, m), width, gram, rows = BENCH_BLOCKS[case]
+        if m is not None:  # a measurement: the shape picks the form
+            assert use_gram_form(n, d, m) == gram
+        x = np.zeros((n, d), dtype=np.float32)
+        blocks = row_blocks(x, d, width, gram)
+        assert [len(b) for b in blocks] == rows
+        assert all(b.base is x for b in blocks)
+
+    @pytest.mark.parametrize("shape", [(24,), (2, 3, 4), (5, 3), (0, 4)],
+                             ids=["1-d", "3-d", "columns", "no-rows"])
+    def test_shape_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError,
+                           match=r"x must be 2-d with 4 columns and at least one row"):
+            row_blocks(np.zeros(shape), 4, 4, False)
 
 
 class TestOrthogonal:
