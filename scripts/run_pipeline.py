@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """End-to-end demo of the CLI pipeline on a synthetic layer.
 
-Generates a seeded instance, writes the tensors to disk (X as f32, the dtype
-of real calibration dumps, so calibrate and simulate read a mapped f32
-shard), then drives calibrate -> solve -> simulate through the `subquant` CLI
-and prints the resulting error report.
+Generates a seeded instance, writes the tensors to disk (X and W as f32, the
+dtype of real calibration dumps and checkpoints, so calibrate folds a mapped
+f32 shard and weight, and simulate maps the shard), then drives calibrate ->
+solve -> simulate through the `subquant` CLI and prints the resulting error
+report.
 """
 
 import argparse
@@ -23,7 +24,7 @@ def run(workdir, d, n, m, rank, bits_low, bits_high, seed):
     x_path = os.path.join(workdir, "x.cqt")
     w_path = os.path.join(workdir, "w.cqt")
     formats.write_tensor(x_path, "x", x, dtype="f32")
-    formats.write_tensor(w_path, "w", w)
+    formats.write_tensor(w_path, "w", w, dtype="f32")
 
     cfg_path = os.path.join(workdir, "config.json")
     with open(cfg_path, "w") as f:

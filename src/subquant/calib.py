@@ -11,8 +11,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import Checked, DimensionMismatchError, check_fields, is_int, is_real
-from .linalg import as_matrix, gram_input, gram_weight, row_blocks
+from .errors import (
+    DIM_FITS, Checked, DimensionMismatchError, check_fields, is_int, is_real)
+from .linalg import gram_input, row_blocks
 
 ATTN_INPUT = "attn-input"
 MLP_INPUT = "mlp-input"
@@ -31,6 +32,7 @@ class ProjectionGroup(Checked):
         check_fields(self, (
             ("kind", lambda v: v in GROUP_KINDS, f"one of {GROUP_KINDS}"),
             ("dim", lambda v: is_int(v, 1), "an int >= 1"),
+            ("dim", *DIM_FITS),
             ("name", lambda v: isinstance(v, str) and v != "", "a non-empty string"),
         ))
 
@@ -63,40 +65,37 @@ class CalibStats(Checked):
 
 # an energy that overflows is reported by CalibStats' check, not warned of
 @np.errstate(over="ignore", invalid="ignore")
-def accumulate_activations(stats: CalibStats, batch: np.ndarray) -> CalibStats:
-    """Fold one n x d activation batch into the running statistics.
-
-    `batch` may be any 2-d float32/float64 array, a memory-mapped one
-    included. It is walked in blocks of rows, each converted to float64 and
-    validated once by `gram_input`, so the batch is never copied whole."""
-    d = stats.group.dim
-    sigma, energy = stats.sigma_x.copy(), stats.energy_x
-    for block in row_blocks(batch, d, d, gram=True):
+def _fold(sigma: np.ndarray, energy: float, rows, name: str) -> tuple[np.ndarray, float]:
+    """sigma + R^T R and energy + trace(R^T R) for the rows R of `rows`, any
+    2-d float32/float64 array with sigma's width, a mapped one included. It
+    is walked in `row_blocks`, each converted to float64 once by `gram_input`,
+    so it is never copied whole. (R^T R)_ii = sum_k r_ki^2 has no
+    cancellation, so it is finite exactly when column i of R is finite and
+    its square sum does not overflow: a non-finite diagonal rejects the block."""
+    d = len(sigma)
+    sigma = sigma.copy()
+    for block in row_blocks(rows, d, d, gram=True):
         g = gram_input(block)
+        if not np.all(np.isfinite(np.diagonal(g))):
+            raise ValueError(f"{name} contains non-finite entries, or its squares overflow")
         sigma += g
         energy += float(np.trace(g))
+    return sigma, energy
+
+
+def accumulate_activations(stats: CalibStats, batch) -> CalibStats:
+    """Fold an n x d activation batch into Sigma_X = sum X^T X and its energy."""
+    sigma, energy = _fold(stats.sigma_x, stats.energy_x, batch, "x")
     return replace(stats, sigma_x=sigma, energy_x=energy,
                    tokens_seen=stats.tokens_seen + len(batch))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as accumulate_activations
-def attach_weights(stats: CalibStats, weights: list[np.ndarray]) -> CalibStats:
-    """Set the fused weight covariance of a group, the sum of W_i W_i^T, and
-    its energy, the sum of ||W_i||_F^2, from its member weights. An error
-    about a member names it weights[i], and holds i as `.member`."""
-    if not weights:
-        raise DimensionMismatchError("empty weight list")
-    d = stats.group.dim
-    sigma, energy = np.zeros((d, d)), 0.0
-    for i, w in enumerate(weights):
-        try:
-            w = as_matrix(w, f"weights[{i}]")
-            if w.shape[0] != d:
-                raise DimensionMismatchError(
-                    f"weights[{i}] has leading dim {w.shape[0]}, group dim is {d}")
-            sigma += gram_weight(w)
-        except ValueError as e:
-            e.member = i
-            raise
-        energy += float(np.vdot(w, w))
+def accumulate_weights(stats: CalibStats, w) -> CalibStats:
+    """Fold one d x m member weight into the fused Sigma_W = sum W W^T and its
+    energy: W W^T is the Gram of W^T's rows, so W^T, a view, is folded as a
+    batch is."""
+    w, d = np.asarray(w), stats.group.dim
+    if w.ndim != 2 or w.shape[0] != d:
+        raise DimensionMismatchError(f"w must be 2-d with {d} rows, got shape {w.shape}")
+    sigma, energy = _fold(stats.sigma_w, stats.energy_w, w.T, "w")
     return replace(stats, sigma_w=sigma, energy_w=energy)

@@ -17,7 +17,7 @@ from .calib import (
     CalibStats,
     ProjectionGroup,
     accumulate_activations,
-    attach_weights,
+    accumulate_weights,
 )
 from .engine import (
     analyze_layer, bit_widths, build_plan, campaign, measure_plan, summarize)
@@ -122,31 +122,18 @@ def cmd_calibrate(args) -> int:
         raise FormatError(f"{args.config}: config declares no groups")
     stats_list = []
     for i, g in enumerate(cfg.groups):
-        where = f"{args.config}: groups[{i}]"
         stats = CalibStats.empty(g.group)
-        for path in g.activations:
-            try:  # the file's mapping is released with its array
-                stats = accumulate_activations(stats, formats.map_tensor(path))
-            except FormatError:
-                raise  # its message already names the file
-            except (OSError, ValueError) as e:
-                raise FormatError(
-                    f"{where} (group {g.name!r}): activation file {path}: {e}") from e
-        weights = []
-        for path in g.weights:
-            try:
-                weights.append(formats.read_tensor(path))
-            except OSError as e:
-                raise FormatError(
-                    f"{where} (group {g.name!r}): weight file {path}: {e}") from e
-        try:
-            stats_list.append(attach_weights(stats, weights))
-        except ValueError as e:
-            # an energy that overflows is the fault of the files together
-            path = (g.weights[e.member] if hasattr(e, "member")
-                    else ", ".join(g.weights))
-            raise FormatError(
-                f"{where} (group {g.name!r}): weight file {path}: {e}") from e
+        for kind, paths, fold in (("activation", g.activations, accumulate_activations),
+                                  ("weight", g.weights, accumulate_weights)):
+            for path in paths:
+                try:  # the file's mapping is released with its array
+                    stats = fold(stats, formats.map_tensor(path))
+                except FormatError:
+                    raise  # its message already names the file
+                except (OSError, ValueError) as e:
+                    raise FormatError(f"{args.config}: groups[{i}] (group {g.name!r}): "
+                                      f"{kind} file {path}: {e}") from e
+        stats_list.append(stats)
     formats.write_stats(args.out, stats_list)
     return 0
 

@@ -17,7 +17,7 @@ from .calib import (
     CalibStats,
     ProjectionGroup,
     accumulate_activations,
-    attach_weights,
+    accumulate_weights,
 )
 from .errors import (
     Checked,
@@ -264,12 +264,13 @@ def build_plan(stats: CalibStats, rank: int, bits_low: int, bits_high: int,
 
 def stats_from_tensors(x: np.ndarray, w: np.ndarray,
                        name: str = "layer") -> CalibStats:
-    """Single-layer statistics straight from an (X, W) pair. X, a mapped
-    array included, is checked against W, then read in row blocks."""
-    w = as_matrix(w, "w")
-    group = ProjectionGroup(kind=ATTN_INPUT, dim=w.shape[0], name=name)
-    stats = accumulate_activations(CalibStats.empty(group), x)
-    return attach_weights(stats, [w])
+    """Single-layer statistics straight from an (X, W) pair, each, a mapped
+    array included, read in row blocks. X's columns set the dim, and W is
+    checked against it."""
+    if np.ndim(x) != 2:
+        raise DimensionMismatchError(f"x must be 2-d, got shape {np.shape(x)}")
+    group = ProjectionGroup(kind=ATTN_INPUT, dim=np.shape(x)[1], name=name)
+    return accumulate_weights(accumulate_activations(CalibStats.empty(group), x), w)
 
 
 def analyze_layer(x: np.ndarray, w: np.ndarray, rank: int, bits_low: int,

@@ -68,6 +68,10 @@ _FLOAT_MAX = sys.float_info.max
 # the largest array, in bytes, that a file header or a synthetic spec may ask for
 MAX_BYTES = 4 << 30
 
+# the rule on a dim d (an int >= 1): a d x d float64 matrix fits in MAX_BYTES
+DIM_FITS = (lambda v: 8 * v * v <= MAX_BYTES,
+            f"small enough for a d x d float64 matrix to fit in {MAX_BYTES >> 30} GiB")
+
 
 def is_int(v, lo: int, hi: float = math.inf) -> bool:
     """An int in [lo, hi). bool is an int subclass, but `true` is not a count."""

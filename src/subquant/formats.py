@@ -185,14 +185,17 @@ def _map(path: str, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def _tensor(tensors: dict, name: str, shape: tuple, path: str) -> np.ndarray:
-    """The bundle tensor `name`, which must have `shape`, as a float64 array
-    of its own."""
+    """The bundle tensor `name`, which must have `shape` and finite entries,
+    as a float64 array of its own."""
     if name not in tensors:
         raise HeaderMismatchError(f"{path}: missing tensor {name!r}")
     if tensors[name].shape != shape:
         raise HeaderMismatchError(f"{path}: tensor {name!r} has shape "
                                   f"{tensors[name].shape}, expected {shape}")
-    return np.array(tensors[name], dtype=np.float64)
+    t = np.array(tensors[name], dtype=np.float64)
+    if not np.all(np.isfinite(t)):
+        raise HeaderMismatchError(f"{path}: tensor {name!r} contains non-finite entries")
+    return t
 
 
 def write_tensor(path: str, name: str, matrix: np.ndarray, dtype: str = "f64") -> None:

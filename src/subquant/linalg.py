@@ -96,27 +96,9 @@ def sym_eig(m: np.ndarray) -> EigenResult:
 
 
 def gram_input(x: np.ndarray) -> np.ndarray:
-    """X^T X for an n x d activation batch (uncentered second moment)."""
-    return _gram(np.require(x, np.float64, "A").T, "x")  # aligned: see as_matrix
-
-
-def gram_weight(w: np.ndarray) -> np.ndarray:
-    """W W^T for a d x m weight matrix."""
-    return _gram(np.require(w, np.float64, "A"), "w")
-
-
-# an overflow is reported by the check on the diagonal, not warned of
-@np.errstate(over="ignore", invalid="ignore")
-def _gram(a: np.ndarray, name: str) -> np.ndarray:
-    """A A^T, validated through its output: (A A^T)_ii = sum_j a_ij^2 has no
-    cancellation, so it is finite exactly when row i of A is finite and its
-    square sum does not overflow. No separate pass over A is needed."""
-    if a.ndim != 2 or a.size == 0:
-        raise DimensionMismatchError(f"{name} must be a non-empty 2-d array")
-    g = a @ a.T
-    if not np.all(np.isfinite(np.diagonal(g))):
-        raise ValueError(f"{name} contains non-finite entries, or its squares overflow")
-    return g
+    """X^T X for an n x d batch of rows (uncentered second moment)."""
+    a = np.require(x, np.float64, "A").T  # aligned: see as_matrix
+    return a @ a.T
 
 
 def random_orthogonal(d: int, seed: int) -> np.ndarray:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_BYTES, Checked, check_fields, is_int, is_real
+from .errors import DIM_FITS, MAX_BYTES, Checked, check_fields, is_int, is_real
 from .linalg import random_orthogonal
 from .solver import SEED
 
@@ -35,8 +35,7 @@ class SyntheticInstanceSpec(Checked):
         fits = f"to fit in {MAX_BYTES >> 30} GiB"
         check_fields(self, (
             ("d", *size), ("n", *size), ("m", *size),
-            ("d", lambda v: 8 * v * v <= MAX_BYTES,
-             f"small enough for a d x d float64 rotation {fits}"),
+            ("d", *DIM_FITS),
             ("n", lambda v: 8 * v * self.d <= MAX_BYTES,
              f"small enough for X (n x d, float64) {fits}"),
             ("m", lambda v: 8 * self.d * v <= MAX_BYTES,

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,10 +9,10 @@ from subquant.calib import (
     CalibStats,
     ProjectionGroup,
     accumulate_activations,
-    attach_weights,
+    accumulate_weights,
 )
 from subquant.errors import DimensionMismatchError
-from subquant.linalg import gram_input, gram_weight
+from subquant.linalg import gram_input
 
 
 def group(dim, kind="attn-input"):
@@ -105,7 +108,9 @@ class TestAccumulate:
 class TestFuse:
     def fuse(self, weights, dim=None):
         dim = weights[0].shape[0] if dim is None else dim
-        s = attach_weights(CalibStats.empty(group(dim)), weights)
+        s = CalibStats.empty(group(dim))
+        for w in weights:
+            s = accumulate_weights(s, w)
         return s.sigma_w, s.energy_w
 
     def test_two_identities(self):
@@ -117,7 +122,7 @@ class TestFuse:
         rng = np.random.default_rng(1)
         w = rng.standard_normal((4, 3))
         sigma, energy = self.fuse([w])
-        assert np.array_equal(sigma, gram_weight(w))
+        assert np.array_equal(sigma, w @ w.T)
         assert energy == pytest.approx(np.sum(w**2))
 
     def test_three_members_sum_oracle(self):
@@ -130,22 +135,56 @@ class TestFuse:
         assert np.trace(sigma) == pytest.approx(energy, rel=1e-6)
 
     def test_empty_and_mismatched(self):
-        with pytest.raises(DimensionMismatchError):
-            self.fuse([], dim=2)
+        # no member folds nothing: the empty statistics' zero Sigma_W
+        sigma, energy = self.fuse([], dim=2)
+        assert np.array_equal(sigma, np.zeros((2, 2))) and energy == 0.0
         with pytest.raises(DimensionMismatchError):
             self.fuse([np.eye(2), np.eye(3)])
 
-    @pytest.mark.parametrize("weights, member", [
-        ([np.eye(3)], 0), ([np.eye(2), np.eye(3)], 1),
-        ([np.eye(2), np.full((2, 2), np.nan)], 1)],
-        ids=["only-member-wrong-dim", "second-member-wrong-dim", "non-finite"])
-    def test_error_names_the_member_at_fault(self, weights, member):
-        with pytest.raises(ValueError, match=f"weights\\[{member}\\]") as e:
-            attach_weights(CalibStats.empty(group(2)), weights)
-        assert e.value.member == member
-
-    def test_attach_weights(self):
+    @pytest.mark.parametrize("weights, member, message", [
+        ([np.eye(3)], 0, "w must be 2-d with 2 rows, got shape (3, 3)"),
+        ([np.eye(2), np.eye(3)], 1, "w must be 2-d with 2 rows, got shape (3, 3)"),
+        ([np.eye(2), np.full((2, 2), np.nan)], 1, "w contains non-finite entries"),
+        ([np.ones(2)], 0, "w must be 2-d with 2 rows, got shape (2,)"),
+        ([np.ones((2, 2, 1))], 0, "w must be 2-d with 2 rows, got shape (2, 2, 1)")],
+        ids=["only-member-wrong-dim", "second-member-wrong-dim", "non-finite",
+             "1-d", "3-d"])
+    def test_error_names_the_member_at_fault(self, weights, member, message):
+        # members fold one call each: the call that raises is the member's
         s = CalibStats.empty(group(2))
-        s = attach_weights(s, [np.eye(2)])
+        for w in weights[:member]:
+            s = accumulate_weights(s, w)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            accumulate_weights(s, weights[member])
+
+    def test_accumulate_weights(self):
+        s = CalibStats.empty(group(2))
+        s = accumulate_weights(s, np.eye(2))
         assert np.array_equal(s.sigma_w, np.eye(2))
         assert s.energy_w == 2.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_three_blocks_and_a_tail(self, monkeypatch, dtype):
+        # 4 columns of W per block: three blocks and a 2-column tail
+        monkeypatch.setattr(linalg, "MIN_BLOCK_ROWS", 1)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 4 * 8 * 3)
+        w = np.random.default_rng(3).standard_normal((3, 14)).astype(dtype)
+        assert [len(b) for b in linalg.row_blocks(w.T, 3, 3, gram=True)] == [4, 4, 4, 2]
+        s = accumulate_weights(CalibStats.empty(group(3)), w)
+        w = w.astype(np.float64)
+        assert np.allclose(s.sigma_w, w @ w.T, rtol=1e-12, atol=0)
+        assert s.energy_w == pytest.approx(np.trace(s.sigma_w), rel=1e-12)
+        assert s.tokens_seen == 0
+
+    def test_peak_does_not_grow_with_columns(self):
+        # one 1 MiB block is 2048 columns of d = 64: 8 blocks hold no more
+        peaks = []
+        for m in (2048, 8 * 2048):
+            w = np.random.default_rng(4).standard_normal((64, m)).astype(np.float32)
+            tracemalloc.start()
+            try:
+                accumulate_weights(CalibStats.empty(group(64)), w)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]

@@ -96,7 +96,7 @@ class TestCalibrate:
         err = capsys.readouterr().err
         assert code == 2 and not written
         assert (f"{cfg_path}: groups[0] (group 'g0'): weight file {wide}: "
-                f"weights[{len(weights) - 1}] has leading dim 16, group dim is 8" in err)
+                "w must be 2-d with 8 rows, got shape (16, 8)" in err)
 
     def test_non_finite_weight_file_is_named(self, workspace, capsys):
         bad = str(workspace["tmp"] / "wnan.cqt")
@@ -105,18 +105,78 @@ class TestCalibrate:
         err = capsys.readouterr().err
         assert code == 2 and not written
         assert (f"{cfg_path}: groups[0] (group 'g0'): weight file {bad}: "
-                "weights[0] contains non-finite entries" in err)
+                "w contains non-finite entries, or its squares overflow" in err)
 
     def test_weight_energy_overflow_names_the_files(self, workspace, capsys):
-        # each member's row square sums are finite (8 * 1.2e307), their sum
-        # over the two members, like the energy, is not
-        huge = str(workspace["tmp"] / "whuge.cqt")
-        formats.write_tensor(huge, "whuge", np.full((8, 8), 3.5e153))
-        code, cfg_path, written = self.calibrate_with_weights(workspace, [huge, huge])
+        # each member's one non-zero row has a finite square sum and energy
+        # (8 * 1.2e307), their sum over the two members is not: the error
+        # names the file whose fold overflows it, the second
+        w = np.zeros((8, 8))
+        w[0] = 3.5e153
+        huge = [str(workspace["tmp"] / f"whuge{i}.cqt") for i in range(2)]
+        for path in huge:
+            formats.write_tensor(path, "whuge", w)
+        code, cfg_path, written = self.calibrate_with_weights(workspace, huge)
         err = capsys.readouterr().err
         assert code == 2 and not written
-        assert (f"{cfg_path}: groups[0] (group 'g0'): weight file {huge}, {huge}: "
+        assert (f"{cfg_path}: groups[0] (group 'g0'): weight file {huge[1]}: "
                 "energy_w must be a finite number >= 0, got inf" in err)
+        assert huge[0] not in err
+
+    @pytest.mark.parametrize("shape", [(8 * 8,), (16, 8), (8, 8, 1)],
+                             ids=["1-d", "wrong-dim", "3-d"])
+    @pytest.mark.parametrize("command", ["calibrate", "analyze"])
+    def test_weight_shape_is_named_as_the_file_holds_it(self, workspace, capsys,
+                                                       command, shape):
+        bad = str(workspace["tmp"] / "wbad.cqt")
+        formats.write_tensor(bad, "wbad", np.ones(shape), dtype="f32")
+        if command == "calibrate":
+            code, cfg_path, written = self.calibrate_with_weights(workspace, [bad])
+            where = f"{cfg_path}: groups[0] (group 'g0'): weight file {bad}: "
+        else:
+            out = workspace["tmp"] / "r.jsonl"
+            code = run("analyze", "--x", workspace["x1"], "--w", bad, "--rank", "2",
+                       "--out", str(out))
+            written, where = out.exists(), ""
+        assert code == 2 and not written
+        assert (f"{where}w must be 2-d with 8 rows, got shape {shape}"
+                in capsys.readouterr().err)
+
+    def test_never_reads_a_whole_tensor(self, workspace, monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"read_tensor({path})")
+
+        monkeypatch.setattr(formats, "read_tensor", refuse)
+        out = workspace["tmp"] / "stats.cqb"
+        assert run("calibrate", "--config", workspace["cfg"], "--out", str(out)) == 0
+
+    def test_f32_weight_and_its_f64_twin_give_equal_stats(self, workspace):
+        w = workspace["w_arr"].astype(np.float32)
+        stats = []
+        for dtype in ("f32", "f64"):
+            path = str(workspace["tmp"] / f"w_{dtype}.cqt")
+            formats.write_tensor(path, "w", w, dtype=dtype)
+            code, _, written = self.calibrate_with_weights(workspace, [path, path])
+            assert code == 0 and written
+            stats.append((workspace["tmp"] / "stats.cqb").read_bytes())
+        assert stats[0] == stats[1]
+
+    def test_dim_too_large_exits_2_before_allocating(self, workspace, capsys):
+        cfg = dict(workspace["cfg_obj"])
+        cfg["groups"] = [dict(cfg["groups"][0], dim=1000000)]
+        cfg_path = workspace["tmp"] / "huge_dim.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = workspace["tmp"] / "stats.cqb"
+        tracemalloc.start()
+        try:
+            code = run("calibrate", "--config", str(cfg_path), "--out", str(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert f"{cfg_path}: groups[0]: dim must be small enough" in err
+        assert peak < 1 << 20
 
     # a file whose squares overflow float64 (1e200), or whose square sums of
     # rows are finite but whose energy is not (one row of 8 x 1.2e154)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -343,6 +344,22 @@ class TestStatsBundle:
         with pytest.raises(HeaderMismatchError):
             formats.read_plan(path)
 
+    @pytest.mark.parametrize("key", ["sigma_x", "sigma_w"])
+    def test_non_finite_sigma_exits_2_naming_file_and_tensor(self, tmp_path, capsys,
+                                                             key):
+        path = str(tmp_path / "s.cqb")
+        stats = layer_stats()
+        sigma = getattr(stats, key).copy()
+        sigma[2, 3] = sigma[3, 2] = np.nan
+        formats.write_stats(path, [dataclasses.replace(stats, **{key: sigma})])
+        message = f"{path}: tensor '0.{key}' contains non-finite entries"
+        with pytest.raises(HeaderMismatchError, match=re.escape(message)):
+            formats.read_stats(path)
+        out = tmp_path / "p.cqb"
+        assert main(["solve", "--stats", path, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _group(**fields):
     return lambda header, key: header["meta"][key][0]["group"].update(fields)
@@ -549,7 +566,9 @@ MALFORMED_PLAN_TENSORS = {
     "eigenvalues-2d": (lambda t: t | {"0.eigenvalues": np.ones((1, 8))},
                        "'0.eigenvalues'"),
     "basis-not-orthonormal": (_scaled, "V^T V"),
-    "basis-nan": (_nan, "V^T V"),
+    "basis-nan": (_nan, "tensor '0.vectors' contains non-finite entries"),
+    "eigenvalues-nan": (lambda t: t | {"0.eigenvalues": np.full(8, np.nan)},
+                        "tensor '0.eigenvalues' contains non-finite entries"),
 }
 
 

@@ -10,7 +10,6 @@ from subquant.errors import (
 )
 from subquant.linalg import (
     gram_input,
-    gram_weight,
     hadamard,
     random_orthogonal,
     row_blocks,
@@ -97,15 +96,20 @@ class TestGram:
     def test_gram_input_zeros(self):
         assert np.array_equal(gram_input(np.zeros((3, 2))), np.zeros((2, 2)))
 
+    # W W^T is the Gram of the rows of W^T, a transposed view
     def test_gram_weight_identity(self):
-        assert np.array_equal(gram_weight(np.eye(2)), np.eye(2))
+        assert np.array_equal(gram_input(np.eye(2).T), np.eye(2))
 
     def test_gram_weight_outer_product(self):
-        assert np.array_equal(gram_weight(np.array([[1.0], [2.0]])),
+        assert np.array_equal(gram_input(np.array([[1.0], [2.0]]).T),
                               np.array([[1.0, 2.0], [2.0, 4.0]]))
 
     def test_gram_weight_zeros(self):
-        assert np.array_equal(gram_weight(np.zeros((2, 3))), np.zeros((2, 2)))
+        assert np.array_equal(gram_input(np.zeros((2, 3)).T), np.zeros((2, 2)))
+
+    def test_gram_weight_is_bit_for_bit_w_w_t(self):
+        w = np.random.default_rng(6).standard_normal((5, 7))
+        assert np.array_equal(gram_input(w.T), w @ w.T)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gram_outputs_psd(self, seed):
