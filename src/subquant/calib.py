@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    DIM_FITS, Checked, DimensionMismatchError, check_fields, is_int, is_real)
+    DIM_FITS, Checked, DimensionMismatchError, ScaleRangeError, check_fields, is_int,
+    is_real)
 from .linalg import gram_input, row_blocks
 
 ATTN_INPUT = "attn-input"
@@ -49,8 +50,14 @@ class CalibStats(Checked):
     tokens_seen: int
 
     def __post_init__(self):
+        d = self.group.dim
+        # a Gram's diagonal is never negative; this checks O(d) entries
+        gram = (lambda v: np.shape(v) == (d, d) and bool(np.all(np.diagonal(v) >= 0)),
+                f"a {d} x {d} matrix whose diagonal is >= 0")
         energy = (lambda v: is_real(v, 0.0), "a finite number >= 0")
         check_fields(self, (
+            ("sigma_x", *gram),
+            ("sigma_w", *gram),
             ("energy_x", *energy),
             ("energy_w", *energy),
             ("tokens_seen", lambda v: is_int(v, 0), "an int >= 0"),
@@ -63,7 +70,7 @@ class CalibStats(Checked):
                    energy_x=0.0, energy_w=0.0, tokens_seen=0)
 
 
-# an energy that overflows is reported by CalibStats' check, not warned of
+# an overflow is reported as ScaleRangeError, not warned of
 @np.errstate(over="ignore", invalid="ignore")
 def _fold(sigma: np.ndarray, energy: float, rows, name: str) -> tuple[np.ndarray, float]:
     """sigma + R^T R and energy + trace(R^T R) for the rows R of `rows`, any
@@ -71,15 +78,19 @@ def _fold(sigma: np.ndarray, energy: float, rows, name: str) -> tuple[np.ndarray
     is walked in `row_blocks`, each converted to float64 once by `gram_input`,
     so it is never copied whole. (R^T R)_ii = sum_k r_ki^2 has no
     cancellation, so it is finite exactly when column i of R is finite and
-    its square sum does not overflow: a non-finite diagonal rejects the block."""
+    its square sum does not overflow. A non-finite diagonal rejects the
+    block: ValueError if it holds NaN or +-inf, else ScaleRangeError, as is
+    an energy that overflows."""
     d = len(sigma)
     sigma = sigma.copy()
     for block in row_blocks(rows, d, d, gram=True):
         g = gram_input(block)
-        if not np.all(np.isfinite(np.diagonal(g))):
-            raise ValueError(f"{name} contains non-finite entries, or its squares overflow")
-        sigma += g
         energy += float(np.trace(g))
+        if not np.isfinite(energy):  # a NaN or inf diagonal makes it so
+            if not np.all(np.isfinite(block)):
+                raise ValueError(f"{name} contains non-finite entries")
+            raise ScaleRangeError(f"the sum of {name}'s squares overflows float64")
+        sigma += g
     return sigma, energy
 
 

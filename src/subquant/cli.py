@@ -26,12 +26,14 @@ from .errors import (
     FormatError,
     NoConvergenceError,
     NoSignalError,
+    SEED,
     ScaleRangeError,
     SubquantError,
     check_fields,
     is_real,
+    located,
 )
-from .solver import OBJECTIVE, OBJECTIVES, ROTATION, ROTATIONS, SEED
+from .solver import OBJECTIVE, OBJECTIVES, ROTATION, ROTATIONS
 from .synth import SyntheticInstanceSpec
 
 
@@ -126,13 +128,16 @@ def cmd_calibrate(args) -> int:
         for kind, paths, fold in (("activation", g.activations, accumulate_activations),
                                   ("weight", g.weights, accumulate_weights)):
             for path in paths:
+                where = (f"{args.config}: groups[{i}] (group {g.name!r}): "
+                         f"{kind} file {path}")
                 try:  # the file's mapping is released with its array
                     stats = fold(stats, formats.map_tensor(path))
                 except FormatError:
                     raise  # its message already names the file
                 except (OSError, ValueError) as e:
-                    raise FormatError(f"{args.config}: groups[{i}] (group {g.name!r}): "
-                                      f"{kind} file {path}: {e}") from e
+                    raise FormatError(f"{where}: {e}") from e
+                except ArithmeticError as e:  # numerical: its class sets the exit code
+                    raise located(e, where) from e
         stats_list.append(stats)
     formats.write_stats(args.out, stats_list)
     return 0
@@ -140,10 +145,15 @@ def cmd_calibrate(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config, args)
-    plans = [build_plan(stats, rank_of(args, cfg, stats.group.dim), cfg.bits_low,
-                        cfg.bits_high, objective=cfg.objective, seed=cfg.seed,
-                        rotation=cfg.rotation)
-             for stats in formats.read_stats(args.stats)]
+    plans = []
+    for i, stats in enumerate(formats.read_stats(args.stats)):
+        try:
+            plans.append(build_plan(stats, rank_of(args, cfg, stats.group.dim),
+                                    cfg.bits_low, cfg.bits_high, objective=cfg.objective,
+                                    seed=cfg.seed, rotation=cfg.rotation))
+        except (ValueError, ArithmeticError) as e:
+            raise located(e, f"{args.stats}: groups[{i}] "
+                             f"(group {stats.group.name!r})") from e
     formats.write_plan(args.out, plans)
     return 0
 

@@ -20,6 +20,7 @@ from .calib import (
     accumulate_weights,
 )
 from .errors import (
+    SEED,
     Checked,
     DimensionMismatchError,
     ScaleRangeError,
@@ -33,10 +34,10 @@ from .quantizer import BITS, combined_error_coeff, quantize
 from .solver import (
     OBJECTIVE_ACTIVATION,
     OBJECTIVE_JOINT,
+    OBJECTIVE_WEIGHT,
     OBJECTIVE,
     OBJECTIVES,
     ROTATION_RANDOM,
-    SEED,
     SubspacePartition,
     rank_rule,
     solve_partition,
@@ -69,13 +70,20 @@ class MixedPrecisionPlan(Checked):
     bits_low: int
     bits_high: int
     group: ProjectionGroup
-    objective: str = OBJECTIVE_JOINT
 
     def __post_init__(self):
         dim = self.group.dim
         check("partition", self.partition.dim, lambda v: v == dim,
               f"of the group's dim ({dim})", DimensionMismatchError)
-        check_fields(self, bit_widths(self) + (("objective", *OBJECTIVE),))
+        check_fields(self, bit_widths(self))
+
+    @property
+    def objective(self) -> str:
+        """The objective the partition's covariance weights solve: a zero
+        lambda_w is activation-only, a zero lambda_x weight-only, else joint."""
+        p = self.partition
+        return (OBJECTIVE_ACTIVATION if p.lambda_w == 0
+                else OBJECTIVE_WEIGHT if p.lambda_x == 0 else OBJECTIVE_JOINT)
 
 
 @dataclass(frozen=True)
@@ -258,8 +266,7 @@ def build_plan(stats: CalibStats, rank: int, bits_low: int, bits_high: int,
     partition = solve_partition(stats, rank, objective=objective,
                                 gamma_low=gamma_low, seed=seed, rotation=rotation)
     return MixedPrecisionPlan(partition=partition, bits_low=bits_low,
-                              bits_high=bits_high, group=stats.group,
-                              objective=objective)
+                              bits_high=bits_high, group=stats.group)
 
 
 def stats_from_tensors(x: np.ndarray, w: np.ndarray,
@@ -295,8 +302,9 @@ def campaign(spec: SyntheticInstanceSpec, instances: int, rank: int,
              rotation: str = ROTATION_RANDOM) -> list[list[ErrorReport]]:
     """The objective ablation: `analyze_layer` on `instances` draws of `spec`.
 
-    Draw k is `spec` with seed seed0 + k, which also seeds its plans' internal
-    rotations. Returns one (joint, activation-only, weight-only) list per draw."""
+    Draw k is `spec` with seed seed0 + k, under which its plans' internal
+    rotations draw from their own streams (`linalg.stream`). Returns one
+    (joint, activation-only, weight-only) list per draw."""
     if instances < 1:
         raise ValueError(f"instances must be >= 1, got {instances}")
     check_bit_widths(bits_low, bits_high)

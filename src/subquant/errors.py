@@ -72,6 +72,9 @@ MAX_BYTES = 4 << 30
 DIM_FITS = (lambda v: 8 * v * v <= MAX_BYTES,
             f"small enough for a d x d float64 matrix to fit in {MAX_BYTES >> 30} GiB")
 
+# the rule on a seed, which names random streams (see `linalg.stream`)
+SEED = (lambda v: is_int(v, 0), "an int >= 0")
+
 
 def is_int(v, lo: int, hi: float = math.inf) -> bool:
     """An int in [lo, hi). bool is an int subclass, but `true` is not a count."""
@@ -87,11 +90,19 @@ def is_real(v, lo: float = -_FLOAT_MAX) -> bool:
 
 def check(key: str, value, test, what: str, error=ValueError) -> None:
     """Raise `error` naming `key`, and holding it as `.field`, unless
-    test(value)."""
+    test(value). An array is shown by its shape."""
     if not test(value):
-        e = error(f"{key} must be {what}, got {value!r}")
+        got = (f"an array of shape {value.shape}" if isinstance(value, np.ndarray)
+               else repr(value))
+        e = error(f"{key} must be {what}, got {got}")
         e.field = key
         raise e
+
+
+def located(e: Exception, where: str) -> Exception:
+    """An exception of `e`'s class whose message is `where: ` then `e`'s, to
+    raise from `e`: naming its input does not change its exit code."""
+    return type(e)(f"{where}: {e}")
 
 
 def check_fields(obj, rules) -> None:

@@ -16,10 +16,11 @@ A stats bundle holds ``i.sigma_x`` and ``i.sigma_w`` per group ``i``, and
 its ``groups`` are `CalibStats.to_json` objects. A plan bundle holds two
 tensors per group: ``i.vectors``, the d x d descending eigenbasis, and
 ``i.eigenvalues``. Its ``plans`` are `MixedPrecisionPlan.to_json` objects:
-the group, objective and the two bit-widths, with the rank, seed, rotation
-kind and covariance weights nested under ``partition``. An entry in an
-earlier layout (the partition's fields beside the plan's, or four quantizer
-``specs``) is rejected, naming the field. The composed transform ``u`` is
+the group and the two bit-widths, with the rank, seed, rotation kind and
+covariance weights nested under ``partition``; the objective is derived from
+the weights. An entry in an earlier layout (the partition's fields beside the
+plan's, an ``objective``, or four quantizer ``specs``) is rejected, naming
+the field. The composed transform ``u`` is
 not stored: a partition read back derives it from the seeded internal
 rotations on first use, bit-identical to the solved one. This module checks
 the framing, the tensor entries and shapes, and the orthonormality of a

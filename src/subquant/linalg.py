@@ -1,6 +1,7 @@
 """Dense real matrix kernels: symmetric eigendecomposition (LAPACK `eigh`),
 seeded orthogonal matrices (LAPACK QR), Sylvester-Hadamard construction, the
-row blocks X is streamed in, and the helpers the rest of the package uses.
+row blocks X is streamed in, the one rule that names random streams, and the
+helpers the rest of the package uses.
 
 All routines operate on 2-d float64 numpy arrays and are pure functions.
 """
@@ -101,13 +102,27 @@ def gram_input(x: np.ndarray) -> np.ndarray:
     return a @ a.T
 
 
-def random_orthogonal(d: int, seed: int) -> np.ndarray:
+# the roles of the random draws: row block k of a synthetic X, its W, its
+# basis, and a plan's low- and high-block internal rotations
+ROWS, WEIGHTS, BASIS, LOW_ROTATION, HIGH_ROTATION = range(5)
+
+
+def stream(seed: int, role: int, index: int = 0) -> np.random.SeedSequence:
+    """The seed of draw `index` of `role` under `seed`, the one rule by which
+    the package names a random stream. Distinct (seed, role, index) give
+    independent streams: the pair is a spawn key, not entropy, so no other
+    seed reaches the same state."""
+    return np.random.SeedSequence(seed, spawn_key=(role, index))
+
+
+def random_orthogonal(d: int, seed: int | np.random.SeedSequence) -> np.ndarray:
     """Seeded Haar-distributed orthogonal matrix.
 
-    Generator: numpy PCG64 stream seeded with `seed`, standard-normal fill,
-    then LAPACK QR with each column of Q signed so that diag(R) > 0 (Mezzadri,
-    "How to generate random matrices from the classical compact groups",
-    2007). Fixed here so identical (d, seed) give identical output across runs.
+    Generator: numpy PCG64 stream seeded with `seed`, an int or a `stream`,
+    standard-normal fill, then LAPACK QR with each column of Q signed so that
+    diag(R) > 0 (Mezzadri, "How to generate random matrices from the classical
+    compact groups", 2007). Fixed here so identical (d, seed) give identical
+    output across runs.
     """
     if d < 1:
         raise DimensionMismatchError("d must be >= 1")

@@ -14,6 +14,7 @@ import numpy as np
 
 from .calib import CalibStats
 from .errors import (
+    SEED,
     Checked,
     DimensionMismatchError,
     NoSignalError,
@@ -22,7 +23,8 @@ from .errors import (
     is_int,
     is_real,
 )
-from .linalg import hadamard, random_orthogonal, sym_eig
+from .linalg import (
+    HIGH_ROTATION, LOW_ROTATION, hadamard, random_orthogonal, stream, sym_eig)
 
 OBJECTIVE_JOINT = "joint"
 OBJECTIVE_ACTIVATION = "activation"
@@ -36,7 +38,6 @@ ROTATIONS = (ROTATION_RANDOM, ROTATION_HADAMARD)
 # the rules of the fields that plans and run configurations share
 OBJECTIVE = (lambda v: v in OBJECTIVES, f"one of {OBJECTIVES}")
 ROTATION = (lambda v: v in ROTATIONS, f"one of {ROTATIONS}")
-SEED = (lambda v: is_int(v, 0), "an int >= 0")
 
 
 def rank_rule(dim: int) -> tuple:
@@ -70,16 +71,18 @@ class SubspacePartition(Checked):
             ("rank", *rank_rule(self.dim)),
             ("seed", *SEED),
             ("rotation", *ROTATION),
-            ("lambda_x", is_real, "a finite number"),
-            ("lambda_w", is_real, "a finite number"),
+            ("lambda_x", lambda v: is_real(v, 0.0), "a finite number >= 0"),
+            ("lambda_w", lambda v: is_real(v, 0.0) and (v > 0 or self.lambda_x > 0),
+             "a finite number >= 0, and > 0 if lambda_x is 0"),
         ))
         # one memory layout for solved and read bases: u is then the same bits
         object.__setattr__(self, "vectors", np.ascontiguousarray(self.vectors))
 
     @functools.cached_property
     def u(self) -> np.ndarray:
-        r_h = _internal_rotation(self.rank, self.seed, self.rotation)
-        r_l = _internal_rotation(self.dim - self.rank, self.seed + 1, self.rotation)
+        r_h = _internal_rotation(self.rank, self.seed, HIGH_ROTATION, self.rotation)
+        r_l = _internal_rotation(self.dim - self.rank, self.seed, LOW_ROTATION,
+                                 self.rotation)
         return np.hstack([self.p_l @ r_l, self.p_h @ r_h])
 
     @property
@@ -101,7 +104,8 @@ def lambda_weights(stats: CalibStats, gamma_low: float,
 
     lambda_x = gamma_low * ||W||_F^2 scales the activation covariance and
     lambda_w = gamma_low * ||X||_F^2 the weight covariance; the single-sided
-    objectives zero out the other term.
+    objectives zero out the other term, so a plan reads its objective back
+    from which weight is 0 (`MixedPrecisionPlan.objective`).
     """
     if gamma_low <= 0:
         raise ValueError("gamma_low must be > 0")
@@ -120,11 +124,12 @@ def lambda_weights(stats: CalibStats, gamma_low: float,
 
 # one u needs two rotations, and every plan of one size and seed the same two
 @functools.lru_cache(maxsize=2)
-def _internal_rotation(dim: int, seed: int, rotation: str) -> np.ndarray:
-    """The seeded internal rotation of a block of `dim`, read-only: a pure
-    function of its arguments, so plans of one shape and seed share it."""
+def _internal_rotation(dim: int, seed: int, role: int, rotation: str) -> np.ndarray:
+    """The internal rotation of a block of `dim`, read-only, random ones drawn
+    from the `role` stream of `seed`: a pure function of its arguments, so
+    plans of one shape and seed share it."""
     use_hadamard = rotation == ROTATION_HADAMARD and dim & (dim - 1) == 0
-    r = hadamard(dim) if use_hadamard else random_orthogonal(dim, seed)
+    r = hadamard(dim) if use_hadamard else random_orthogonal(dim, stream(seed, role))
     r.flags.writeable = False
     return r
 

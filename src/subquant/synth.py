@@ -9,9 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DIM_FITS, MAX_BYTES, Checked, check_fields, is_int, is_real
-from .linalg import random_orthogonal
-from .solver import SEED
+from .errors import DIM_FITS, MAX_BYTES, SEED, Checked, check_fields, is_int, is_real
+from .linalg import BASIS, ROWS, WEIGHTS, random_orthogonal, stream
 
 # float64 bytes of one row block of X; each block draws from its own stream
 BLOCK_BYTES = 1 << 24
@@ -75,29 +74,26 @@ def generate_instance(spec: SyntheticInstanceSpec) -> tuple[np.ndarray, np.ndarr
     covariance Q_w diag(wt) Q_w^T with Q_w = Q_a rotated by the misalignment
     angle, so the two principal bases diverge controllably.
 
-    X is drawn in row blocks of BLOCK_BYTES, its only n x d array. Block 0
-    draws from the instance's stream, PCG64(seed), which then draws W; block
-    k >= 1 draws from child k - 1 of SeedSequence(seed). The blocks' normals
-    are drawn in parallel, one thread per CPU, and each block is then mixed
-    in place through one buffer; the bytes do not depend on the CPU count.
-    An instance that fits in one block is the single-stream draw."""
+    Every draw has its own stream under the instance's seed (`stream`): the
+    basis Q_a, W, and each row block of X, of BLOCK_BYTES, its only n x d
+    array. So W and each block do not depend on n. The blocks' normals are
+    drawn in parallel, one thread per CPU, and each block is then mixed in
+    place through one buffer; the bytes do not depend on the CPU count."""
     from concurrent.futures import ThreadPoolExecutor  # only a draw needs it
 
     d, n = spec.d, spec.n
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    q_a = random_orthogonal(d, spec.seed + 1)
+    q_a = random_orthogonal(d, stream(spec.seed, BASIS))
     q_w = q_a @ _plane_rotations(d, spec.misalignment)
     rows = BLOCK_BYTES // (8 * d)
     starts = range(0, n, rows)
     x = np.empty((n, d))
-    streams = [np.random.Generator(np.random.PCG64(s)) for s in
-               np.random.SeedSequence(spec.seed).spawn(len(starts) - 1)]
-    draw = lambda g, lo: g.standard_normal(out=x[lo:lo + rows])
+    rng = lambda role, k=0: np.random.default_rng(stream(spec.seed, role, k))
+    draw = lambda k: rng(ROWS, k).standard_normal(out=x[k * rows:(k + 1) * rows])
     # the caller draws block 0, so one block starts no thread; mixing inside
     # the threads would compete with BLAS's own threads
     with ThreadPoolExecutor(min(_cpus(), len(starts))) as pool:
-        rest = pool.map(draw, streams, starts[1:])
-        draw(rng, 0)
+        rest = pool.map(draw, range(1, len(starts)))
+        draw(0)
         list(rest)
     mix = np.sqrt(np.asarray(spec.activation_spectrum))[:, None] * q_a.T
     buf = np.empty((min(rows, n), d))
@@ -106,7 +102,7 @@ def generate_instance(spec: SyntheticInstanceSpec) -> tuple[np.ndarray, np.ndarr
         np.matmul(x[lo:lo + rows], mix, out=block)
         x[lo:lo + rows] = block
     w = q_w @ (np.sqrt(np.asarray(spec.weight_spectrum))[:, None]
-               * rng.standard_normal((d, spec.m)))
+               * rng(WEIGHTS).standard_normal((d, spec.m)))
     return x, w
 
 

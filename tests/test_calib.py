@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -11,7 +12,7 @@ from subquant.calib import (
     accumulate_activations,
     accumulate_weights,
 )
-from subquant.errors import DimensionMismatchError
+from subquant.errors import DimensionMismatchError, ScaleRangeError
 from subquant.linalg import gram_input
 
 
@@ -53,14 +54,16 @@ class TestAccumulate:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("row", [0, 9], ids=["first-block", "later-block"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200],
-                             ids=["nan", "+inf", "-inf", "square-overflows"])
-    def test_non_finite_rejected(self, monkeypatch, row, value):
+    @pytest.mark.parametrize("value,error", [
+        (np.nan, ValueError), (np.inf, ValueError), (-np.inf, ValueError),
+        (1e200, ScaleRangeError),  # a finite entry, a numerical failure
+    ], ids=["nan", "+inf", "-inf", "square-overflows"])
+    def test_non_finite_rejected(self, monkeypatch, row, value, error):
         monkeypatch.setattr(linalg, "MIN_BLOCK_ROWS", 1)
         monkeypatch.setattr(linalg, "BLOCK_BYTES", 4 * 8 * 3)  # 4 rows of d=3
         batch = np.ones((11, 3))
         batch[row, 1] = value
-        with pytest.raises(ValueError):
+        with pytest.raises(error):
             accumulate_activations(CalibStats.empty(group(3)), batch)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -103,6 +106,24 @@ class TestAccumulate:
         assert np.trace(s.sigma_x) == pytest.approx(s.energy_x, rel=1e-6)
         assert np.max(np.abs(s.sigma_x - s.sigma_x.T)) <= \
             1e-9 * np.max(np.abs(s.sigma_x))
+
+
+class TestCovarianceRule:
+    @pytest.mark.parametrize("key", ["sigma_x", "sigma_w"])
+    @pytest.mark.parametrize("sigma", [
+        -np.eye(3), np.diag([1.0, np.nan, 1.0]), np.eye(2), np.ones(3)],
+        ids=["negative-diagonal", "nan-diagonal", "wrong-dim", "1-d"])
+    def test_each_sigma_is_d_by_d_with_a_diagonal_at_least_0(self, key, sigma):
+        empty = CalibStats.empty(group(3))
+        message = (f"{key} must be a 3 x 3 matrix whose diagonal is >= 0, "
+                   f"got an array of shape {sigma.shape}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(empty, **{key: sigma})
+
+    def test_a_negative_off_diagonal_is_a_gram(self):
+        sigma = np.array([[1.0, -1.0], [-1.0, 1.0]])  # the Gram of [[1, -1]]
+        stats = dataclasses.replace(CalibStats.empty(group(2)), sigma_x=sigma)
+        assert np.array_equal(stats.sigma_x, sigma)
 
 
 class TestFuse:

@@ -12,6 +12,7 @@ from subquant.calib import CalibStats, ProjectionGroup, accumulate_activations
 from subquant.cli import main
 from subquant.engine import (
     analyze_layer, build_plan, execute_plan, stats_from_tensors, summarize)
+from subquant.linalg import HIGH_ROTATION, LOW_ROTATION
 from subquant.synth import aligned_spec, generate_instance, weight_anisotropic_spec
 
 
@@ -105,12 +106,13 @@ class TestCalibrate:
         err = capsys.readouterr().err
         assert code == 2 and not written
         assert (f"{cfg_path}: groups[0] (group 'g0'): weight file {bad}: "
-                "w contains non-finite entries, or its squares overflow" in err)
+                "w contains non-finite entries\n" in err)
 
     def test_weight_energy_overflow_names_the_files(self, workspace, capsys):
         # each member's one non-zero row has a finite square sum and energy
         # (8 * 1.2e307), their sum over the two members is not: the error
-        # names the file whose fold overflows it, the second
+        # names the file whose fold overflows it, the second; an overflow is
+        # a numerical failure
         w = np.zeros((8, 8))
         w[0] = 3.5e153
         huge = [str(workspace["tmp"] / f"whuge{i}.cqt") for i in range(2)]
@@ -118,9 +120,9 @@ class TestCalibrate:
             formats.write_tensor(path, "whuge", w)
         code, cfg_path, written = self.calibrate_with_weights(workspace, huge)
         err = capsys.readouterr().err
-        assert code == 2 and not written
+        assert code == 1 and not written
         assert (f"{cfg_path}: groups[0] (group 'g0'): weight file {huge[1]}: "
-                "energy_w must be a finite number >= 0, got inf" in err)
+                "the sum of w's squares overflows float64" in err)
         assert huge[0] not in err
 
     @pytest.mark.parametrize("shape", [(8 * 8,), (16, 8), (8, 8, 1)],
@@ -179,18 +181,19 @@ class TestCalibrate:
         assert peak < 1 << 20
 
     # a file whose squares overflow float64 (1e200), or whose square sums of
-    # rows are finite but whose energy is not (one row of 8 x 1.2e154)
+    # rows are finite but whose energy is not (one row of 8 x 1.2e154): its
+    # entries are finite, so this is a numerical failure
     OVERFLOWS = {
         "weight": ("weight", np.full((8, 8), 1e200),
-                   "w contains non-finite entries, or its squares overflow"),
+                   "the sum of w's squares overflows float64"),
         "activation": ("activation", np.full((16, 8), 1e200),
-                       "x contains non-finite entries, or its squares overflow"),
+                       "the sum of x's squares overflows float64"),
         "activation-energy": ("activation", np.full((1, 8), 1.2e154),
-                              "energy_x must be a finite number >= 0, got inf"),
+                              "the sum of x's squares overflows float64"),
     }
 
     @pytest.mark.parametrize("case", sorted(OVERFLOWS))
-    def test_overflowing_file_exits_2_naming_it(self, workspace, capsys, case):
+    def test_overflowing_file_exits_1_naming_it(self, workspace, capsys, case):
         kind, array, message = self.OVERFLOWS[case]
         path = str(workspace["tmp"] / "huge.cqt")
         formats.write_tensor(path, "huge", array)
@@ -199,7 +202,7 @@ class TestCalibrate:
         cfg_path = str(workspace["tmp"] / "huge.json")
         Path(cfg_path).write_text(json.dumps(cfg))
         out = workspace["tmp"] / "stats.cqb"
-        assert run("calibrate", "--config", cfg_path, "--out", str(out)) == 2
+        assert run("calibrate", "--config", cfg_path, "--out", str(out)) == 1
         assert (f"{cfg_path}: groups[0] (group 'g0'): {kind} file {path}: {message}"
                 in capsys.readouterr().err)
         assert not out.exists()
@@ -338,7 +341,7 @@ class TestMalformedInputs:
         # the identity basis keeps the huge entries apart in one low-block row:
         # p_h = e8 and no internal rotation, when written and when read back
         monkeypatch.setattr(solver, "_internal_rotation",
-                            lambda dim, seed, rotation: np.eye(dim))
+                            lambda dim, seed, role, rotation: np.eye(dim))
         ident = dataclasses.replace(plan.partition,
                                     vectors=np.eye(d)[:, [d - 1, *range(d - 1)]])
         assert np.array_equal(ident.u, np.eye(d))
@@ -462,7 +465,8 @@ class TestSolve:
         assert run("simulate", "--plan", plan, "--group", "g1",
                    "--x", workspace["x1"], "--w", workspace["w"],
                    "--out", str(workspace["tmp"] / "r.jsonl")) == 0
-        assert rotation_calls == [(1, 7), (7, 8)]  # rank 1 of d=8, seed 7
+        # rank 1 of d=8, seed 7
+        assert rotation_calls == [(1, (7, HIGH_ROTATION, 0)), (7, (7, LOW_ROTATION, 0))]
 
     def test_eigensolver_failure_exits_1(self, workspace, monkeypatch, capsys):
         stats = str(workspace["tmp"] / "stats.cqb")
@@ -474,7 +478,39 @@ class TestSolve:
         monkeypatch.setattr(np.linalg, "eigh", no_convergence)
         assert run("solve", "--stats", stats,
                    "--out", str(workspace["tmp"] / "p.cqb")) == 1
-        assert "did not converge" in capsys.readouterr().err
+        # the group is named, and the error keeps its class and exit code
+        assert (f"{stats}: groups[0] (group 'g0'): eigh did not converge"
+                in capsys.readouterr().err)
+
+    def edited_stats(self, workspace, edit):
+        """The workspace's stats file with group 0's Sigma_X replaced by
+        edit(Sigma_X), written as a file may hold it: unchecked."""
+        stats = str(workspace["tmp"] / "stats.cqb")
+        run("calibrate", "--config", workspace["cfg"], "--out", stats)
+        (st,) = formats.read_stats(stats)
+        object.__setattr__(st, "sigma_x", edit(st.sigma_x.copy()))
+        formats.write_stats(stats, [st])
+        return stats
+
+    def test_asymmetric_sigma_exits_2_naming_the_file_and_group(self, workspace, capsys):
+        def skew(sigma):
+            sigma[0, 1] += 1.0
+            return sigma
+
+        stats = self.edited_stats(workspace, skew)
+        out = workspace["tmp"] / "p.cqb"
+        assert run("solve", "--stats", stats, "--out", str(out)) == 2
+        assert (f"{stats}: groups[0] (group 'g0'): asymmetry exceeds 1e-9 * max|M|"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_negative_sigma_diagonal_exits_2_naming_the_file(self, workspace, capsys):
+        stats = self.edited_stats(workspace, lambda sigma: -sigma)
+        out = workspace["tmp"] / "p.cqb"
+        assert run("solve", "--stats", stats, "--out", str(out)) == 2
+        assert (f"{stats}: groups[0]: sigma_x must be a 8 x 8 matrix whose "
+                "diagonal is >= 0" in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_rank_flag_out_of_range_exits_2(self, workspace):
         stats = str(workspace["tmp"] / "stats.cqb")
@@ -626,6 +662,20 @@ class TestAnalyze:
 
     def test_requires_inputs(self, tmp_path):
         assert run("analyze", "--out", str(tmp_path / "r.jsonl")) == 2
+
+    def test_overflowing_x_exits_1_as_simulate_does(self, workspace, capsys):
+        # finite entries whose squares overflow: a numerical failure in both
+        x = str(workspace["tmp"] / "huge.cqt")
+        formats.write_tensor(x, "huge", np.full((16, 8), 1e200))
+        stats, plan = (str(workspace["tmp"] / name) for name in ("s.cqb", "p.cqb"))
+        run("calibrate", "--config", workspace["cfg"], "--out", stats)
+        run("solve", "--stats", stats, "--out", plan)
+        out = workspace["tmp"] / "r.jsonl"
+        assert run("analyze", "--x", x, "--w", workspace["w"], "--out", str(out)) == 1
+        assert "the sum of x's squares overflows float64" in capsys.readouterr().err
+        assert run("simulate", "--plan", plan, "--x", x, "--w", workspace["w"],
+                   "--out", str(out)) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("tensors", [["--x"], ["--w"], ["--x", "--w"]])
     def test_synthetic_and_tensors_exit_2_naming_both(self, workspace, capsys,

@@ -19,6 +19,7 @@ from subquant.engine import (
     use_gram_form,
 )
 from subquant.errors import DimensionMismatchError, ScaleRangeError
+from subquant.linalg import HIGH_ROTATION, LOW_ROTATION
 from subquant.quantizer import QuantResult, quantize
 from subquant.solver import OBJECTIVES, solve_partition
 from subquant.synth import aligned_spec, generate_instance, weight_anisotropic_spec
@@ -67,7 +68,7 @@ class TestExecutePlan:
         plan = build_plan(s, 1, 4, 8, seed=0)
         # p_h = e4, p_l = (e1, e2, e3), with no internal rotation
         monkeypatch.setattr(solver, "_internal_rotation",
-                            lambda dim, seed, rotation: np.eye(dim))
+                            lambda dim, seed, role, rotation: np.eye(dim))
         ident = dataclasses.replace(plan.partition, vectors=np.eye(4)[:, [3, 0, 1, 2]])
         assert np.array_equal(ident.u, np.eye(4))
         plan = dataclasses.replace(plan, partition=ident)
@@ -369,10 +370,11 @@ class TestAnalyzeLayer:
     def test_each_rotation_is_computed_once_per_call(self, rotation_calls):
         x, w = random_instance(32, 16, 8, seed=9)
         analyze_layer(x, w, rank=2, bits_low=4, bits_high=8, seed=4)
-        assert rotation_calls == [(2, 4), (14, 5)]
+        both = [(2, (4, HIGH_ROTATION, 0)), (14, (4, LOW_ROTATION, 0))]
+        assert rotation_calls == both
         # the next call of one shape and seed reads them from the cache
         analyze_layer(x, w, rank=2, bits_low=4, bits_high=8, seed=4)
-        assert rotation_calls == [(2, 4), (14, 5)]
+        assert rotation_calls == both
 
     def test_shared_rotations_leave_reports_unchanged(self):
         x, w = random_instance(32, 16, 8, seed=10)
@@ -390,6 +392,22 @@ class TestAnalyzeLayer:
         x, w = random_instance(16, 8, 4, seed=9)
         reports = analyze_layer(x, w, rank=1, bits_low=4, bits_high=8)
         assert [r.objective for r in reports] == ["joint", "activation", "weight"]
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_a_plan_derives_its_objective_from_its_lambdas(self, objective):
+        x, w = random_instance(16, 8, 4, seed=9)
+        plan = build_plan(stats_from_tensors(x, w), 1, 4, 8, objective=objective)
+        assert plan.objective == objective
+        assert "objective" not in plan.to_json()
+
+    @pytest.mark.parametrize("lambdas,objective", [
+        ((1.0, 0.0), "activation"), ((0.0, 1.0), "weight"), ((1.0, 2.0), "joint")])
+    def test_the_objective_follows_the_lambdas(self, lambdas, objective):
+        x, w = random_instance(16, 8, 4, seed=9)
+        plan = build_plan(stats_from_tensors(x, w), 1, 4, 8)
+        part = dataclasses.replace(plan.partition, lambda_x=lambdas[0],
+                                   lambda_w=lambdas[1])
+        assert dataclasses.replace(plan, partition=part).objective == objective
 
 
 class TestInvariantsAndProperties:

@@ -28,6 +28,7 @@ from subquant.errors import (
     TruncatedPayloadError,
     UnsupportedDtypeError,
 )
+from subquant.linalg import HIGH_ROTATION, LOW_ROTATION
 
 
 class TestTensorContainer:
@@ -427,6 +428,10 @@ MALFORMED_PLAN_META = {
     "negative-seed": _partition(seed=-1),
     "unknown-rotation": _partition(rotation="givens"),
     "unknown-objective": _entry(objective="nope"),
+    # the objective is derived from the lambdas, so a stored one is unknown
+    "objective-key": _entry(objective="activation"),
+    "negative-lambda": _partition(lambda_x=-1.0),
+    "zero-lambdas": _partition(lambda_x=0.0, lambda_w=0.0),
     "string-lambda": _partition(lambda_x="1.0"),
     "bool-lambda": _partition(lambda_w=True),
     "nan-lambda": _partition(lambda_x=float("nan")),
@@ -669,7 +674,8 @@ class TestPlanBundle:
         assert rotation_calls == []  # u is derived on first use
         assert loaded.partition.rotation == "hadamard"
         assert np.array_equal(loaded.partition.u, plan.partition.u)
-        assert rotation_calls == [(28, 10)]  # the second u reads it back
+        # the second u reads it back
+        assert rotation_calls == [(28, (9, LOW_ROTATION, 0))]
         assert np.array_equal(execute_plan(x, w, loaded)[0], execute_plan(x, w, plan)[0])
 
     def test_read_derives_no_rotation(self, tmp_path, rotation_calls):
@@ -686,7 +692,7 @@ class TestPlanBundle:
         # groups of equal width and seed derive their u from one pair of rotations
         for a, b in zip(plans, loaded):
             assert np.array_equal(a.partition.u, b.partition.u)
-        assert rotation_calls == [(2, 3), (6, 4)]
+        assert rotation_calls == [(2, (3, HIGH_ROTATION, 0)), (6, (3, LOW_ROTATION, 0))]
 
     def test_round_trip_and_reexecution(self, tmp_path):
         rng = np.random.default_rng(1)

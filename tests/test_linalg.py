@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +10,13 @@ from subquant.errors import (
     NonSquareError,
     NotSymmetricError,
 )
+from subquant import linalg
 from subquant.linalg import (
     gram_input,
     hadamard,
     random_orthogonal,
     row_blocks,
+    stream,
     sym_eig,
 )
 
@@ -159,7 +163,8 @@ class TestOrthogonal:
         q = random_orthogonal(d, seed)
         assert np.max(np.abs(q @ q.T - np.eye(d))) < 1e-10
 
-    @pytest.mark.parametrize("d,seed", [(1, 5), (8, 42), (64, 9)])
+    @pytest.mark.parametrize("d,seed", [(1, 5), (8, 42), (64, 9),
+                                        (6, stream(5, linalg.HIGH_ROTATION))])
     def test_matches_qr_with_positive_r_diagonal(self, d, seed):
         g = np.random.Generator(np.random.PCG64(seed)).standard_normal((d, d))
         q, r = np.linalg.qr(g)
@@ -175,6 +180,34 @@ class TestOrthogonal:
     def test_rejects_zero_dim(self):
         with pytest.raises(DimensionMismatchError):
             random_orthogonal(0, 1)
+
+
+# every draw of an instance and its plans: X's first row blocks, W, the
+# basis, and the two internal rotations
+DRAWS = {**{f"x-block-{k}": (linalg.ROWS, k) for k in range(3)},
+         "w": (linalg.WEIGHTS, 0), "basis": (linalg.BASIS, 0),
+         "low-rotation": (linalg.LOW_ROTATION, 0),
+         "high-rotation": (linalg.HIGH_ROTATION, 0)}
+
+
+class TestStream:
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 40])
+    def test_no_two_draws_share_normals(self, seed):
+        # the draws of seed and seed + 1: no normal of one stream's first 64
+        # appears in another's, so neither one stream nor a shifted one is
+        # shared
+        first = {(s, name): np.random.default_rng(stream(s, *key)).standard_normal(64)
+                 for s in (seed, seed + 1) for name, key in DRAWS.items()}
+        assert len(first) == 2 * len(DRAWS)
+        for (a, za), (b, zb) in itertools.combinations(first.items(), 2):
+            assert not np.intersect1d(za, zb).size, (a, b)
+
+    def test_no_seed_reaches_another_seeds_streams(self):
+        # SeedSequence([12345, 3]) is SeedSequence(12345 + (3 << 32)): a role
+        # in the entropy would collide with another seed, a spawn key does not
+        states = {stream(seed, *key).generate_state(4).tobytes()
+                  for seed in (12345, 12345 + (3 << 32)) for key in DRAWS.values()}
+        assert len(states) == 2 * len(DRAWS)
 
 
 class TestHadamard:

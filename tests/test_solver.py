@@ -6,7 +6,8 @@ import pytest
 from subquant import solver
 from subquant.calib import CalibStats, ProjectionGroup
 from subquant.errors import DimensionMismatchError, NoSignalError
-from subquant.linalg import hadamard, random_orthogonal, sym_eig
+from subquant.linalg import (
+    HIGH_ROTATION, LOW_ROTATION, hadamard, random_orthogonal, stream, sym_eig)
 from subquant.solver import (
     ROTATIONS,
     lambda_weights,
@@ -137,9 +138,9 @@ class TestSolvePartition:
                                rotation="hadamard")
         part = dataclasses.replace(part, rank=1)
         # blocks of 1 and 5: H_1 = [1], and 5 is not a power of two
-        assert np.array_equal(part.u, np.hstack([part.p_l @ random_orthogonal(5, 1),
-                                                 part.p_h]))
-        assert rotation_calls == [(5, 1)]
+        r_l = random_orthogonal(5, stream(0, LOW_ROTATION))
+        assert np.array_equal(part.u, np.hstack([part.p_l @ r_l, part.p_h]))
+        assert rotation_calls == [(5, (0, LOW_ROTATION, 0))]
 
     def test_stores_one_basis_and_derives_the_rest(self):
         s = stats_from_sigmas(random_psd(6, 9), random_psd(6, 10))
@@ -162,15 +163,17 @@ class TestRotationCache:
     def stats(self, d=8):
         return stats_from_sigmas(random_psd(d, 20), random_psd(d, 21))
 
-    @pytest.mark.parametrize("dim,seed,rotation,fresh", [
-        (6, 4, "random", lambda: random_orthogonal(6, 4)),
-        (4, 3, "hadamard", lambda: hadamard(4)),
-        (5, 1, "hadamard", lambda: random_orthogonal(5, 1)),  # not a power of two
+    @pytest.mark.parametrize("dim,seed,role,rotation,fresh", [
+        (6, 4, LOW_ROTATION, "random",
+         lambda: random_orthogonal(6, stream(4, LOW_ROTATION))),
+        (4, 3, HIGH_ROTATION, "hadamard", lambda: hadamard(4)),
+        (5, 1, HIGH_ROTATION, "hadamard",  # not a power of two
+         lambda: random_orthogonal(5, stream(1, HIGH_ROTATION))),
     ], ids=["random", "hadamard", "fallback"])
-    def test_read_only_and_equal_to_fresh(self, rotation_calls, dim, seed,
+    def test_read_only_and_equal_to_fresh(self, rotation_calls, dim, seed, role,
                                           rotation, fresh):
-        r = solver._internal_rotation(dim, seed, rotation)
-        assert r is solver._internal_rotation(dim, seed, rotation)
+        r = solver._internal_rotation(dim, seed, role, rotation)
+        assert r is solver._internal_rotation(dim, seed, role, rotation)
         assert np.array_equal(r, fresh())
         assert not r.flags.writeable
         with pytest.raises(ValueError):
@@ -183,25 +186,36 @@ class TestRotationCache:
                                  seed=3) for objective in solver.OBJECTIVES]
         assert rotation_calls == []  # u is derived on first use
         us = [part.u for part in parts]
-        assert rotation_calls == [(2, 3), (6, 4)]
-        r_h, r_l = random_orthogonal(2, 3), random_orthogonal(6, 4)
+        assert rotation_calls == [(2, (3, HIGH_ROTATION, 0)), (6, (3, LOW_ROTATION, 0))]
+        r_h = random_orthogonal(2, stream(3, HIGH_ROTATION))
+        r_l = random_orthogonal(6, stream(3, LOW_ROTATION))
         for part, u in zip(parts, us):
             assert np.array_equal(u, np.hstack([part.p_l @ r_l, part.p_h @ r_h]))
 
     def test_a_third_key_evicts_the_least_recently_used(self, rotation_calls):
-        for dim, seed in ((2, 3), (6, 4), (2, 3), (5, 9), (2, 3), (6, 4)):
-            solver._internal_rotation(dim, seed, "random")
-        # (2, 3) was used last when (5, 9) came in, so (6, 4) was evicted
-        assert rotation_calls == [(2, 3), (6, 4), (5, 9), (6, 4)]
+        a, b, c = (2, 3, HIGH_ROTATION), (6, 3, LOW_ROTATION), (5, 9, HIGH_ROTATION)
+        for dim, seed, role in (a, b, a, c, a, b):
+            solver._internal_rotation(dim, seed, role, "random")
+        # a was used last when c came in, so b was evicted
+        assert rotation_calls == [(dim, (seed, role, 0))
+                                  for dim, seed, role in (a, b, c, b)]
         assert solver._internal_rotation.cache_info().currsize == 2
 
     def test_the_key_includes_the_kind(self, rotation_calls):
-        r = solver._internal_rotation(4, 3, "random")
-        h = solver._internal_rotation(4, 3, "hadamard")
-        assert np.array_equal(r, random_orthogonal(4, 3))
+        r = solver._internal_rotation(4, 3, HIGH_ROTATION, "random")
+        h = solver._internal_rotation(4, 3, HIGH_ROTATION, "hadamard")
+        assert np.array_equal(r, random_orthogonal(4, stream(3, HIGH_ROTATION)))
         assert np.array_equal(h, hadamard(4))
         assert not np.array_equal(r, h)
-        assert rotation_calls == [(4, 3)]
+        assert rotation_calls == [(4, (3, HIGH_ROTATION, 0))]
+
+    def test_the_key_includes_the_role(self, rotation_calls):
+        # a plan of rank d/2 has two blocks of one size and seed, each with
+        # its own stream
+        low = solver._internal_rotation(4, 3, LOW_ROTATION, "random")
+        high = solver._internal_rotation(4, 3, HIGH_ROTATION, "random")
+        assert not np.array_equal(low, high)
+        assert rotation_calls == [(4, (3, LOW_ROTATION, 0)), (4, (3, HIGH_ROTATION, 0))]
 
     @pytest.mark.parametrize("rotation", ROTATIONS)
     def test_cached_and_fresh_rotations_give_the_same_plan(self, rotation_calls,

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -6,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from subquant import synth
-from subquant.linalg import random_orthogonal
+from subquant import linalg, synth
+from subquant.linalg import random_orthogonal, stream
 from subquant.synth import (
     SyntheticInstanceSpec,
     _plane_rotations,
@@ -35,16 +34,27 @@ def test_plane_rotations_are_the_product_of_givens_rotations(d, angle):
     assert _plane_rotations(d, angle).tobytes() == givens_product(d, angle).tobytes()
 
 
-def single_stream(spec):
-    """The instance drawn from one stream: all of X's normals, then W's."""
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    q_a = random_orthogonal(spec.d, spec.seed + 1)
-    q_w = q_a @ _plane_rotations(spec.d, spec.misalignment)
-    x = rng.standard_normal((spec.n, spec.d)) @ (
-        np.sqrt(np.asarray(spec.activation_spectrum))[:, None] * q_a.T)
-    w = q_w @ (np.sqrt(np.asarray(spec.weight_spectrum))[:, None]
-               * rng.standard_normal((spec.d, spec.m)))
-    return x, w
+def normals(seed, role, shape, index=0):
+    """The first normals of the stream (seed, role, index)."""
+    return np.random.default_rng(stream(seed, role, index)).standard_normal(shape)
+
+
+def basis(spec):
+    return random_orthogonal(spec.d, stream(spec.seed, linalg.BASIS))
+
+
+def reference_block(spec, k, rows):
+    """Row block k of X, of `rows` rows: the normals of its stream, mixed by
+    diag(act)^(1/2) Q_a^T."""
+    mix = np.sqrt(np.asarray(spec.activation_spectrum))[:, None] * basis(spec).T
+    return normals(spec.seed, linalg.ROWS, (rows, spec.d), k) @ mix
+
+
+def reference_w(spec):
+    """W: the normals of its stream, scaled and turned by Q_w."""
+    q_w = basis(spec) @ _plane_rotations(spec.d, spec.misalignment)
+    return q_w @ (np.sqrt(np.asarray(spec.weight_spectrum))[:, None]
+                  * normals(spec.seed, linalg.WEIGHTS, (spec.d, spec.m)))
 
 
 def spread_spec(d, n, m, seed, misalignment=0.3):
@@ -66,8 +76,16 @@ ONE_BLOCK = synth.BLOCK_BYTES // (8 * 64)  # rows of one block at d = 64
     spread_spec(64, ONE_BLOCK, 8, 9),  # exactly one block
 ], ids=lambda s: f"d{s.d}-n{s.n}-m{s.m}-seed{s.seed}")
 def test_one_block_instance_is_the_single_stream_draw(spec):
-    for got, want in zip(generate_instance(spec), single_stream(spec)):
-        assert got.tobytes() == want.tobytes()
+    # X of one block is the draw of one stream; W has its own
+    x, w = generate_instance(spec)
+    assert x.tobytes() == reference_block(spec, 0, spec.n).tobytes()
+    assert w.tobytes() == reference_w(spec).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 65, ONE_BLOCK + 1])
+def test_w_does_not_depend_on_n(n):
+    w = generate_instance(weight_anisotropic_spec(64, 64, 8, 3))[1]
+    assert generate_instance(weight_anisotropic_spec(64, n, 8, 3))[1].tobytes() == w.tobytes()
 
 
 ROWS = 20000  # with d = 8 and n = 65536: three blocks and a tail of 5536 rows
@@ -94,9 +112,14 @@ class TestRowBlocks:
 
     def test_block_zero_and_w_come_from_the_instance_stream(self, blocks):
         x, w = generate_instance(blocks)
-        head, head_w = single_stream(dataclasses.replace(blocks, n=ROWS))
-        assert x[:ROWS].tobytes() == head.tobytes()
-        assert w.tobytes() == head_w.tobytes()
+        assert x[:ROWS].tobytes() == reference_block(blocks, 0, ROWS).tobytes()
+        assert w.tobytes() == reference_w(blocks).tobytes()
+
+    def test_block_k_comes_from_its_own_stream(self, blocks):
+        x, _ = generate_instance(blocks)
+        for k, lo in enumerate(range(ROWS, blocks.n, ROWS), start=1):
+            rows = min(ROWS, blocks.n - lo)
+            assert x[lo:lo + rows].tobytes() == reference_block(blocks, k, rows).tobytes()
 
     def test_no_two_blocks_are_equal(self, blocks):
         x, _ = generate_instance(blocks)
@@ -106,7 +129,7 @@ class TestRowBlocks:
 
     def test_sample_covariance_matches_the_spectrum(self, blocks):
         x, _ = generate_instance(blocks)
-        q_a = random_orthogonal(blocks.d, blocks.seed + 1)
+        q_a = basis(blocks)
         cov = q_a @ np.diag(blocks.activation_spectrum) @ q_a.T
         # each entry of X^T X / n has standard error
         # sqrt((cov_ii cov_jj + cov_ij^2) / n) for zero-mean normal rows;
