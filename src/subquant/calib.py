@@ -2,12 +2,12 @@
 projection group: activation covariance, and fused weight covariance for
 layers sharing an input.
 
-CalibStats values are immutable; accumulation returns a new value.
+`calibrate` is the one place a CalibStats is built from arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,27 +63,19 @@ class CalibStats(Checked):
             ("tokens_seen", lambda v: is_int(v, 0), "an int >= 0"),
         ))
 
-    @classmethod
-    def empty(cls, group: ProjectionGroup) -> "CalibStats":
-        z = np.zeros((group.dim, group.dim))
-        return cls(group=group, sigma_x=z, sigma_w=z.copy(),
-                   energy_x=0.0, energy_w=0.0, tokens_seen=0)
-
 
 # an overflow is reported as ScaleRangeError, not warned of
 @np.errstate(over="ignore", invalid="ignore")
-def _fold(sigma: np.ndarray, energy: float, rows, name: str) -> tuple[np.ndarray, float]:
-    """sigma + R^T R and energy + trace(R^T R) for the rows R of `rows`, any
-    2-d float32/float64 array with sigma's width, a mapped one included. It
-    is walked in `row_blocks`, each converted to float64 once by `gram_input`,
-    so it is never copied whole. (R^T R)_ii = sum_k r_ki^2 has no
-    cancellation, so it is finite exactly when column i of R is finite and
-    its square sum does not overflow. A non-finite diagonal rejects the
-    block: ValueError if it holds NaN or +-inf, else ScaleRangeError, as is
-    an energy that overflows."""
-    d = len(sigma)
-    sigma = sigma.copy()
-    for block in row_blocks(rows, d, d, gram=True):
+def _fold(sigma: np.ndarray, energy: float, rows, name: str) -> float:
+    """Add R^T R to `sigma` in place and return energy + trace(R^T R), for
+    the rows R of `rows`, any 2-d float32/float64 array with sigma's width,
+    a mapped one included. It is walked in `row_blocks`, each converted to
+    float64 once by `gram_input`, so it is never copied whole. (R^T R)_ii =
+    sum_k r_ki^2 has no cancellation, so it is finite exactly when column i
+    of R is finite and its square sum does not overflow. A non-finite
+    diagonal rejects the block: ValueError if it holds NaN or +-inf, else
+    ScaleRangeError, as is an energy that overflows."""
+    for block in row_blocks(rows, len(sigma), len(sigma), gram=True):
         g = gram_input(block)
         energy += float(np.trace(g))
         if not np.isfinite(energy):  # a NaN or inf diagonal makes it so
@@ -91,22 +83,30 @@ def _fold(sigma: np.ndarray, energy: float, rows, name: str) -> tuple[np.ndarray
                 raise ValueError(f"{name} contains non-finite entries")
             raise ScaleRangeError(f"the sum of {name}'s squares overflows float64")
         sigma += g
-    return sigma, energy
+        del g  # else it is held while the next block's Gram is formed
+    return energy
 
 
-def accumulate_activations(stats: CalibStats, batch) -> CalibStats:
-    """Fold an n x d activation batch into Sigma_X = sum X^T X and its energy."""
-    sigma, energy = _fold(stats.sigma_x, stats.energy_x, batch, "x")
-    return replace(stats, sigma_x=sigma, energy_x=energy,
-                   tokens_seen=stats.tokens_seen + len(batch))
-
-
-def accumulate_weights(stats: CalibStats, w) -> CalibStats:
-    """Fold one d x m member weight into the fused Sigma_W = sum W W^T and its
-    energy: W W^T is the Gram of W^T's rows, so W^T, a view, is folded as a
-    batch is."""
-    w, d = np.asarray(w), stats.group.dim
-    if w.ndim != 2 or w.shape[0] != d:
-        raise DimensionMismatchError(f"w must be 2-d with {d} rows, got shape {w.shape}")
-    sigma, energy = _fold(stats.sigma_w, stats.energy_w, w.T, "w")
-    return replace(stats, sigma_w=sigma, energy_w=energy)
+def calibrate(group: ProjectionGroup, activations, weights) -> CalibStats:
+    """Sigma_X = sum X^T X over the n x d batches of `activations` and the
+    fused Sigma_W = sum W W^T over the d x m members of `weights`, W^T (a
+    view) folded as a batch is, with their energies. Each is an iterable of
+    2-d arrays read lazily, so a mapped file can be opened on its turn and
+    dropped once folded. Both sums are allocated once and folded into in
+    place: 2 d x d held, 4 at peak once a row block is d rows (d >= 512)."""
+    d = group.dim
+    sigma_x, sigma_w = np.zeros((d, d)), np.zeros((d, d))
+    energy_x, energy_w, tokens = 0.0, 0.0, 0
+    for x in activations:
+        energy_x = _fold(sigma_x, energy_x, x, "x")
+        tokens += len(x)
+        del x  # a mapped file is released before the next is mapped
+    for w in weights:
+        w = np.asarray(w)
+        if w.ndim != 2 or w.shape[0] != d:
+            raise DimensionMismatchError(
+                f"w must be 2-d with {d} rows, got shape {w.shape}")
+        energy_w = _fold(sigma_w, energy_w, w.T, "w")
+        del w
+    return CalibStats(group=group, sigma_x=sigma_x, sigma_w=sigma_w,
+                      energy_x=energy_x, energy_w=energy_w, tokens_seen=tokens)

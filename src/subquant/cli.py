@@ -13,12 +13,7 @@ import json
 import sys
 
 from . import formats
-from .calib import (
-    CalibStats,
-    ProjectionGroup,
-    accumulate_activations,
-    accumulate_weights,
-)
+from .calib import ProjectionGroup, calibrate
 from .engine import (
     analyze_layer, bit_widths, build_plan, campaign, measure_plan, summarize)
 from .errors import (
@@ -124,21 +119,24 @@ def cmd_calibrate(args) -> int:
         raise FormatError(f"{args.config}: config declares no groups")
     stats_list = []
     for i, g in enumerate(cfg.groups):
-        stats = CalibStats.empty(g.group)
-        for kind, paths, fold in (("activation", g.activations, accumulate_activations),
-                                  ("weight", g.weights, accumulate_weights)):
+        where = None  # the file being read, as an error names it
+
+        def mapped(kind, paths):
+            nonlocal where
             for path in paths:
                 where = (f"{args.config}: groups[{i}] (group {g.name!r}): "
                          f"{kind} file {path}")
-                try:  # the file's mapping is released with its array
-                    stats = fold(stats, formats.map_tensor(path))
-                except FormatError:
-                    raise  # its message already names the file
-                except (OSError, ValueError) as e:
-                    raise FormatError(f"{where}: {e}") from e
-                except ArithmeticError as e:  # numerical: its class sets the exit code
-                    raise located(e, where) from e
-        stats_list.append(stats)
+                yield formats.map_tensor(path)
+
+        try:
+            stats_list.append(calibrate(g.group, mapped("activation", g.activations),
+                                        mapped("weight", g.weights)))
+        except FormatError:
+            raise  # its message already names the file
+        except (OSError, ValueError) as e:
+            raise FormatError(f"{where}: {e}") from e
+        except ArithmeticError as e:  # numerical: its class sets the exit code
+            raise located(e, where) from e
     formats.write_stats(args.out, stats_list)
     return 0
 

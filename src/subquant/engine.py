@@ -12,13 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .calib import (
-    ATTN_INPUT,
-    CalibStats,
-    ProjectionGroup,
-    accumulate_activations,
-    accumulate_weights,
-)
+from .calib import ATTN_INPUT, CalibStats, ProjectionGroup, calibrate
 from .errors import (
     SEED,
     Checked,
@@ -276,8 +270,7 @@ def stats_from_tensors(x: np.ndarray, w: np.ndarray,
     checked against it."""
     if np.ndim(x) != 2:
         raise DimensionMismatchError(f"x must be 2-d, got shape {np.shape(x)}")
-    group = ProjectionGroup(kind=ATTN_INPUT, dim=np.shape(x)[1], name=name)
-    return accumulate_weights(accumulate_activations(CalibStats.empty(group), x), w)
+    return calibrate(ProjectionGroup(ATTN_INPUT, np.shape(x)[1], name), [x], [w])
 
 
 def analyze_layer(x: np.ndarray, w: np.ndarray, rank: int, bits_low: int,

@@ -18,6 +18,7 @@ from .errors import (
     Checked,
     DimensionMismatchError,
     NoSignalError,
+    ScaleRangeError,
     check,
     check_fields,
     is_int,
@@ -142,7 +143,11 @@ def solve_partition(stats: CalibStats, rank: int, objective: str = OBJECTIVE_JOI
     d = stats.group.dim
     check("rank", rank, *rank_rule(d))
     lx, lw = lambda_weights(stats, gamma_low, objective)
-    m = lx * stats.sigma_x + lw * stats.sigma_w
+    with np.errstate(over="ignore", invalid="ignore"):  # reported, not warned of
+        m = lx * stats.sigma_x + lw * stats.sigma_w
+    if not np.all(np.isfinite(m)):  # calibrate and read_stats give finite sums
+        raise ScaleRangeError(f"the mixed covariance {lx!r} * Sigma_X + {lw!r} * "
+                              "Sigma_W overflows float64")
     if np.max(np.abs(m)) == 0.0:
         raise NoSignalError("combined covariance matrix is zero")
     eig = sym_eig(m)

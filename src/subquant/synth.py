@@ -79,8 +79,6 @@ def generate_instance(spec: SyntheticInstanceSpec) -> tuple[np.ndarray, np.ndarr
     array. So W and each block do not depend on n. The blocks' normals are
     drawn in parallel, one thread per CPU, and each block is then mixed in
     place through one buffer; the bytes do not depend on the CPU count."""
-    from concurrent.futures import ThreadPoolExecutor  # only a draw needs it
-
     d, n = spec.d, spec.n
     q_a = random_orthogonal(d, stream(spec.seed, BASIS))
     q_w = q_a @ _plane_rotations(d, spec.misalignment)
@@ -89,12 +87,16 @@ def generate_instance(spec: SyntheticInstanceSpec) -> tuple[np.ndarray, np.ndarr
     x = np.empty((n, d))
     rng = lambda role, k=0: np.random.default_rng(stream(spec.seed, role, k))
     draw = lambda k: rng(ROWS, k).standard_normal(out=x[k * rows:(k + 1) * rows])
-    # the caller draws block 0, so one block starts no thread; mixing inside
-    # the threads would compete with BLAS's own threads
-    with ThreadPoolExecutor(min(_cpus(), len(starts))) as pool:
-        rest = pool.map(draw, range(1, len(starts)))
+    # the caller draws block 0, so one block imports and starts no thread
+    # pool; mixing inside the threads would compete with BLAS's own threads
+    if len(starts) == 1:
         draw(0)
-        list(rest)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # only a second block needs it
+        with ThreadPoolExecutor(min(_cpus(), len(starts))) as pool:
+            rest = pool.map(draw, range(1, len(starts)))
+            draw(0)
+            list(rest)
     mix = np.sqrt(np.asarray(spec.activation_spectrum))[:, None] * q_a.T
     buf = np.empty((min(rows, n), d))
     for lo in starts:

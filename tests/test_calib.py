@@ -1,17 +1,13 @@
 import dataclasses
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from subquant import calib, linalg
-from subquant.calib import (
-    CalibStats,
-    ProjectionGroup,
-    accumulate_activations,
-    accumulate_weights,
-)
+from subquant.calib import ProjectionGroup, calibrate
 from subquant.errors import DimensionMismatchError, ScaleRangeError
 from subquant.linalg import gram_input
 
@@ -20,37 +16,36 @@ def group(dim, kind="attn-input"):
     return ProjectionGroup(kind=kind, dim=dim, name="g")
 
 
+def activations(dim, *batches):
+    """The statistics of `batches` and no weight."""
+    return calibrate(group(dim), batches, [])
+
+
 class TestAccumulate:
     def test_identity_batch(self):
-        stats = accumulate_activations(CalibStats.empty(group(2)), np.eye(2))
+        stats = activations(2, np.eye(2))
         assert np.array_equal(stats.sigma_x, np.eye(2))
         assert stats.tokens_seen == 2
         assert stats.energy_x == 2.0
 
     def test_additivity(self):
-        s0 = CalibStats.empty(group(2))
-        two = accumulate_activations(
-            accumulate_activations(s0, np.array([[1.0, 0.0]])),
-            np.array([[0.0, 1.0]]))
-        one = accumulate_activations(s0, np.eye(2))
+        two = activations(2, np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
+        one = activations(2, np.eye(2))
         assert np.array_equal(two.sigma_x, one.sigma_x)
         assert two.tokens_seen == one.tokens_seen
 
     def test_order_invariance(self):
         rng = np.random.default_rng(0)
         batches = [rng.standard_normal((4, 3)) for _ in range(3)]
-        concat = accumulate_activations(CalibStats.empty(group(3)),
-                                        np.vstack(batches))
+        concat = activations(3, np.vstack(batches))
         for perm in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
-            s = CalibStats.empty(group(3))
-            for i in perm:
-                s = accumulate_activations(s, batches[i])
+            s = activations(3, *(batches[i] for i in perm))
             assert np.allclose(s.sigma_x, concat.sigma_x, rtol=1e-12)
             assert s.energy_x == pytest.approx(concat.energy_x, rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            accumulate_activations(CalibStats.empty(group(3)), np.eye(2))
+            activations(3, np.eye(2))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("row", [0, 9], ids=["first-block", "later-block"])
@@ -64,16 +59,15 @@ class TestAccumulate:
         batch = np.ones((11, 3))
         batch[row, 1] = value
         with pytest.raises(error):
-            accumulate_activations(CalibStats.empty(group(3)), batch)
+            activations(3, batch)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_blocks_match_whole_batch(self, monkeypatch, dtype):
         batch = np.random.default_rng(9).standard_normal((11, 3)).astype(dtype)
-        whole = accumulate_activations(CalibStats.empty(group(3)),
-                                       batch.astype(np.float64))
+        whole = activations(3, batch.astype(np.float64))
         monkeypatch.setattr(linalg, "MIN_BLOCK_ROWS", 1)
         monkeypatch.setattr(linalg, "BLOCK_BYTES", 4 * 8 * 3)  # 4 rows of d=3
-        blocked = accumulate_activations(CalibStats.empty(group(3)), batch)
+        blocked = activations(3, batch)
         assert np.allclose(blocked.sigma_x, whole.sigma_x, rtol=1e-12, atol=0)
         assert blocked.energy_x == pytest.approx(whole.energy_x, rel=1e-12)
         assert blocked.tokens_seen == whole.tokens_seen == 11
@@ -88,7 +82,7 @@ class TestAccumulate:
 
         monkeypatch.setattr(calib, "gram_input", recording)
         batch = np.random.default_rng(10).standard_normal((1100, 512)).astype(np.float32)
-        stats = accumulate_activations(CalibStats.empty(group(512)), batch)
+        stats = activations(512, batch)
         assert rows == [512, 512, 76]
         whole = batch.astype(np.float64)
         assert np.allclose(stats.sigma_x, whole.T @ whole, rtol=1e-12, atol=1e-9)
@@ -96,13 +90,11 @@ class TestAccumulate:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            accumulate_activations(CalibStats.empty(group(3)), np.zeros((0, 3)))
+            activations(3, np.zeros((0, 3)))
 
     def test_trace_energy_invariant(self):
         rng = np.random.default_rng(5)
-        s = CalibStats.empty(group(6))
-        for _ in range(4):
-            s = accumulate_activations(s, rng.standard_normal((10, 6)))
+        s = activations(6, *(rng.standard_normal((10, 6)) for _ in range(4)))
         assert np.trace(s.sigma_x) == pytest.approx(s.energy_x, rel=1e-6)
         assert np.max(np.abs(s.sigma_x - s.sigma_x.T)) <= \
             1e-9 * np.max(np.abs(s.sigma_x))
@@ -114,7 +106,7 @@ class TestCovarianceRule:
         -np.eye(3), np.diag([1.0, np.nan, 1.0]), np.eye(2), np.ones(3)],
         ids=["negative-diagonal", "nan-diagonal", "wrong-dim", "1-d"])
     def test_each_sigma_is_d_by_d_with_a_diagonal_at_least_0(self, key, sigma):
-        empty = CalibStats.empty(group(3))
+        empty = activations(3)
         message = (f"{key} must be a 3 x 3 matrix whose diagonal is >= 0, "
                    f"got an array of shape {sigma.shape}")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -122,16 +114,14 @@ class TestCovarianceRule:
 
     def test_a_negative_off_diagonal_is_a_gram(self):
         sigma = np.array([[1.0, -1.0], [-1.0, 1.0]])  # the Gram of [[1, -1]]
-        stats = dataclasses.replace(CalibStats.empty(group(2)), sigma_x=sigma)
+        stats = dataclasses.replace(activations(2), sigma_x=sigma)
         assert np.array_equal(stats.sigma_x, sigma)
 
 
 class TestFuse:
     def fuse(self, weights, dim=None):
         dim = weights[0].shape[0] if dim is None else dim
-        s = CalibStats.empty(group(dim))
-        for w in weights:
-            s = accumulate_weights(s, w)
+        s = calibrate(group(dim), [], weights)
         return s.sigma_w, s.energy_w
 
     def test_two_identities(self):
@@ -171,16 +161,20 @@ class TestFuse:
         ids=["only-member-wrong-dim", "second-member-wrong-dim", "non-finite",
              "1-d", "3-d"])
     def test_error_names_the_member_at_fault(self, weights, member, message):
-        # members fold one call each: the call that raises is the member's
-        s = CalibStats.empty(group(2))
-        for w in weights[:member]:
-            s = accumulate_weights(s, w)
+        # members are read one at a time: the last one read is the member's
+        read = []
+
+        def members():
+            for w in weights:
+                read.append(w)
+                yield w
+
         with pytest.raises(ValueError, match=re.escape(message)):
-            accumulate_weights(s, weights[member])
+            calibrate(group(2), [], members())
+        assert len(read) == member + 1
 
     def test_accumulate_weights(self):
-        s = CalibStats.empty(group(2))
-        s = accumulate_weights(s, np.eye(2))
+        s = calibrate(group(2), [], [np.eye(2)])
         assert np.array_equal(s.sigma_w, np.eye(2))
         assert s.energy_w == 2.0
 
@@ -191,7 +185,7 @@ class TestFuse:
         monkeypatch.setattr(linalg, "BLOCK_BYTES", 4 * 8 * 3)
         w = np.random.default_rng(3).standard_normal((3, 14)).astype(dtype)
         assert [len(b) for b in linalg.row_blocks(w.T, 3, 3, gram=True)] == [4, 4, 4, 2]
-        s = accumulate_weights(CalibStats.empty(group(3)), w)
+        s = calibrate(group(3), [], [w])
         w = w.astype(np.float64)
         assert np.allclose(s.sigma_w, w @ w.T, rtol=1e-12, atol=0)
         assert s.energy_w == pytest.approx(np.trace(s.sigma_w), rel=1e-12)
@@ -204,8 +198,41 @@ class TestFuse:
             w = np.random.default_rng(4).standard_normal((64, m)).astype(np.float32)
             tracemalloc.start()
             try:
-                accumulate_weights(CalibStats.empty(group(64)), w)
+                calibrate(group(64), [], [w])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+
+class TestCalibrate:
+    def test_each_input_is_dropped_before_the_next_is_read(self):
+        refs = []
+        track = lambda a: refs.append(weakref.ref(a)) or a
+
+        def inputs(shape):
+            for _ in range(3):
+                assert all(r() is None for r in refs)
+                yield track(np.ones(shape))
+
+        s = calibrate(group(3), inputs((2, 3)), inputs((3, 5)))
+        assert len(refs) == 6
+        assert s.tokens_seen == 6 and s.energy_x == 18.0 and s.energy_w == 45.0
+
+    def test_holds_two_sums_and_peaks_at_four(self):
+        # at d = 512 a row block is d rows: its float64 copy and its Gram are
+        # d x d each, besides Sigma_X and Sigma_W
+        d = 512
+        rng = np.random.default_rng(11)
+        shards = [rng.standard_normal((4 * d, d), dtype=np.float32) for _ in range(2)]
+        members = [rng.standard_normal((d, 2 * d), dtype=np.float32) for _ in range(2)]
+        tracemalloc.start()
+        try:
+            stats = calibrate(group(d), shards, members)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.tokens_seen == 8 * d
+        square = 8 * d * d
+        assert held / square == pytest.approx(2.0, abs=0.01)
+        assert peak <= 4.0 * square * 1.01

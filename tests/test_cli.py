@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from subquant import cli, engine, formats, linalg, solver
-from subquant.calib import CalibStats, ProjectionGroup, accumulate_activations
+from subquant.calib import CalibStats, ProjectionGroup, calibrate
 from subquant.cli import main
 from subquant.engine import (
     analyze_layer, build_plan, execute_plan, stats_from_tensors, summarize)
@@ -267,7 +267,7 @@ class TestCalibrateStreaming:
         shard = str(workspace["tmp"] / "x32.cqt")
         formats.write_tensor(shard, "x32", x, dtype="f32")
         group = ProjectionGroup(kind="attn-input", dim=8, name="g0")
-        whole = accumulate_activations(CalibStats.empty(group), x.astype(np.float64))
+        whole = calibrate(group, [x.astype(np.float64)], [])
         # 5-row blocks, raised to d = 8 rows as each adds a d x d Gram
         monkeypatch.setattr(linalg, "MIN_BLOCK_ROWS", 1)
         monkeypatch.setattr(linalg, "BLOCK_BYTES", 5 * 8 * 8)
@@ -297,8 +297,8 @@ class TestCalibrateStreaming:
         formats.write_tensor(str(shard), "cut", np.ones((23, 8)), dtype="f32")
         shard.write_bytes(shard.read_bytes()[:-4])
         folded = []
-        monkeypatch.setattr(cli, "accumulate_activations",
-                            lambda stats, batch: folded.append(batch) or stats)
+        monkeypatch.setattr(cli, "calibrate",
+                            lambda group, batches, weights: folded.extend(batches))
         code, _ = calibrate_shard(workspace, str(shard))
         assert code == 2
         assert folded == []
@@ -512,6 +512,22 @@ class TestSolve:
                 "diagonal is >= 0" in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_overflowing_mixed_covariance_exits_1_naming_the_group(self, tmp_path,
+                                                                   capsys):
+        # finite sums and energies whose weighted sum overflows float64
+        d = 16
+        sigma = 1e200 * np.eye(d)
+        stats = str(tmp_path / "huge.cqb")
+        formats.write_stats(stats, [CalibStats(
+            group=ProjectionGroup("attn-input", d, "g0"), sigma_x=sigma,
+            sigma_w=sigma, energy_x=1.6e201, energy_w=1.6e201, tokens_seen=d)])
+        out = tmp_path / "p.cqb"
+        assert run("solve", "--stats", stats, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"{stats}: groups[0] (group 'g0'): the mixed covariance" in err
+        assert "overflows float64" in err
+        assert not out.exists()
+
     def test_rank_flag_out_of_range_exits_2(self, workspace):
         stats = str(workspace["tmp"] / "stats.cqb")
         run("calibrate", "--config", workspace["cfg"], "--out", stats)
@@ -675,6 +691,17 @@ class TestAnalyze:
         assert "the sum of x's squares overflows float64" in capsys.readouterr().err
         assert run("simulate", "--plan", plan, "--x", x, "--w", workspace["w"],
                    "--out", str(out)) == 1
+        assert not out.exists()
+
+    def test_overflowing_mixed_covariance_exits_1(self, tmp_path, capsys):
+        # each energy is finite, but lambda_x Sigma_X = gamma E_W Sigma_X is not
+        rng = np.random.default_rng(6)
+        x, w = str(tmp_path / "x.cqt"), str(tmp_path / "w.cqt")
+        formats.write_tensor(x, "x", 1e100 * rng.standard_normal((64, 16)))
+        formats.write_tensor(w, "w", 1e100 * rng.standard_normal((16, 16)))
+        out = tmp_path / "r.jsonl"
+        assert run("analyze", "--x", x, "--w", w, "--rank", "4", "--out", str(out)) == 1
+        assert "the mixed covariance" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("tensors", [["--x"], ["--w"], ["--x", "--w"]])

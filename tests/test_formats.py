@@ -14,7 +14,7 @@ import pytest
 
 from subquant import formats
 from subquant.cli import main
-from subquant.calib import CalibStats, ProjectionGroup, accumulate_activations
+from subquant.calib import ProjectionGroup, calibrate
 from subquant.engine import (
     analyze_layer,
     build_plan,
@@ -321,7 +321,7 @@ class TestStatsBundle:
         path = str(tmp_path / "s.cqb")
         mlp = ProjectionGroup("mlp-input", 4, "mlp0")
         stats = [layer_stats(),
-                 accumulate_activations(CalibStats.empty(mlp), np.eye(4))]
+                 calibrate(mlp, [np.eye(4)], [])]
         formats.write_stats(path, stats)
         out = formats.read_stats(path)
         assert len(out) == 2

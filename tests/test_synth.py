@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -150,3 +153,13 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 1.15 * x.nbytes
+
+    def test_one_block_imports_no_thread_pool(self):
+        # a fresh interpreter: this one may already have imported the pool
+        code = ("import sys\n"
+                "from subquant.synth import generate_instance, weight_anisotropic_spec\n"
+                "generate_instance(weight_anisotropic_spec(64, 256, 64, 1))\n"
+                "sys.exit('concurrent.futures' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(synth.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
