@@ -77,8 +77,10 @@ def _fix_signs(v: np.ndarray) -> np.ndarray:
 def sym_eig(m: np.ndarray) -> EigenResult:
     """Eigendecomposition of a symmetric matrix via LAPACK (`numpy.linalg.eigh`).
 
-    The input is symmetrized as (M + M^T)/2 before solving; inputs whose
-    asymmetry exceeds the tolerance are rejected.
+    An input whose asymmetry exceeds SYMMETRY_TOL * max|M| is rejected. One
+    within it is passed to `eigh` as it is, which reads its lower triangle:
+    it is solved as the symmetric matrix of that triangle. Every covariance
+    the package forms is exactly symmetric, so nothing is lost.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
@@ -87,7 +89,7 @@ def sym_eig(m: np.ndarray) -> EigenResult:
     if amax > 0 and np.max(np.abs(m - m.T)) > SYMMETRY_TOL * amax:
         raise NotSymmetricError("asymmetry exceeds 1e-9 * max|M|")
     try:
-        values, vectors = np.linalg.eigh((m + m.T) / 2.0)
+        values, vectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as e:
         raise NoConvergenceError(f"eigh did not converge: {e}") from e
     # stable sort: descending by value, ties keep original index order; the

@@ -81,10 +81,14 @@ class SubspacePartition(Checked):
 
     @functools.cached_property
     def u(self) -> np.ndarray:
+        k = self.dim - self.rank
         r_h = _internal_rotation(self.rank, self.seed, HIGH_ROTATION, self.rotation)
-        r_l = _internal_rotation(self.dim - self.rank, self.seed, LOW_ROTATION,
-                                 self.rotation)
-        return np.hstack([self.p_l @ r_l, self.p_h @ r_h])
+        r_l = _internal_rotation(k, self.seed, LOW_ROTATION, self.rotation)
+        # each product is written into its block of u: no d x d temporary
+        u = np.empty((self.dim, self.dim))
+        np.matmul(self.p_l, r_l, out=u[:, :k])
+        np.matmul(self.p_h, r_h, out=u[:, k:])
+        return u
 
     @property
     def dim(self) -> int:

@@ -219,6 +219,21 @@ class TestCalibrate:
         assert len(refs) == 6
         assert s.tokens_seen == 6 and s.energy_x == 18.0 and s.energy_w == 45.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sums_are_exactly_symmetric(self, monkeypatch, dtype):
+        # sym_eig solves M's lower triangle, so Sigma must hold no rounding
+        # asymmetry: 16 rows per block, so X is 4 blocks and each W 3
+        monkeypatch.setattr(linalg, "MIN_BLOCK_ROWS", 1)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 16 * 8 * 16)
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((60, 16)).astype(dtype)
+        w = rng.standard_normal((16, 40)).astype(dtype)
+        w_t = rng.standard_normal((40, 16)).astype(dtype).T  # a transposed member
+        assert len(linalg.row_blocks(x, 16, 16, gram=True)) == 4
+        s = calibrate(group(16), [x, x[:5]], [w, w_t])
+        for sigma in (s.sigma_x, s.sigma_w):
+            assert np.array_equal(sigma, sigma.T)
+
     def test_holds_two_sums_and_peaks_at_four(self):
         # at d = 512 a row block is d rows: its float64 copy and its Gram are
         # d x d each, besides Sigma_X and Sigma_W

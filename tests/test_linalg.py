@@ -84,6 +84,17 @@ class TestSymEig:
         with pytest.raises(NonSquareError):
             sym_eig(np.zeros((2, 3)))
 
+    def test_solves_the_lower_triangle(self):
+        # an asymmetry within SYMMETRY_TOL above the diagonal is not read
+        m = random_symmetric(24, seed=13)
+        upper = np.triu(np.random.default_rng(14).standard_normal((24, 24)), 1)
+        m += 1e-12 * np.max(np.abs(m)) * upper
+        assert not np.array_equal(m, m.T)
+        lower = np.tril(m) + np.tril(m, -1).T
+        a, b = sym_eig(m), sym_eig(lower)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.vectors, b.vectors)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetricError):
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,24 @@ class TestRotationCache:
         high = solver._internal_rotation(4, 3, HIGH_ROTATION, "random")
         assert not np.array_equal(low, high)
         assert rotation_calls == [(4, (3, LOW_ROTATION, 0)), (4, (3, HIGH_ROTATION, 0))]
+
+    def test_u_with_cached_rotations_allocates_only_u(self, rotation_calls):
+        d = 512
+        s = self.stats(d)
+        part = solve_partition(s, rank=64, gamma_low=1.0, seed=2)
+        part.u  # fills the cache with both rotations
+        again = dataclasses.replace(part)
+        tracemalloc.start()
+        try:
+            u = again.u
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * d * d * 1.01
+        assert len(rotation_calls) == 2
+        r_h = solver._internal_rotation(64, 2, HIGH_ROTATION, "random")
+        r_l = solver._internal_rotation(d - 64, 2, LOW_ROTATION, "random")
+        assert np.array_equal(u, np.hstack([part.p_l @ r_l, part.p_h @ r_h]))
 
     @pytest.mark.parametrize("rotation", ROTATIONS)
     def test_cached_and_fresh_rotations_give_the_same_plan(self, rotation_calls,
