@@ -1,8 +1,9 @@
 """Command-line front end: calibrate -> solve -> simulate -> analyze -> compare.
 
-Exit codes: 0 success, 1 numerical failure (no convergence / no signal /
-a quantizer range or a measurement that overflows), 2 usage, I/O, or schema
-errors.
+Exit codes: 0 success; 1 exactly when the error is an ArithmeticError, a
+numerical failure (no convergence / no signal / a quantizer range or a
+measurement that overflows); 2 for any other error: usage, I/O (OSError) or
+bad input (ValueError). An error that names its input keeps its class.
 """
 
 from __future__ import annotations
@@ -16,18 +17,7 @@ from . import formats
 from .calib import ProjectionGroup, calibrate
 from .engine import (
     analyze_layer, bit_widths, build_plan, campaign, measure_plan, summarize)
-from .errors import (
-    Checked,
-    FormatError,
-    NoConvergenceError,
-    NoSignalError,
-    SEED,
-    ScaleRangeError,
-    SubquantError,
-    check_fields,
-    is_real,
-    located,
-)
+from .errors import Checked, FormatError, SEED, check_fields, is_real, located
 from .solver import OBJECTIVE, OBJECTIVES, ROTATION, ROTATIONS
 from .synth import SyntheticInstanceSpec
 
@@ -133,9 +123,7 @@ def cmd_calibrate(args) -> int:
                                         mapped("weight", g.weights)))
         except FormatError:
             raise  # its message already names the file
-        except (OSError, ValueError) as e:
-            raise FormatError(f"{where}: {e}") from e
-        except ArithmeticError as e:  # numerical: its class sets the exit code
+        except (OSError, ValueError, ArithmeticError) as e:
             raise located(e, where) from e
     formats.write_stats(args.out, stats_list)
     return 0
@@ -169,7 +157,11 @@ def cmd_simulate(args) -> int:
                           "choose one with --group")
     x = formats.map_tensor(args.x)
     w = formats.read_tensor(args.w)
-    formats.write_report(args.out, [measure_plan(x, w, plans[0])])
+    try:
+        report = measure_plan(x, w, plans[0])
+    except (ValueError, ArithmeticError) as e:
+        raise located(e, f"--x {args.x} --w {args.w}") from e
+    formats.write_report(args.out, [report])
     return 0
 
 
@@ -191,8 +183,11 @@ def cmd_analyze(args) -> int:
         cfg = load_config(args.config, args)
         x = formats.map_tensor(args.x)
         w = formats.read_tensor(args.w)
-        runs = [analyze_layer(x, w, rank_of(args, cfg, w.shape[0]), cfg.bits_low,
-                              cfg.bits_high, seed=cfg.seed, rotation=cfg.rotation)]
+        try:
+            runs = [analyze_layer(x, w, rank_of(args, cfg, w.shape[0]), cfg.bits_low,
+                                  cfg.bits_high, seed=cfg.seed, rotation=cfg.rotation)]
+        except (ValueError, ArithmeticError) as e:
+            raise located(e, f"--x {args.x} --w {args.w}") from e
     formats.write_report(args.out, [rep for run in runs for rep in run])
     print(json.dumps(summarize(runs), sort_keys=True))
     return 0
@@ -289,10 +284,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SubquantError, OSError, ValueError) as e:
+    except (OSError, ValueError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
-        numerical = (NoConvergenceError, NoSignalError, ScaleRangeError)
-        return 1 if isinstance(e, numerical) else 2
+        return 1 if isinstance(e, ArithmeticError) else 2
 
 
 if __name__ == "__main__":

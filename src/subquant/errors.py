@@ -9,7 +9,9 @@ import numpy as np
 
 
 class SubquantError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors. Each is also exactly one
+    of ValueError (bad input: the CLI exits 2) or ArithmeticError (a
+    numerical failure: it exits 1)."""
 
 
 class NonSquareError(SubquantError, ValueError):
@@ -29,8 +31,8 @@ class ScaleRangeError(SubquantError, ArithmeticError):
     or a measured error or energy, is not a finite number."""
 
 
-class NoSignalError(SubquantError, ValueError):
-    """The combined covariance matrix is identically zero."""
+class NoSignalError(SubquantError, ArithmeticError):
+    """The combined covariance matrix is identically zero: a numerical failure."""
 
 
 class DimensionMismatchError(SubquantError, ValueError):

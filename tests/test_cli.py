@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subquant import cli, engine, formats, linalg, solver
+from subquant import cli, engine, errors, formats, linalg, solver
 from subquant.calib import CalibStats, ProjectionGroup, calibrate
 from subquant.cli import main
 from subquant.engine import (
@@ -303,6 +303,17 @@ class TestCalibrateStreaming:
         assert code == 2
         assert folded == []
 
+    def test_directory_shard_exits_2_naming_it(self, workspace, capsys):
+        shard = workspace["tmp"] / "shard_dir"
+        shard.mkdir()
+        code, out = calibrate_shard(workspace, str(shard))
+        assert code == 2
+        cfg = workspace["tmp"] / "shard.json"
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: groups[0] (group 'g0'): activation file {shard}: "
+            f"[Errno 21] Is a directory: '{shard}'\n")
+        assert not Path(out).exists()
+
     def test_never_holds_a_whole_shard_as_f64(self, workspace):
         n, d = 65536, 8
         x = np.random.default_rng(5).standard_normal((n, d))
@@ -371,6 +382,92 @@ class TestMalformedInputs:
         assert run("simulate", "--plan", plan, "--x", x, "--w", w,
                    "--out", str(out)) == 1
         assert "overflows float64" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def measured(workspace, command, x, w):
+    """Run `command` (simulate, with a plan of the workspace, or analyze) on
+    the tensor files `x` and `w`: its exit code and its report's path."""
+    tmp = workspace["tmp"]
+    args = ["--rank", "2"]
+    if command == "simulate":
+        stats, plan = str(tmp / "stats.cqb"), str(tmp / "plan.cqb")
+        run("calibrate", "--config", workspace["cfg"], "--out", stats)
+        run("solve", "--stats", stats, "--out", plan)
+        args = ["--plan", plan]
+    out = tmp / "r.jsonl"
+    code = run(command, *args, "--x", x, "--w", w, "--out", str(out))
+    return code, out
+
+
+class TestMeasurementNamesItsFiles:
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    @pytest.mark.parametrize("side,value", [("x", np.nan), ("w", np.inf)],
+                             ids=["nan-x", "inf-w"])
+    def test_non_finite_entry_exits_2_naming_both_files(self, workspace, capsys,
+                                                        command, side, value):
+        paths = {"x": workspace["x1"], "w": workspace["w"]}
+        bad = {"x": workspace["x1_arr"], "w": workspace["w_arr"]}[side].copy()
+        bad[1, 2] = value
+        paths[side] = str(workspace["tmp"] / f"bad_{side}.cqt")
+        formats.write_tensor(paths[side], side, bad)
+        code, out = measured(workspace, command, paths["x"], paths["w"])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: --x {paths['x']} --w {paths['w']}: "
+            f"{side} contains non-finite entries\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_overflowing_measurement_still_exits_1(self, workspace, capsys, command):
+        x = str(workspace["tmp"] / "huge.cqt")
+        formats.write_tensor(x, "huge", np.full((16, 8), 1e200))
+        code, out = measured(workspace, command, x, workspace["w"])
+        assert code == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --x {x} --w {workspace['w']}: ")
+        assert "overflows float64" in err
+
+
+def package_errors(cls=errors.SubquantError):
+    """Every subclass of `cls`, recursively."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from package_errors(sub)
+
+
+class TestExitCodeRule:
+    @pytest.mark.parametrize("error", sorted(package_errors(), key=lambda c: c.__name__),
+                             ids=lambda c: c.__name__)
+    def test_class_sets_the_exit_code(self, monkeypatch, capsys, error):
+        # exactly one of the two bases, and the exit code follows it
+        numerical = issubclass(error, ArithmeticError)
+        assert numerical != issubclass(error, ValueError)
+
+        def fails(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_compare", fails)
+        assert main(["compare", "a.jsonl", "b.jsonl"]) == (1 if numerical else 2)
+        assert capsys.readouterr().err == "error: boom\n"
+
+    def test_every_package_error_is_walked(self):
+        names = {c.__name__ for c in package_errors()}
+        assert {"NoSignalError", "NoConvergenceError", "ScaleRangeError",
+                "FormatError", "TruncatedPayloadError"} <= names
+
+    def test_bare_arithmetic_error_exits_1_naming_the_group(self, workspace,
+                                                             monkeypatch, capsys):
+        stats = str(workspace["tmp"] / "stats.cqb")
+        run("calibrate", "--config", workspace["cfg"], "--out", stats)
+
+        def divides(*args, **kwargs):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli, "build_plan", divides)
+        out = workspace["tmp"] / "p.cqb"
+        assert main(["solve", "--stats", stats, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {stats}: groups[0] (group 'g0'): division by zero\n")
         assert not out.exists()
 
 
