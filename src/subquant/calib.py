@@ -67,21 +67,24 @@ class CalibStats(Checked):
 # an overflow is reported as ScaleRangeError, not warned of
 @np.errstate(over="ignore", invalid="ignore")
 def _fold(sigma: np.ndarray, energy: float, rows, name: str) -> float:
-    """Add R^T R to `sigma` in place and return energy + trace(R^T R), for
-    the rows R of `rows`, any 2-d float32/float64 array with sigma's width,
-    a mapped one included. It is walked in `row_blocks`, each converted to
-    float64 once by `gram_input`, so it is never copied whole. (R^T R)_ii =
-    sum_k r_ki^2 has no cancellation, so it is finite exactly when column i
-    of R is finite and its square sum does not overflow. A non-finite
-    diagonal rejects the block: ValueError if it holds NaN or +-inf, else
-    ScaleRangeError, as is an energy that overflows."""
+    """Add R^T R to the float64 `sigma` in place and return energy +
+    trace(R^T R), for the rows R of `rows`, any 2-d float32/float64 array
+    with sigma's width, a mapped one included. It is walked in
+    `row_blocks`, so it is never copied whole. Each block's Gram is formed
+    by `gram_input` in the block's precision (float32, within its gamma_k
+    bound, or else float64) and added in float64. (R^T R)_ii = sum_k r_ki^2
+    has no cancellation, so it is finite exactly when column i of R is
+    finite and its square sum does not overflow the Gram's dtype. A
+    non-finite diagonal rejects the block before it is added: ValueError if
+    it holds NaN or +-inf, else ScaleRangeError, as is an energy that
+    overflows."""
     for block in row_blocks(rows, len(sigma), len(sigma), gram=True):
         g = gram_input(block)
-        energy += float(np.trace(g))
+        energy += float(np.trace(g, dtype=np.float64))
         if not np.isfinite(energy):  # a NaN or inf diagonal makes it so
             if not np.all(np.isfinite(block)):
                 raise ValueError(f"{name} contains non-finite entries")
-            raise ScaleRangeError(f"the sum of {name}'s squares overflows float64")
+            raise ScaleRangeError(f"the sum of {name}'s squares overflows {g.dtype}")
         sigma += g
         del g  # else it is held while the next block's Gram is formed
     return energy
@@ -93,7 +96,10 @@ def calibrate(group: ProjectionGroup, activations, weights) -> CalibStats:
     view) folded as a batch is, with their energies. Each is an iterable of
     2-d arrays read lazily, so a mapped file can be opened on its turn and
     dropped once folded. Both sums are allocated once and folded into in
-    place: 2 d x d held, 4 at peak once a row block is d rows (d >= 512)."""
+    place: 2 d x d held. Once a row block is d rows (d >= 512), a block
+    adds its Gram, d x d in its own precision, and an aligned copy of as
+    much if it is unaligned, as a mapped payload may be: a float32 input
+    peaks at 2.5 to 3 d x d, a float64 one at 3 to 4."""
     d = group.dim
     sigma_x, sigma_w = np.zeros((d, d)), np.zeros((d, d))
     energy_x, energy_w, tokens = 0.0, 0.0, 0

@@ -3,7 +3,9 @@ seeded orthogonal matrices (LAPACK QR), Sylvester-Hadamard construction, the
 row blocks X is streamed in, the one rule that names random streams, and the
 helpers the rest of the package uses.
 
-All routines operate on 2-d float64 numpy arrays and are pure functions.
+The routines are pure functions of 2-d float64 numpy arrays, except that
+`row_blocks` and `gram_input` also take the float32 rows of a calibration
+input, whose precision `gram_input` keeps.
 """
 
 from __future__ import annotations
@@ -99,8 +101,20 @@ def sym_eig(m: np.ndarray) -> EigenResult:
 
 
 def gram_input(x: np.ndarray) -> np.ndarray:
-    """X^T X for an n x d batch of rows (uncentered second moment)."""
-    a = np.require(x, np.float64, "A").T  # aligned: see as_matrix
+    """X^T X for an n x d batch of rows (uncentered second moment), in float32
+    when X is float32, else in float64. A float32 Gram of k rows is within
+    gamma_k |X|^T |X| of the exact one, elementwise, where gamma_k = k u /
+    (1 - k u) and u = 2^-24, while no product underflows. Underflow adds at
+    most k 2^-150 to an entry, under k u sqrt(G_ii G_jj) once both diagonal
+    entries are float32 normals; so if a nonzero column's is not (entries
+    of 1e-23 square to 0), the Gram is formed in float64 instead."""
+    if x.dtype == np.float32:
+        a = np.require(x, np.float32, "A").T  # aligned: see as_matrix
+        g = a @ a.T
+        lost = np.diagonal(g) < np.finfo(np.float32).tiny
+        if not (lost.any() and a[lost].any()):
+            return g
+    a = np.require(x, np.float64, "A").T
     return a @ a.T
 
 

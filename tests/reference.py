@@ -7,6 +7,7 @@ is checked against a second implementation.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -81,3 +82,32 @@ def execute_plan_reference(x, w, plan, quantize=None):
     w_l, w_h = u_l.T @ w, u_h.T @ w
     return (q(x_l, plan.bits_low, False) @ q(w_l.T, plan.bits_low, True).T
             + q(x_h, plan.bits_high, False) @ q(w_h.T, plan.bits_high, True).T)
+
+
+def assert_within_f32_gram_bound(sigma, energy, x, k):
+    """Assert that `sigma` and `energy`, the float64 sums of the float32 Grams
+    of float32 `x`'s row blocks of at most k rows, are within the standard
+    elementwise bound of X^T X and sum x^2 formed in float64 from X's exact
+    float64 copy: |Sigma - X^T X| <= gamma_k |X|^T |X|, gamma_k = k u /
+    (1 - k u), u = 2^-24, and gamma_k sum x^2 on the energy. Two float64
+    gamma_n (n = X's rows) are added for the float64 rounding on each side;
+    while n is under 10^6 k they are under a thousandth of gamma_k."""
+    a = np.asarray(x, np.float64)
+    exact, exact_energy = a.T @ a, float(np.sum(a * a))
+    gamma = lambda k, u: k * u / (1 - k * u)
+    tol = gamma(k, 2.0**-24) + 2 * gamma(len(a), 2.0**-53)
+    assert np.all(np.abs(sigma - exact) <= tol * (np.abs(a).T @ np.abs(a)))
+    assert abs(energy - exact_energy) <= tol * exact_energy
+
+
+def assert_reports_agree(reports, others, rel):
+    """Assert that two reports' rows name the same group, objective, bits,
+    rank and seed, and that each float field agrees to `rel` relative."""
+    assert len(reports) == len(others)
+    for row, other in zip(reports, others):
+        for f in fields(row):
+            a, b = getattr(row, f.name), getattr(other, f.name)
+            if isinstance(a, float):
+                assert math.isclose(a, b, rel_tol=rel), (f.name, a, b)
+            else:
+                assert a == b, (f.name, a, b)

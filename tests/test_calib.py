@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from reference import assert_within_f32_gram_bound
 from subquant import calib, linalg
 from subquant.calib import ProjectionGroup, calibrate
 from subquant.errors import DimensionMismatchError, ScaleRangeError
@@ -61,6 +62,35 @@ class TestAccumulate:
         with pytest.raises(error):
             activations(3, batch)
 
+    @pytest.mark.parametrize("row", [0, 9], ids=["first-block", "later-block"])
+    def test_float32_square_overflow_is_a_scale_range_error(self, monkeypatch, row):
+        # 2e19 is a finite float32 whose square, 4e38, overflows float32's
+        # 3.4e38: the block's float32 Gram has an inf diagonal
+        monkeypatch.setattr(linalg, "MIN_BLOCK_ROWS", 1)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 4 * 8 * 3)  # 4 rows of d=3
+        batch = np.ones((11, 3), dtype=np.float32)
+        batch[row, 1] = 2e19
+        message = "^the sum of x's squares overflows float32$"
+        with pytest.raises(ScaleRangeError, match=message):
+            activations(3, batch)
+        # the failing block adds nothing: Sigma holds the blocks before it
+        sigma = np.zeros((3, 3))
+        with pytest.raises(ScaleRangeError, match=message):
+            calib._fold(sigma, 0.0, batch, "x")
+        assert np.array_equal(sigma, np.full((3, 3), 4.0 * (row // 4)))
+        # its float64 twin folds the square
+        twin = activations(3, batch.astype(np.float64))
+        assert twin.sigma_x[1, 1] == pytest.approx(float(batch[row, 1]) ** 2)
+        assert np.isfinite(twin.energy_x)
+
+    def test_float32_squares_that_underflow_are_summed_in_float64(self):
+        # each 1e-23 squares to 0 in float32; its float64 Gram keeps it, so
+        # Sigma_X is not 0 and the plan does not fall back to W alone
+        batch = (np.random.default_rng(9).standard_normal((11, 3)) * 1e-23).astype(np.float32)
+        stats, twin = activations(3, batch), activations(3, batch.astype(np.float64))
+        assert np.array_equal(stats.sigma_x, twin.sigma_x)
+        assert stats.energy_x == twin.energy_x > 0
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_blocks_match_whole_batch(self, monkeypatch, dtype):
         batch = np.random.default_rng(9).standard_normal((11, 3)).astype(dtype)
@@ -68,8 +98,11 @@ class TestAccumulate:
         monkeypatch.setattr(linalg, "MIN_BLOCK_ROWS", 1)
         monkeypatch.setattr(linalg, "BLOCK_BYTES", 4 * 8 * 3)  # 4 rows of d=3
         blocked = activations(3, batch)
-        assert np.allclose(blocked.sigma_x, whole.sigma_x, rtol=1e-12, atol=0)
-        assert blocked.energy_x == pytest.approx(whole.energy_x, rel=1e-12)
+        if dtype == np.float32:  # float32 Grams of 4 rows, summed in float64
+            assert_within_f32_gram_bound(blocked.sigma_x, blocked.energy_x, batch, 4)
+        else:
+            assert np.allclose(blocked.sigma_x, whole.sigma_x, rtol=1e-12, atol=0)
+            assert blocked.energy_x == pytest.approx(whole.energy_x, rel=1e-12)
         assert blocked.tokens_seen == whole.tokens_seen == 11
 
     def test_block_rows_at_d_512(self, monkeypatch):
@@ -84,8 +117,7 @@ class TestAccumulate:
         batch = np.random.default_rng(10).standard_normal((1100, 512)).astype(np.float32)
         stats = activations(512, batch)
         assert rows == [512, 512, 76]
-        whole = batch.astype(np.float64)
-        assert np.allclose(stats.sigma_x, whole.T @ whole, rtol=1e-12, atol=1e-9)
+        assert_within_f32_gram_bound(stats.sigma_x, stats.energy_x, batch, 512)
         assert stats.tokens_seen == 1100
 
     def test_empty_batch_rejected(self):
@@ -186,8 +218,10 @@ class TestFuse:
         w = np.random.default_rng(3).standard_normal((3, 14)).astype(dtype)
         assert [len(b) for b in linalg.row_blocks(w.T, 3, 3, gram=True)] == [4, 4, 4, 2]
         s = calibrate(group(3), [], [w])
-        w = w.astype(np.float64)
-        assert np.allclose(s.sigma_w, w @ w.T, rtol=1e-12, atol=0)
+        if dtype == np.float32:  # float32 Grams of 4 columns, summed in float64
+            assert_within_f32_gram_bound(s.sigma_w, s.energy_w, w.T, 4)
+        else:
+            assert np.allclose(s.sigma_w, w @ w.T, rtol=1e-12, atol=0)
         assert s.energy_w == pytest.approx(np.trace(s.sigma_w), rel=1e-12)
         assert s.tokens_seen == 0
 
@@ -234,20 +268,35 @@ class TestCalibrate:
         for sigma in (s.sigma_x, s.sigma_w):
             assert np.array_equal(sigma, sigma.T)
 
-    def test_holds_two_sums_and_peaks_at_four(self):
-        # at d = 512 a row block is d rows: its float64 copy and its Gram are
-        # d x d each, besides Sigma_X and Sigma_W
+    # at d = 512 a row block is d rows. Besides Sigma_X and Sigma_W, a float32
+    # block adds its float32 Gram, d x d / 2, and a float64 block its float64
+    # Gram; an aligned block is not copied
+    @pytest.mark.parametrize("dtype, peak", [(np.float32, 2.6), (np.float64, 3.0)],
+                             ids=["float32", "float64"])
+    def test_holds_two_sums_and_peaks_by_dtype(self, dtype, peak):
         d = 512
         rng = np.random.default_rng(11)
-        shards = [rng.standard_normal((4 * d, d), dtype=np.float32) for _ in range(2)]
-        members = [rng.standard_normal((d, 2 * d), dtype=np.float32) for _ in range(2)]
+        shards = [rng.standard_normal((4 * d, d)).astype(dtype) for _ in range(2)]
+        members = [rng.standard_normal((d, 2 * d)).astype(dtype) for _ in range(2)]
         tracemalloc.start()
         try:
             stats = calibrate(group(d), shards, members)
-            held, peak = tracemalloc.get_traced_memory()
+            held, peak_bytes = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert stats.tokens_seen == 8 * d
         square = 8 * d * d
         assert held / square == pytest.approx(2.0, abs=0.01)
-        assert peak <= 4.0 * square * 1.01
+        assert peak_bytes <= peak * square * 1.01
+
+    # d and the rows k of its row blocks: 1 MiB of float64, and at least d
+    @pytest.mark.parametrize("d, k", [(64, 2048), (512, 512), (1024, 1024)])
+    def test_float32_sums_are_within_the_gram_bound(self, d, k):
+        # two row blocks and a tail, 4 channels scaled x21 as massive
+        # activation channels are
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((2 * k + 37, d), dtype=np.float32)
+        x[:, [1, 7, 20, 50]] *= 21
+        assert [len(b) for b in linalg.row_blocks(x, d, d, gram=True)] == [k, k, 37]
+        s = activations(d, x)
+        assert_within_f32_gram_bound(s.sigma_x, s.energy_x, x, k)

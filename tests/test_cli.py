@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import assert_reports_agree, assert_within_f32_gram_bound
 from subquant import cli, engine, errors, formats, linalg, solver
-from subquant.calib import CalibStats, ProjectionGroup, calibrate
+from subquant.calib import CalibStats, ProjectionGroup
 from subquant.cli import main
 from subquant.engine import (
     analyze_layer, build_plan, execute_plan, stats_from_tensors, summarize)
@@ -152,16 +153,22 @@ class TestCalibrate:
         out = workspace["tmp"] / "stats.cqb"
         assert run("calibrate", "--config", workspace["cfg"], "--out", str(out)) == 0
 
-    def test_f32_weight_and_its_f64_twin_give_equal_stats(self, workspace):
+    def test_f32_weight_is_within_the_gram_bound_of_its_f64_twin(self, workspace):
         w = workspace["w_arr"].astype(np.float32)
-        stats = []
+        stats = {}
         for dtype in ("f32", "f64"):
             path = str(workspace["tmp"] / f"w_{dtype}.cqt")
             formats.write_tensor(path, "w", w, dtype=dtype)
             code, _, written = self.calibrate_with_weights(workspace, [path, path])
             assert code == 0 and written
-            stats.append((workspace["tmp"] / "stats.cqb").read_bytes())
-        assert stats[0] == stats[1]
+            stats[dtype] = formats.read_stats(str(workspace["tmp"] / "stats.cqb"))[0]
+        f32, f64 = stats["f32"], stats["f64"]
+        assert np.array_equal(f32.sigma_x, f64.sigma_x)
+        assert f32.energy_x == f64.energy_x
+        # the file twice: two float32 Grams of W^T's 8 rows, summed in float64
+        assert_within_f32_gram_bound(f32.sigma_w, f32.energy_w, np.vstack([w.T, w.T]), 8)
+        whole = np.vstack([w.T, w.T]).astype(np.float64)
+        assert np.allclose(f64.sigma_w, whole.T @ whole, rtol=1e-12, atol=0)
 
     def test_dim_too_large_exits_2_before_allocating(self, workspace, capsys):
         cfg = dict(workspace["cfg_obj"])
@@ -266,16 +273,14 @@ class TestCalibrateStreaming:
         x = np.random.default_rng(4).standard_normal((23, 8)).astype(np.float32)
         shard = str(workspace["tmp"] / "x32.cqt")
         formats.write_tensor(shard, "x32", x, dtype="f32")
-        group = ProjectionGroup(kind="attn-input", dim=8, name="g0")
-        whole = calibrate(group, [x.astype(np.float64)], [])
         # 5-row blocks, raised to d = 8 rows as each adds a d x d Gram
         monkeypatch.setattr(linalg, "MIN_BLOCK_ROWS", 1)
         monkeypatch.setattr(linalg, "BLOCK_BYTES", 5 * 8 * 8)
         code, out = calibrate_shard(workspace, shard)
         assert code == 0
         stats = formats.read_stats(out)[0]
-        assert np.allclose(stats.sigma_x, whole.sigma_x, rtol=1e-12, atol=0)
-        assert stats.energy_x == pytest.approx(whole.energy_x, rel=1e-12)
+        # float32 Grams of 8 rows, summed in float64, against the whole batch's
+        assert_within_f32_gram_bound(stats.sigma_x, stats.energy_x, x, 8)
         assert stats.tokens_seen == 23
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
@@ -291,6 +296,25 @@ class TestCalibrateStreaming:
         assert code == 2
         assert shard in capsys.readouterr().err
         assert not (workspace["tmp"] / "shard_stats.cqb").exists()
+
+    def test_float32_square_overflow_exits_1_naming_the_shard(self, workspace, capsys):
+        x = np.ones((23, 8), dtype=np.float32)
+        x[17, 3] = 2e19  # finite, but its square overflows float32
+        shard = str(workspace["tmp"] / "big32.cqt")
+        formats.write_tensor(shard, "big", x, dtype="f32")
+        code, out = calibrate_shard(workspace, shard)
+        assert code == 1 and not Path(out).exists()
+        cfg = workspace["tmp"] / "shard.json"
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: groups[0] (group 'g0'): activation file {shard}: "
+            f"the sum of x's squares overflows float32\n")
+        # its float64 twin calibrates, the square held in float64
+        twin = str(workspace["tmp"] / "big64.cqt")
+        formats.write_tensor(twin, "big", x, dtype="f64")
+        code, out = calibrate_shard(workspace, twin)
+        assert code == 0
+        assert formats.read_stats(out)[0].sigma_x[3, 3] == pytest.approx(
+            float(x[17, 3]) ** 2)
 
     def test_truncated_shard_exits_2_before_folding(self, workspace, monkeypatch):
         shard = workspace["tmp"] / "cut.cqt"
@@ -705,10 +729,12 @@ class TestSimulate:
         stats, plan = str(tmp / "stats.cqb"), str(tmp / "plan.cqb")
         run("calibrate", "--config", workspace["cfg"], "--out", stats)
         run("solve", "--stats", stats, "--out", plan)
-        read = formats.read_tensor
-        reads = []
+        read, calibrate = formats.read_tensor, engine.calibrate
+        reads, sums = [], []
         monkeypatch.setattr(formats, "read_tensor",
                             lambda path: reads.append(path) or read(path))
+        monkeypatch.setattr(engine, "calibrate",
+                            lambda *a: sums.append(calibrate(*a)) or sums[-1])
         reports = {}
         for dtype in ("f32", "f64"):
             path = str(tmp / f"x_{dtype}.cqt")
@@ -719,8 +745,14 @@ class TestSimulate:
                 assert run(command, *args, "--x", path, "--w", w,
                            "--out", str(out)) == 0
                 reports[command, dtype] = out.read_bytes()
-        for command in ("simulate", "analyze"):
-            assert reports[command, "f32"] == reports[command, "f64"]
+        # simulate measures X in float64; analyze calibrates the mapped
+        # float32 X in float32 Grams of 256 rows, summed in float64
+        assert reports["simulate", "f32"] == reports["simulate", "f64"]
+        f32, f64 = sums
+        assert_within_f32_gram_bound(f32.sigma_x, f32.energy_x, x, 256)
+        assert np.array_equal(f32.sigma_w, f64.sigma_w)
+        assert_reports_agree(*(formats.read_report(str(tmp / f"analyze_{dtype}.jsonl"))
+                               for dtype in ("f32", "f64")), rel=1e-3)
         assert reads == [w] * 4  # X is mapped, never copied whole
 
 

@@ -126,6 +126,33 @@ class TestGram:
         w = np.random.default_rng(6).standard_normal((5, 7))
         assert np.array_equal(gram_input(w.T), w @ w.T)
 
+    @pytest.mark.parametrize("dtype, gram_dtype", [
+        (np.float32, np.float32), (np.float64, np.float64), (np.float16, np.float64),
+        (np.int32, np.float64)])
+    def test_gram_input_keeps_float32_and_widens_the_rest(self, dtype, gram_dtype):
+        x = (np.random.default_rng(7).standard_normal((9, 4)) * 10).astype(dtype)
+        g = gram_input(x)
+        assert g.dtype == gram_dtype
+        a = x.astype(gram_dtype)
+        assert np.array_equal(g, a.T @ a)
+
+    # 1e-23 squares to 0 in float32 and 1e-20 to a subnormal: a nonzero
+    # column whose float32 square sum underflows is formed in float64
+    @pytest.mark.parametrize("scale", [1e-23, 1e-20])
+    def test_gram_input_widens_a_float32_block_whose_squares_underflow(self, scale):
+        x = np.random.default_rng(7).standard_normal((9, 4)).astype(np.float32)
+        x[:, 2] *= np.float32(scale)
+        g = gram_input(x)
+        a = x.astype(np.float64)
+        assert g.dtype == np.float64 and np.array_equal(g, a.T @ a)
+        assert g[2, 2] > 0
+
+    def test_gram_input_keeps_float32_for_a_zero_column(self):
+        x = np.random.default_rng(7).standard_normal((9, 4)).astype(np.float32)
+        x[:, 2] = 0
+        g = gram_input(x)
+        assert g.dtype == np.float32 and np.array_equal(g, x.T @ x)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_gram_outputs_psd(self, seed):
         rng = np.random.default_rng(seed)
