@@ -97,9 +97,9 @@ def calibrate(group: ProjectionGroup, activations, weights) -> CalibStats:
     2-d arrays read lazily, so a mapped file can be opened on its turn and
     dropped once folded. Both sums are allocated once and folded into in
     place: 2 d x d held. Once a row block is d rows (d >= 512), a block
-    adds its Gram, d x d in its own precision, and an aligned copy of as
-    much if it is unaligned, as a mapped payload may be: a float32 input
-    peaks at 2.5 to 3 d x d, a float64 one at 3 to 4."""
+    adds its Gram, d x d in its own precision, and an aligned copy of itself
+    if it is unaligned (a file the package wrote is not): a float32 input
+    peaks at 2.5 d x d and a float64 one at 3."""
     d = group.dim
     sigma_x, sigma_w = np.zeros((d, d)), np.zeros((d, d))
     energy_x, energy_w, tokens = 0.0, 0.0, 0

@@ -43,10 +43,6 @@ class FormatError(SubquantError, ValueError):
     """Base class for file-format violations."""
 
 
-class BadMagicError(FormatError):
-    pass
-
-
 class HeaderMismatchError(FormatError):
     pass
 

@@ -1,30 +1,29 @@
 """Bit-exact file formats.
 
-Tensor container (magic ``CQT1``): 4-byte magic, u32-LE header length, UTF-8
-JSON header ``{"name", "dtype" ("f32"|"f64"), "shape", "layout": "row-major"}``,
-then the raw little-endian payload. Readers reject trailing bytes.
+Every tensor, stats and plan file is safetensors
+(https://github.com/huggingface/safetensors): a u64-LE header length N, a
+JSON object padded with spaces so that 8 + N is a multiple of 8, then the
+tensors' bytes. The object maps each tensor's name to ``{"dtype":
+"F32"|"F64", "shape", "data_offsets"}`` and may hold a ``__metadata__``
+object of strings; sorted by offset, the tensors tile the rest of the file.
+The writers write one dtype per file, so every mapped payload is aligned.
+A tensor file holds one tensor; stats and plans are f64, and their
+``__metadata__`` is ``{"kind": "stats"|"plan", "meta": <JSON text>}``.
+Each entry of ``meta``, and each report row, is its type's `to_json`
+object, read back by that type's `from_json`, which checks its fields.
 
-Bundle container (magic ``CQB1``): same framing, but the JSON header carries
-metadata plus a ``tensors`` list of ``{name, dtype, shape}`` entries whose
-payloads follow concatenated in order. Stats and plan files are bundles;
-statistics and plan matrices are always persisted as f64.
-
-Each metadata entry, and each report row, is its type's `to_json` object,
-read back by that type's `from_json`, which checks its fields.
-
-A stats bundle holds ``i.sigma_x`` and ``i.sigma_w`` per group ``i``, and
-its ``groups`` are `CalibStats.to_json` objects. A plan bundle holds two
+A stats file holds ``i.sigma_x`` and ``i.sigma_w`` per group ``i``, and
+its ``groups`` are `CalibStats.to_json` objects. A plan file holds two
 tensors per group: ``i.vectors``, the d x d descending eigenbasis, and
 ``i.eigenvalues``. Its ``plans`` are `MixedPrecisionPlan.to_json` objects:
 the group and the two bit-widths, with the rank, seed, rotation kind and
 covariance weights nested under ``partition``; the objective is derived from
-the weights. An entry in an earlier layout (the partition's fields beside the
+the weights. An entry in an earlier form (the partition's fields beside the
 plan's, an ``objective``, or four quantizer ``specs``) is rejected, naming
-the field. The composed transform ``u`` is
-not stored: a partition read back derives it from the seeded internal
-rotations on first use, bit-identical to the solved one. This module checks
-the framing, the tensor entries and shapes, and the orthonormality of a
-basis.
+the field. The composed transform ``u`` is not stored: a partition read
+back derives it from the seeded internal rotations on first use,
+bit-identical to the solved one. This module checks the framing, the
+tensor entries and shapes, and the orthonormality of a basis.
 
 A report is JSON lines: one `ErrorReport.to_json` object per line, keys
 sorted.
@@ -38,7 +37,6 @@ import json
 import math
 import mmap
 import os
-import struct
 import tempfile
 
 import numpy as np
@@ -47,20 +45,22 @@ from .calib import CalibStats, ProjectionGroup
 from .engine import ErrorReport, MixedPrecisionPlan
 from .errors import (
     MAX_BYTES,
-    BadMagicError,
     HeaderMismatchError,
     TruncatedPayloadError,
     UnsupportedDtypeError,
+    check,
     is_int,
 )
 from .solver import SubspacePartition
 
-TENSOR_MAGIC = b"CQT1"
-BUNDLE_MAGIC = b"CQB1"
-
 ORTHO_TOL = 1e-8  # largest |V^T V - I| of a plan's basis
 
-_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+_DTYPES = {"F32": np.dtype("<f4"), "F64": np.dtype("<f8")}
+_DTYPE_NAMES = {dtype: name for name, dtype in _DTYPES.items()}
+
+# the shape rule of the readers, which the writer applies too
+_SHAPE = (lambda v: isinstance(v, list) and v != [] and all(is_int(s, 1) for s in v),
+          "a non-empty list of ints >= 1")
 
 # a report's columns: the fields of ErrorReport, in order
 REPORT_COLUMNS = [f.name for f in dataclasses.fields(ErrorReport)]
@@ -109,80 +109,80 @@ def parse_json(text: str | bytes, where: str):
         raise HeaderMismatchError(f"{where}: {e}") from e
 
 
-def _write(path: str, magic: bytes, header: dict, arrays: list[np.ndarray]) -> None:
-    """Frame `header` and write the C-contiguous `arrays` after it as they are."""
+def _write(path: str, tensors: dict[str, np.ndarray], metadata: dict | None = None) -> None:
+    """Write the C-contiguous little-endian f32/f64 `tensors` in order after
+    a header padded to a multiple of 8 bytes, as they are."""
+    header = {} if metadata is None else {"__metadata__": metadata}
+    offset = 0
+    for name, a in tensors.items():
+        header[name] = {"dtype": _DTYPE_NAMES[a.dtype], "shape": list(a.shape),
+                        "data_offsets": [offset, offset + a.nbytes]}
+        offset += a.nbytes
     h = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    atomic_write(path, magic + struct.pack("<I", len(h)) + h, *arrays)
+    h += b" " * (-len(h) % 8)
+    atomic_write(path, len(h).to_bytes(8, "little") + h, *tensors.values())
 
 
-def _check_entry(entry, path: str, field: str,
-                 layout: bool = False) -> tuple[np.dtype, tuple[int, ...], int]:
-    """Validate a CQT1 header (`layout=True`) or one CQB1 `tensors` entry;
-    return its dtype, shape and payload size in bytes."""
+def _check_entry(entry, path: str, name: str) -> tuple[np.dtype, tuple[int, ...], int, int]:
+    """Validate a header's entry for tensor `name`; return its dtype, shape
+    and begin and end offsets."""
+    field = f"{path}: tensor {name!r}"
     if not isinstance(entry, dict):
-        raise HeaderMismatchError(f"{path}: {field} is not a JSON object")
-    for key in ("name", "dtype", "shape") + (("layout",) if layout else ()):
+        raise HeaderMismatchError(f"{field} is not a JSON object")
+    for key in ("dtype", "shape", "data_offsets"):
         if key not in entry:
-            raise HeaderMismatchError(f"{path}: {field} missing field {key!r}")
-    if layout and entry["layout"] != "row-major":
-        raise HeaderMismatchError(f"{path}: layout {entry['layout']!r}")
-    if not isinstance(entry["name"], str):
-        raise HeaderMismatchError(f"{path}: {field}.name must be a string")
-    dtype, shape = entry["dtype"], entry["shape"]
+            raise HeaderMismatchError(f"{field} missing field {key!r}")
+    dtype, shape, offsets = entry["dtype"], entry["shape"], entry["data_offsets"]
     if not isinstance(dtype, str) or dtype not in _DTYPES:
-        raise UnsupportedDtypeError(f"{path}: {field}.dtype {dtype!r}")
-    if not isinstance(shape, list) or not shape or not all(is_int(s, 1) for s in shape):
-        raise HeaderMismatchError(
-            f"{path}: {field}.shape must be a non-empty list of ints >= 1, got {shape!r}")
+        raise UnsupportedDtypeError(f"{field}: dtype {dtype!r}")
+    check(f"{field}: shape", shape, *_SHAPE, HeaderMismatchError)
     size = math.prod(shape) * _DTYPES[dtype].itemsize
     if size > MAX_BYTES:
-        raise HeaderMismatchError(f"{path}: {field} declares {size} bytes, above cap")
-    return _DTYPES[dtype], tuple(shape), size
+        raise HeaderMismatchError(f"{field} declares {size} bytes, above cap")
+    if not (isinstance(offsets, list) and len(offsets) == 2
+            and all(is_int(o, 0) for o in offsets) and offsets[1] - offsets[0] == size):
+        raise HeaderMismatchError(f"{field}: data_offsets must be two ints >= 0 "
+                                  f"spanning its {size} bytes, got {offsets!r}")
+    return _DTYPES[dtype], tuple(shape), *offsets
 
 
-def _map(path: str, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
-    """The JSON header of a CQT1 or CQB1 file, and its tensors by name as
+def _map(path: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """The `__metadata__` of a safetensors file, and its tensors by name as
     read-only arrays in the file's dtype, backed by one memory map: nothing
     is read until it is used.
 
-    The file size must be the header's plus the tensors' exactly. The mapping
-    is released with the last reference to its arrays. Files are replaced by
-    rename, never rewritten in place, so a mapped payload does not change
-    under its reader."""
+    Sorted by offset, the tensors must tile the rest of the file exactly.
+    The mapping is released with the last reference to its arrays. Files
+    are replaced by rename, never rewritten in place, so a mapped payload
+    does not change under its reader."""
     with open(path, "rb") as f:
-        head = f.read(8)
-        if head[:4] != magic:
-            raise BadMagicError(f"{path}: expected magic {magic!r}, got {head[:4]!r}")
-        if len(head) < 8:
-            raise TruncatedPayloadError(f"{path}: file shorter than header frame")
-        (hlen,) = struct.unpack("<I", head[4:8])
-        if hlen > MAX_BYTES:
-            raise HeaderMismatchError(f"{path}: header length {hlen} exceeds cap")
-        raw = f.read(hlen)
-        if len(raw) < hlen:
-            raise TruncatedPayloadError(f"{path}: truncated JSON header")
-        header = parse_json(raw, f"{path}: invalid JSON header")
+        size = os.fstat(f.fileno()).st_size
+        hlen = int.from_bytes(f.read(8), "little")  # a short read fails the check
+        if hlen > min(MAX_BYTES, size - 8):
+            raise HeaderMismatchError(f"{path}: header length {hlen} is past the end "
+                                      "of the file or the cap: not a safetensors file")
+        header = parse_json(f.read(hlen), f"{path}: invalid JSON header")
         if not isinstance(header, dict):
             raise HeaderMismatchError(f"{path}: header is not a JSON object")
-        tensor = magic == TENSOR_MAGIC
-        entries = [header] if tensor else header.get("tensors", [])
-        if not isinstance(entries, list):
-            raise HeaderMismatchError(f"{path}: bundle tensors must be a list")
-        specs = [_check_entry(e, path, "header" if tensor else f"tensors[{i}]",
-                              layout=tensor) for i, e in enumerate(entries)]
-        offset = 8 + hlen
-        payload = os.fstat(f.fileno()).st_size - offset
-        size = sum(nbytes for _, _, nbytes in specs)
-        if payload != size:
+        metadata = header.pop("__metadata__", {})
+        if not (isinstance(metadata, dict)
+                and all(isinstance(v, str) for v in metadata.values())):
+            raise HeaderMismatchError(f"{path}: __metadata__ must map strings to strings")
+        specs = {name: _check_entry(e, path, name) for name, e in header.items()}
+        end = 0
+        for name, (_, _, begin, stop) in sorted(specs.items(), key=lambda kv: kv[1][2]):
+            if begin != end:
+                raise HeaderMismatchError(f"{path}: tensor {name!r} begins at byte "
+                                          f"{begin}, expected {end}: a gap or an overlap")
+            end = stop
+        if size - 8 - hlen != end:
             raise TruncatedPayloadError(
-                f"{path}: payload is {payload} bytes, header declares {size}")
+                f"{path}: payload is {size - 8 - hlen} bytes, header declares {end}")
         mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-    tensors = {}
-    for entry, (dtype, shape, nbytes) in zip(entries, specs):
-        tensors[entry["name"]] = np.frombuffer(
-            mapped, dtype, nbytes // dtype.itemsize, offset).reshape(shape)
-        offset += nbytes
-    return header, tensors
+    return metadata, {
+        name: np.frombuffer(mapped, dtype, (stop - begin) // dtype.itemsize,
+                            8 + hlen + begin).reshape(shape)
+        for name, (dtype, shape, begin, stop) in specs.items()}
 
 
 def _tensor(tensors: dict, name: str, shape: tuple, path: str) -> np.ndarray:
@@ -200,51 +200,54 @@ def _tensor(tensors: dict, name: str, shape: tuple, path: str) -> np.ndarray:
 
 
 def write_tensor(path: str, name: str, matrix: np.ndarray, dtype: str = "f64") -> None:
-    """Write `matrix` as a CQT1 tensor in `dtype`. A finite value that
-    overflows `dtype` raises ValueError and writes nothing; NaN and +-inf
-    are written as they are, for the readers to reject."""
-    if dtype not in _DTYPES:
+    """Write `matrix` as a one-tensor safetensors file in `dtype`. A shape
+    the readers reject (0-d, or with a zero dimension), or a finite value
+    that overflows `dtype`, raises ValueError and writes nothing; NaN and
+    +-inf are written as they are, for the readers to reject."""
+    if dtype not in ("f32", "f64"):
         raise UnsupportedDtypeError(f"unsupported dtype {dtype!r}")
+    check("name", name, lambda v: isinstance(v, str) and v != "__metadata__",
+          "a string other than '__metadata__'")
     try:
         with np.errstate(over="raise"):
-            m = np.ascontiguousarray(matrix, dtype=_DTYPES[dtype])
+            m = np.asarray(matrix, _DTYPES[dtype.upper()], order="C")
     except FloatingPointError as e:
         raise ValueError(f"tensor {name!r}: a value overflows {dtype}") from e
-    _write(path, TENSOR_MAGIC, {"name": name, "dtype": dtype, "shape": list(m.shape),
-                                "layout": "row-major"}, [m])
+    check(f"tensor {name!r}: shape", list(m.shape), *_SHAPE)
+    _write(path, {name: m})
 
 
 def map_tensor(path: str) -> np.ndarray:
-    """Read-only array of a CQT1 payload in the file's dtype, backed by a
-    memory map (see `_map`)."""
-    _, tensors = _map(path, TENSOR_MAGIC)
+    """Read-only array of a one-tensor file's payload in the file's dtype,
+    backed by a memory map (see `_map`)."""
+    _, tensors = _map(path)
+    if len(tensors) != 1:
+        raise HeaderMismatchError(f"{path}: holds {len(tensors)} tensors, expected 1")
     (array,) = tensors.values()
     return array
 
 
 def read_tensor(path: str) -> np.ndarray:
-    """A CQT1 tensor as a float64 array of its own."""
+    """A one-tensor file's tensor as a float64 array of its own."""
     return np.array(map_tensor(path), dtype=np.float64)
 
 
 def _write_bundle(path: str, kind: str, meta: dict,
                   tensors: list[tuple[str, np.ndarray]]) -> None:
-    arrays = [np.ascontiguousarray(a, dtype="<f8") for _, a in tensors]
-    entries = [{"name": name, "dtype": "f64", "shape": list(a.shape)}
-               for (name, _), a in zip(tensors, arrays)]
-    _write(path, BUNDLE_MAGIC, {"kind": kind, "meta": meta, "tensors": entries}, arrays)
+    meta = json.dumps(meta, sort_keys=True, separators=(",", ":"))
+    _write(path, {name: np.ascontiguousarray(a, dtype="<f8") for name, a in tensors},
+           {"kind": kind, "meta": meta})
 
 
 def _read_bundle(path: str, kind: str) -> tuple[list[dict], dict[str, np.ndarray]]:
     """The per-group metadata objects and the mapped tensors by name of a
-    CQB1 bundle of `kind` ("stats" or "plan"); the types they describe check
-    the rest."""
-    header, tensors = _map(path, BUNDLE_MAGIC)
-    if header.get("kind") != kind:
+    stats or plan file (`kind`); the types they describe check the rest."""
+    metadata, tensors = _map(path)
+    if metadata.get("kind") != kind:
         raise HeaderMismatchError(
-            f"{path}: bundle kind {header.get('kind')!r}, expected {kind!r}")
+            f"{path}: file kind {metadata.get('kind')!r}, expected {kind!r}")
     field = {"stats": "groups", "plan": "plans"}[kind]
-    meta = header.get("meta")
+    meta = parse_json(metadata.get("meta", "null"), f"{path}: meta is not JSON")
     records = meta.get(field) if isinstance(meta, dict) else None
     if not (isinstance(records, list) and records
             and all(isinstance(r, dict) for r in records)):

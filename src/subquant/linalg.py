@@ -44,8 +44,8 @@ def row_blocks(x, d: int, width: int, gram: bool) -> list:
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return a 2-d, aligned float64 array with all entries
-    finite. numpy multiplies an unaligned array (a view of a mapped file's
-    payload may be one) by a slower path that rounds differently."""
+    finite. numpy multiplies an unaligned array (a caller's may be one) by a
+    slower path that rounds differently."""
     m = np.require(a, np.float64, "A")
     if m.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-d, got shape {m.shape}")
@@ -107,7 +107,8 @@ def gram_input(x: np.ndarray) -> np.ndarray:
     (1 - k u) and u = 2^-24, while no product underflows. Underflow adds at
     most k 2^-150 to an entry, under k u sqrt(G_ii G_jj) once both diagonal
     entries are float32 normals; so if a nonzero column's is not (entries
-    of 1e-23 square to 0), the Gram is formed in float64 instead."""
+    of 1e-23 square to 0), the Gram is formed in float64 instead. Only an
+    unaligned X, never a file the package wrote, is copied (see as_matrix)."""
     if x.dtype == np.float32:
         a = np.require(x, np.float32, "A").T  # aligned: see as_matrix
         g = a @ a.T

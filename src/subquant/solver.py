@@ -76,7 +76,7 @@ class SubspacePartition(Checked):
             ("lambda_w", lambda v: is_real(v, 0.0) and (v > 0 or self.lambda_x > 0),
              "a finite number >= 0, and > 0 if lambda_x is 0"),
         ))
-        # one memory layout for solved and read bases: u is then the same bits
+        # one memory order for solved and read bases: u is then the same bits
         object.__setattr__(self, "vectors", np.ascontiguousarray(self.vectors))
 
     @functools.cached_property

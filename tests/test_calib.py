@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from reference import assert_within_f32_gram_bound
-from subquant import calib, linalg
+from subquant import calib, formats, linalg
 from subquant.calib import ProjectionGroup, calibrate
 from subquant.errors import DimensionMismatchError, ScaleRangeError
 from subquant.linalg import gram_input
@@ -270,14 +270,23 @@ class TestCalibrate:
 
     # at d = 512 a row block is d rows. Besides Sigma_X and Sigma_W, a float32
     # block adds its float32 Gram, d x d / 2, and a float64 block its float64
-    # Gram; an aligned block is not copied
-    @pytest.mark.parametrize("dtype, peak", [(np.float32, 2.6), (np.float64, 3.0)],
-                             ids=["float32", "float64"])
-    def test_holds_two_sums_and_peaks_by_dtype(self, dtype, peak):
+    # Gram; an aligned block, a mapped file's included, is not copied
+    @pytest.mark.parametrize("dtype, peak, mapped", [
+        (np.float32, 2.6, False), (np.float64, 3.0, False),
+        (np.float32, 2.6, True), (np.float64, 3.0, True)],
+        ids=["float32", "float64", "float32-mapped", "float64-mapped"])
+    def test_holds_two_sums_and_peaks_by_dtype(self, tmp_path, dtype, peak, mapped):
         d = 512
         rng = np.random.default_rng(11)
         shards = [rng.standard_normal((4 * d, d)).astype(dtype) for _ in range(2)]
         members = [rng.standard_normal((d, 2 * d)).astype(dtype) for _ in range(2)]
+        if mapped:
+            paths = [str(tmp_path / f"{k}.cqt") for k in range(4)]
+            for path, a in zip(paths, shards + members):
+                formats.write_tensor(path, "a", a,
+                                     dtype={np.float32: "f32", np.float64: "f64"}[dtype])
+            shards, members = ([formats.map_tensor(p) for p in paths[:2]],
+                               [formats.map_tensor(p) for p in paths[2:]])
         tracemalloc.start()
         try:
             stats = calibrate(group(d), shards, members)

@@ -357,9 +357,8 @@ class TestCalibrateStreaming:
 class TestMalformedInputs:
     def test_fractional_shape_exits_2(self, workspace, capsys):
         bad = workspace["tmp"] / "frac.cqt"
-        h = json.dumps({"name": "x", "dtype": "f64", "shape": [1.5, 8],
-                        "layout": "row-major"}).encode()
-        bad.write_bytes(b"CQT1" + struct.pack("<I", len(h)) + h + bytes(96))
+        bad.write_bytes(framed(json.dumps(
+            {"x": {"dtype": "F64", "shape": [1.5, 8], "data_offsets": [0, 96]}})) + bytes(96))
         stats = str(workspace["tmp"] / "stats.cqb")
         plan = str(workspace["tmp"] / "plan.cqb")
         run("calibrate", "--config", workspace["cfg"], "--out", stats)
@@ -499,9 +498,10 @@ def nested(depth: int) -> str:
     return "[" * depth + "]" * depth
 
 
-def framed(magic: bytes, header: str) -> bytes:
+def framed(header: str) -> bytes:
+    """The header length and header of a safetensors file."""
     h = header.encode()
-    return magic + struct.pack("<I", len(h)) + h
+    return struct.pack("<Q", len(h)) + h
 
 
 class TestDeeplyNestedJSON:
@@ -528,13 +528,14 @@ class TestDeeplyNestedJSON:
 
     def test_tensor_header(self, workspace, capsys):
         shard = workspace["tmp"] / "deep.cqt"
-        shard.write_bytes(framed(b"CQT1", '{"name": ' + nested(100_000) + "}"))
+        shard.write_bytes(framed('{"x": ' + nested(100_000) + "}"))
         self.exits_2(capsys, shard, workspace["tmp"] / "s.cqb", "calibrate",
                      "--config", calibrate_config(workspace, str(shard)))
 
     def test_bundle_header(self, tmp_path, capsys):
         stats = tmp_path / "deep.cqb"
-        stats.write_bytes(framed(b"CQB1", '{"kind": ' + nested(100_000) + "}"))
+        meta = json.dumps({"kind": "stats", "meta": nested(100_000)})
+        stats.write_bytes(framed('{"__metadata__": ' + meta + "}"))
         self.exits_2(capsys, stats, tmp_path / "p.cqb", "solve", "--stats", str(stats))
 
 

@@ -23,12 +23,54 @@ from subquant.engine import (
     stats_from_tensors,
 )
 from subquant.errors import (
-    BadMagicError,
+    MAX_BYTES,
     HeaderMismatchError,
     TruncatedPayloadError,
     UnsupportedDtypeError,
 )
 from subquant.linalg import HIGH_ROTATION, LOW_ROTATION
+
+
+def frame(header, payload: bytes = b"") -> bytes:
+    """A safetensors file: the u64-LE length of `header` (a JSON value, or
+    its bytes) padded with spaces to a multiple of 8, the header, then
+    `payload`."""
+    h = header if isinstance(header, bytes) else json.dumps(header).encode()
+    h += b" " * (-len(h) % 8)
+    return struct.pack("<Q", len(h)) + h + payload
+
+
+def old_frame(magic: bytes, header: dict, payload: bytes = b"") -> bytes:
+    """A file in the CQT1/CQB1 framing earlier versions wrote: a magic, a
+    u32-LE header length, the JSON header, then the payload."""
+    h = json.dumps(header).encode()
+    return magic + struct.pack("<I", len(h)) + h + payload
+
+
+def write_raw(path, header, payload=b""):
+    Path(path).write_bytes(frame(header, payload))
+
+
+def read_raw(path):
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def split(path):
+    """A file's JSON header and its payload."""
+    raw = read_raw(path)
+    (hlen,) = struct.unpack("<Q", raw[:8])
+    return json.loads(raw[8:8 + hlen]), raw[8 + hlen:]
+
+
+def exits_2_naming(capsys, bad, *argv):
+    """The CLI run `argv` exits 2 with one error line, which names the file
+    `bad`, and writes no output."""
+    out = Path(bad).parent / "cli.out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err, err
+    assert not out.exists()
 
 
 class TestTensorContainer:
@@ -49,10 +91,10 @@ class TestTensorContainer:
         path = str(tmp_path / "t.cqt")
         formats.write_tensor(path, "asc", np.arange(6.0).reshape(2, 3), dtype="f64")
         raw = Path(path).read_bytes()
-        assert raw[:4] == b"CQT1"
-        (hlen,) = struct.unpack("<I", raw[4:8])
-        header = json.loads(raw[8:8 + hlen])
-        assert header["shape"] == [2, 3] and header["layout"] == "row-major"
+        (hlen,) = struct.unpack("<Q", raw[:8])
+        assert (8 + hlen) % 8 == 0
+        assert json.loads(raw[8:8 + hlen]) == {"asc": {"dtype": "F64", "shape": [2, 3],
+                                                       "data_offsets": [0, 48]}}
         payload = raw[8 + hlen:]
         assert payload == b"".join(struct.pack("<d", float(v)) for v in range(6))
 
@@ -63,6 +105,21 @@ class TestTensorContainer:
             formats.write_tensor(str(path), "x", [[1.0, value]], dtype="f32")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("matrix, shape", [(np.zeros((0, 5)), "[0, 5]"),
+                                               (np.float64(3.0), "[]"),
+                                               ([[]], "[1, 0]")],
+                             ids=["zero-rows", "0-d", "zero-columns"])
+    def test_shape_the_readers_reject_is_not_written(self, tmp_path, matrix, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"tensor 'x': shape must be a non-empty list of ints >= 1, got {shape}")):
+            formats.write_tensor(str(tmp_path / "t.cqt"), "x", matrix)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_reserved_name_is_not_written(self, tmp_path):
+        with pytest.raises(ValueError, match="__metadata__"):
+            formats.write_tensor(str(tmp_path / "t.cqt"), "__metadata__", np.eye(2))
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_finite_values_written_for_readers_to_reject(self, tmp_path):
         path = str(tmp_path / "t.cqt")
         formats.write_tensor(path, "x", [[np.inf, np.nan, -np.inf]], dtype="f32")
@@ -71,10 +128,15 @@ class TestTensorContainer:
                               equal_nan=True)
 
     def test_bad_magic(self, tmp_path):
-        path = str(tmp_path / "bad.cqt")
-        Path(path).write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(BadMagicError):
-            formats.read_tensor(path)
+        # a file in the framing earlier versions wrote is not read: its magic
+        # and u32 length read as a u64 header length above the cap
+        path = str(tmp_path / "old.cqt")
+        header = {"name": "m", "dtype": "f64", "shape": [2, 2], "layout": "row-major"}
+        Path(path).write_bytes(old_frame(b"CQT1", header, bytes(32)))
+        for reader in (formats.read_tensor, formats.map_tensor):
+            with pytest.raises(HeaderMismatchError,
+                               match=re.escape(f"{path}: header length")):
+                reader(path)
 
     def test_truncated_payload(self, tmp_path):
         path = str(tmp_path / "t.cqt")
@@ -92,90 +154,143 @@ class TestTensorContainer:
         with pytest.raises(TruncatedPayloadError):
             formats.read_tensor(path)
 
-    def test_unsupported_dtype(self, tmp_path):
+    def test_unsupported_dtype(self, tmp_path, capsys):
         path = str(tmp_path / "t.cqt")
         with pytest.raises(UnsupportedDtypeError):
             formats.write_tensor(path, "m", np.eye(2), dtype="i8")
-        formats.write_tensor(path, "m", np.eye(2))
-        raw = bytearray(Path(path).read_bytes())
-        header = {"name": "m", "dtype": "u16", "shape": [2, 2],
-                  "layout": "row-major"}
-        h = json.dumps(header).encode()
-        Path(path).write_bytes(b"CQT1" + struct.pack("<I", len(h)) + h + bytes(32))
-        with pytest.raises(UnsupportedDtypeError):
-            formats.read_tensor(path)
+        # dtypes safetensors defines that this tool does not read, a name in
+        # the wrong case, and one that is not a string
+        for dtype in ("BF16", "F16", "I64", "f64", 8):
+            write_raw(path, {"m": {"dtype": dtype, "shape": [2, 2],
+                                   "data_offsets": [0, 32]}}, bytes(32))
+            with pytest.raises(UnsupportedDtypeError, match=re.escape(path)):
+                formats.read_tensor(path)
+            exits_2_naming(capsys, path, "analyze", "--x", path, "--w", path)
 
     def test_header_missing_field(self, tmp_path):
         path = str(tmp_path / "t.cqt")
-        h = json.dumps({"name": "m"}).encode()
-        Path(path).write_bytes(b"CQT1" + struct.pack("<I", len(h)) + h)
+        write_raw(path, {"m": {"dtype": "F64"}})
         with pytest.raises(HeaderMismatchError):
             formats.read_tensor(path)
 
     def test_zero_shape_rejected(self, tmp_path):
         path = str(tmp_path / "t.cqt")
-        h = json.dumps({"name": "m", "dtype": "f64", "shape": [0, 2],
-                        "layout": "row-major"}).encode()
-        Path(path).write_bytes(b"CQT1" + struct.pack("<I", len(h)) + h)
+        write_raw(path, {"m": {"dtype": "F64", "shape": [0, 2], "data_offsets": [0, 0]}})
         with pytest.raises(HeaderMismatchError):
             formats.read_tensor(path)
 
 
-def write_raw(path, magic, header, payload=b""):
-    h = json.dumps(header).encode()
-    with open(path, "wb") as f:
-        f.write(magic + struct.pack("<I", len(h)) + h + payload)
+GOOD_ENTRY = {"dtype": "F64", "shape": [2, 2], "data_offsets": [0, 32]}
 
 
-def read_raw(path):
-    with open(path, "rb") as f:
-        return f.read()
+def _entry_edit(**fields):
+    return lambda header, name: header[name].update(fields)
 
 
-GOOD_HEADER = {"name": "m", "dtype": "f64", "shape": [2, 2], "layout": "row-major"}
+def _entry_pop(field):
+    return lambda header, name: header[name].pop(field)
+
+
+# edits of a valid header at the entry of tensor `name`. A tensor's name is
+# its key: "no-name" moves the entry under the reserved `__metadata__` key,
+# and "name-not-string" gives `__metadata__` a `name` that is not a string
 MALFORMED_HEADERS = {
-    "not-an-object": [GOOD_HEADER],
-    "no-name": {k: v for k, v in GOOD_HEADER.items() if k != "name"},
-    "no-dtype": {k: v for k, v in GOOD_HEADER.items() if k != "dtype"},
-    "no-shape": {k: v for k, v in GOOD_HEADER.items() if k != "shape"},
-    "float-dim": dict(GOOD_HEADER, shape=[1.5, 2]),
-    "string-dim": dict(GOOD_HEADER, shape=["2"]),
-    "bool-dim": dict(GOOD_HEADER, shape=[True]),
-    "shape-not-list": dict(GOOD_HEADER, shape="2"),
-    "name-not-string": dict(GOOD_HEADER, name=["m"]),
+    "not-an-object": lambda header, name: header.update({name: [header[name]]}),
+    "no-name": lambda header, name: header.update(__metadata__=header.pop(name)),
+    "no-dtype": _entry_pop("dtype"),
+    "no-shape": _entry_pop("shape"),
+    "no-offsets": _entry_pop("data_offsets"),
+    "float-dim": _entry_edit(shape=[1.5, 2]),
+    "string-dim": _entry_edit(shape=["2"]),
+    "bool-dim": _entry_edit(shape=[True]),
+    "shape-not-list": _entry_edit(shape="2"),
+    "above-cap": _entry_edit(shape=[MAX_BYTES, 2]),
+    "offsets-not-a-list": _entry_edit(data_offsets="0"),
+    "offsets-not-two": _entry_edit(data_offsets=[0]),
+    "float-offset": _entry_edit(data_offsets=[0, 32.0]),
+    "negative-offset": _entry_edit(data_offsets=[-32, 0]),
+    "offsets-short-of-shape": _entry_edit(data_offsets=[0, 24]),
+    "name-not-string": lambda header, name: header.setdefault(
+        "__metadata__", {}).update(name=["m"]),
+    "metadata-not-object": lambda header, name: header.update(__metadata__="m"),
+}
+
+# whole files that break the framing, and the error each raises
+MALFORMED_FRAMES = {
+    "shorter-than-length": (b"\x10\x00\x00", HeaderMismatchError),
+    "length-past-eof": (struct.pack("<Q", 64) + b"{}      ", HeaderMismatchError),
+    "length-above-cap": (struct.pack("<Q", MAX_BYTES + 8) + b"{}      ",
+                         HeaderMismatchError),
+    "not-utf8": (frame(b'{"\xff": 1}'), HeaderMismatchError),
+    "not-json": (frame(b"{nope"), HeaderMismatchError),
+    "not-an-object": (frame([GOOD_ENTRY]), HeaderMismatchError),
+    "overlap": (frame({"a": GOOD_ENTRY, "b": dict(GOOD_ENTRY, data_offsets=[24, 56])},
+                      bytes(56)), HeaderMismatchError),
+    "gap": (frame({"a": GOOD_ENTRY, "b": dict(GOOD_ENTRY, data_offsets=[40, 72])},
+                  bytes(72)), HeaderMismatchError),
+    "not-from-0": (frame({"a": dict(GOOD_ENTRY, data_offsets=[8, 40])}, bytes(40)),
+                   HeaderMismatchError),
+    "payload-short": (frame({"a": GOOD_ENTRY}, bytes(24)), TruncatedPayloadError),
+    "payload-past-end": (frame({"a": GOOD_ENTRY}, bytes(40)), TruncatedPayloadError),
+    "no-tensor": (frame({"__metadata__": {}}), HeaderMismatchError),
+    "two-tensors": (frame({"a": GOOD_ENTRY, "b": dict(GOOD_ENTRY, data_offsets=[32, 64])},
+                          bytes(64)), HeaderMismatchError),
 }
 
 
 class TestHeaderSchema:
+    """A malformed header raises a FormatError naming the file; the CLI exits
+    2 on it with one error line naming the file."""
+
     @pytest.mark.parametrize("reader", [formats.read_tensor, formats.map_tensor],
                              ids=["read", "map"])
     @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
-    def test_malformed_tensor_header(self, tmp_path, reader, case):
+    def test_malformed_tensor_header(self, tmp_path, capsys, reader, case):
         path = str(tmp_path / "t.cqt")
-        write_raw(path, b"CQT1", MALFORMED_HEADERS[case], bytes(32))
-        with pytest.raises(HeaderMismatchError):
+        header = {"m": dict(GOOD_ENTRY)}
+        MALFORMED_HEADERS[case](header, "m")
+        write_raw(path, header, bytes(32))
+        with pytest.raises(HeaderMismatchError, match=re.escape(path)):
             reader(path)
+        exits_2_naming(capsys, path, "analyze", "--x", path, "--w", path)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
-    def test_malformed_bundle_entry(self, tmp_path, case):
+    def test_malformed_bundle_entry(self, tmp_path, capsys, case):
         path = str(tmp_path / "s.cqb")
         formats.write_stats(path, [layer_stats()])
-        raw = read_raw(path)
-        (hlen,) = struct.unpack("<I", raw[4:8])
-        header = json.loads(raw[8:8 + hlen])
-        entry = MALFORMED_HEADERS[case]
-        if isinstance(entry, dict):
-            entry = {k: v for k, v in entry.items() if k != "layout"}
-        header["tensors"][0] = entry
-        write_raw(path, b"CQB1", header, raw[8 + hlen:])
-        with pytest.raises(HeaderMismatchError):
+        header, payload = split(path)
+        MALFORMED_HEADERS[case](header, "0.sigma_x")
+        write_raw(path, header, payload)
+        with pytest.raises(HeaderMismatchError, match=re.escape(path)):
             formats.read_stats(path)
+        exits_2_naming(capsys, path, "solve", "--stats", path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FRAMES))
+    def test_malformed_frame(self, tmp_path, capsys, case):
+        path = str(tmp_path / "t.cqt")
+        raw, error = MALFORMED_FRAMES[case]
+        Path(path).write_bytes(raw)
+        with pytest.raises(error, match=re.escape(path)):
+            formats.map_tensor(path)
+        exits_2_naming(capsys, path, "analyze", "--x", path, "--w", path)
 
     def test_bundle_header_not_an_object(self, tmp_path):
         path = str(tmp_path / "s.cqb")
-        write_raw(path, b"CQB1", ["stats"])
+        write_raw(path, ["stats"])
         with pytest.raises(HeaderMismatchError):
             formats.read_stats(path)
+
+    @pytest.mark.parametrize("metadata", [{}, {"kind": "stats"},
+                                          {"kind": "stats", "meta": "{nope"}],
+                             ids=["no-kind", "no-meta", "meta-not-json"])
+    def test_bundle_metadata(self, tmp_path, capsys, metadata):
+        path = str(tmp_path / "s.cqb")
+        formats.write_stats(path, [layer_stats()])
+        header, payload = split(path)
+        write_raw(path, header | {"__metadata__": metadata}, payload)
+        with pytest.raises(HeaderMismatchError, match=re.escape(path)):
+            formats.read_stats(path)
+        exits_2_naming(capsys, path, "solve", "--stats", path)
 
 
 class TestMapTensor:
@@ -198,6 +313,122 @@ class TestMapTensor:
             f.write(raw[:cut] if cut < 0 else raw + bytes(cut))
         with pytest.raises(TruncatedPayloadError):
             formats.map_tensor(path)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_every_header_length_maps_aligned(self, tmp_path, dtype):
+        # names of 1 to 9 characters give every header length mod 8
+        residues = set()
+        for n in range(1, 10):
+            path = str(tmp_path / f"{n}.cqt")
+            formats.write_tensor(path, "x" * n, np.ones((3, 5)), dtype=dtype)
+            raw = read_raw(path)
+            (hlen,) = struct.unpack("<Q", raw[:8])
+            residues.add(len(raw[8:8 + hlen].rstrip()) % 8)
+            assert formats.map_tensor(path).flags.aligned
+        assert residues == set(range(8))
+
+    def test_stats_and_plan_tensors_map_aligned(self, tmp_path):
+        rng = np.random.default_rng(4)
+        x, w = rng.standard_normal((16, 8)), rng.standard_normal((8, 8))
+        for n in range(1, 10):
+            stats = stats_from_tensors(x, w, name="g" * n)
+            stats_path, plan_path = str(tmp_path / "s.cqb"), str(tmp_path / "p.cqb")
+            formats.write_stats(stats_path, [stats])
+            formats.write_plan(plan_path, [build_plan(stats, 2, 4, 8)])
+            for path in (stats_path, plan_path):
+                tensors = formats._map(path)[1]
+                assert len(tensors) == 2
+                assert all(t.flags.aligned for t in tensors.values())
+
+
+def stdlib_read(path) -> dict:
+    """Each tensor of a safetensors file as its shape and its values in
+    order, read by the format's spec with the standard library alone."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    (n,) = struct.unpack_from("<Q", raw)
+    header = json.loads(raw[8:8 + n])
+    header.pop("__metadata__", None)
+    out = {}
+    for name, entry in header.items():
+        begin, end = entry["data_offsets"]
+        code = {"F32": "f", "F64": "d"}[entry["dtype"]]
+        count = (end - begin) // struct.calcsize(code)
+        out[name] = entry["shape"], struct.unpack_from(f"<{count}{code}", raw, 8 + n + begin)
+    return out
+
+
+class TestSafetensors:
+    """Interoperability, checked against the spec
+    (https://github.com/huggingface/safetensors) with no package of it."""
+
+    def test_reads_a_file_assembled_from_the_spec(self, tmp_path):
+        # two tensors listed in the header in the reverse of their data order
+        header = (b'{"__metadata__":{"format":"pt"},'
+                  b'"b":{"dtype":"F64","shape":[2],"data_offsets":[24,40]},'
+                  b'"a":{"dtype":"F32","shape":[2,3],"data_offsets":[0,24]}}')
+        pad = -len(header) % 8
+        assert pad > 0
+        header += b" " * pad
+        a = struct.pack("<6f", 1.0, 2.0, 3.0, 4.0, 5.0, -0.5)
+        b = struct.pack("<2d", 1e300, -2.25)
+        path = tmp_path / "two.safetensors"
+        path.write_bytes(struct.pack("<Q", len(header)) + header + a + b)
+        metadata, tensors = formats._map(str(path))
+        assert metadata == {"format": "pt"}
+        assert tensors["a"].dtype == np.float32 and tensors["b"].dtype == np.float64
+        assert np.array_equal(tensors["a"], [[1, 2, 3], [4, 5, -0.5]])
+        assert np.array_equal(tensors["b"], [1e300, -2.25])
+        with pytest.raises(HeaderMismatchError, match="holds 2 tensors, expected 1"):
+            formats.map_tensor(str(path))
+        one = b'{"a":{"dtype":"F32","shape":[2,3],"data_offsets":[0,24]}}'
+        path = tmp_path / "one.safetensors"
+        path.write_bytes(struct.pack("<Q", len(one)) + one + a)
+        assert np.array_equal(formats.map_tensor(str(path)), tensors["a"])
+
+    def test_a_stdlib_reader_reads_what_the_writers_write(self, tmp_path):
+        rng = np.random.default_rng(7)
+        x, w = rng.standard_normal((16, 8)), rng.standard_normal((8, 5))
+        stats = stats_from_tensors(x, w, name="g")
+        plan = build_plan(stats, 2, 4, 8)
+        expected = {}
+        for dtype in ("f32", "f64"):
+            path = str(tmp_path / f"x.{dtype}.cqt")
+            formats.write_tensor(path, "x", x, dtype=dtype)
+            expected[path] = {"x": x.astype({"f32": np.float32, "f64": np.float64}[dtype])}
+        path = str(tmp_path / "s.cqb")
+        formats.write_stats(path, [stats])
+        expected[path] = {"0.sigma_x": stats.sigma_x, "0.sigma_w": stats.sigma_w}
+        path = str(tmp_path / "p.cqb")
+        formats.write_plan(path, [plan])
+        expected[path] = {"0.vectors": plan.partition.vectors,
+                          "0.eigenvalues": plan.partition.eigenvalues}
+        for path, arrays in expected.items():
+            read = stdlib_read(path)
+            assert sorted(read) == sorted(arrays)
+            for name, (shape, values) in read.items():
+                assert shape == list(arrays[name].shape)
+                assert np.array_equal(np.array(values).reshape(shape), arrays[name])
+
+    @pytest.mark.parametrize("role", ["x", "plan"])
+    def test_old_files_exit_2_naming_them(self, tmp_path, capsys, role):
+        x, w, x_path, w_path = plan_inputs(tmp_path)
+        plan_path = str(tmp_path / "p.cqb")
+        formats.write_plan(plan_path, [build_plan(stats_from_tensors(x, w), 2, 4, 8)])
+        old = str(tmp_path / f"old.{role}")
+        if role == "x":
+            header = {"name": "x", "dtype": "f64", "shape": [16, 8], "layout": "row-major"}
+            Path(old).write_bytes(old_frame(b"CQT1", header, x.tobytes()))
+            x_path = old
+        else:
+            header, payload = split(plan_path)
+            header = {"kind": "plan", "meta": json.loads(header["__metadata__"]["meta"]),
+                      "tensors": [{"name": "0.vectors", "dtype": "f64", "shape": [8, 8]},
+                                  {"name": "0.eigenvalues", "dtype": "f64", "shape": [8]}]}
+            Path(old).write_bytes(old_frame(b"CQB1", header, payload))
+            plan_path = old
+        exits_2_naming(capsys, old, "simulate", "--plan", plan_path, "--x", x_path,
+                       "--w", w_path)
 
 
 def traced_peak(fn, *args) -> int:
@@ -449,11 +680,12 @@ MALFORMED_PLAN_META = {
 
 
 def edit_bundle_header(path, edit, key):
-    raw = read_raw(path)
-    (hlen,) = struct.unpack("<I", raw[4:8])
-    header = json.loads(raw[8:8 + hlen])
-    edit(header, key)
-    write_raw(path, b"CQB1", header, raw[8 + hlen:])
+    """Apply `edit` to {"meta": the file's meta document}."""
+    header, payload = split(path)
+    doc = {"meta": json.loads(header["__metadata__"]["meta"])}
+    edit(doc, key)
+    header["__metadata__"]["meta"] = json.dumps(doc["meta"])
+    write_raw(path, header, payload)
 
 
 def plan_inputs(tmp_path):
@@ -515,15 +747,13 @@ def test_empty_group_name_exits_2_naming_name(tmp_path, capsys, key):
 
 
 def bundle_tensors(path):
-    """A bundle's header and its tensors by name, in file order."""
-    raw = read_raw(path)
-    (hlen,) = struct.unpack("<I", raw[4:8])
-    header = json.loads(raw[8:8 + hlen])
-    out, offset = {}, 8 + hlen
-    for entry in header["tensors"]:
-        n = int(np.prod(entry["shape"]))
-        out[entry["name"]] = np.frombuffer(raw, "<f8", n, offset).reshape(entry["shape"])
-        offset += 8 * n
+    """A file's header and its tensors by name, read from their offsets."""
+    header, payload = split(path)
+    out = {}
+    for name, entry in header.items():
+        if name != "__metadata__":
+            begin, end = entry["data_offsets"]
+            out[name] = np.frombuffer(payload[begin:end], "<f8").reshape(entry["shape"])
     return header, out
 
 
@@ -531,11 +761,13 @@ def _with_tensors(edit):
     def rewrite(path):
         header, tensors = bundle_tensors(path)
         tensors = edit(dict(tensors))
-        header["tensors"] = [{"name": k, "dtype": "f64", "shape": list(v.shape)}
-                             for k, v in tensors.items()]
-        write_raw(path, b"CQB1", header,
-                  b"".join(np.ascontiguousarray(v, "<f8").tobytes()
-                           for v in tensors.values()))
+        new, offset = {"__metadata__": header["__metadata__"]}, 0
+        for name, v in tensors.items():
+            new[name] = {"dtype": "F64", "shape": list(v.shape),
+                         "data_offsets": [offset, offset + 8 * v.size]}
+            offset += 8 * v.size
+        write_raw(path, new, b"".join(np.ascontiguousarray(v, "<f8").tobytes()
+                                      for v in tensors.values()))
     return rewrite
 
 
@@ -649,13 +881,18 @@ class TestPlanBundle:
                  build_plan(stats, 3, 4, 8, rotation="hadamard")]
         formats.write_plan(path, plans)
         header, tensors = bundle_tensors(path)
-        assert [(e["name"], e["shape"]) for e in header["tensors"]] == [
-            ("0.vectors", [8, 8]), ("0.eigenvalues", [8]),
-            ("1.vectors", [8, 8]), ("1.eigenvalues", [8])]
+        metadata = header.pop("__metadata__")
+        # in data order: each group's basis, then its eigenvalues
+        assert sorted(((e["data_offsets"], name, e["shape"]) for name, e in header.items()),
+                      key=lambda t: t[0]) == [
+            ([0, 512], "0.vectors", [8, 8]), ([512, 576], "0.eigenvalues", [8]),
+            ([576, 1088], "1.vectors", [8, 8]), ([1088, 1152], "1.eigenvalues", [8])]
         # each entry is its plan's own JSON object, the partition nested
-        assert header["meta"]["plans"] == [p.to_json() for p in plans]
+        meta = json.loads(metadata.pop("meta"))
+        assert metadata == {"kind": "plan"}
+        assert meta["plans"] == [p.to_json() for p in plans]
         assert [(p["partition"]["rank"], p["partition"]["rotation"])
-                for p in header["meta"]["plans"]] == [(2, "random"), (3, "hadamard")]
+                for p in meta["plans"]] == [(2, "random"), (3, "hadamard")]
         plan = build_plan(stats, 2, 4, 8)
         assert np.array_equal(tensors["0.vectors"], plan.partition.vectors)
         assert np.array_equal(tensors["0.eigenvalues"], plan.partition.eigenvalues)

@@ -1,6 +1,6 @@
 """Fuzzed inputs: a valid stats bundle, plan bundle, config, tensor file,
 synthetic spec or report with one JSON value replaced by a value of another
-type, or with bytes flipped in its frame or header, either loads
+type, or with bytes flipped in its header length or header, either loads
 or raises FormatError, and the CLI exits 0 or 2 on it, never with a
 traceback."""
 
@@ -67,14 +67,15 @@ def flip_bytes(raw: bytes, end: int, data) -> bytes:
     return bytes(out)
 
 
-def split_bundle(raw: bytes):
-    (hlen,) = struct.unpack("<I", raw[4:8])
+def split_frame(raw: bytes):
+    """A safetensors file's JSON header, its payload, and where the header ends."""
+    (hlen,) = struct.unpack("<Q", raw[:8])
     return json.loads(raw[8:8 + hlen]), raw[8 + hlen:], 8 + hlen
 
 
-def frame(header, payload: bytes, magic: bytes = b"CQB1") -> bytes:
+def frame(header, payload: bytes) -> bytes:
     h = json.dumps(header).encode()
-    return magic + struct.pack("<I", len(h)) + h + payload
+    return struct.pack("<Q", len(h)) + h + payload
 
 
 @pytest.fixture(scope="module")
@@ -111,15 +112,22 @@ def valid(tmp_path_factory):
     return paths | {"config_obj": config, "spec_obj": spec}
 
 
-def mutate_frame(path: str, data, magic: bytes = b"CQB1", focus=("meta",)) -> bytes:
-    """A bundle or tensor file with one header value replaced, or with bytes
-    of its frame or header flipped; the payload is left as it is."""
+def mutate_frame(path: str, data, bundle: bool = True) -> bytes:
+    """A tensor, stats or plan file with one header value replaced, or with
+    bytes of its header length or header flipped; the payload is left as it
+    is. In a bundle the value is one of its meta document half the time, and
+    else under `__metadata__` three times in four."""
     with open(path, "rb") as f:
         raw = f.read()
-    header, payload, end = split_bundle(raw)
-    if data.draw(st.booleans()):
-        return frame(replace_value(header, data, focus=focus), payload, magic)
-    return flip_bytes(raw, end, data)
+    header, payload, end = split_frame(raw)
+    if not data.draw(st.booleans()):
+        return flip_bytes(raw, end, data)
+    if bundle and data.draw(st.booleans()):
+        meta = json.loads(header["__metadata__"]["meta"])
+        header["__metadata__"]["meta"] = json.dumps(replace_value(meta, data))
+        return frame(header, payload)
+    focus = ("__metadata__",) if bundle else ()
+    return frame(replace_value(header, data, focus=focus), payload)
 
 
 def mutate_json(doc, data) -> bytes:
@@ -179,7 +187,7 @@ def test_config(valid, data):
 def test_tensor_file(valid, data):
     role = data.draw(st.sampled_from(["x", "w"]))
     with open(valid["fuzzed"], "wb") as f:
-        f.write(mutate_frame(valid[role], data, magic=b"CQT1", focus=()))
+        f.write(mutate_frame(valid[role], data, bundle=False))
     if loads(formats.read_tensor, valid["fuzzed"]):
         tensors = {"x": valid["x"], "w": valid["w"], role: valid["fuzzed"]}
         exits_0_or_2("simulate", "--plan", valid["plan"], "--group", "g0",
