@@ -30,7 +30,8 @@ def run(workdir, d, n, m, rank, bits_low, bits_high, seed):
     with open(cfg_path, "w") as f:
         json.dump({"groups": [{"name": "demo", "kind": "attn-input", "dim": d,
                                "activations": [x_path], "weights": [w_path]}],
-                   "seed": seed, "bits_low": bits_low, "bits_high": bits_high},
+                   "rank_ratio": rank / d, "seed": seed, "bits_low": bits_low,
+                   "bits_high": bits_high},
                   f, indent=2)
 
     stats = os.path.join(workdir, "stats.cqb")
@@ -38,8 +39,7 @@ def run(workdir, d, n, m, rank, bits_low, bits_high, seed):
     report = os.path.join(workdir, "report.jsonl")
     for argv in (
         ["calibrate", "--config", cfg_path, "--out", stats],
-        ["solve", "--stats", stats, "--config", cfg_path,
-         "--rank", str(rank), "--out", plan],
+        ["solve", "--stats", stats, "--config", cfg_path, "--out", plan],
         ["simulate", "--plan", plan, "--x", x_path, "--w", w_path,
          "--out", report],
     ):
@@ -60,7 +60,9 @@ def main():
     ap.add_argument("--dim", type=int, default=32)
     ap.add_argument("--tokens", type=int, default=256)
     ap.add_argument("--out-features", type=int, default=32)
-    ap.add_argument("--rank", type=int, default=4)
+    ap.add_argument("--rank", type=int, default=4,
+                    help="the plan's rank, written to the config as rank_ratio "
+                         "= rank / dim")
     ap.add_argument("--bits-low", type=int, default=4)
     ap.add_argument("--bits-high", type=int, default=8)
     ap.add_argument("--seed", type=int, default=0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from . import formats
@@ -18,7 +19,7 @@ from .calib import ProjectionGroup, calibrate
 from .engine import (
     analyze_layer, bit_widths, build_plan, campaign, measure_plan, summarize)
 from .errors import Checked, FormatError, SEED, check_fields, is_real, located
-from .solver import OBJECTIVE, OBJECTIVES, ROTATION, ROTATIONS
+from .solver import OBJECTIVE, OBJECTIVES, ROTATION
 from .synth import SyntheticInstanceSpec
 
 
@@ -77,34 +78,28 @@ class ConfigGroup(Checked):
             object.__setattr__(self, key, tuple(getattr(self, key)))
 
 
-_FLAGS = ("rank_ratio", "bits_low", "bits_high", "objective", "seed", "rotation")
+def load_config(path: str | None, objective: str | None = None,
+                **defaults) -> RunConfig:
+    """The config file's fields over `defaults`, over RunConfig's; an
+    `objective` given overrides the file's. No file reads as an empty one."""
+    obj = {}
+    if path is not None:
+        with open(path, "rb") as f:
+            obj = formats.parse_json(f.read(), f"{path}: invalid JSON config")
+    chosen = {} if objective is None else {"objective": objective}
+    return RunConfig.from_json(defaults | obj if isinstance(obj, dict) else obj,
+                               path, **chosen)
 
 
-def load_config(path: str | None, args: argparse.Namespace, **defaults) -> RunConfig:
-    """The config file's fields over `defaults`, overridden by the flags given.
-    The merged values are checked together; an error names the file unless
-    the field at fault came from a flag."""
-    flags = {k: getattr(args, k) for k in _FLAGS if getattr(args, k, None) is not None}
-    if path is None:
-        return RunConfig(**defaults | flags)
-    with open(path, "rb") as f:
-        obj = formats.parse_json(f.read(), f"{path}: invalid JSON config")
-    try:
-        return RunConfig.from_json(defaults | obj if isinstance(obj, dict) else obj,
-                                   path, **flags)
-    except FormatError as e:
-        if getattr(e.__cause__, "field", None) in flags:
-            raise e.__cause__ from None
-        raise
-
-
-def rank_of(args, cfg: RunConfig, d: int) -> int:
-    """--rank if given, else the config's rank_ratio of d, at least 1."""
-    return args.rank if args.rank is not None else max(1, int(d * cfg.rank_ratio))
+def rank_of(cfg: RunConfig, d: int) -> int:
+    """The config's rank_ratio of d, at least 1. The floor of d * ratio is
+    taken with 1e-9 to spare, so the ratio r / d gives r for every r < d <=
+    4096, though d * (r / d) may round to just below r."""
+    return max(1, math.floor(d * cfg.rank_ratio + 1e-9))
 
 
 def cmd_calibrate(args) -> int:
-    cfg = load_config(args.config, args)
+    cfg = load_config(args.config)
     if not cfg.groups:
         raise FormatError(f"{args.config}: config declares no groups")
     stats_list = []
@@ -130,11 +125,11 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = load_config(args.config, args)
+    cfg = load_config(args.config, args.objective)
     plans = []
     for i, stats in enumerate(formats.read_stats(args.stats)):
         try:
-            plans.append(build_plan(stats, rank_of(args, cfg, stats.group.dim),
+            plans.append(build_plan(stats, rank_of(cfg, stats.group.dim),
                                     cfg.bits_low, cfg.bits_high, objective=cfg.objective,
                                     seed=cfg.seed, rotation=cfg.rotation))
         except (ValueError, ArithmeticError) as e:
@@ -175,16 +170,16 @@ def cmd_analyze(args) -> int:
         with open(args.synthetic, "rb") as f:
             obj = formats.parse_json(f.read(), f"{args.synthetic}: invalid JSON spec")
         spec = SyntheticInstanceSpec.from_json(obj, args.synthetic)
-        # draw k is seeded run_seed + k: --seed, else the config's, else the spec's
-        cfg = load_config(args.config, args, seed=spec.seed)
-        runs = campaign(spec, args.sweep or 1, rank_of(args, cfg, spec.d), cfg.bits_low,
+        # draw k is seeded run_seed + k: the config's seed, else the spec's
+        cfg = load_config(args.config, seed=spec.seed)
+        runs = campaign(spec, args.sweep or 1, rank_of(cfg, spec.d), cfg.bits_low,
                         cfg.bits_high, seed0=cfg.seed, rotation=cfg.rotation)
     else:
-        cfg = load_config(args.config, args)
+        cfg = load_config(args.config)
         x = formats.map_tensor(args.x)
         w = formats.read_tensor(args.w)
         try:
-            runs = [analyze_layer(x, w, rank_of(args, cfg, w.shape[0]), cfg.bits_low,
+            runs = [analyze_layer(x, w, rank_of(cfg, w.shape[0]), cfg.bits_low,
                                   cfg.bits_high, seed=cfg.seed, rotation=cfg.rotation)]
         except (ValueError, ArithmeticError) as e:
             raise located(e, f"--x {args.x} --w {args.w}") from e
@@ -225,26 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "subspace selection.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def plan_flags(p, objective=True):
-        """--config and the flags that override its plan fields."""
-        p.add_argument("--config", default=None)
-        p.add_argument("--rank-ratio", dest="rank_ratio", type=float, default=None)
-        p.add_argument("--bits-low", dest="bits_low", type=int, default=None)
-        p.add_argument("--bits-high", dest="bits_high", type=int, default=None)
-        if objective:
-            p.add_argument("--objective", choices=OBJECTIVES, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--rotation", choices=ROTATIONS, default=None)
-
     p = sub.add_parser("calibrate", help="accumulate statistics from tensor files")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("solve", help="solve subspace partitions from statistics")
-    plan_flags(p)
+    p.add_argument("--config", default=None)
+    p.add_argument("--objective", choices=OBJECTIVES, default=None)
     p.add_argument("--stats", required=True)
-    p.add_argument("--rank", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
 
@@ -258,15 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="compare joint / activation-only / "
                                        "weight-only objectives on one layer")
-    plan_flags(p, objective=False)  # analyze runs all three objectives
+    p.add_argument("--config", default=None)  # its objective is unread: all three run
     p.add_argument("--synthetic", default=None,
                    help="JSON file with a synthetic instance spec")
     p.add_argument("--x", default=None)
     p.add_argument("--w", default=None)
-    p.add_argument("--rank", type=int, default=None)
     p.add_argument("--sweep", type=int, default=0,
                    help="run N draws of the --synthetic spec, seeded S, S + 1, "
-                        "...; S is --seed, else the config's seed, else the spec's")
+                        "...; S is the config's seed, else the spec's")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
 

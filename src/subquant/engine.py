@@ -23,7 +23,7 @@ from .errors import (
     is_int,
     is_real,
 )
-from .linalg import as_matrix, row_blocks
+from .linalg import row_blocks
 from .quantizer import BITS, combined_error_coeff, quantize
 from .solver import (
     OBJECTIVE_ACTIVATION,
@@ -135,6 +135,18 @@ def use_gram_form(n: int, d: int, m: int) -> bool:
     return 2 * d * (n + m) < n * m
 
 
+def _check_energies(energies: np.ndarray, rows: np.ndarray, name: str) -> None:
+    """Validate `rows` through the energies (summed so far) of their
+    rotation by a plan, as `calib._fold` does through a Gram's diagonal:
+    they are finite exactly when the rotated rows are and their squares
+    do not overflow. Only if one is not is `rows` scanned: ValueError if it
+    holds NaN or +-inf, else ScaleRangeError."""
+    if not np.isfinite(energies).all():
+        if not np.isfinite(rows).all():
+            raise ValueError(f"{name} contains non-finite entries")
+        raise ScaleRangeError(f"the sum of rotated {name}'s squares overflows float64")
+
+
 # an overflow is reported by the finite check on the measurement, not warned of
 @np.errstate(over="ignore", invalid="ignore")
 def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
@@ -143,9 +155,10 @@ def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
 
     B = u^T W is quantized once, a row of B^T (a transposed view) being an
     output channel. X, a mapped array included, is read in one pass over row
-    blocks, each converted to float64 and validated once, then rotated to
-    A_b = X_b u in a reused column-major buffer and quantized, a row (token)
-    reducing across contiguous columns.
+    blocks, each converted to float64, rotated to A_b = X_b u in a reused
+    column-major buffer and quantized, a row (token) reducing across
+    contiguous columns. X and W are validated through their rotated
+    energies (`_check_energies`), never scanned on their own.
 
     exact_error is ||E||^2 for E = X W - A_hat B_hat, in one of two forms
     chosen by shape (`use_gram_form`). Neither holds an n-row array besides
@@ -156,9 +169,9 @@ def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
       - row blocks: ||X_b W - A_hat_b B_hat||^2 summed, in reused buffers.
     An error, predicted error or energy that over- or underflows float64
     raises ScaleRangeError."""
-    w = as_matrix(w, "w")
+    w = np.require(w, np.float64, "A")  # aligned: see linalg.sym_eig
     d = plan.partition.dim
-    if w.shape[0] != d:
+    if w.ndim != 2 or w.shape[0] != d:
         raise DimensionMismatchError(
             f"w {w.shape} incompatible with partition dim {d}")
     x, m = np.asarray(x), w.shape[1]
@@ -171,6 +184,7 @@ def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
     b_hat = r[:d]
     np.matmul(u.T, w, out=b_hat)
     ew = np.einsum("ij,ij->i", b_hat, b_hat)
+    _check_energies(ew, w, name="w")
     _quantize_columns(b_hat.T, r[d:].T if gram else None, k, plan, symmetric=True)
     l = np.empty((len(blocks[0]), len(r)), order="F")
     # Y_hat, or the row form's scratch block for A_hat_b B_hat
@@ -179,12 +193,13 @@ def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
     e = None if gram else np.empty((len(l), m))  # X_b W
     ex, exact = np.zeros(d), 0.0
     for lo, x_b in zip(range(0, n, len(l)), blocks):
-        x_b = as_matrix(x_b, "x")
+        x_b = np.require(x_b, np.float64, "A")
         t = len(x_b)
         l_b = l[:t]
         a = l_b[:, -d:]
         np.matmul(u.T, x_b.T, out=a.T)
         ex += np.einsum("ij,ij->j", a, a)
+        _check_energies(ex, x_b, name="x")
         _quantize_columns(a, l_b[:, :d] if gram else None, k, plan, symmetric=False)
         if y is not None:
             y_b = np.matmul(a, b_hat, out=y[lo:lo + t] if output else y[:t])

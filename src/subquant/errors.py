@@ -87,14 +87,12 @@ def is_real(v, lo: float = -_FLOAT_MAX) -> bool:
 
 
 def check(key: str, value, test, what: str, error=ValueError) -> None:
-    """Raise `error` naming `key`, and holding it as `.field`, unless
-    test(value). An array is shown by its shape."""
+    """Raise `error` naming `key` unless test(value). An array is shown by
+    its shape."""
     if not test(value):
         got = (f"an array of shape {value.shape}" if isinstance(value, np.ndarray)
                else repr(value))
-        e = error(f"{key} must be {what}, got {got}")
-        e.field = key
-        raise e
+        raise error(f"{key} must be {what}, got {got}")
 
 
 def located(e: Exception, where: str) -> Exception:

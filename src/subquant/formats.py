@@ -37,7 +37,6 @@ import json
 import math
 import mmap
 import os
-import tempfile
 
 import numpy as np
 
@@ -66,36 +65,27 @@ _SHAPE = (lambda v: isinstance(v, list) and v != [] and all(is_int(s, 1) for s i
 REPORT_COLUMNS = [f.name for f in dataclasses.fields(ErrorReport)]
 
 
-def _process_umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
-# mkstemp creates its file 0600; written files get the mode open() would give
-_FILE_MODE = 0o666 & ~_process_umask()
-
-
 def atomic_write(path: str, *chunks) -> None:
     """Write the byte buffers `chunks` in order to a unique temp file beside
-    `path`, then rename it over `path`. Concurrent writers never share a temp
-    file, and a failed write leaves no temp file behind. An OSError names
-    `path`, not the temp file, and keeps its errno."""
-    directory, base = os.path.split(path)
-    tmp = None
+    `path`, then rename it over `path`. The temp file is created with the
+    mode open() gives, the process's umask applied when it is created.
+    Concurrent writers never share a temp file, and a failed write leaves no
+    temp file behind. An OSError names `path`, not the temp file, and keeps
+    its errno."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
-        fd, tmp = tempfile.mkstemp(prefix=base + ".", suffix=".tmp",
-                                   dir=directory or ".")
-        with os.fdopen(fd, "wb") as f:
-            os.fchmod(f.fileno(), _FILE_MODE)
-            for chunk in chunks:
-                f.write(chunk)
-        os.replace(tmp, path)
-    except BaseException as e:
-        if tmp is not None:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as f:
+                for chunk in chunks:
+                    f.write(chunk)
+            os.replace(tmp, path)
+        except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
-        if isinstance(e, OSError) and e.errno is not None:
+            raise
+    except OSError as e:
+        if e.errno is not None:
             raise OSError(e.errno, e.strerror, path) from e
         raise
 

@@ -42,18 +42,6 @@ def row_blocks(x, d: int, width: int, gram: bool) -> list:
     return [x[lo:lo + rows] for lo in range(0, len(x), rows)]
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return a 2-d, aligned float64 array with all entries
-    finite. numpy multiplies an unaligned array (a caller's may be one) by a
-    slower path that rounds differently."""
-    m = np.require(a, np.float64, "A")
-    if m.ndim != 2:
-        raise DimensionMismatchError(f"{name} must be 2-d, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return m
-
-
 @dataclass(frozen=True)
 class EigenResult:
     """Eigendecomposition of a symmetric matrix.
@@ -84,7 +72,13 @@ def sym_eig(m: np.ndarray) -> EigenResult:
     it is solved as the symmetric matrix of that triangle. Every covariance
     the package forms is exactly symmetric, so nothing is lost.
     """
-    m = as_matrix(m)
+    # aligned: numpy multiplies an unaligned array (a caller's may be one) by
+    # a slower path that rounds differently
+    m = np.require(m, np.float64, "A")
+    if m.ndim != 2:
+        raise DimensionMismatchError(f"matrix must be 2-d, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix contains non-finite entries")
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"expected square matrix, got {m.shape}")
     amax = np.max(np.abs(m))
@@ -108,9 +102,9 @@ def gram_input(x: np.ndarray) -> np.ndarray:
     most k 2^-150 to an entry, under k u sqrt(G_ii G_jj) once both diagonal
     entries are float32 normals; so if a nonzero column's is not (entries
     of 1e-23 square to 0), the Gram is formed in float64 instead. Only an
-    unaligned X, never a file the package wrote, is copied (see as_matrix)."""
+    unaligned X, never a file the package wrote, is copied (see sym_eig)."""
     if x.dtype == np.float32:
-        a = np.require(x, np.float32, "A").T  # aligned: see as_matrix
+        a = np.require(x, np.float32, "A").T  # aligned: see sym_eig
         g = a @ a.T
         lost = np.diagonal(g) < np.finfo(np.float32).tiny
         if not (lost.any() and a[lost].any()):

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import struct
@@ -42,6 +43,13 @@ def workspace(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+def config_file(tmp_path, **fields) -> str:
+    """A config file that sets the plan fields `fields`, and no groups."""
+    path = tmp_path / "fields.json"
+    path.write_text(json.dumps(fields))
+    return str(path)
 
 
 class TestCalibrate:
@@ -138,8 +146,8 @@ class TestCalibrate:
             where = f"{cfg_path}: groups[0] (group 'g0'): weight file {bad}: "
         else:
             out = workspace["tmp"] / "r.jsonl"
-            code = run("analyze", "--x", workspace["x1"], "--w", bad, "--rank", "2",
-                       "--out", str(out))
+            code = run("analyze", "--x", workspace["x1"], "--w", bad, "--config",
+                       config_file(workspace["tmp"], rank_ratio=0.25), "--out", str(out))
             written, where = out.exists(), ""
         assert code == 2 and not written
         assert (f"{where}w must be 2-d with 8 rows, got shape {shape}"
@@ -412,7 +420,7 @@ def measured(workspace, command, x, w):
     """Run `command` (simulate, with a plan of the workspace, or analyze) on
     the tensor files `x` and `w`: its exit code and its report's path."""
     tmp = workspace["tmp"]
-    args = ["--rank", "2"]
+    args = ["--config", config_file(tmp, rank_ratio=0.25)]
     if command == "simulate":
         stats, plan = str(tmp / "stats.cqb"), str(tmp / "plan.cqb")
         run("calibrate", "--config", workspace["cfg"], "--out", stats)
@@ -439,6 +447,20 @@ class TestMeasurementNamesItsFiles:
         assert capsys.readouterr().err == (
             f"error: --x {paths['x']} --w {paths['w']}: "
             f"{side} contains non-finite entries\n")
+
+    @pytest.mark.parametrize("side", ["x", "w"])
+    def test_finite_input_whose_rotation_overflows_exits_1_naming_both_files(
+            self, workspace, capsys, side):
+        paths = {"x": workspace["x1"], "w": workspace["w"]}
+        huge = {"x": workspace["x1_arr"], "w": workspace["w_arr"].T}[side].copy()
+        huge[3] = 1.7e308 * np.where(np.arange(8) % 2, 1.0, -1.0)  # X's row, W's column
+        paths[side] = str(workspace["tmp"] / f"huge_{side}.cqt")
+        formats.write_tensor(paths[side], side, huge if side == "x" else huge.T)
+        code, out = measured(workspace, "simulate", paths["x"], paths["w"])
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: --x {paths['x']} --w {paths['w']}: "
+            f"the sum of rotated {side}'s squares overflows float64\n")
 
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
     def test_overflowing_measurement_still_exits_1(self, workspace, capsys, command):
@@ -545,7 +567,7 @@ class TestSolve:
         plan = str(workspace["tmp"] / "plan.cqb")
         run("calibrate", "--config", workspace["cfg"], "--out", stats)
         assert run("solve", "--stats", stats, "--out", plan,
-                   "--seed", "7", *extra) == 0
+                   "--config", workspace["cfg"], *extra) == 0
         return stats, plan
 
     def test_plan_metadata(self, workspace):
@@ -567,7 +589,7 @@ class TestSolve:
         _, a = self.solve(workspace)
         plan_b = str(workspace["tmp"] / "plan_b.cqb")
         run("solve", "--stats", str(workspace["tmp"] / "stats.cqb"),
-            "--out", plan_b, "--seed", "7")
+            "--out", plan_b, "--config", workspace["cfg"])
         assert Path(a).read_bytes() == Path(plan_b).read_bytes()
 
     def test_only_simulate_derives_u_and_only_for_its_group(self, workspace,
@@ -650,12 +672,6 @@ class TestSolve:
         assert "overflows float64" in err
         assert not out.exists()
 
-    def test_rank_flag_out_of_range_exits_2(self, workspace):
-        stats = str(workspace["tmp"] / "stats.cqb")
-        run("calibrate", "--config", workspace["cfg"], "--out", stats)
-        assert run("solve", "--stats", stats, "--rank", "99",
-                   "--out", str(workspace["tmp"] / "p.cqb")) == 2
-
     def test_group_of_dim_1_exits_2_naming_rank(self, workspace, capsys):
         # no rank splits R^1 in two: the default rank of 1 is out of range
         shard = str(workspace["tmp"] / "x1d.cqt")
@@ -680,7 +696,8 @@ class TestSimulate:
         plan_path = str(workspace["tmp"] / "plan.cqb")
         report = str(workspace["tmp"] / "rep.jsonl")
         run("calibrate", "--config", workspace["cfg"], "--out", stats)
-        run("solve", "--stats", stats, "--out", plan_path, "--seed", "3")
+        run("solve", "--stats", stats, "--out", plan_path,
+            "--config", config_file(workspace["tmp"], seed=3))
         assert run("simulate", "--plan", plan_path, "--x", workspace["x1"],
                    "--w", workspace["w"], "--out", report) == 0
         row = formats.read_report(report)[0]
@@ -741,7 +758,8 @@ class TestSimulate:
             path = str(tmp / f"x_{dtype}.cqt")
             formats.write_tensor(path, "x", x, dtype=dtype)
             for command, args in (("simulate", ["--plan", plan]),
-                                  ("analyze", ["--rank", "2"])):
+                                  ("analyze", ["--config",
+                                               config_file(tmp, rank_ratio=0.25)])):
                 out = tmp / f"{command}_{dtype}.jsonl"
                 assert run(command, *args, "--x", path, "--w", w,
                            "--out", str(out)) == 0
@@ -763,8 +781,7 @@ class TestAnalyze:
         spec_path = str(tmp_path / "spec.json")
         Path(spec_path).write_text(json.dumps(spec.to_json()))
         report = str(tmp_path / "rep.jsonl")
-        assert run("analyze", "--synthetic", spec_path, "--rank", "2",
-                   "--out", report) == 0
+        assert run("analyze", "--synthetic", spec_path, "--out", report) == 0
         rows = formats.read_report(report)
         joint = next(r for r in rows if r.objective == "joint")
         assert joint.relative_reduction > 0.0
@@ -774,8 +791,8 @@ class TestAnalyze:
         spec_path = str(tmp_path / "spec.json")
         Path(spec_path).write_text(json.dumps(spec.to_json()))
         report = str(tmp_path / "rep.jsonl")
-        assert run("analyze", "--synthetic", spec_path, "--rank", "2",
-                   "--sweep", "5", "--out", report) == 0
+        assert run("analyze", "--synthetic", spec_path, "--sweep", "5",
+                   "--out", report) == 0
         summary = json.loads(capsys.readouterr().out)
         rows = formats.read_report(report)
         assert len(rows) == 15
@@ -789,8 +806,9 @@ class TestAnalyze:
         spec_path = str(tmp_path / "spec.json")
         Path(spec_path).write_text(json.dumps(spec.to_json()))
         report = str(tmp_path / "rep.jsonl")
-        assert run("analyze", "--synthetic", spec_path, "--rank", "2",
-                   "--seed", "5", "--sweep", "3", "--out", report) == 0
+        assert run("analyze", "--synthetic", spec_path,
+                   "--config", config_file(tmp_path, seed=5), "--sweep", "3",
+                   "--out", report) == 0
         rows = formats.read_report(report)
         for k in range(3):
             x, w = generate_instance(dataclasses.replace(spec, seed=5 + k))
@@ -830,7 +848,8 @@ class TestAnalyze:
         formats.write_tensor(x, "x", 1e100 * rng.standard_normal((64, 16)))
         formats.write_tensor(w, "w", 1e100 * rng.standard_normal((16, 16)))
         out = tmp_path / "r.jsonl"
-        assert run("analyze", "--x", x, "--w", w, "--rank", "4", "--out", str(out)) == 1
+        assert run("analyze", "--x", x, "--w", w, "--config",
+                   config_file(tmp_path, rank_ratio=0.25), "--out", str(out)) == 1
         assert "the mixed covariance" in capsys.readouterr().err
         assert not out.exists()
 
@@ -846,64 +865,85 @@ class TestAnalyze:
         assert "--synthetic or --x and --w, not both" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("rank", [[], ["--rank", "2"]], ids=["ratio", "rank"])
+    # the default ratio, or a config's that gives rank 2
+    @pytest.mark.parametrize("ratio", [None, 0.25], ids=["ratio", "rank"])
     @pytest.mark.parametrize("shape", [(16 * 8,), (2, 8, 8)], ids=["1-d", "3-d"])
-    def test_x_not_2d_exits_2(self, workspace, capsys, shape, rank):
+    def test_x_not_2d_exits_2(self, workspace, capsys, shape, ratio):
         x = str(workspace["tmp"] / "x_nd.cqt")
         formats.write_tensor(x, "x", np.ones(shape))
         out = workspace["tmp"] / "r.jsonl"
-        assert run("analyze", "--x", x, "--w", workspace["w"], *rank,
+        cfg = [] if ratio is None else [
+            "--config", config_file(workspace["tmp"], rank_ratio=ratio)]
+        assert run("analyze", "--x", x, "--w", workspace["w"], *cfg,
                    "--out", str(out)) == 2
         assert "must be 2-d" in capsys.readouterr().err
         assert not out.exists()
 
-    # spec seed 11; (config file, flags) -> the seed of draw 0
+    # spec seed 11; config file -> the seed of draw 0
     SEED_RULE = {
-        "spec": (None, [], 11),
-        "config-without-seed": ({"bits_low": 4}, [], 11),
-        "config": ({"seed": 7}, [], 7),
-        "flag": (None, ["--seed", "5"], 5),
-        "flag-over-config": ({"seed": 7}, ["--seed", "5"], 5),
+        "spec": (None, 11),
+        "config-without-seed": ({"bits_low": 4}, 11),
+        "config": ({"seed": 7}, 7),
     }
 
     @pytest.mark.parametrize("sweep", [None, 3])
     @pytest.mark.parametrize("case", sorted(SEED_RULE))
     def test_draw_k_is_seeded_run_seed_plus_k(self, tmp_path, case, sweep):
-        cfg, flags, run_seed = self.SEED_RULE[case]
+        cfg, run_seed = self.SEED_RULE[case]
         spec = aligned_spec(8, 24, 4, seed=11)
-        argv = ["--synthetic", spec_file(tmp_path, spec.to_json()), "--rank", "2"]
+        argv = ["--synthetic", spec_file(tmp_path, spec.to_json())]
         if cfg is not None:
-            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-            argv += ["--config", str(tmp_path / "cfg.json")]
+            argv += ["--config", config_file(tmp_path, **cfg)]
         if sweep is not None:
             argv += ["--sweep", str(sweep)]
         report = str(tmp_path / "rep.jsonl")
-        assert run("analyze", *argv, *flags, "--out", report) == 0
+        assert run("analyze", *argv, "--out", report) == 0
         rows = formats.read_report(report)
         assert len(rows) == 3 * (sweep or 1)
         for k in range(sweep or 1):
             seed = run_seed + k
             x, w = generate_instance(dataclasses.replace(spec, seed=seed))
-            assert rows[3 * k:3 * k + 3] == analyze_layer(x, w, 2, 4, 8, seed=seed)
+            # rank 1: the default ratio 0.125 of d = 8
+            assert rows[3 * k:3 * k + 3] == analyze_layer(x, w, 1, 4, 8, seed=seed)
 
     def test_sweep_1_is_no_sweep(self, tmp_path, capsys):
         spec = spec_file(tmp_path, weight_anisotropic_spec(16, 64, 8, seed=3).to_json())
         outputs = []
         for i, sweep in enumerate([[], ["--sweep", "1"]]):
             report = tmp_path / f"rep{i}.jsonl"
-            assert run("analyze", "--synthetic", spec, "--rank", "2", *sweep,
+            assert run("analyze", "--synthetic", spec, *sweep,
                        "--out", str(report)) == 0
             outputs.append((report.read_bytes(), capsys.readouterr().out))
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0][1])["instances"] == 1
 
-    def test_rank_above_dim_exits_2_naming_rank(self, tmp_path, capsys):
-        spec = spec_file(tmp_path, aligned_spec(16, 32, 8, seed=0).to_json())
+    def test_dim_1_exits_2_naming_rank(self, tmp_path, capsys):
+        # no rank splits R^1 in two: the default rank of 1 is out of range
+        spec = spec_file(tmp_path, aligned_spec(1, 32, 8, seed=0).to_json())
         out = tmp_path / "r.jsonl"
-        assert run("analyze", "--synthetic", spec, "--rank", "20",
-                   "--out", str(out)) == 2
-        assert "rank must be an int in [1, 16), got 20" in capsys.readouterr().err
+        assert run("analyze", "--synthetic", spec, "--out", str(out)) == 2
+        assert "rank must be an int in [1, 1), got 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_rank_ratio_r_over_d_gives_rank_r(self):
+        # d * (r / d) rounds to just below r for 1,401 of these pairs
+        missed = [(d, r) for d in range(2, 301) for r in range(1, d)
+                  if cli.rank_of(cli.RunConfig.from_json({"rank_ratio": r / d}, "cfg"),
+                                 d) != r]
+        assert missed == []
+
+    # 100 * 0.29 is 28.999...; the rest are exact or far from an int
+    @pytest.mark.parametrize("d, ratio, rank", [
+        (100, 0.29, 29), (100, 0.57, 57), (28, 0.125, 3), (64, 0.125, 8), (8, 0.1, 1)])
+    def test_rank_ratio_floors_d_times_ratio(self, tmp_path, d, ratio, rank):
+        rng = np.random.default_rng(d)
+        x, w = str(tmp_path / "x.cqt"), str(tmp_path / "w.cqt")
+        formats.write_tensor(x, "x", rng.standard_normal((2 * d, d)))
+        formats.write_tensor(w, "w", rng.standard_normal((d, 4)))
+        out = tmp_path / "r.jsonl"
+        assert run("analyze", "--x", x, "--w", w, "--config",
+                   config_file(tmp_path, rank_ratio=ratio), "--out", str(out)) == 0
+        assert {row.rank for row in formats.read_report(str(out))} == {rank}
 
 
 def spec_file(tmp_path, obj) -> str:
@@ -963,7 +1003,8 @@ class TestBitsOrder:
         stats = str(workspace["tmp"] / "stats.cqb")
         assert run("calibrate", "--config", workspace["cfg"], "--out", stats) == 0
         out = workspace["tmp"] / "p.cqb"
-        assert run("solve", "--stats", stats, "--bits-low", "8", "--bits-high", "4",
+        assert run("solve", "--stats", stats, "--config",
+                   config_file(workspace["tmp"], bits_low=8, bits_high=4),
                    "--out", str(out)) == 2
         assert "bits_low" in capsys.readouterr().err
         assert solves == [] and not out.exists()
@@ -971,37 +1012,9 @@ class TestBitsOrder:
     def test_analyze_exits_2_naming_bits_low(self, tmp_path, capsys, solves):
         spec = spec_file(tmp_path, aligned_spec(8, 16, 4, seed=0).to_json())
         out = tmp_path / "r.jsonl"
-        assert run("analyze", "--synthetic", spec, "--bits-low", "8",
-                   "--bits-high", "4", "--out", str(out)) == 2
+        assert run("analyze", "--synthetic", spec, "--config",
+                   config_file(tmp_path, bits_low=8, bits_high=4), "--out", str(out)) == 2
         assert "bits_low" in capsys.readouterr().err
-        assert solves == [] and not out.exists()
-
-    @pytest.mark.parametrize("fields, flags, bits", [
-        ({"bits_low": 12}, ["--bits-high", "16"], (12, 16)),
-        ({"bits_high": 3}, ["--bits-low", "2"], (2, 3)),
-    ])
-    def test_flags_apply_before_the_check(self, workspace, fields, flags, bits):
-        stats = str(workspace["tmp"] / "stats.cqb")
-        assert run("calibrate", "--config", workspace["cfg"], "--out", stats) == 0
-        cfg = workspace["tmp"] / "bits.json"
-        cfg.write_text(json.dumps(fields))
-        out = workspace["tmp"] / "p.cqb"
-        assert run("solve", "--stats", stats, "--config", str(cfg), *flags,
-                   "--out", str(out)) == 0
-        plan = formats.read_plan(str(out))[0]
-        assert (plan.bits_low, plan.bits_high) == bits
-
-    def test_flag_at_fault_is_named_without_the_file(self, workspace, capsys, solves):
-        stats = str(workspace["tmp"] / "stats.cqb")
-        assert run("calibrate", "--config", workspace["cfg"], "--out", stats) == 0
-        cfg = workspace["tmp"] / "bits.json"
-        cfg.write_text(json.dumps({"bits_high": 4}))
-        out = workspace["tmp"] / "p.cqb"
-        assert run("solve", "--stats", stats, "--config", str(cfg), "--bits-low", "8",
-                   "--out", str(out)) == 2
-        err = capsys.readouterr().err
-        assert "bits_low must be at most bits_high (4), got 8" in err
-        assert "bits.json" not in err
         assert solves == [] and not out.exists()
 
 
@@ -1086,8 +1099,9 @@ class TestCompare:
 
 
 class TestEveryFlagIsRead:
-    """From a fixed baseline, changing any one flag a command takes changes
-    the bytes it writes."""
+    """From a fixed baseline, changing any one plan field of the config, or
+    any one flag a command takes, changes the bytes it writes; a plan field
+    has no flag."""
 
     @pytest.fixture
     def layer(self, tmp_path):
@@ -1100,34 +1114,34 @@ class TestEveryFlagIsRead:
             {"name": "g", "kind": "attn-input", "dim": 16,
              "activations": [paths["x"]], "weights": [paths["w"]]}]}))
         assert run("calibrate", "--config", paths["cfg"], "--out", paths["stats"]) == 0
-        # a config that sets one field away from its default
-        Path(paths["cfg"]).write_text(json.dumps({"bits_low": 3}))
         return paths
 
-    FLAGS = {"--config": None, "--rank-ratio": "0.25", "--bits-low": "3",
-             "--bits-high": "6", "--seed": "5", "--rotation": "hadamard",
-             "--rank": "4"}
+    # each plan field of a config, and a value other than its default
+    FIELDS = [("rank_ratio", 0.25), ("bits_low", 3), ("bits_high", 6), ("seed", 5),
+              ("rotation", "hadamard")]
 
-    def outputs(self, tmp_path, layer, command, flags):
-        """The bytes `command` writes from the baseline, then with each flag."""
+    def outputs(self, tmp_path, layer, command, changes):
+        """The bytes `command` writes from the baseline, no config, then with
+        each change: a config that sets a field, or a flag, and its value."""
         args = {"solve": ["--stats", layer["stats"]],
                 "analyze": ["--x", layer["x"], "--w", layer["w"]]}[command]
         out = []
-        for i, (flag, value) in enumerate([(None, None), *flags.items()]):
+        for i, (key, value) in enumerate([(None, None), *changes]):
+            extra = ([] if key is None else [key, value] if key.startswith("--")
+                     else ["--config", config_file(tmp_path, **{key: value})])
             path = tmp_path / f"{command}.{i}"
-            extra = [] if flag is None else [flag, value or layer["cfg"]]
             assert run(command, *args, *extra, "--out", str(path)) == 0
             out.append(path.read_bytes())
         return out
 
     def test_solve(self, tmp_path, layer):
-        flags = self.FLAGS | {"--objective": "weight"}
-        base, *changed = self.outputs(tmp_path, layer, "solve", flags)
-        assert [flag for flag, b in zip(flags, changed) if b == base] == []
+        changes = [*self.FIELDS, ("objective", "weight"), ("--objective", "activation")]
+        base, *changed = self.outputs(tmp_path, layer, "solve", changes)
+        assert [key for (key, _), b in zip(changes, changed) if b == base] == []
 
     def test_analyze(self, tmp_path, layer):
-        base, *changed = self.outputs(tmp_path, layer, "analyze", self.FLAGS)
-        assert [flag for flag, b in zip(self.FLAGS, changed) if b == base] == []
+        base, *changed = self.outputs(tmp_path, layer, "analyze", self.FIELDS)
+        assert [key for (key, _), b in zip(self.FIELDS, changed) if b == base] == []
 
     @pytest.mark.parametrize("command, flag", [
         ("calibrate", ["--seed", "3"]), ("calibrate", ["--bits-low", "3"]),
@@ -1143,6 +1157,20 @@ class TestEveryFlagIsRead:
 
 
 class TestUsability:
+    def test_each_command_takes_exactly_its_options(self):
+        (sub,) = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        options = {name: {o for a in p._actions for o in a.option_strings}
+                   for name, p in sub.choices.items()}
+        help_ = {"-h", "--help"}
+        assert options == {
+            "calibrate": help_ | {"--config", "--out"},
+            "solve": help_ | {"--config", "--objective", "--stats", "--out"},
+            "simulate": help_ | {"--plan", "--x", "--w", "--group", "--out"},
+            "analyze": help_ | {"--config", "--synthetic", "--x", "--w", "--sweep",
+                                "--out"},
+            "compare": help_ | {"--out"}}
+
     def test_help_exits_zero(self, capsys):
         for argv in (["--help"], ["solve", "--help"], ["analyze", "--help"]):
             with pytest.raises(SystemExit) as e:
@@ -1155,18 +1183,6 @@ class TestUsability:
             main(["solve", "--stats", "s", "--out", out, "--bogus"])
         assert e.value.code == 2
         assert not (tmp_path / "never.cqb").exists()
-
-    def test_config_flag_precedence(self, workspace):
-        # config seed 7 overridden by --seed 9
-        stats = str(workspace["tmp"] / "stats.cqb")
-        run("calibrate", "--config", workspace["cfg"], "--out", stats)
-        p7 = str(workspace["tmp"] / "p7.cqb")
-        p9 = str(workspace["tmp"] / "p9.cqb")
-        run("solve", "--stats", stats, "--config", workspace["cfg"], "--out", p7)
-        run("solve", "--stats", stats, "--config", workspace["cfg"],
-            "--seed", "9", "--out", p9)
-        assert formats.read_plan(p7)[0].partition.seed == 7
-        assert formats.read_plan(p9)[0].partition.seed == 9
 
     def test_quant_config_field_exits_2(self, workspace):
         stats = str(workspace["tmp"] / "stats.cqb")
@@ -1215,6 +1231,7 @@ MALFORMED_CONFIGS = {
     "bits-low-above-bits-high": (_top(bits_low=8, bits_high=4), "bits_low"),
     "string-rank-ratio": (_top(rank_ratio="0.5"), "rank_ratio"),
     "nan-rank-ratio": (_top(rank_ratio=float("nan")), "rank_ratio"),
+    "rank-ratio-of-1": (_top(rank_ratio=1.0), "rank_ratio"),
     "string-seed": (_top(seed="7"), "seed"),
     "bool-seed": (_top(seed=True), "seed"),
     "negative-seed": (_top(seed=-1), "seed"),
@@ -1272,11 +1289,3 @@ class TestConfigSchema:
         assert run("calibrate", "--config", str(path),
                    "--out", str(workspace["tmp"] / "s.cqb")) == 2
         assert "invalid JSON" in capsys.readouterr().err
-
-    def test_bad_flag_value_names_the_flag(self, workspace, capsys):
-        stats = str(workspace["tmp"] / "stats.cqb")
-        run("calibrate", "--config", workspace["cfg"], "--out", stats)
-        assert run("solve", "--stats", stats, "--config", workspace["cfg"],
-                   "--seed", "-2", "--out", str(workspace["tmp"] / "p.cqb")) == 2
-        err = capsys.readouterr().err
-        assert "seed must be an int >= 0, got -2" in err and "cfg.json" not in err

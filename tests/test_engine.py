@@ -235,6 +235,26 @@ class TestMeasurePlan:
             with pytest.raises(ScaleRangeError, match="overflows float64"):
                 measure(x * scale, w, plan)
 
+    # d = 16 at rank 2, n = 120: m = 64 is measured in the Gram form, 16 in rows
+    @pytest.mark.parametrize("m", [64, 16], ids=["gram", "rows"])
+    @pytest.mark.parametrize("side", ["x", "w"])
+    @pytest.mark.parametrize("value", [1.7e308, np.nan, -np.inf])
+    def test_input_is_classified_by_its_rotated_energies(self, blocked, m, side, value):
+        # finite entries whose rotation overflows are a numerical failure, as
+        # calibration finds their squares to be; NaN or +-inf is bad input
+        x, w = generate_instance(weight_anisotropic_spec(16, 120, m, seed=0))
+        plan = make_plan(x, w)
+        if side == "x":
+            x[50] = value * np.where(np.arange(16) % 2, 1.0, -1.0)  # second block
+        else:
+            w[:, 3] = value * np.where(np.arange(16) % 2, 1.0, -1.0)
+        error, match = ((ScaleRangeError, f"rotated {side}'s squares overflows float64")
+                        if np.isfinite(value)
+                        else (ValueError, f"^{side} contains non-finite entries$"))
+        for measure in (measure_plan, lambda *a: execute_plan(*a)[1]):
+            with pytest.raises(error, match=match):
+                measure(x, w, plan)
+
     def test_gram_sum_rounded_below_zero_is_clamped(self, monkeypatch):
         # scaling the activations by 3 and the weights by 1/3 leaves
         # A_hat B_hat = A B, so ||E||^2 = 0 and the Gram sum is rounding

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import stat
 import struct
 import sys
 import threading
@@ -539,6 +540,16 @@ class TestAtomicWrite:
         ref = tmp_path / "ref"
         ref.write_bytes(b"")
         assert os.stat(path).st_mode == os.stat(ref).st_mode
+
+    @pytest.mark.parametrize("mask", [0o077, 0o002], ids=["077", "002"])
+    def test_file_mode_follows_the_umask_set_after_import(self, tmp_path, mask):
+        path = str(tmp_path / "t.cqt")
+        old = os.umask(mask)
+        try:
+            formats.write_tensor(path, "t", np.eye(2))
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~mask
 
 
 def layer_stats(seed=0):

@@ -4,7 +4,6 @@ type, or with bytes flipped in its header length or header, either loads
 or raises FormatError, and the CLI exits 0 or 2 on it, never with a
 traceback."""
 
-import argparse
 import copy
 import json
 import struct
@@ -175,8 +174,7 @@ def test_plan_bundle(valid, data):
 def test_config(valid, data):
     with open(valid["fuzzed"], "wb") as f:
         f.write(mutate_json(valid["config_obj"], data))
-    flags = argparse.Namespace(**dict.fromkeys(cli._FLAGS))
-    if loads(lambda path: cli.load_config(path, flags), valid["fuzzed"]):
+    if loads(cli.load_config, valid["fuzzed"]):
         exits_0_or_2("calibrate", "--config", valid["fuzzed"], "--out", valid["out"])
         exits_0_or_2("solve", "--stats", valid["stats"], "--config", valid["fuzzed"],
                      "--out", valid["out"])
@@ -199,8 +197,7 @@ def test_tensor_file(valid, data):
 def test_synthetic_spec(valid, data):
     with open(valid["fuzzed"], "wb") as f:
         f.write(mutate_json(valid["spec_obj"], data))
-    exits_0_or_2("analyze", "--synthetic", valid["fuzzed"], "--rank", "2",
-                 "--out", valid["out"])
+    exits_0_or_2("analyze", "--synthetic", valid["fuzzed"], "--out", valid["out"])
 
 
 @FUZZ
