@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DIM_FITS, Checked, DimensionMismatchError, ScaleRangeError, check_fields, is_int,
+    DIM_FITS, Checked, DimensionMismatchError, bad_squares, check_fields, is_int,
     is_real)
 from .linalg import gram_input, row_blocks
 
@@ -74,17 +74,13 @@ def _fold(sigma: np.ndarray, energy: float, rows, name: str) -> float:
     by `gram_input` in the block's precision (float32, within its gamma_k
     bound, or else float64) and added in float64. (R^T R)_ii = sum_k r_ki^2
     has no cancellation, so it is finite exactly when column i of R is
-    finite and its square sum does not overflow the Gram's dtype. A
-    non-finite diagonal rejects the block before it is added: ValueError if
-    it holds NaN or +-inf, else ScaleRangeError, as is an energy that
-    overflows."""
+    finite and its square sum does not overflow the Gram's dtype. So a
+    non-finite energy rejects the block before it is added (`bad_squares`)."""
     for block in row_blocks(rows, len(sigma), len(sigma), gram=True):
         g = gram_input(block)
         energy += float(np.trace(g, dtype=np.float64))
-        if not np.isfinite(energy):  # a NaN or inf diagonal makes it so
-            if not np.all(np.isfinite(block)):
-                raise ValueError(f"{name} contains non-finite entries")
-            raise ScaleRangeError(f"the sum of {name}'s squares overflows {g.dtype}")
+        if not np.isfinite(energy):
+            raise bad_squares(block, name, g.dtype)
         sigma += g
         del g  # else it is held while the next block's Gram is formed
     return energy

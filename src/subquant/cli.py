@@ -18,8 +18,8 @@ from . import formats
 from .calib import ProjectionGroup, calibrate
 from .engine import (
     analyze_layer, bit_widths, build_plan, campaign, measure_plan, summarize)
-from .errors import Checked, FormatError, SEED, check_fields, is_real, located
-from .solver import OBJECTIVE, OBJECTIVES, ROTATION
+from .errors import Checked, FormatError, SEED, check, check_fields, is_real, located
+from .solver import OBJECTIVE, OBJECTIVES, ROTATION, rank_rule
 from .synth import SyntheticInstanceSpec
 
 
@@ -91,11 +91,15 @@ def load_config(path: str | None, objective: str | None = None,
                                path, **chosen)
 
 
-def rank_of(cfg: RunConfig, d: int) -> int:
-    """The config's rank_ratio of d, at least 1. The floor of d * ratio is
+def rank_of(cfg: RunConfig, d: int, path: str | None = None) -> int:
+    """The rank_ratio of d of the config read from `path`, at least 1, and
+    below d, else a ValueError names the ratio. The floor of d * ratio is
     taken with 1e-9 to spare, so the ratio r / d gives r for every r < d <=
     4096, though d * (r / d) may round to just below r."""
-    return max(1, math.floor(d * cfg.rank_ratio + 1e-9))
+    rank = max(1, math.floor(d * cfg.rank_ratio + 1e-9))
+    where = f"{path}: rank_ratio" if path else "rank_ratio"
+    check(f"{where} {cfg.rank_ratio!r} at dim {d}: rank", rank, *rank_rule(d))
+    return rank
 
 
 def cmd_calibrate(args) -> int:
@@ -129,7 +133,7 @@ def cmd_solve(args) -> int:
     plans = []
     for i, stats in enumerate(formats.read_stats(args.stats)):
         try:
-            plans.append(build_plan(stats, rank_of(cfg, stats.group.dim),
+            plans.append(build_plan(stats, rank_of(cfg, stats.group.dim, args.config),
                                     cfg.bits_low, cfg.bits_high, objective=cfg.objective,
                                     seed=cfg.seed, rotation=cfg.rotation))
         except (ValueError, ArithmeticError) as e:
@@ -150,8 +154,7 @@ def cmd_simulate(args) -> int:
         names = [plan.group.name for plan in plans]
         raise FormatError(f"{args.plan} holds groups {names}: "
                           "choose one with --group")
-    x = formats.map_tensor(args.x)
-    w = formats.read_tensor(args.w)
+    x, w = formats.map_tensor(args.x), formats.map_tensor(args.w)
     try:
         report = measure_plan(x, w, plans[0])
     except (ValueError, ArithmeticError) as e:
@@ -172,15 +175,16 @@ def cmd_analyze(args) -> int:
         spec = SyntheticInstanceSpec.from_json(obj, args.synthetic)
         # draw k is seeded run_seed + k: the config's seed, else the spec's
         cfg = load_config(args.config, seed=spec.seed)
-        runs = campaign(spec, args.sweep or 1, rank_of(cfg, spec.d), cfg.bits_low,
-                        cfg.bits_high, seed0=cfg.seed, rotation=cfg.rotation)
+        runs = campaign(spec, args.sweep or 1, rank_of(cfg, spec.d, args.config),
+                        cfg.bits_low, cfg.bits_high, seed0=cfg.seed,
+                        rotation=cfg.rotation)
     else:
         cfg = load_config(args.config)
-        x = formats.map_tensor(args.x)
-        w = formats.read_tensor(args.w)
+        x, w = formats.map_tensor(args.x), formats.map_tensor(args.w)
+        rank = rank_of(cfg, w.shape[0], args.config)
         try:
-            runs = [analyze_layer(x, w, rank_of(cfg, w.shape[0]), cfg.bits_low,
-                                  cfg.bits_high, seed=cfg.seed, rotation=cfg.rotation)]
+            runs = [analyze_layer(x, w, rank, cfg.bits_low, cfg.bits_high,
+                                  seed=cfg.seed, rotation=cfg.rotation)]
         except (ValueError, ArithmeticError) as e:
             raise located(e, f"--x {args.x} --w {args.w}") from e
     formats.write_report(args.out, [rep for run in runs for rep in run])

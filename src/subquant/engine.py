@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatchError,
     ScaleRangeError,
     check,
+    bad_squares,
     check_fields,
     is_int,
     is_real,
@@ -135,18 +136,6 @@ def use_gram_form(n: int, d: int, m: int) -> bool:
     return 2 * d * (n + m) < n * m
 
 
-def _check_energies(energies: np.ndarray, rows: np.ndarray, name: str) -> None:
-    """Validate `rows` through the energies (summed so far) of their
-    rotation by a plan, as `calib._fold` does through a Gram's diagonal:
-    they are finite exactly when the rotated rows are and their squares
-    do not overflow. Only if one is not is `rows` scanned: ValueError if it
-    holds NaN or +-inf, else ScaleRangeError."""
-    if not np.isfinite(energies).all():
-        if not np.isfinite(rows).all():
-            raise ValueError(f"{name} contains non-finite entries")
-        raise ScaleRangeError(f"the sum of rotated {name}'s squares overflows float64")
-
-
 # an overflow is reported by the finite check on the measurement, not warned of
 @np.errstate(over="ignore", invalid="ignore")
 def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
@@ -158,7 +147,7 @@ def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
     blocks, each converted to float64, rotated to A_b = X_b u in a reused
     column-major buffer and quantized, a row (token) reducing across
     contiguous columns. X and W are validated through their rotated
-    energies (`_check_energies`), never scanned on their own.
+    energies, and scanned only to name the error (`errors.bad_squares`).
 
     exact_error is ||E||^2 for E = X W - A_hat B_hat, in one of two forms
     chosen by shape (`use_gram_form`). Neither holds an n-row array besides
@@ -184,7 +173,8 @@ def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
     b_hat = r[:d]
     np.matmul(u.T, w, out=b_hat)
     ew = np.einsum("ij,ij->i", b_hat, b_hat)
-    _check_energies(ew, w, name="w")
+    if not np.isfinite(ew).all():
+        raise bad_squares(w, "w", "float64", rotated=True)
     _quantize_columns(b_hat.T, r[d:].T if gram else None, k, plan, symmetric=True)
     l = np.empty((len(blocks[0]), len(r)), order="F")
     # Y_hat, or the row form's scratch block for A_hat_b B_hat
@@ -199,7 +189,8 @@ def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
         a = l_b[:, -d:]
         np.matmul(u.T, x_b.T, out=a.T)
         ex += np.einsum("ij,ij->j", a, a)
-        _check_energies(ex, x_b, name="x")
+        if not np.isfinite(ex).all():
+            raise bad_squares(x_b, "x", "float64", rotated=True)
         _quantize_columns(a, l_b[:, :d] if gram else None, k, plan, symmetric=False)
         if y is not None:
             y_b = np.matmul(a, b_hat, out=y[lo:lo + t] if output else y[:t])

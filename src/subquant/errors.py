@@ -95,6 +95,15 @@ def check(key: str, value, test, what: str, error=ValueError) -> None:
         raise error(f"{key} must be {what}, got {got}")
 
 
+def bad_squares(rows, name: str, dtype, rotated: bool = False) -> Exception:
+    """The error of an input `rows` whose sums of (rotated) squares are not
+    finite: ValueError if it holds NaN or +-inf, else ScaleRangeError."""
+    if not np.isfinite(rows).all():
+        return ValueError(f"{name} contains non-finite entries")
+    return ScaleRangeError(f"the sum of {'rotated ' * rotated}{name}'s squares "
+                           f"overflows {dtype}")
+
+
 def located(e: Exception, where: str) -> Exception:
     """An exception of `e`'s class whose message is `where: ` then `e`'s, to
     raise from `e`: naming its input does not change its exit code."""

@@ -6,11 +6,14 @@ JSON object padded with spaces so that 8 + N is a multiple of 8, then the
 tensors' bytes. The object maps each tensor's name to ``{"dtype":
 "F32"|"F64", "shape", "data_offsets"}`` and may hold a ``__metadata__``
 object of strings; sorted by offset, the tensors tile the rest of the file.
-The writers write one dtype per file, so every mapped payload is aligned.
-A tensor file holds one tensor; stats and plans are f64, and their
-``__metadata__`` is ``{"kind": "stats"|"plan", "meta": <JSON text>}``.
-Each entry of ``meta``, and each report row, is its type's `to_json`
-object, read back by that type's `from_json`, which checks its fields.
+The writers write one dtype per file, so every mapped payload is aligned and
+read where it is mapped: `read_stats` and `read_plan` return read-only
+float64 views, converting only a foreign F32 or unaligned tensor, and
+`read_tensor` is the one reader that copies. A tensor file holds one tensor;
+stats and plans are f64, and their ``__metadata__`` is ``{"kind":
+"stats"|"plan", "meta": <JSON text>}``. Each entry of ``meta``, and each
+report row, is its type's `to_json` object, read back by that type's
+`from_json`, which checks its fields.
 
 A stats file holds ``i.sigma_x`` and ``i.sigma_w`` per group ``i``, and
 its ``groups`` are `CalibStats.to_json` objects. A plan file holds two
@@ -177,13 +180,13 @@ def _map(path: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:
 
 def _tensor(tensors: dict, name: str, shape: tuple, path: str) -> np.ndarray:
     """The bundle tensor `name`, which must have `shape` and finite entries,
-    as a float64 array of its own."""
+    as aligned float64: the mapped payload, or a copy of an F32 or unaligned one."""
     if name not in tensors:
         raise HeaderMismatchError(f"{path}: missing tensor {name!r}")
     if tensors[name].shape != shape:
         raise HeaderMismatchError(f"{path}: tensor {name!r} has shape "
                                   f"{tensors[name].shape}, expected {shape}")
-    t = np.array(tensors[name], dtype=np.float64)
+    t = np.require(tensors[name], np.float64, "A")
     if not np.all(np.isfinite(t)):
         raise HeaderMismatchError(f"{path}: tensor {name!r} contains non-finite entries")
     return t
@@ -218,7 +221,7 @@ def map_tensor(path: str) -> np.ndarray:
 
 
 def read_tensor(path: str) -> np.ndarray:
-    """A one-tensor file's tensor as a float64 array of its own."""
+    """A one-tensor file's tensor as a float64 array of its own: a copy."""
     return np.array(map_tensor(path), dtype=np.float64)
 
 
@@ -229,9 +232,10 @@ def _write_bundle(path: str, kind: str, meta: dict,
            {"kind": kind, "meta": meta})
 
 
-def _read_bundle(path: str, kind: str) -> tuple[list[dict], dict[str, np.ndarray]]:
-    """The per-group metadata objects and the mapped tensors by name of a
-    stats or plan file (`kind`); the types they describe check the rest."""
+def _read_bundle(path: str, kind: str):
+    """Per group of a stats or plan file (`kind`): where its metadata object
+    is, the object, its group, and `tensor(key, shape=(d, d))`, its tensor
+    `key` as `_tensor` checks it; the types they describe check the rest."""
     metadata, tensors = _map(path)
     if metadata.get("kind") != kind:
         raise HeaderMismatchError(
@@ -243,7 +247,11 @@ def _read_bundle(path: str, kind: str) -> tuple[list[dict], dict[str, np.ndarray
             and all(isinstance(r, dict) for r in records)):
         raise HeaderMismatchError(
             f"{path}: meta.{field} must be a non-empty list of JSON objects")
-    return records, tensors
+    for i, record in enumerate(records):
+        where = f"{path}: {field}[{i}]"
+        group = ProjectionGroup.from_json(record.get("group"), f"{where}.group")
+        yield where, record, group, (lambda key, shape=(group.dim,) * 2, i=i:
+                                     _tensor(tensors, f"{i}.{key}", shape, path))
 
 
 def write_stats(path: str, stats_list: list[CalibStats]) -> None:
@@ -254,17 +262,9 @@ def write_stats(path: str, stats_list: list[CalibStats]) -> None:
 
 
 def read_stats(path: str) -> list[CalibStats]:
-    entries, tensors = _read_bundle(path, "stats")
-    out = []
-    for i, entry in enumerate(entries):
-        where = f"{path}: groups[{i}]"
-        group = ProjectionGroup.from_json(entry.get("group"), f"{where}.group")
-        d = group.dim
-        out.append(CalibStats.from_json(
-            entry, where, group=group,
-            sigma_x=_tensor(tensors, f"{i}.sigma_x", (d, d), path),
-            sigma_w=_tensor(tensors, f"{i}.sigma_w", (d, d), path)))
-    return out
+    return [CalibStats.from_json(entry, where, group=group, sigma_x=tensor("sigma_x"),
+                                 sigma_w=tensor("sigma_w"))
+            for where, entry, group, tensor in _read_bundle(path, "stats")]
 
 
 def write_plan(path: str, plans: list[MixedPrecisionPlan]) -> None:
@@ -274,26 +274,26 @@ def write_plan(path: str, plans: list[MixedPrecisionPlan]) -> None:
                   tensors)
 
 
+def _orthonormal(vectors: np.ndarray, where: str) -> np.ndarray:
+    """`vectors`, which must be orthonormal to ORTHO_TOL. |V^T V - I| is
+    formed in the Gram's own buffer, freed on return: one d x d at a time."""
+    gram = vectors.T @ vectors
+    gram.flat[::len(gram) + 1] -= 1.0
+    resid = float(np.max(np.abs(gram, out=gram)))
+    if not resid <= ORTHO_TOL:
+        raise HeaderMismatchError(f"{where}: basis has |V^T V - I|_max = {resid:.3e}")
+    return vectors
+
+
 def read_plan(path: str) -> list[MixedPrecisionPlan]:
     """The plans of a bundle. Each partition derives its `u` from its
     eigenbasis, rank, seed and rotation kind when `u` is first used."""
-    entries, tensors = _read_bundle(path, "plan")
     out = []
-    for i, entry in enumerate(entries):
-        where = f"{path}: plans[{i}]"
-        group = ProjectionGroup.from_json(entry.get("group"), f"{where}.group")
-        d = group.dim
-        vectors = _tensor(tensors, f"{i}.vectors", (d, d), path)
-        # |V^T V - I| formed in the Gram's own buffer: no d x d temporaries
-        gram = vectors.T @ vectors
-        gram.flat[::d + 1] -= 1.0
-        resid = float(np.max(np.abs(gram, out=gram)))
-        if not resid <= ORTHO_TOL:
-            raise HeaderMismatchError(f"{where}: basis has "
-                                      f"|V^T V - I|_max = {resid:.3e}")
+    for where, entry, group, tensor in _read_bundle(path, "plan"):
         part = SubspacePartition.from_json(
-            entry.get("partition"), f"{where}.partition", vectors=vectors,
-            eigenvalues=_tensor(tensors, f"{i}.eigenvalues", (d,), path))
+            entry.get("partition"), f"{where}.partition",
+            vectors=_orthonormal(tensor("vectors"), where),
+            eigenvalues=tensor("eigenvalues", (group.dim,)))
         out.append(MixedPrecisionPlan.from_json(entry, where, partition=part,
                                                 group=group))
     return out

@@ -772,10 +772,40 @@ class TestSimulate:
         assert np.array_equal(f32.sigma_w, f64.sigma_w)
         assert_reports_agree(*(formats.read_report(str(tmp / f"analyze_{dtype}.jsonl"))
                                for dtype in ("f32", "f64")), rel=1e-3)
-        assert reads == [w] * 4  # X is mapped, never copied whole
+        assert reads == []  # X and W are mapped, never copied whole
 
 
 class TestAnalyze:
+    # d = 16 in two blocks of MIN_BLOCK_ROWS (256) rows: n = 512 and m = 64 is
+    # the Gram form, n = 64 and m = 8 the row form
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("n, m", [(512, 64), (64, 8)], ids=["gram", "rows"])
+    def test_x_w_is_calibrate_solve_simulate(self, tmp_path, monkeypatch, n, m, dtype):
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 1)
+        d = 16
+        assert engine.use_gram_form(n, d, m) == (m == 64)
+        x, w = generate_instance(weight_anisotropic_spec(d, n, m, seed=4))
+        paths = {name: str(tmp_path / f"{name}.cqt") for name in ("x", "w")}
+        formats.write_tensor(paths["x"], "x", x, dtype=dtype)
+        formats.write_tensor(paths["w"], "w", w, dtype=dtype)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rank_ratio": 0.25, "seed": 9, "groups": [
+            {"name": "g", "kind": "attn-input", "dim": d,
+             "activations": [paths["x"]], "weights": [paths["w"]]}]}))
+        stats, plan = str(tmp_path / "s.cqb"), str(tmp_path / "p.cqb")
+        simulated, analyzed = str(tmp_path / "sim.jsonl"), str(tmp_path / "an.jsonl")
+        tensors = ["--x", paths["x"], "--w", paths["w"]]
+        assert run("calibrate", "--config", str(cfg), "--out", stats) == 0
+        assert run("solve", "--stats", stats, "--config", str(cfg), "--out", plan) == 0
+        assert run("simulate", "--plan", plan, *tensors, "--out", simulated) == 0
+        assert run("analyze", "--config", str(cfg), *tensors, "--out", analyzed) == 0
+        (sim,), joint = formats.read_report(simulated), formats.read_report(analyzed)[0]
+        assert joint.objective == "joint"
+        numeric = [c for c in formats.REPORT_COLUMNS
+                   if c not in ("group", "objective", "relative_reduction")]
+        assert ({c: getattr(joint, c) for c in numeric}
+                == {c: getattr(sim, c) for c in numeric})
+
     def test_synthetic_weight_dominant(self, tmp_path):
         spec = weight_anisotropic_spec(16, 64, 8, seed=5)
         spec_path = str(tmp_path / "spec.json")
@@ -944,6 +974,52 @@ class TestAnalyze:
         assert run("analyze", "--x", x, "--w", w, "--config",
                    config_file(tmp_path, rank_ratio=ratio), "--out", str(out)) == 0
         assert {row.rank for row in formats.read_report(str(out))} == {rank}
+
+
+# d * 0.99999999999 + 1e-9 floors to d at d = 16, and no rank splits R^1
+@pytest.mark.parametrize("d, ratio", [(16, 0.99999999999), (1, 0.5)],
+                         ids=["just-below-1", "dim-1"])
+class TestRankRatioThatGivesNoRank:
+    """A rank_ratio in (0, 1) that gives no rank in [1, d) exits 2 with one
+    error line naming the field, its value, the dim and the config file."""
+
+    @pytest.fixture
+    def layer(self, tmp_path, d, ratio):
+        rng = np.random.default_rng(d)
+        x, w = str(tmp_path / "x.cqt"), str(tmp_path / "w.cqt")
+        formats.write_tensor(x, "x", rng.standard_normal((4 * d, d)))
+        formats.write_tensor(w, "w", rng.standard_normal((d, 4)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rank_ratio": ratio, "groups": [
+            {"name": "g", "kind": "attn-input", "dim": d,
+             "activations": [x], "weights": [w]}]}))
+        return x, w, str(cfg)
+
+    def assert_named(self, capsys, out, cfg, d, ratio):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{cfg}: rank_ratio {ratio!r} at dim {d}: rank must be" in err
+        assert not out.exists()
+
+    def test_solve(self, tmp_path, capsys, layer, d, ratio):
+        stats, out = str(tmp_path / "s.cqb"), tmp_path / "p.cqb"
+        assert run("calibrate", "--config", layer[2], "--out", stats) == 0
+        assert run("solve", "--stats", stats, "--config", layer[2],
+                   "--out", str(out)) == 2
+        self.assert_named(capsys, out, layer[2], d, ratio)
+
+    def test_analyze_synthetic(self, tmp_path, capsys, layer, d, ratio):
+        spec = spec_file(tmp_path, aligned_spec(d, 32, 8, seed=0).to_json())
+        out = tmp_path / "r.jsonl"
+        assert run("analyze", "--synthetic", spec, "--config", layer[2],
+                   "--out", str(out)) == 2
+        self.assert_named(capsys, out, layer[2], d, ratio)
+
+    def test_analyze_x(self, tmp_path, capsys, layer, d, ratio):
+        out = tmp_path / "r.jsonl"
+        assert run("analyze", "--x", layer[0], "--w", layer[1], "--config", layer[2],
+                   "--out", str(out)) == 2
+        self.assert_named(capsys, out, layer[2], d, ratio)
 
 
 def spec_file(tmp_path, obj) -> str:

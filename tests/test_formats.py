@@ -442,8 +442,9 @@ def traced_peak(fn, *args) -> int:
 
 
 class TestCopyFree:
-    """Writers write the arrays they are given, and readers allocate little
-    beyond the arrays they return (d = 256: 1 MiB of stats tensors)."""
+    """Writers write the arrays they are given, and readers of a file the
+    package wrote allocate little beyond a finiteness mask, whatever its
+    group count (d = 256: 1 MiB of stats tensors per group)."""
 
     @pytest.fixture
     def wide(self):
@@ -459,10 +460,12 @@ class TestCopyFree:
             < nbytes / 4
 
     def test_read_stats(self, tmp_path, wide):
+        # the Sigmas are used where they are mapped: one d x d bool mask at a time
         stats, nbytes = wide
-        path = str(tmp_path / "s.cqb")
-        formats.write_stats(path, [stats])
-        assert traced_peak(formats.read_stats, path) < 1.25 * nbytes
+        for groups in (1, 4):
+            path = str(tmp_path / f"s{groups}.cqb")
+            formats.write_stats(path, [stats] * groups)
+            assert traced_peak(formats.read_stats, path) < nbytes / 8
 
     def test_write_plan(self, tmp_path, wide):
         plan = build_plan(wide[0], 32, 4, 8)
@@ -471,17 +474,62 @@ class TestCopyFree:
             < nbytes / 4
 
     def test_read_plan(self, tmp_path, wide):
-        # the basis's float64 copy and one d x d Gram for its orthonormality
+        # the bases are mapped; one d x d Gram at a time for orthonormality
         plan = build_plan(wide[0], 32, 4, 8)
         nbytes = plan.partition.vectors.nbytes + plan.partition.eigenvalues.nbytes
-        path = str(tmp_path / "p.cqb")
-        formats.write_plan(path, [plan])
-        assert traced_peak(formats.read_plan, path) < 2.25 * nbytes
+        for groups in (1, 4):
+            path = str(tmp_path / f"p{groups}.cqb")
+            formats.write_plan(path, [plan] * groups)
+            assert traced_peak(formats.read_plan, path) < 1.25 * nbytes
+
+    def test_read_tensors_are_read_only(self, tmp_path, wide):
+        stats = str(tmp_path / "s.cqb")
+        plan = str(tmp_path / "p.cqb")
+        formats.write_stats(stats, [wide[0]])
+        formats.write_plan(plan, [build_plan(wide[0], 32, 4, 8)])
+        (read_stats,), (read_plan,) = formats.read_stats(stats), formats.read_plan(plan)
+        for array in (read_stats.sigma_x, read_stats.sigma_w,
+                      read_plan.partition.vectors, read_plan.partition.eigenvalues):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
     def test_write_f32_tensor_converts_once(self, tmp_path, wide):
         sigma = wide[0].sigma_x
         assert traced_peak(formats.write_tensor, str(tmp_path / "t.cqt"), "s",
                            sigma, "f32") < 1.25 * sigma.nbytes / 2
+
+
+class TestRewrite:
+    """A stats or plan file read and written back is the same file byte for
+    byte: the writers write the mapped views the readers return as they are."""
+
+    @pytest.fixture
+    def stats(self):
+        rng = np.random.default_rng(12)
+        return [stats_from_tensors(rng.standard_normal((3 * d, d)),
+                                   rng.standard_normal((d, 5)), name=f"g{i}")
+                for i, d in enumerate((8, 12, 8))]
+
+    def rewritten(self, tmp_path, write, read, items) -> tuple[bytes, bytes]:
+        first, second = tmp_path / "first.cqb", tmp_path / "second.cqb"
+        write(str(first), items)
+        write(str(second), read(str(first)))
+        return first.read_bytes(), second.read_bytes()
+
+    def test_stats(self, tmp_path, stats):
+        first, second = self.rewritten(tmp_path, formats.write_stats,
+                                       formats.read_stats, stats)
+        assert first == second
+
+    def test_plan(self, tmp_path, stats):
+        plans = [build_plan(st, 2 + i, 4, 8, objective=objective, seed=i,
+                            rotation=rotation)
+                 for i, (st, objective, rotation) in enumerate(zip(
+                     stats, ("joint", "activation", "weight"),
+                     ("random", "hadamard", "random")))]
+        first, second = self.rewritten(tmp_path, formats.write_plan,
+                                       formats.read_plan, plans)
+        assert first == second
 
 
 class TestAtomicWrite:
