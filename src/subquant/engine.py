@@ -168,10 +168,10 @@ def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
     # or X_b W (m) and A_b (d); an X that is not 2-d is left to `row_blocks`
     gram = x.ndim == 2 and use_gram_form(len(x), d, m)
     blocks = row_blocks(x, d, 2 * d if gram else max(d, m), gram)
-    n, u, k = len(x), plan.partition.u, d - plan.partition.rank
+    n, k = len(x), d - plan.partition.rank
     r = np.empty((2 * d if gram else d, m))
     b_hat = r[:d]
-    np.matmul(u.T, w, out=b_hat)
+    plan.partition.rotate_t(w, b_hat)
     ew = np.einsum("ij,ij->i", b_hat, b_hat)
     if not np.isfinite(ew).all():
         raise bad_squares(w, "w", "float64", rotated=True)
@@ -187,7 +187,7 @@ def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
         t = len(x_b)
         l_b = l[:t]
         a = l_b[:, -d:]
-        np.matmul(u.T, x_b.T, out=a.T)
+        plan.partition.rotate_t(x_b.T, a.T)
         ex += np.einsum("ij,ij->j", a, a)
         if not np.isfinite(ex).all():
             raise bad_squares(x_b, "x", "float64", rotated=True)

@@ -5,11 +5,12 @@ of X u are tokens, and those of (u^T W)^T, a transposed view, are output
 channels.
 
 Conventions, fixed for reproducibility:
-  - symmetric grid is the restricted range +/-(2^(N-1)-1) with zero-point 0
-    and scale max|group| / (2^(N-1)-1);
-  - asymmetric grid is [0, 2^N-1] with scale (max-min)/(2^N-1), zero-point min;
-  - rounding ties go away from zero;
-  - clipping is applied after rounding;
+  - both schemes quantize v >= 0 on one grid, level min(floor(v/s + 1/2),
+    qmax): v = |x| with qmax = 2^(N-1)-1, s = max|group|/qmax and
+    zero-point 0, the sign restored last (symmetric); v = x - min with
+    qmax = 2^N-1, s = (max-min)/qmax and zero-point min (asymmetric);
+  - so rounding ties go away from zero, and clipping follows rounding;
+  - a zero min or max has the sign of its first occurrence in the group;
   - a group whose dynamic range is zero gets scale 1 (and zero-point 0 when
     the group is all zero), so the output reproduces the constant exactly;
   - the extreme grid levels dequantize to the observed group max/min exactly,
@@ -58,9 +59,9 @@ def quantize(x: np.ndarray, bits: int, symmetric: bool) -> QuantResult:
     """Round-to-nearest quantize-dequantize of each row of `x` as one group,
     giving one scale and zero-point per row.
 
-    One buffer of x's shape holds the quantized level q, then, in place, the
-    dequantized value q*s (+z) and the extreme-level snaps; the arithmetic is
-    step for step that of `tests/reference.py`, so results match it bit for bit.
+    One buffer of x's shape holds v = x - min or |x|, then, in place, the
+    level, the dequantized value and the extreme-level snaps; the result
+    matches `tests/reference.py` byte for byte, signed zeros included.
     `x` may be a view in either memory order, a transposed one included: it
     is read in place and validated through its per-row extremes, so it is not
     scanned a second time."""
@@ -69,46 +70,40 @@ def quantize(x: np.ndarray, bits: int, symmetric: bool) -> QuantResult:
     if x.ndim != 2:
         raise DimensionMismatchError(f"x must be 2-d, got shape {x.shape}")
     if symmetric:
-        qmax = float(2 ** (bits - 1) - 1)
-        t = np.abs(x)
-        amax = np.max(t, axis=1, keepdims=True)
-        _check_finite(amax)
-        s = _checked_scale(amax, qmax)
-        np.divide(x, s, out=t)
-        # round half away from zero, clipped: copysign(min(floor(|t|+.5), qmax), t)
-        q = np.abs(t)
-        q += 0.5
-        np.floor(q, out=q)
-        np.minimum(q, qmax, out=q)
-        np.copysign(q, t, out=q)
-        top, bottom = q == qmax, q == -qmax
-        q *= s
-        # snap extreme levels to the observed extremes: this is the exact value
-        # of qmax*s in real arithmetic and makes requantization a no-op
-        np.copyto(q, amax, where=top)
-        np.copyto(q, -amax, where=bottom)
-        zps = np.zeros(len(s))
+        qmax, v = float(2 ** (bits - 1) - 1), np.abs(x)
+        span = mx = np.max(v, axis=1, keepdims=True)
+        _check_finite(mx)
     else:
         qmax = float(2**bits - 1)
-        mn = np.min(x, axis=1, keepdims=True)
-        mx = np.max(x, axis=1, keepdims=True)
+        mn, mx = np.min(x, axis=1, keepdims=True), np.max(x, axis=1, keepdims=True)
+        # a zero extreme takes the sign of its first occurrence in the row, as
+        # the oracle's min and max give it; numpy's reductions may give either
+        for e, arg in ((mn, np.argmin), (mx, np.argmax)):
+            rows = np.flatnonzero(e == 0)
+            if rows.size:
+                e[rows, 0] = x[rows, arg(x[rows], axis=1)]
         _check_finite(mn, mx)
         with np.errstate(over="ignore"):  # reported by _checked_scale
-            span = mx - mn
-        s = _checked_scale(span, qmax)
-        # (x - z)/s >= 0 with z = min, so rounding half away is floor(t + .5)
-        q = x - mn
-        q /= s
-        q += 0.5
-        np.floor(q, out=q)
-        np.minimum(q, qmax, out=q)
-        bottom, top = q == 0, q == qmax
-        q *= s
-        q += mn
-        np.copyto(q, mn, where=bottom)
-        np.copyto(q, mx, where=top)
-        zps = mn[:, 0].copy()
-    return QuantResult(dequantized=q, scales=s[:, 0].copy(), zero_points=zps)
+            span, v = mx - mn, x - mn
+    s = _checked_scale(span, qmax)
+    # v/s >= 0, so rounding half away from zero is floor(v/s + .5)
+    v /= s
+    v += 0.5
+    np.floor(v, out=v)
+    np.minimum(v, qmax, out=v)
+    top, bottom = v == qmax, None if symmetric else v == 0
+    v *= s
+    # snap extreme levels to the observed extremes: this is their exact value
+    # in real arithmetic and makes requantization a no-op
+    if symmetric:
+        np.copyto(v, mx, where=top)
+        np.copysign(v, x, out=v)  # |x|/s is |x/s| exactly: the sign goes on last
+    else:
+        v += mn
+        np.copyto(v, mn, where=bottom)
+        np.copyto(v, mx, where=top)
+    zps = np.zeros(len(s)) if symmetric else mn[:, 0].copy()
+    return QuantResult(dequantized=v, scales=s[:, 0].copy(), zero_points=zps)
 
 
 def relative_error_coeff(bits: int) -> float:

@@ -90,6 +90,11 @@ class SubspacePartition(Checked):
         np.matmul(self.p_h, r_h, out=u[:, k:])
         return u
 
+    def rotate_t(self, mat: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write u^T mat into `out`: the one way the transform is applied
+        outside this module, so its form can change here alone."""
+        return np.matmul(self.u.T, mat, out=out)
+
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]

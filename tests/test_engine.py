@@ -109,7 +109,9 @@ class TestExecutePlan:
                     rows.append(out.shape[0])
                 return np.matmul(a, b, out=out)
 
-        monkeypatch.setattr(engine, "np", RecordingNumpy())
+        # B = u^T W is the partition's product, the rest the engine's
+        for module in (engine, solver):
+            monkeypatch.setattr(module, "np", RecordingNumpy())
         y_hat, report = execute_plan(x, w, plan)
         assert rows == [512, 256, 256, 256, 256, 88, 88]
         assert report.exact_error == pytest.approx(np.sum((x @ w - y_hat) ** 2),

@@ -25,6 +25,16 @@ GROUPINGS = [("per-tensor", None), ("per-token", None),
              ("per-channel", None), ("per-head", 4)]
 
 
+def assert_same_bytes(result, reference):
+    """Assert that a `QuantResult` and the oracle's (dequantized, scales,
+    zero_points) are the same arrays byte for byte: `np.array_equal` takes
+    -0.0 for 0.0."""
+    for a, b in zip((result.dequantized, result.scales, result.zero_points),
+                    reference):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
 def checked_examples() -> dict:
     """One value of each validated type, by type name."""
     rng = np.random.default_rng(0)
@@ -95,11 +105,7 @@ class TestQuantize:
     def test_reference_oracle_bit_for_bit(self):
         rng = np.random.default_rng(42)
         x = rng.uniform(-1.0, 1.0, size=(8, 8))
-        r = quantize(x, 4, True)
-        ref, scales, zps = quantize_reference(x, 4, True)
-        assert np.array_equal(r.dequantized, ref)
-        assert np.array_equal(r.scales, scales)
-        assert np.array_equal(r.zero_points, zps)
+        assert_same_bytes(quantize(x, 4, True), quantize_reference(x, 4, True))
 
     @pytest.mark.parametrize("bits", [2, 4, 8])
     @pytest.mark.parametrize("symmetric", [True, False])
@@ -109,11 +115,8 @@ class TestQuantize:
         for _ in range(10):
             x = rng.standard_normal((6, 8)) * rng.uniform(0.01, 50.0)
             g = as_rows(x, granularity, head_dim)
-            r = quantize(g, bits, symmetric)
-            ref, scales, zps = quantize_reference(g, bits, symmetric)
-            assert np.array_equal(r.dequantized, ref)
-            assert np.array_equal(r.scales, scales)
-            assert np.array_equal(r.zero_points, zps)
+            assert_same_bytes(quantize(g, bits, symmetric),
+                              quantize_reference(g, bits, symmetric))
 
     def test_bounded_error(self):
         rng = np.random.default_rng(3)
@@ -146,8 +149,25 @@ class TestQuantize:
                      bits, symmetric)
         f = quantize(as_rows(np.asfortranarray(x), granularity, head_dim),
                      bits, symmetric)
-        for field in ("dequantized", "scales", "zero_points"):
-            assert np.array_equal(getattr(c, field), getattr(f, field))
+        assert_same_bytes(c, (f.dequantized, f.scales, f.zero_points))
+
+    @pytest.mark.parametrize("bits", [2, 4, 8, 16])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed"])
+    def test_signed_zero_extremes_match_the_oracle(self, layout, symmetric, bits):
+        # each row's min (or max) is a zero held as both 0.0 and -0.0, in a
+        # random order: the oracle's min and max return the first occurrence
+        rng = np.random.default_rng(bits)
+        for _ in range(20):
+            x = np.abs(rng.standard_normal((12, 9))) * rng.choice([-1.0, 1.0], (12, 1))
+            x[rng.random(x.shape) < 0.4] = 0.0
+            x *= np.where(x == 0, rng.choice([-1.0, 1.0], x.shape), 1.0)
+            x[:, :2] = [0.0, -0.0]
+            x = rng.permuted(x, axis=1)
+            g = {"C": np.ascontiguousarray(x), "F": np.asfortranarray(x),
+                 "transposed": np.ascontiguousarray(x.T).T}[layout]
+            assert_same_bytes(quantize(g, bits, symmetric),
+                              quantize_reference(g, bits, symmetric))
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("symmetric", [True, False])
