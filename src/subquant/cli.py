@@ -4,6 +4,7 @@ Exit codes: 0 success; 1 exactly when the error is an ArithmeticError, a
 numerical failure (no convergence / no signal / a quantizer range or a
 measurement that overflows); 2 for any other error: usage, I/O (OSError) or
 bad input (ValueError). An error that names its input keeps its class.
+calibrate and solve form, and hand their writer, one group at a time.
 """
 
 from __future__ import annotations
@@ -106,53 +107,52 @@ def cmd_calibrate(args) -> int:
     cfg = load_config(args.config)
     if not cfg.groups:
         raise FormatError(f"{args.config}: config declares no groups")
-    stats_list = []
-    for i, g in enumerate(cfg.groups):
-        where = None  # the file being read, as an error names it
 
-        def mapped(kind, paths):
-            nonlocal where
-            for path in paths:
-                where = (f"{args.config}: groups[{i}] (group {g.name!r}): "
-                         f"{kind} file {path}")
-                yield formats.map_tensor(path)
+    def calibrated():
+        for i, g in enumerate(cfg.groups):
+            where = None  # the file being read, as an error names it
 
-        try:
-            stats_list.append(calibrate(g.group, mapped("activation", g.activations),
-                                        mapped("weight", g.weights)))
-        except FormatError:
-            raise  # its message already names the file
-        except (OSError, ValueError, ArithmeticError) as e:
-            raise located(e, where) from e
-    formats.write_stats(args.out, stats_list)
+            def mapped(kind, paths):
+                nonlocal where
+                for path in paths:
+                    where = (f"{args.config}: groups[{i}] (group {g.name!r}): "
+                             f"{kind} file {path}")
+                    yield formats.map_tensor(path)
+
+            try:
+                yield calibrate(g.group, mapped("activation", g.activations),
+                                mapped("weight", g.weights))
+            except FormatError:
+                raise  # its message already names the file
+            except (OSError, ValueError, ArithmeticError) as e:
+                raise located(e, where) from e
+    formats.write_stats(args.out, calibrated())
     return 0
 
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config, args.objective)
-    plans = []
-    for i, stats in enumerate(formats.read_stats(args.stats)):
-        try:
-            plans.append(build_plan(stats, rank_of(cfg, stats.group.dim, args.config),
-                                    cfg.bits_low, cfg.bits_high, objective=cfg.objective,
-                                    seed=cfg.seed, rotation=cfg.rotation))
-        except (ValueError, ArithmeticError) as e:
-            raise located(e, f"{args.stats}: groups[{i}] "
-                             f"(group {stats.group.name!r})") from e
-    formats.write_plan(args.out, plans)
+
+    def solved():
+        for i, stats in enumerate(formats.read_stats(args.stats)):
+            try:
+                yield build_plan(stats, rank_of(cfg, stats.group.dim, args.config),
+                                 cfg.bits_low, cfg.bits_high, objective=cfg.objective,
+                                 seed=cfg.seed, rotation=cfg.rotation)
+            except (ValueError, ArithmeticError) as e:
+                raise located(e, f"{args.stats}: groups[{i}] "
+                                 f"(group {stats.group.name!r})") from e
+    formats.write_plan(args.out, solved())
     return 0
 
 
 def cmd_simulate(args) -> int:
-    plans = formats.read_plan(args.plan)
-    if args.group is not None:
-        plans = [plan for plan in plans if plan.group.name == args.group]
-        if len(plans) != 1:
-            raise FormatError(f"{args.plan} holds {len(plans)} groups named "
-                              f"{args.group!r}, not one")
-    elif len(plans) > 1:
-        names = [plan.group.name for plan in plans]
-        raise FormatError(f"{args.plan} holds groups {names}: "
+    plans = formats.read_plan(args.plan, args.group)
+    if args.group is not None and len(plans) != 1:
+        raise FormatError(f"{args.plan} holds {len(plans)} groups named "
+                          f"{args.group!r}, not one")
+    if len(plans) > 1:
+        raise FormatError(f"{args.plan} holds groups {[p.group.name for p in plans]}: "
                           "choose one with --group")
     x, w = formats.map_tensor(args.x), formats.map_tensor(args.w)
     try:
@@ -211,7 +211,7 @@ def cmd_compare(args) -> int:
     diff["identical"] = len(a) == len(b) and not diff["deltas"]
     text = json.dumps(diff, sort_keys=True, indent=2)
     if args.out:
-        formats.atomic_write(args.out, (text + "\n").encode("utf-8"))
+        formats.atomic_write(args.out, [(text + "\n").encode("utf-8")])
     else:
         print(text)
     return 0

@@ -9,11 +9,13 @@ object of strings; sorted by offset, the tensors tile the rest of the file.
 The writers write one dtype per file, so every mapped payload is aligned and
 read where it is mapped: `read_stats` and `read_plan` return read-only
 float64 views, converting only a foreign F32 or unaligned tensor, and
-`read_tensor` is the one reader that copies. A tensor file holds one tensor;
-stats and plans are f64, and their ``__metadata__`` is ``{"kind":
-"stats"|"plan", "meta": <JSON text>}``. Each entry of ``meta``, and each
-report row, is its type's `to_json` object, read back by that type's
-`from_json`, which checks its fields.
+`read_tensor` is the one reader that copies. Each tensor is written to an
+unnamed temp file as it arrives, the header after the last, then the body
+copied behind it; the stats and plan writers release each group before they
+draw the next. A tensor file holds one tensor; stats and plans are f64,
+and their ``__metadata__`` is ``{"kind": "stats"|"plan", "meta": <JSON text>}``.
+Each entry of ``meta``, and each report row, is its type's `to_json`
+object, read back by that type's `from_json`, which checks its fields.
 
 A stats file holds ``i.sigma_x`` and ``i.sigma_w`` per group ``i``, and
 its ``groups`` are `CalibStats.to_json` objects. A plan file holds two
@@ -26,7 +28,8 @@ plan's, an ``objective``, or four quantizer ``specs``) is rejected, naming
 the field. The composed transform ``u`` is not stored: a partition read
 back derives it from the seeded internal rotations on first use,
 bit-identical to the solved one. This module checks the framing, the
-tensor entries and shapes, and the orthonormality of a basis.
+tensor entries and shapes, and the orthonormality of each basis it reads:
+with a `group`, `read_plan` reads that group's only.
 
 A report is JSON lines: one `ErrorReport.to_json` object per line, keys
 sorted.
@@ -36,10 +39,12 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import mmap
 import os
+import tempfile
 
 import numpy as np
 
@@ -56,9 +61,11 @@ from .errors import (
 from .solver import SubspacePartition
 
 ORTHO_TOL = 1e-8  # largest |V^T V - I| of a plan's basis
+COPY_BYTES = 1 << 16  # the buffer a written body is copied through
 
 _DTYPES = {"F32": np.dtype("<f4"), "F64": np.dtype("<f8")}
 _DTYPE_NAMES = {dtype: name for name, dtype in _DTYPES.items()}
+_FIELDS = {"stats": "groups", "plan": "plans"}  # the meta list of each bundle kind
 
 # the shape rule of the readers, which the writer applies too
 _SHAPE = (lambda v: isinstance(v, list) and v != [] and all(is_int(s, 1) for s in v),
@@ -68,13 +75,13 @@ _SHAPE = (lambda v: isinstance(v, list) and v != [] and all(is_int(s, 1) for s i
 REPORT_COLUMNS = [f.name for f in dataclasses.fields(ErrorReport)]
 
 
-def atomic_write(path: str, *chunks) -> None:
-    """Write the byte buffers `chunks` in order to a unique temp file beside
-    `path`, then rename it over `path`. The temp file is created with the
-    mode open() gives, the process's umask applied when it is created.
-    Concurrent writers never share a temp file, and a failed write leaves no
-    temp file behind. An OSError names `path`, not the temp file, and keeps
-    its errno."""
+def atomic_write(path: str, chunks) -> None:
+    """Write the byte buffers of the iterable `chunks`, drawn as written, to
+    a unique temp file beside `path`, then rename it over `path`. The temp
+    file is created with the mode open() gives, the process's umask applied
+    when it is created. Concurrent writers never share a temp file, and a
+    failed write leaves no temp file behind. An OSError names `path`, not
+    the temp file, and keeps its errno."""
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -102,18 +109,36 @@ def parse_json(text: str | bytes, where: str):
         raise HeaderMismatchError(f"{where}: {e}") from e
 
 
-def _write(path: str, tensors: dict[str, np.ndarray], metadata: dict | None = None) -> None:
-    """Write the C-contiguous little-endian f32/f64 `tensors` in order after
-    a header padded to a multiple of 8 bytes, as they are."""
-    header = {} if metadata is None else {"__metadata__": metadata}
-    offset = 0
-    for name, a in tensors.items():
-        header[name] = {"dtype": _DTYPE_NAMES[a.dtype], "shape": list(a.shape),
-                        "data_offsets": [offset, offset + a.nbytes]}
-        offset += a.nbytes
-    h = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    h += b" " * (-len(h) % 8)
-    atomic_write(path, len(h).to_bytes(8, "little") + h, *tensors.values())
+def _write(path: str, tensors, dtype: np.dtype, metadata=None) -> None:
+    """Write the (name, array) pairs `tensors` in `dtype` to a temp body, each
+    freed once written; then the header, padded to a multiple of 8 bytes and
+    holding `metadata()` if given, and the body. Overflow raises ValueError."""
+    header, offset = {}, 0
+    try:
+        body = tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from e
+    with body:
+        for name, a in tensors:
+            try:
+                with np.errstate(over="raise"):
+                    a = np.asarray(a, dtype, order="C")
+            except FloatingPointError as e:
+                raise ValueError(f"tensor {name!r}: a value overflows "
+                                 f"{_DTYPE_NAMES[dtype].lower()}") from e
+            header[name] = {"dtype": _DTYPE_NAMES[dtype], "shape": list(a.shape),
+                            "data_offsets": [offset, offset + a.nbytes]}
+            offset += a.nbytes
+            body.write(a)
+            del a  # before the next array is formed
+        if metadata is not None:
+            header["__metadata__"] = metadata()
+        h = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        h += b" " * (-len(h) % 8)
+        body.seek(0)
+        buf = memoryview(bytearray(COPY_BYTES))
+        copied = (buf[:n] for n in iter(lambda: body.readinto(buf), 0))
+        atomic_write(path, itertools.chain([len(h).to_bytes(8, "little") + h], copied))
 
 
 def _check_entry(entry, path: str, name: str) -> tuple[np.dtype, tuple[int, ...], int, int]:
@@ -201,13 +226,8 @@ def write_tensor(path: str, name: str, matrix: np.ndarray, dtype: str = "f64") -
         raise UnsupportedDtypeError(f"unsupported dtype {dtype!r}")
     check("name", name, lambda v: isinstance(v, str) and v != "__metadata__",
           "a string other than '__metadata__'")
-    try:
-        with np.errstate(over="raise"):
-            m = np.asarray(matrix, _DTYPES[dtype.upper()], order="C")
-    except FloatingPointError as e:
-        raise ValueError(f"tensor {name!r}: a value overflows {dtype}") from e
-    check(f"tensor {name!r}: shape", list(m.shape), *_SHAPE)
-    _write(path, {name: m})
+    check(f"tensor {name!r}: shape", list(np.shape(matrix)), *_SHAPE)
+    _write(path, [(name, matrix)], _DTYPES[dtype.upper()])
 
 
 def map_tensor(path: str) -> np.ndarray:
@@ -225,11 +245,21 @@ def read_tensor(path: str) -> np.ndarray:
     return np.array(map_tensor(path), dtype=np.float64)
 
 
-def _write_bundle(path: str, kind: str, meta: dict,
-                  tensors: list[tuple[str, np.ndarray]]) -> None:
-    meta = json.dumps(meta, sort_keys=True, separators=(",", ":"))
-    _write(path, {name: np.ascontiguousarray(a, dtype="<f8") for name, a in tensors},
-           {"kind": kind, "meta": meta})
+def _write_bundle(path: str, kind: str, items, holder, keys: tuple[str, str]) -> None:
+    """Write the stats or plan file `kind` of `items`, each released before
+    the next is drawn: its `to_json()`, and the `keys` of `holder(item)`."""
+    field, records = _FIELDS[kind], []
+
+    def tensors():
+        for item in items:
+            records.append(item.to_json())
+            for key in keys:
+                yield f"{len(records) - 1}.{key}", getattr(holder(item), key)
+            del item  # before the next is formed
+        check(f"{path}: {field}", records, len, "a non-empty list")
+
+    _write(path, tensors(), _DTYPES["F64"], lambda: {"kind": kind, "meta": json.dumps(
+        {field: records}, sort_keys=True, separators=(",", ":"))})
 
 
 def _read_bundle(path: str, kind: str):
@@ -240,7 +270,7 @@ def _read_bundle(path: str, kind: str):
     if metadata.get("kind") != kind:
         raise HeaderMismatchError(
             f"{path}: file kind {metadata.get('kind')!r}, expected {kind!r}")
-    field = {"stats": "groups", "plan": "plans"}[kind]
+    field = _FIELDS[kind]
     meta = parse_json(metadata.get("meta", "null"), f"{path}: meta is not JSON")
     records = meta.get(field) if isinstance(meta, dict) else None
     if not (isinstance(records, list) and records
@@ -254,11 +284,8 @@ def _read_bundle(path: str, kind: str):
                                      _tensor(tensors, f"{i}.{key}", shape, path))
 
 
-def write_stats(path: str, stats_list: list[CalibStats]) -> None:
-    tensors = [(f"{i}.{key}", getattr(st, key)) for i, st in enumerate(stats_list)
-               for key in ("sigma_x", "sigma_w")]
-    _write_bundle(path, "stats", {"groups": [st.to_json() for st in stats_list]},
-                  tensors)
+def write_stats(path: str, stats) -> None:
+    _write_bundle(path, "stats", stats, lambda st: st, ("sigma_x", "sigma_w"))
 
 
 def read_stats(path: str) -> list[CalibStats]:
@@ -267,11 +294,8 @@ def read_stats(path: str) -> list[CalibStats]:
             for where, entry, group, tensor in _read_bundle(path, "stats")]
 
 
-def write_plan(path: str, plans: list[MixedPrecisionPlan]) -> None:
-    tensors = [(f"{i}.{key}", getattr(plan.partition, key))
-               for i, plan in enumerate(plans) for key in ("vectors", "eigenvalues")]
-    _write_bundle(path, "plan", {"plans": [plan.to_json() for plan in plans]},
-                  tensors)
+def write_plan(path: str, plans) -> None:
+    _write_bundle(path, "plan", plans, lambda p: p.partition, ("vectors", "eigenvalues"))
 
 
 def _orthonormal(vectors: np.ndarray, where: str) -> np.ndarray:
@@ -285,23 +309,24 @@ def _orthonormal(vectors: np.ndarray, where: str) -> np.ndarray:
     return vectors
 
 
-def read_plan(path: str) -> list[MixedPrecisionPlan]:
-    """The plans of a bundle. Each partition derives its `u` from its
-    eigenbasis, rank, seed and rotation kind when `u` is first used."""
+def read_plan(path: str, group: str | None = None) -> list[MixedPrecisionPlan]:
+    """The plans of a bundle, or those of the group named `group`, the others'
+    tensors unread. Each partition derives its `u` when it is first used."""
     out = []
-    for where, entry, group, tensor in _read_bundle(path, "plan"):
+    for where, entry, g, tensor in _read_bundle(path, "plan"):
+        if group is not None and g.name != group:
+            continue
         part = SubspacePartition.from_json(
             entry.get("partition"), f"{where}.partition",
             vectors=_orthonormal(tensor("vectors"), where),
-            eigenvalues=tensor("eigenvalues", (group.dim,)))
-        out.append(MixedPrecisionPlan.from_json(entry, where, partition=part,
-                                                group=group))
+            eigenvalues=tensor("eigenvalues", (g.dim,)))
+        out.append(MixedPrecisionPlan.from_json(entry, where, partition=part, group=g))
     return out
 
 
 def write_report(path: str, reports: list[ErrorReport]) -> None:
-    atomic_write(path, "".join(json.dumps(r.to_json(), sort_keys=True) + "\n"
-                               for r in reports).encode("utf-8"))
+    atomic_write(path, ["".join(json.dumps(r.to_json(), sort_keys=True) + "\n"
+                                for r in reports).encode("utf-8")])
 
 
 def read_report(path: str) -> list[ErrorReport]:

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import os
 import struct
 import tracemalloc
 from pathlib import Path
@@ -773,6 +774,107 @@ class TestSimulate:
         assert_reports_agree(*(formats.read_report(str(tmp / f"analyze_{dtype}.jsonl"))
                                for dtype in ("f32", "f64")), rel=1e-3)
         assert reads == []  # X and W are mapped, never copied whole
+
+
+class TestOneGroupAtATime:
+    """calibrate and solve hold one group at a time, each writer fails on a
+    bad --out before any work, and simulate --group builds only its plan."""
+
+    D = 512
+
+    @pytest.fixture
+    def configs(self, tmp_path):
+        """Configs of one and of four groups, each an f32 X of 2d rows and a
+        d x d f32 W."""
+        d, rng = self.D, np.random.default_rng(21)
+        groups = []
+        for g in range(4):
+            paths = {}
+            for name, rows in (("x", 2 * d), ("w", d)):
+                paths[name] = str(tmp_path / f"{name}{g}.cqt")
+                formats.write_tensor(paths[name], name, rng.standard_normal(
+                    (rows, d), dtype=np.float32), dtype="f32")
+            groups.append({"name": f"g{g}", "kind": "attn-input", "dim": d,
+                           "activations": [paths["x"]], "weights": [paths["w"]]})
+        configs = {count: tmp_path / f"groups{count}.json" for count in (1, 4)}
+        for count, path in configs.items():
+            path.write_text(json.dumps({"groups": groups[:count]}))
+        return configs
+
+    def test_calibrate_and_solve_peaks_do_not_grow_with_the_group_count(
+            self, tmp_path, configs):
+        def peaks(count):
+            cfg = str(configs[count])
+            stats, plan = str(tmp_path / f"s{count}.cqb"), str(tmp_path / f"p{count}.cqb")
+            out = []
+            for argv in (("calibrate", "--config", cfg, "--out", stats),
+                         ("solve", "--config", cfg, "--stats", stats, "--out", plan)):
+                tracemalloc.start()
+                try:
+                    assert run(*argv) == 0
+                    out.append(tracemalloc.get_traced_memory()[1] / (8 * self.D ** 2))
+                finally:
+                    tracemalloc.stop()
+            return np.array(out)
+
+        peaks(1)  # the first run's one-time allocations are not the groups'
+        one, four = peaks(1), peaks(4)
+        assert np.all(np.abs(four - one) < 0.1), (one, four)  # in d x d
+
+    def test_simulate_group_checks_one_basis(self, workspace, monkeypatch):
+        plan = str(workspace["tmp"] / "plan.cqb")
+        formats.write_plan(plan, [
+            build_plan(stats_from_tensors(workspace["x1_arr"], workspace["w_arr"],
+                                          name=f"g{i}"), 2, 4, 8) for i in range(4)])
+        checked, orthonormal = [], formats._orthonormal
+        monkeypatch.setattr(formats, "_orthonormal", lambda vectors, where: (
+            checked.append(where) or orthonormal(vectors, where)))
+        assert run("simulate", "--plan", plan, "--group", "g2", "--x", workspace["x1"],
+                   "--w", workspace["w"], "--out", str(workspace["tmp"] / "r.jsonl")) == 0
+        assert checked == [f"{plan}: plans[2]"]
+
+    def test_calibrate_to_a_missing_directory_maps_no_input(self, workspace,
+                                                             monkeypatch, capsys):
+        mapped, map_tensor = [], formats.map_tensor
+        monkeypatch.setattr(formats, "map_tensor",
+                            lambda path: mapped.append(path) or map_tensor(path))
+        out = str(workspace["tmp"] / "missing_dir" / "s.cqb")
+        assert run("calibrate", "--config", workspace["cfg"], "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out}'\n")
+        assert mapped == []
+
+    def test_solve_to_a_missing_directory_runs_no_eigensolve(self, workspace,
+                                                             monkeypatch, capsys):
+        stats = str(workspace["tmp"] / "s.cqb")
+        assert run("calibrate", "--config", workspace["cfg"], "--out", stats) == 0
+        solved, solve_partition = [], engine.solve_partition
+        monkeypatch.setattr(engine, "solve_partition", lambda *args, **kwargs: (
+            solved.append(args) or solve_partition(*args, **kwargs)))
+        out = str(workspace["tmp"] / "missing_dir" / "p.cqb")
+        assert run("solve", "--stats", stats, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out}'\n")
+        assert solved == []
+
+    def test_a_failed_third_group_leaves_no_file(self, workspace, capsys):
+        group = workspace["cfg_obj"]["groups"][0]
+        missing = str(workspace["tmp"] / "missing.cqt")
+        cfg = workspace["tmp"] / "three.json"
+        cfg.write_text(json.dumps({"groups": [
+            dict(group, name="g0"), dict(group, name="g1"),
+            dict(group, name="g2", activations=[missing])]}))
+        out = workspace["tmp"] / "s.cqb"
+        files = sorted(os.listdir(workspace["tmp"]))
+        assert run("calibrate", "--config", str(cfg), "--out", str(out)) == 2
+        assert f"groups[2] (group 'g2'): activation file {missing}" in capsys.readouterr().err
+        assert sorted(os.listdir(workspace["tmp"])) == files  # no file, no temp file
+        # an existing file is kept as it was
+        assert run("calibrate", "--config", workspace["cfg"], "--out", str(out)) == 0
+        before = out.read_bytes()
+        assert run("calibrate", "--config", str(cfg), "--out", str(out)) == 2
+        assert out.read_bytes() == before
+        assert sorted(os.listdir(workspace["tmp"])) == sorted(files + ["s.cqb"])
 
 
 class TestAnalyze:

@@ -532,6 +532,48 @@ class TestRewrite:
         assert first == second
 
 
+class TestStreamedBundles:
+    """The stats and plan writers draw any iterable of groups once, and
+    `read_plan` builds only the group it is asked for."""
+
+    @pytest.fixture
+    def stats(self):
+        rng = np.random.default_rng(13)
+        return [stats_from_tensors(rng.standard_normal((3 * d, d)),
+                                   rng.standard_normal((d, 4)), name=f"g{i}")
+                for i, d in enumerate((8, 12, 8))]
+
+    @pytest.mark.parametrize("kind", ["stats", "plan"])
+    def test_a_generator_writes_the_bytes_of_a_list(self, tmp_path, stats, kind):
+        write = getattr(formats, f"write_{kind}")
+        items = stats if kind == "stats" else [
+            build_plan(st, 2, 4, 8, seed=i) for i, st in enumerate(stats)]
+        write(str(tmp_path / "list.cqb"), items)
+        write(str(tmp_path / "generator.cqb"), (item for item in items))
+        assert read_raw(tmp_path / "generator.cqb") == read_raw(tmp_path / "list.cqb")
+
+    @pytest.mark.parametrize("write", [formats.write_stats, formats.write_plan],
+                             ids=["stats", "plan"])
+    def test_no_groups_raises_and_writes_nothing(self, tmp_path, write):
+        # the readers reject a file of no groups
+        with pytest.raises(ValueError, match="must be a non-empty list, got"):
+            write(str(tmp_path / "empty.cqb"), [])
+        assert os.listdir(tmp_path) == []
+
+    def test_read_plan_of_a_group_checks_only_its_basis(self, tmp_path, stats):
+        path = tmp_path / "p.cqb"
+        formats.write_plan(str(path), [build_plan(st, 2, 4, 8) for st in stats])
+        header, payload = split(path)
+        begin, end = header["1.vectors"]["data_offsets"]
+        doubled = 2.0 * np.frombuffer(payload[begin:end], "<f8")
+        path.write_bytes(frame(header, payload[:begin] + doubled.tobytes() + payload[end:]))
+        with pytest.raises(HeaderMismatchError, match=r"plans\[1\]: basis has"):
+            formats.read_plan(str(path))
+        (plan,) = formats.read_plan(str(path), "g2")
+        assert plan.group.name == "g2"
+        assert formats.read_plan(str(path), "h") == []
+
+
 class TestAtomicWrite:
     def test_concurrent_writers_leave_valid_file_and_no_temp(self, tmp_path):
         path = str(tmp_path / "t.cqt")
