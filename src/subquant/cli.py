@@ -1,4 +1,4 @@
-"""Command-line front end: calibrate -> solve -> simulate -> analyze -> compare.
+"""Command-line front end: calibrate -> solve -> simulate -> analyze.
 
 Exit codes: 0 success; 1 exactly when the error is an ArithmeticError, a
 numerical failure (no convergence / no signal / a quantizer range or a
@@ -95,8 +95,8 @@ def load_config(path: str | None, objective: str | None = None,
 def rank_of(cfg: RunConfig, d: int, path: str | None = None) -> int:
     """The rank_ratio of d of the config read from `path`, at least 1, and
     below d, else a ValueError names the ratio. The floor of d * ratio is
-    taken with 1e-9 to spare, so the ratio r / d gives r for every r < d <=
-    4096, though d * (r / d) may round to just below r."""
+    taken with 1e-9 to spare, so the ratio r / d gives r for every r < d, at
+    every dim a group may have, though d * (r / d) may round to just below r."""
     rank = max(1, math.floor(d * cfg.rank_ratio + 1e-9))
     where = f"{path}: rank_ratio" if path else "rank_ratio"
     check(f"{where} {cfg.rank_ratio!r} at dim {d}: rank", rank, *rank_rule(d))
@@ -181,7 +181,7 @@ def cmd_analyze(args) -> int:
     else:
         cfg = load_config(args.config)
         x, w = formats.map_tensor(args.x), formats.map_tensor(args.w)
-        rank = rank_of(cfg, w.shape[0], args.config)
+        rank = rank_of(cfg, x.shape[-1], args.config)
         try:
             runs = [analyze_layer(x, w, rank, cfg.bits_low, cfg.bits_high,
                                   seed=cfg.seed, rotation=cfg.rotation)]
@@ -189,31 +189,6 @@ def cmd_analyze(args) -> int:
             raise located(e, f"--x {args.x} --w {args.w}") from e
     formats.write_report(args.out, [rep for run in runs for rep in run])
     print(json.dumps(summarize(runs), sort_keys=True))
-    return 0
-
-
-def cmd_compare(args) -> int:
-    a = formats.read_report(args.report_a)
-    b = formats.read_report(args.report_b)
-    diff = {"rows_a": len(a), "rows_b": len(b), "deltas": []}
-    for i, (ra, rb) in enumerate(zip(a, b)):
-        ra, rb = ra.to_json(), rb.to_json()
-        row = {"row": i}
-        for col in formats.REPORT_COLUMNS:
-            va, vb = ra[col], rb[col]
-            if isinstance(va, (int, float)) and isinstance(vb, (int, float)):
-                if va != vb:
-                    row[col] = vb - va
-            elif va != vb:
-                row[col] = [va, vb]
-        if len(row) > 1:
-            diff["deltas"].append(row)
-    diff["identical"] = len(a) == len(b) and not diff["deltas"]
-    text = json.dumps(diff, sort_keys=True, indent=2)
-    if args.out:
-        formats.atomic_write(args.out, [(text + "\n").encode("utf-8")])
-    else:
-        print(text)
     return 0
 
 
@@ -256,12 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "...; S is the config's seed, else the spec's")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("compare", help="diff two report files")
-    p.add_argument("report_a")
-    p.add_argument("report_b")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_compare)
 
     return parser
 

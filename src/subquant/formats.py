@@ -38,7 +38,6 @@ sorted.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import itertools
 import json
 import math
@@ -70,9 +69,6 @@ _FIELDS = {"stats": "groups", "plan": "plans"}  # the meta list of each bundle k
 # the shape rule of the readers, which the writer applies too
 _SHAPE = (lambda v: isinstance(v, list) and v != [] and all(is_int(s, 1) for s in v),
           "a non-empty list of ints >= 1")
-
-# a report's columns: the fields of ErrorReport, in order
-REPORT_COLUMNS = [f.name for f in dataclasses.fields(ErrorReport)]
 
 
 def atomic_write(path: str, chunks) -> None:

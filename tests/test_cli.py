@@ -492,8 +492,9 @@ class TestExitCodeRule:
         def fails(args):
             raise error("boom")
 
-        monkeypatch.setattr(cli, "cmd_compare", fails)
-        assert main(["compare", "a.jsonl", "b.jsonl"]) == (1 if numerical else 2)
+        monkeypatch.setattr(cli, "cmd_simulate", fails)
+        assert main(["simulate", "--plan", "p.cqb", "--x", "x.cqt", "--w", "w.cqt",
+                     "--out", "r.jsonl"]) == (1 if numerical else 2)
         assert capsys.readouterr().err == "error: boom\n"
 
     def test_every_package_error_is_walked(self):
@@ -903,8 +904,8 @@ class TestAnalyze:
         assert run("analyze", "--config", str(cfg), *tensors, "--out", analyzed) == 0
         (sim,), joint = formats.read_report(simulated), formats.read_report(analyzed)[0]
         assert joint.objective == "joint"
-        numeric = [c for c in formats.REPORT_COLUMNS
-                   if c not in ("group", "objective", "relative_reduction")]
+        numeric = [f.name for f in dataclasses.fields(engine.ErrorReport)
+                   if f.name not in ("group", "objective", "relative_reduction")]
         assert ({c: getattr(joint, c) for c in numeric}
                 == {c: getattr(sim, c) for c in numeric})
 
@@ -997,6 +998,17 @@ class TestAnalyze:
         assert "--synthetic or --x and --w, not both" in err
         assert not out.exists()
 
+    def test_dim_is_x_columns_and_a_bad_w_is_named(self, tmp_path, capsys):
+        # W's rows are not the dim: a 1 x 8 W against a 64 x 16 X is W's fault
+        x, w = str(tmp_path / "x.cqt"), str(tmp_path / "w.cqt")
+        formats.write_tensor(x, "x", np.ones((64, 16)))
+        formats.write_tensor(w, "w", np.ones((1, 8)))
+        out = tmp_path / "r.jsonl"
+        assert run("analyze", "--x", x, "--w", w, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: --x {x} --w {w}: w must be 2-d with 16 rows, got shape (1, 8)\n")
+        assert not out.exists()
+
     # the default ratio, or a config's that gives rank 2
     @pytest.mark.parametrize("ratio", [None, 0.25], ids=["ratio", "rank"])
     @pytest.mark.parametrize("shape", [(16 * 8,), (2, 8, 8)], ids=["1-d", "3-d"])
@@ -1058,8 +1070,10 @@ class TestAnalyze:
         assert not out.exists()
 
     def test_rank_ratio_r_over_d_gives_rank_r(self):
-        # d * (r / d) rounds to just below r for 1,401 of these pairs
-        missed = [(d, r) for d in range(2, 301) for r in range(1, d)
+        # d * (r / d) rounds to just below r for 1,401 of the pairs d <= 300;
+        # 23,170 is the largest dim a group may have
+        dims = [*range(2, 301), 4096, 11008, 14336, 23170]
+        missed = [(d, r) for d in dims for r in range(1, d)
                   if cli.rank_of(cli.RunConfig.from_json({"rank_ratio": r / d}, "cfg"),
                                  d) != r]
         assert missed == []
@@ -1196,86 +1210,6 @@ class TestBitsOrder:
         assert solves == [] and not out.exists()
 
 
-class TestCompare:
-    def make_report(self, tmp_path, name, bits_low=4):
-        rng = np.random.default_rng(1)
-        x, w = rng.standard_normal((16, 8)), rng.standard_normal((8, 8))
-        plan = build_plan(stats_from_tensors(x, w, name="g"), 2, bits_low, 8)
-        _, rep = execute_plan(x, w, plan)
-        path = str(tmp_path / name)
-        formats.write_report(path, [rep])
-        return path
-
-    def test_identical_reports_zero_diff(self, tmp_path, capsys):
-        a = self.make_report(tmp_path, "a.jsonl")
-        b = self.make_report(tmp_path, "b.jsonl")
-        assert run("compare", a, b) == 0
-        diff = json.loads(capsys.readouterr().out)
-        assert diff["identical"] and diff["deltas"] == []
-
-    def test_changed_bits_nonzero_delta(self, tmp_path, capsys):
-        a = self.make_report(tmp_path, "a.jsonl", bits_low=4)
-        b = self.make_report(tmp_path, "b.jsonl", bits_low=8)
-        run("compare", a, b)
-        diff = json.loads(capsys.readouterr().out)
-        assert not diff["identical"]
-        assert "exact_error" in diff["deltas"][0]
-
-    def test_missing_column_schema_error(self, tmp_path, capsys):
-        a = self.make_report(tmp_path, "a.jsonl")
-        bad = str(tmp_path / "bad.csv")
-        Path(bad).write_text("group,objective\ng,joint\n")
-        out = tmp_path / "diff.json"
-        assert run("compare", a, bad, "--out", str(out)) == 2
-        assert f"{bad}: report row 0 is not JSON" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("line", ["5", '{"group": "g"}'], ids=["number", "partial"])
-    def test_malformed_json_row_exits_2(self, tmp_path, capsys, line):
-        a = self.make_report(tmp_path, "a.jsonl")
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text(Path(a).read_text() + line + "\n")
-        assert run("compare", a, str(bad)) == 2
-        assert "row 1" in capsys.readouterr().err
-
-    def test_non_reports_exit_2(self, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.txt"
-        a.write_text("[1, 2]\n")
-        b.write_text("hello\n")
-        assert run("compare", str(a), str(b)) == 2
-        assert f"{a}: report row 0 must be a JSON object" in capsys.readouterr().err
-        assert run("compare", str(b), str(b)) == 2
-        assert f"{b}: report row 0 is not JSON" in capsys.readouterr().err
-
-    def test_exact_error_root_row_exits_2(self, tmp_path, capsys):
-        # the column earlier versions derived from exact_error
-        a = self.make_report(tmp_path, "a.jsonl")
-        rooted = tmp_path / "rooted.jsonl"
-        rooted.write_text(json.dumps(json.loads(Path(a).read_text())
-                                     | {"exact_error_root": 1.0}) + "\n")
-        out = tmp_path / "diff.json"
-        assert run("compare", a, str(rooted), "--out", str(out)) == 2
-        assert f"{rooted}: report row 0: unknown field(s) ['exact_error_root']" \
-            in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_out_is_replaced_atomically(self, tmp_path, monkeypatch):
-        a = self.make_report(tmp_path, "a.jsonl")
-        out = tmp_path / "diff.json"
-        out.write_text("old\n")
-
-        def failing_replace(src, dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(formats.os, "replace", failing_replace)
-        assert run("compare", a, a, "--out", str(out)) == 2
-        assert out.read_text() == "old\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "diff.json"]
-        monkeypatch.undo()
-        assert run("compare", a, a, "--out", str(out)) == 0
-        assert json.loads(out.read_text())["identical"]
-
-
 class TestEveryFlagIsRead:
     """From a fixed baseline, changing any one plan field of the config, or
     any one flag a command takes, changes the bytes it writes; a plan field
@@ -1346,8 +1280,7 @@ class TestUsability:
             "solve": help_ | {"--config", "--objective", "--stats", "--out"},
             "simulate": help_ | {"--plan", "--x", "--w", "--group", "--out"},
             "analyze": help_ | {"--config", "--synthetic", "--x", "--w", "--sweep",
-                                "--out"},
-            "compare": help_ | {"--out"}}
+                                "--out"}}
 
     def test_help_exits_zero(self, capsys):
         for argv in (["--help"], ["solve", "--help"], ["analyze", "--help"]):

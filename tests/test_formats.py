@@ -17,6 +17,7 @@ from subquant import formats
 from subquant.cli import main
 from subquant.calib import ProjectionGroup, calibrate
 from subquant.engine import (
+    ErrorReport,
     analyze_layer,
     build_plan,
     execute_plan,
@@ -1146,7 +1147,8 @@ class TestReports:
         lines = Path(path).read_text().splitlines()
         assert len(lines) == len(reps)
         for line, rep in zip(lines, reps):
-            assert list(json.loads(line)) == sorted(formats.REPORT_COLUMNS)
+            assert list(json.loads(line)) == sorted(
+                f.name for f in dataclasses.fields(ErrorReport))
             assert line == json.dumps(rep.to_json(), sort_keys=True)
 
     def test_csv_missing_column_is_schema_error(self, tmp_path):
@@ -1161,6 +1163,26 @@ class TestReports:
         formats.write_report(path, self.make_reports())
         Path(path).write_text(Path(path).read_text() + line + "\n")
         with pytest.raises(HeaderMismatchError, match="row 1"):
+            formats.read_report(path)
+
+    @pytest.mark.parametrize("bad,fault", [
+        (lambda good: "group,objective\ng,joint\n", "report row 0 is not JSON"),
+        (lambda good: good + "5\n", "report row 1 must be a JSON object, got 5"),
+        (lambda good: good + '{"group": "g"}\n', "report row 1: objective must be"),
+        (lambda good: "[1, 2]\n", "report row 0 must be a JSON object"),
+        (lambda good: "hello\n", "report row 0 is not JSON"),
+        (lambda good: json.dumps(json.loads(good) | {"exact_error_root": 1.0}) + "\n",
+         "report row 0: unknown field(s) ['exact_error_root']"),
+    ], ids=["missing_column", "number_row", "partial_row", "non_object", "not_json",
+            "exact_error_root"])
+    def test_bad_report_names_file_and_row(self, tmp_path, bad, fault):
+        # a report made from one valid row: the error names the file, then the
+        # row, then the fault (exact_error_root is the column earlier versions
+        # derived from exact_error)
+        path = str(tmp_path / "r.jsonl")
+        formats.write_report(path, self.make_reports()[:1])
+        Path(path).write_text(bad(Path(path).read_text()))
+        with pytest.raises(HeaderMismatchError, match=re.escape(f"{path}: {fault}")):
             formats.read_report(path)
 
     def test_csv_short_row_is_schema_error(self, tmp_path):

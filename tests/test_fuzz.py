@@ -1,8 +1,8 @@
 """Fuzzed inputs: a valid stats bundle, plan bundle, config, tensor file,
 synthetic spec or report with one JSON value replaced by a value of another
 type, or with bytes flipped in its header length or header, either loads
-or raises FormatError, and the CLI exits 0 or 2 on it, never with a
-traceback."""
+or raises FormatError, and each command that reads it exits 0 or 2 on it,
+never with a traceback (no command reads a report)."""
 
 import copy
 import json
@@ -207,5 +207,4 @@ def test_report_file(valid, data):
         row = json.loads(f.read())
     with open(valid["fuzzed"], "wb") as f:
         f.write(mutate_json(row, data))
-    if loads(formats.read_report, valid["fuzzed"]):
-        exits_0_or_2("compare", valid["report"], valid["fuzzed"], "--out", valid["out"])
+    loads(formats.read_report, valid["fuzzed"])
