@@ -11,9 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DIM_FITS, Checked, DimensionMismatchError, bad_squares, check_fields, is_int,
-    is_real)
+from .errors import DIM_FITS, Checked, bad_squares, check_fields, is_int, is_real
 from .linalg import gram_input, row_blocks
 
 ATTN_INPUT = "attn-input"
@@ -64,7 +62,7 @@ class CalibStats(Checked):
         ))
 
 
-# an overflow is reported as ScaleRangeError, not warned of
+# an overflow is reported as ArithmeticError, not warned of
 @np.errstate(over="ignore", invalid="ignore")
 def _fold(sigma: np.ndarray, energy: float, rows, name: str) -> float:
     """Add R^T R to the float64 `sigma` in place and return energy +
@@ -106,7 +104,7 @@ def calibrate(group: ProjectionGroup, activations, weights) -> CalibStats:
     for w in weights:
         w = np.asarray(w)
         if w.ndim != 2 or w.shape[0] != d:
-            raise DimensionMismatchError(
+            raise ValueError(
                 f"w must be 2-d with {d} rows, got shape {w.shape}")
         energy_w = _fold(sigma_w, energy_w, w.T, "w")
         del w

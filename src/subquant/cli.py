@@ -3,7 +3,7 @@
 Exit codes: 0 success; 1 exactly when the error is an ArithmeticError, a
 numerical failure (no convergence / no signal / a quantizer range or a
 measurement that overflows); 2 for any other error: usage, I/O (OSError) or
-bad input (ValueError). An error that names its input keeps its class.
+bad input (ValueError). An error that names its input keeps its exit code.
 calibrate and solve form, and hand their writer, one group at a time.
 """
 
@@ -51,7 +51,7 @@ class RunConfig(Checked):
         names = [g.name for g in self.groups]
         for name in names:
             if names.count(name) > 1:
-                raise FormatError(f"two groups are named {name!r}")
+                raise ValueError(f"two groups are named {name!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -165,10 +165,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     if args.synthetic is not None and (args.x is not None or args.w is not None):
-        raise FormatError("analyze takes --synthetic or --x and --w, not both")
+        raise ValueError("analyze takes --synthetic or --x and --w, not both")
     if args.synthetic is None and (args.x is None or args.w is None or args.sweep):
-        raise FormatError("analyze needs either --synthetic or both --x and --w "
-                          "(--sweep needs --synthetic)")
+        raise ValueError("analyze needs either --synthetic or both --x and --w "
+                         "(--sweep needs --synthetic)")
     if args.synthetic is not None:
         with open(args.synthetic, "rb") as f:
             obj = formats.parse_json(f.read(), f"{args.synthetic}: invalid JSON spec")

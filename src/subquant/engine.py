@@ -16,8 +16,6 @@ from .calib import ATTN_INPUT, CalibStats, ProjectionGroup, calibrate
 from .errors import (
     SEED,
     Checked,
-    DimensionMismatchError,
-    ScaleRangeError,
     check,
     bad_squares,
     check_fields,
@@ -69,7 +67,7 @@ class MixedPrecisionPlan(Checked):
     def __post_init__(self):
         dim = self.group.dim
         check("partition", self.partition.dim, lambda v: v == dim,
-              f"of the group's dim ({dim})", DimensionMismatchError)
+              f"of the group's dim ({dim})")
         check_fields(self, bit_widths(self))
 
     @property
@@ -157,11 +155,11 @@ def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
         of L_b = [dA_b | A_hat_b], all 2d x 2d;
       - row blocks: ||X_b W - A_hat_b B_hat||^2 summed, in reused buffers.
     An error, predicted error or energy that over- or underflows float64
-    raises ScaleRangeError."""
+    raises ArithmeticError."""
     w = np.require(w, np.float64, "A")  # aligned: see linalg.sym_eig
     d = plan.partition.dim
     if w.ndim != 2 or w.shape[0] != d:
-        raise DimensionMismatchError(
+        raise ValueError(
             f"w {w.shape} incompatible with partition dim {d}")
     x, m = np.asarray(x), w.shape[1]
     # widest buffer: L_b (2d columns, each block adding a fresh 2d x 2d Gram),
@@ -212,7 +210,7 @@ def _measure(x: np.ndarray, w: np.ndarray, plan: MixedPrecisionPlan,
     ex, ew = ((float(v[:k].sum()), float(v[k:].sum())) for v in (ex, ew))
     predicted = predict_error(ex, ew, plan.bits_low, plan.bits_high, (k, d - k))
     if not all(math.isfinite(v) for v in (exact, predicted, *ex, *ew)):
-        raise ScaleRangeError(f"measuring group {plan.group.name!r} "
+        raise ArithmeticError(f"measuring group {plan.group.name!r} "
                               f"overflows float64: error {exact!r}, predicted "
                               f"{predicted!r}, energies x {ex}, w {ew}")
     report = ErrorReport(
@@ -275,7 +273,7 @@ def stats_from_tensors(x: np.ndarray, w: np.ndarray,
     array included, read in row blocks. X's columns set the dim, and W is
     checked against it."""
     if np.ndim(x) != 2:
-        raise DimensionMismatchError(f"x must be 2-d, got shape {np.shape(x)}")
+        raise ValueError(f"x must be 2-d, got shape {np.shape(x)}")
     return calibrate(ProjectionGroup(ATTN_INPUT, np.shape(x)[1], name), [x], [w])
 
 

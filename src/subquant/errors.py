@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the field checks that
-every validated type runs on construction and on reading a file."""
+"""The package's one exception class, and the field checks that every
+validated type runs on construction and on reading a file."""
 
 import dataclasses
 import math
@@ -8,51 +8,10 @@ import sys
 import numpy as np
 
 
-class SubquantError(Exception):
-    """Base class for all package-specific errors. Each is also exactly one
-    of ValueError (bad input: the CLI exits 2) or ArithmeticError (a
-    numerical failure: it exits 1)."""
-
-
-class NonSquareError(SubquantError, ValueError):
-    pass
-
-
-class NotSymmetricError(SubquantError, ValueError):
-    pass
-
-
-class NoConvergenceError(SubquantError, ArithmeticError):
-    """The eigensolver failed to converge."""
-
-
-class ScaleRangeError(SubquantError, ArithmeticError):
-    """A value over- or underflows float64: a quantization group's scale,
-    or a measured error or energy, is not a finite number."""
-
-
-class NoSignalError(SubquantError, ArithmeticError):
-    """The combined covariance matrix is identically zero: a numerical failure."""
-
-
-class DimensionMismatchError(SubquantError, ValueError):
-    pass
-
-
-class FormatError(SubquantError, ValueError):
-    """Base class for file-format violations."""
-
-
-class HeaderMismatchError(FormatError):
-    pass
-
-
-class TruncatedPayloadError(FormatError):
-    pass
-
-
-class UnsupportedDtypeError(FormatError):
-    pass
+class FormatError(ValueError):
+    """A file, config or spec is malformed; the message names it. Every other
+    error is the builtin that sets its exit code: ValueError for bad input,
+    OSError for I/O, ArithmeticError for a numerical failure."""
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +56,23 @@ def check(key: str, value, test, what: str, error=ValueError) -> None:
 
 def bad_squares(rows, name: str, dtype, rotated: bool = False) -> Exception:
     """The error of an input `rows` whose sums of (rotated) squares are not
-    finite: ValueError if it holds NaN or +-inf, else ScaleRangeError."""
+    finite: ValueError if it holds NaN or +-inf, else ArithmeticError."""
     if not np.isfinite(rows).all():
         return ValueError(f"{name} contains non-finite entries")
-    return ScaleRangeError(f"the sum of {'rotated ' * rotated}{name}'s squares "
+    return ArithmeticError(f"the sum of {'rotated ' * rotated}{name}'s squares "
                            f"overflows {dtype}")
 
 
 def located(e: Exception, where: str) -> Exception:
-    """An exception of `e`'s class whose message is `where: ` then `e`'s, to
-    raise from `e`: naming its input does not change its exit code."""
-    return type(e)(f"{where}: {e}")
+    """An exception whose message is `where: ` then `e`'s, to raise from `e`:
+    of `e`'s class if one message builds it, else of the builtin base that
+    sets its exit code (a UnicodeEncodeError, say, needs five arguments)."""
+    message = f"{where}: {e}"
+    try:
+        return type(e)(message)
+    except TypeError:
+        return next(base(message) for base in (ArithmeticError, OSError, ValueError)
+                    if isinstance(e, base))
 
 
 def check_fields(obj, rules) -> None:
@@ -140,16 +105,16 @@ class Checked:
         `where` names the file and the object. An absent required field reads
         as None, and `parsed` supplies fields already built from the file.
         An unknown field, or any rule the construction breaks, raises
-        HeaderMismatchError naming `where` and the field."""
+        FormatError naming `where` and the field."""
         if not isinstance(obj, dict):
-            raise HeaderMismatchError(f"{where} must be a JSON object, got {obj!r}")
+            raise FormatError(f"{where} must be a JSON object, got {obj!r}")
         fields = [f for f in dataclasses.fields(cls) if f.init]
         unknown = sorted(set(obj) - {f.name for f in fields})
         if unknown:
-            raise HeaderMismatchError(f"{where}: unknown field(s) {unknown}")
+            raise FormatError(f"{where}: unknown field(s) {unknown}")
         required = {f.name: None for f in fields if f.default is dataclasses.MISSING
                     and f.default_factory is dataclasses.MISSING}
         try:
             return cls(**required | obj | parsed)
         except ValueError as e:
-            raise HeaderMismatchError(f"{where}: {e}") from e
+            raise FormatError(f"{where}: {e}") from e

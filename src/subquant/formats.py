@@ -49,14 +49,7 @@ import numpy as np
 
 from .calib import CalibStats, ProjectionGroup
 from .engine import ErrorReport, MixedPrecisionPlan
-from .errors import (
-    MAX_BYTES,
-    HeaderMismatchError,
-    TruncatedPayloadError,
-    UnsupportedDtypeError,
-    check,
-    is_int,
-)
+from .errors import MAX_BYTES, FormatError, check, is_int
 from .solver import SubspacePartition
 
 ORTHO_TOL = 1e-8  # largest |V^T V - I| of a plan's basis
@@ -98,11 +91,11 @@ def atomic_write(path: str, chunks) -> None:
 
 def parse_json(text: str | bytes, where: str):
     """The value of a JSON document. Text that is not UTF-8, not JSON, or
-    nested too deep to parse raises HeaderMismatchError naming `where`."""
+    nested too deep to parse raises FormatError naming `where`."""
     try:
         return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
-        raise HeaderMismatchError(f"{where}: {e}") from e
+        raise FormatError(f"{where}: {e}") from e
 
 
 def _write(path: str, tensors, dtype: np.dtype, metadata=None) -> None:
@@ -142,21 +135,21 @@ def _check_entry(entry, path: str, name: str) -> tuple[np.dtype, tuple[int, ...]
     and begin and end offsets."""
     field = f"{path}: tensor {name!r}"
     if not isinstance(entry, dict):
-        raise HeaderMismatchError(f"{field} is not a JSON object")
+        raise FormatError(f"{field} is not a JSON object")
     for key in ("dtype", "shape", "data_offsets"):
         if key not in entry:
-            raise HeaderMismatchError(f"{field} missing field {key!r}")
+            raise FormatError(f"{field} missing field {key!r}")
     dtype, shape, offsets = entry["dtype"], entry["shape"], entry["data_offsets"]
     if not isinstance(dtype, str) or dtype not in _DTYPES:
-        raise UnsupportedDtypeError(f"{field}: dtype {dtype!r}")
-    check(f"{field}: shape", shape, *_SHAPE, HeaderMismatchError)
+        raise FormatError(f"{field}: dtype {dtype!r}")
+    check(f"{field}: shape", shape, *_SHAPE, FormatError)
     size = math.prod(shape) * _DTYPES[dtype].itemsize
     if size > MAX_BYTES:
-        raise HeaderMismatchError(f"{field} declares {size} bytes, above cap")
+        raise FormatError(f"{field} declares {size} bytes, above cap")
     if not (isinstance(offsets, list) and len(offsets) == 2
             and all(is_int(o, 0) for o in offsets) and offsets[1] - offsets[0] == size):
-        raise HeaderMismatchError(f"{field}: data_offsets must be two ints >= 0 "
-                                  f"spanning its {size} bytes, got {offsets!r}")
+        raise FormatError(f"{field}: data_offsets must be two ints >= 0 "
+                          f"spanning its {size} bytes, got {offsets!r}")
     return _DTYPES[dtype], tuple(shape), *offsets
 
 
@@ -173,24 +166,24 @@ def _map(path: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:
         size = os.fstat(f.fileno()).st_size
         hlen = int.from_bytes(f.read(8), "little")  # a short read fails the check
         if hlen > min(MAX_BYTES, size - 8):
-            raise HeaderMismatchError(f"{path}: header length {hlen} is past the end "
-                                      "of the file or the cap: not a safetensors file")
+            raise FormatError(f"{path}: header length {hlen} is past the end "
+                              "of the file or the cap: not a safetensors file")
         header = parse_json(f.read(hlen), f"{path}: invalid JSON header")
         if not isinstance(header, dict):
-            raise HeaderMismatchError(f"{path}: header is not a JSON object")
+            raise FormatError(f"{path}: header is not a JSON object")
         metadata = header.pop("__metadata__", {})
         if not (isinstance(metadata, dict)
                 and all(isinstance(v, str) for v in metadata.values())):
-            raise HeaderMismatchError(f"{path}: __metadata__ must map strings to strings")
+            raise FormatError(f"{path}: __metadata__ must map strings to strings")
         specs = {name: _check_entry(e, path, name) for name, e in header.items()}
         end = 0
         for name, (_, _, begin, stop) in sorted(specs.items(), key=lambda kv: kv[1][2]):
             if begin != end:
-                raise HeaderMismatchError(f"{path}: tensor {name!r} begins at byte "
-                                          f"{begin}, expected {end}: a gap or an overlap")
+                raise FormatError(f"{path}: tensor {name!r} begins at byte "
+                                  f"{begin}, expected {end}: a gap or an overlap")
             end = stop
         if size - 8 - hlen != end:
-            raise TruncatedPayloadError(
+            raise FormatError(
                 f"{path}: payload is {size - 8 - hlen} bytes, header declares {end}")
         mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     return metadata, {
@@ -203,13 +196,13 @@ def _tensor(tensors: dict, name: str, shape: tuple, path: str) -> np.ndarray:
     """The bundle tensor `name`, which must have `shape` and finite entries,
     as aligned float64: the mapped payload, or a copy of an F32 or unaligned one."""
     if name not in tensors:
-        raise HeaderMismatchError(f"{path}: missing tensor {name!r}")
+        raise FormatError(f"{path}: missing tensor {name!r}")
     if tensors[name].shape != shape:
-        raise HeaderMismatchError(f"{path}: tensor {name!r} has shape "
-                                  f"{tensors[name].shape}, expected {shape}")
+        raise FormatError(f"{path}: tensor {name!r} has shape "
+                          f"{tensors[name].shape}, expected {shape}")
     t = np.require(tensors[name], np.float64, "A")
     if not np.all(np.isfinite(t)):
-        raise HeaderMismatchError(f"{path}: tensor {name!r} contains non-finite entries")
+        raise FormatError(f"{path}: tensor {name!r} contains non-finite entries")
     return t
 
 
@@ -219,7 +212,7 @@ def write_tensor(path: str, name: str, matrix: np.ndarray, dtype: str = "f64") -
     that overflows `dtype`, raises ValueError and writes nothing; NaN and
     +-inf are written as they are, for the readers to reject."""
     if dtype not in ("f32", "f64"):
-        raise UnsupportedDtypeError(f"unsupported dtype {dtype!r}")
+        raise ValueError(f"unsupported dtype {dtype!r}")
     check("name", name, lambda v: isinstance(v, str) and v != "__metadata__",
           "a string other than '__metadata__'")
     check(f"tensor {name!r}: shape", list(np.shape(matrix)), *_SHAPE)
@@ -231,7 +224,7 @@ def map_tensor(path: str) -> np.ndarray:
     backed by a memory map (see `_map`)."""
     _, tensors = _map(path)
     if len(tensors) != 1:
-        raise HeaderMismatchError(f"{path}: holds {len(tensors)} tensors, expected 1")
+        raise FormatError(f"{path}: holds {len(tensors)} tensors, expected 1")
     (array,) = tensors.values()
     return array
 
@@ -264,14 +257,14 @@ def _read_bundle(path: str, kind: str):
     `key` as `_tensor` checks it; the types they describe check the rest."""
     metadata, tensors = _map(path)
     if metadata.get("kind") != kind:
-        raise HeaderMismatchError(
+        raise FormatError(
             f"{path}: file kind {metadata.get('kind')!r}, expected {kind!r}")
     field = _FIELDS[kind]
     meta = parse_json(metadata.get("meta", "null"), f"{path}: meta is not JSON")
     records = meta.get(field) if isinstance(meta, dict) else None
     if not (isinstance(records, list) and records
             and all(isinstance(r, dict) for r in records)):
-        raise HeaderMismatchError(
+        raise FormatError(
             f"{path}: meta.{field} must be a non-empty list of JSON objects")
     for i, record in enumerate(records):
         where = f"{path}: {field}[{i}]"
@@ -301,7 +294,7 @@ def _orthonormal(vectors: np.ndarray, where: str) -> np.ndarray:
     gram.flat[::len(gram) + 1] -= 1.0
     resid = float(np.max(np.abs(gram, out=gram)))
     if not resid <= ORTHO_TOL:
-        raise HeaderMismatchError(f"{where}: basis has |V^T V - I|_max = {resid:.3e}")
+        raise FormatError(f"{where}: basis has |V^T V - I|_max = {resid:.3e}")
     return vectors
 
 

@@ -14,13 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NoConvergenceError,
-    NonSquareError,
-    NotSymmetricError,
-)
-
 SYMMETRY_TOL = 1e-9
 
 # float64 bytes of a row block's widest buffer, and its fewest rows: at large
@@ -36,8 +29,8 @@ def row_blocks(x, d: int, width: int, gram: bool) -> list:
     least MIN_BLOCK_ROWS rows, and `width` rows if each adds a Gram (`gram`)."""
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != d or len(x) < 1:
-        raise DimensionMismatchError(f"x must be 2-d with {d} columns "
-                                     f"and at least one row, got shape {x.shape}")
+        raise ValueError(f"x must be 2-d with {d} columns "
+                         f"and at least one row, got shape {x.shape}")
     rows = max(MIN_BLOCK_ROWS, BLOCK_BYTES // (8 * width), width if gram else 0)
     return [x[lo:lo + rows] for lo in range(0, len(x), rows)]
 
@@ -76,18 +69,18 @@ def sym_eig(m: np.ndarray) -> EigenResult:
     # a slower path that rounds differently
     m = np.require(m, np.float64, "A")
     if m.ndim != 2:
-        raise DimensionMismatchError(f"matrix must be 2-d, got shape {m.shape}")
+        raise ValueError(f"matrix must be 2-d, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
     if m.shape[0] != m.shape[1]:
-        raise NonSquareError(f"expected square matrix, got {m.shape}")
+        raise ValueError(f"expected square matrix, got {m.shape}")
     amax = np.max(np.abs(m))
     if amax > 0 and np.max(np.abs(m - m.T)) > SYMMETRY_TOL * amax:
-        raise NotSymmetricError("asymmetry exceeds 1e-9 * max|M|")
+        raise ValueError("asymmetry exceeds 1e-9 * max|M|")
     try:
         values, vectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as e:
-        raise NoConvergenceError(f"eigh did not converge: {e}") from e
+        raise ArithmeticError(f"eigh did not converge: {e}") from e
     # stable sort: descending by value, ties keep original index order; the
     # fancy index makes the fresh array that _fix_signs edits in place
     order = np.argsort(-values, kind="stable")
@@ -136,7 +129,7 @@ def random_orthogonal(d: int, seed: int | np.random.SeedSequence) -> np.ndarray:
     output across runs.
     """
     if d < 1:
-        raise DimensionMismatchError("d must be >= 1")
+        raise ValueError("d must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     q[:, np.diag(r) < 0] *= -1.0
@@ -146,7 +139,7 @@ def random_orthogonal(d: int, seed: int | np.random.SeedSequence) -> np.ndarray:
 def hadamard(d: int) -> np.ndarray:
     """Normalized Sylvester-Hadamard matrix; d must be a power of two."""
     if d < 1 or d & (d - 1) != 0:
-        raise DimensionMismatchError(f"Hadamard dimension must be a power of two, got {d}")
+        raise ValueError(f"Hadamard dimension must be a power of two, got {d}")
     h = np.array([[1.0]])
     while h.shape[0] < d:
         h = np.block([[h, h], [h, -h]])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ScaleRangeError, check, is_int
+from .errors import check, is_int
 
 # the bit-width rule, shared by every bits field
 BITS = (lambda v: is_int(v, 2, 17), "an int in [2, 16]")
@@ -49,7 +49,7 @@ def _checked_scale(span: np.ndarray, qmax: float) -> np.ndarray:
     s = np.where(span > 0, span / qmax, 1.0)
     bad = np.count_nonzero(~((s > 0) & (s < np.inf)))
     if bad:
-        raise ScaleRangeError(
+        raise ArithmeticError(
             f"{bad} quantization group(s) have a range that overflows float64 "
             "or a scale that underflows to 0")
     return s
@@ -68,7 +68,7 @@ def quantize(x: np.ndarray, bits: int, symmetric: bool) -> QuantResult:
     check("bits", bits, *BITS)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
-        raise DimensionMismatchError(f"x must be 2-d, got shape {x.shape}")
+        raise ValueError(f"x must be 2-d, got shape {x.shape}")
     if symmetric:
         qmax, v = float(2 ** (bits - 1) - 1), np.abs(x)
         span = mx = np.max(v, axis=1, keepdims=True)

@@ -16,9 +16,6 @@ from .calib import CalibStats
 from .errors import (
     SEED,
     Checked,
-    DimensionMismatchError,
-    NoSignalError,
-    ScaleRangeError,
     check,
     check_fields,
     is_int,
@@ -43,8 +40,7 @@ ROTATION = (lambda v: v in ROTATIONS, f"one of {ROTATIONS}")
 
 def rank_rule(dim: int) -> tuple:
     """The rule of a rank in R^dim: both blocks of the partition non-empty."""
-    return (lambda v: is_int(v, 1, dim), f"an int in [1, {dim})",
-            DimensionMismatchError)
+    return (lambda v: is_int(v, 1, dim), f"an int in [1, {dim})")
 
 
 @dataclass(frozen=True)
@@ -155,10 +151,10 @@ def solve_partition(stats: CalibStats, rank: int, objective: str = OBJECTIVE_JOI
     with np.errstate(over="ignore", invalid="ignore"):  # reported, not warned of
         m = lx * stats.sigma_x + lw * stats.sigma_w
     if not np.all(np.isfinite(m)):  # calibrate and read_stats give finite sums
-        raise ScaleRangeError(f"the mixed covariance {lx!r} * Sigma_X + {lw!r} * "
+        raise ArithmeticError(f"the mixed covariance {lx!r} * Sigma_X + {lw!r} * "
                               "Sigma_W overflows float64")
     if np.max(np.abs(m)) == 0.0:
-        raise NoSignalError("combined covariance matrix is zero")
+        raise ArithmeticError("combined covariance matrix is zero")
     eig = sym_eig(m)
     return SubspacePartition(vectors=eig.vectors, eigenvalues=eig.values, rank=rank,
                              seed=seed, rotation=rotation, lambda_x=lx, lambda_w=lw)
@@ -168,7 +164,7 @@ def surrogate_objective(partition: SubspacePartition, stats: CalibStats) -> floa
     """Tr(p_h^T (lambda_x Sigma_X + lambda_w Sigma_W) p_h) - the quantity the
     closed form maximizes; equals the top-r eigenvalue sum at the optimum."""
     if partition.dim != stats.group.dim:
-        raise DimensionMismatchError(
+        raise ValueError(
             f"partition dim {partition.dim} vs stats dim {stats.group.dim}")
     m = partition.lambda_x * stats.sigma_x + partition.lambda_w * stats.sigma_w
     return float(np.trace(partition.p_h.T @ m @ partition.p_h))

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -347,6 +349,22 @@ class TestCalibrateStreaming:
             f"[Errno 21] Is a directory: '{shard}'\n")
         assert not Path(out).exists()
 
+    def test_unencodable_shard_path_exits_2_naming_it(self, workspace):
+        # "\ud800" in the config's JSON is a lone surrogate, which open()
+        # cannot encode: a UnicodeEncodeError, which one message cannot build.
+        # A fresh interpreter, whose stderr writes it backslash-escaped
+        cfg = calibrate_config(workspace, "\ud800.cqt")
+        out = workspace["tmp"] / "shard_stats.cqb"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        done = subprocess.run([sys.executable, "-m", "subquant.cli", "calibrate",
+                               "--config", cfg, "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 2 and not out.exists()
+        assert done.stderr.startswith(
+            f"error: {cfg}: groups[0] (group 'g0'): activation file \\ud800.cqt: "
+            "'utf-8' codec can't encode character")
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
     def test_never_holds_a_whole_shard_as_f64(self, workspace):
         n, d = 65536, 8
         x = np.random.default_rng(5).standard_normal((n, d))
@@ -474,33 +492,46 @@ class TestMeasurementNamesItsFiles:
         assert "overflows float64" in err
 
 
-def package_errors(cls=errors.SubquantError):
-    """Every subclass of `cls`, recursively."""
-    for sub in cls.__subclasses__():
-        yield sub
-        yield from package_errors(sub)
+# each class the CLI handles, a builtin subclass of each builtin base, and
+# the exit code it sets
+EXIT_CODES = {errors.FormatError: 2, ValueError: 2, UnicodeError: 2, OSError: 2,
+              FileNotFoundError: 2, ArithmeticError: 1, OverflowError: 1}
 
 
 class TestExitCodeRule:
-    @pytest.mark.parametrize("error", sorted(package_errors(), key=lambda c: c.__name__),
-                             ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("error", EXIT_CODES, ids=lambda c: c.__name__)
     def test_class_sets_the_exit_code(self, monkeypatch, capsys, error):
-        # exactly one of the two bases, and the exit code follows it
-        numerical = issubclass(error, ArithmeticError)
-        assert numerical != issubclass(error, ValueError)
-
         def fails(args):
             raise error("boom")
 
         monkeypatch.setattr(cli, "cmd_simulate", fails)
         assert main(["simulate", "--plan", "p.cqb", "--x", "x.cqt", "--w", "w.cqt",
-                     "--out", "r.jsonl"]) == (1 if numerical else 2)
+                     "--out", "r.jsonl"]) == EXIT_CODES[error]
         assert capsys.readouterr().err == "error: boom\n"
 
     def test_every_package_error_is_walked(self):
-        names = {c.__name__ for c in package_errors()}
-        assert {"NoSignalError", "NoConvergenceError", "ScaleRangeError",
-                "FormatError", "TruncatedPayloadError"} <= names
+        # the package's one exception class; every other error is a builtin
+        defined = {v for v in vars(errors).values()
+                   if isinstance(v, type) and issubclass(v, BaseException)}
+        assert defined == {errors.FormatError}
+        assert errors.FormatError.__bases__ == (ValueError,)
+        assert {*defined, ValueError, OSError, ArithmeticError} <= EXIT_CODES.keys()
+
+    @pytest.mark.parametrize("error, built", [
+        (errors.FormatError("x.cqt: header is not a JSON object"), errors.FormatError),
+        (ValueError("w contains non-finite entries"), ValueError),
+        (UnicodeEncodeError("utf-8", "\ud800", 0, 1, "surrogates not allowed"),
+         ValueError),
+        (json.JSONDecodeError("Expecting value", "nope", 0), ValueError),
+        (FileNotFoundError(2, "No such file or directory", "x.cqt"), FileNotFoundError),
+        (ArithmeticError("eigh did not converge"), ArithmeticError),
+        (ZeroDivisionError("division by zero"), ZeroDivisionError),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else type(v).__name__)
+    def test_located_keeps_the_exit_code(self, error, built):
+        # `error`'s class if one message builds it, else its builtin base
+        named = errors.located(error, "cfg.json: groups[0]")
+        assert type(named) is built
+        assert str(named) == f"cfg.json: groups[0]: {error}"
 
     def test_bare_arithmetic_error_exits_1_naming_the_group(self, workspace,
                                                              monkeypatch, capsys):

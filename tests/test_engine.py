@@ -20,7 +20,6 @@ from subquant.engine import (
     stats_from_tensors,
     use_gram_form,
 )
-from subquant.errors import DimensionMismatchError, ScaleRangeError
 from subquant.linalg import HIGH_ROTATION, LOW_ROTATION
 from subquant.quantizer import QuantResult, quantize
 from subquant.solver import OBJECTIVES, solve_partition
@@ -40,16 +39,16 @@ class TestExecutePlan:
     def test_shape_mismatch(self):
         x, w = random_instance(4, 8, 3, seed=2)
         plan = make_plan(x, w)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValueError, match="x must be 2-d with 8 columns"):
             execute_plan(np.zeros((4, 7)), w, plan)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValueError, match=r"w \(7, 3\) incompatible with partition dim 8"):
             execute_plan(x, np.zeros((7, 3)), plan)
 
     @pytest.mark.parametrize("measure", [measure_plan, execute_plan],
                              ids=["measure", "execute"])
     def test_x_with_no_rows_rejected(self, measure):
         x, w = random_instance(4, 8, 3, seed=2)
-        with pytest.raises(DimensionMismatchError, match="at least one row"):
+        with pytest.raises(ValueError, match="at least one row"):
             measure(np.empty((0, 8)), w, make_plan(x, w))
 
     @pytest.mark.parametrize("n,m", [(6, 4), (64, 64)], ids=["rows", "gram"])
@@ -234,7 +233,7 @@ class TestMeasurePlan:
         x, w = random_instance(*SHAPES[form], seed=4)
         plan = make_plan(x, w)
         for measure in (measure_plan, lambda *a: execute_plan(*a)[1]):
-            with pytest.raises(ScaleRangeError, match="overflows float64"):
+            with pytest.raises(ArithmeticError, match="overflows float64"):
                 measure(x * scale, w, plan)
 
     # d = 16 at rank 2, n = 120: m = 64 is measured in the Gram form, 16 in rows
@@ -250,7 +249,7 @@ class TestMeasurePlan:
             x[50] = value * np.where(np.arange(16) % 2, 1.0, -1.0)  # second block
         else:
             w[:, 3] = value * np.where(np.arange(16) % 2, 1.0, -1.0)
-        error, match = ((ScaleRangeError, f"rotated {side}'s squares overflows float64")
+        error, match = ((ArithmeticError, f"rotated {side}'s squares overflows float64")
                         if np.isfinite(value)
                         else (ValueError, f"^{side} contains non-finite entries$"))
         for measure in (measure_plan, lambda *a: execute_plan(*a)[1]):
@@ -495,8 +494,8 @@ def test_bad_bit_widths_fail_before_any_work(monkeypatch, bits_low, bits_high):
 def test_plan_partition_must_have_the_group_dim():
     x, w = random_instance(16, 8, 4, seed=17)
     plan = make_plan(x, w)
-    with pytest.raises(DimensionMismatchError, match="partition must be of the "
-                                                     "group's dim \\(16\\), got 8"):
+    with pytest.raises(ValueError, match="partition must be of the "
+                                         "group's dim \\(16\\), got 8"):
         dataclasses.replace(plan, group=ProjectionGroup("attn-input", 16, "g"))
 
 

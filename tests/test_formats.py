@@ -24,12 +24,7 @@ from subquant.engine import (
     measure_plan,
     stats_from_tensors,
 )
-from subquant.errors import (
-    MAX_BYTES,
-    HeaderMismatchError,
-    TruncatedPayloadError,
-    UnsupportedDtypeError,
-)
+from subquant.errors import MAX_BYTES, FormatError
 from subquant.linalg import HIGH_ROTATION, LOW_ROTATION
 
 
@@ -136,7 +131,7 @@ class TestTensorContainer:
         header = {"name": "m", "dtype": "f64", "shape": [2, 2], "layout": "row-major"}
         Path(path).write_bytes(old_frame(b"CQT1", header, bytes(32)))
         for reader in (formats.read_tensor, formats.map_tensor):
-            with pytest.raises(HeaderMismatchError,
+            with pytest.raises(FormatError,
                                match=re.escape(f"{path}: header length")):
                 reader(path)
 
@@ -145,7 +140,7 @@ class TestTensorContainer:
         formats.write_tensor(path, "m", np.eye(3))
         raw = Path(path).read_bytes()
         Path(path).write_bytes(raw[:-8])
-        with pytest.raises(TruncatedPayloadError):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: payload is")):
             formats.read_tensor(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -153,32 +148,32 @@ class TestTensorContainer:
         formats.write_tensor(path, "m", np.eye(2))
         with open(path, "ab") as f:
             f.write(b"extra")
-        with pytest.raises(TruncatedPayloadError):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: payload is")):
             formats.read_tensor(path)
 
     def test_unsupported_dtype(self, tmp_path, capsys):
         path = str(tmp_path / "t.cqt")
-        with pytest.raises(UnsupportedDtypeError):
+        with pytest.raises(ValueError, match="^unsupported dtype 'i8'$"):
             formats.write_tensor(path, "m", np.eye(2), dtype="i8")
         # dtypes safetensors defines that this tool does not read, a name in
         # the wrong case, and one that is not a string
         for dtype in ("BF16", "F16", "I64", "f64", 8):
             write_raw(path, {"m": {"dtype": dtype, "shape": [2, 2],
                                    "data_offsets": [0, 32]}}, bytes(32))
-            with pytest.raises(UnsupportedDtypeError, match=re.escape(path)):
+            with pytest.raises(FormatError, match=re.escape(f"{path}: tensor 'm': dtype")):
                 formats.read_tensor(path)
             exits_2_naming(capsys, path, "analyze", "--x", path, "--w", path)
 
     def test_header_missing_field(self, tmp_path):
         path = str(tmp_path / "t.cqt")
         write_raw(path, {"m": {"dtype": "F64"}})
-        with pytest.raises(HeaderMismatchError):
+        with pytest.raises(FormatError, match="tensor 'm' missing field 'shape'"):
             formats.read_tensor(path)
 
     def test_zero_shape_rejected(self, tmp_path):
         path = str(tmp_path / "t.cqt")
         write_raw(path, {"m": {"dtype": "F64", "shape": [0, 2], "data_offsets": [0, 0]}})
-        with pytest.raises(HeaderMismatchError):
+        with pytest.raises(FormatError, match=r"tensor 'm': shape must be .*, got \[0, 2\]"):
             formats.read_tensor(path)
 
 
@@ -217,26 +212,27 @@ MALFORMED_HEADERS = {
     "metadata-not-object": lambda header, name: header.update(__metadata__="m"),
 }
 
-# whole files that break the framing, and the error each raises
+# whole files that break the framing, and a fragment of the error each raises
 MALFORMED_FRAMES = {
-    "shorter-than-length": (b"\x10\x00\x00", HeaderMismatchError),
-    "length-past-eof": (struct.pack("<Q", 64) + b"{}      ", HeaderMismatchError),
+    "shorter-than-length": (b"\x10\x00\x00", "header length 16 is past the end"),
+    "length-past-eof": (struct.pack("<Q", 64) + b"{}      ",
+                        "header length 64 is past the end"),
     "length-above-cap": (struct.pack("<Q", MAX_BYTES + 8) + b"{}      ",
-                         HeaderMismatchError),
-    "not-utf8": (frame(b'{"\xff": 1}'), HeaderMismatchError),
-    "not-json": (frame(b"{nope"), HeaderMismatchError),
-    "not-an-object": (frame([GOOD_ENTRY]), HeaderMismatchError),
+                         f"header length {MAX_BYTES + 8} is past the end"),
+    "not-utf8": (frame(b'{"\xff": 1}'), "invalid JSON header: 'utf-8' codec"),
+    "not-json": (frame(b"{nope"), "invalid JSON header: Expecting property name"),
+    "not-an-object": (frame([GOOD_ENTRY]), "header is not a JSON object"),
     "overlap": (frame({"a": GOOD_ENTRY, "b": dict(GOOD_ENTRY, data_offsets=[24, 56])},
-                      bytes(56)), HeaderMismatchError),
+                      bytes(56)), "tensor 'b' begins at byte 24, expected 32"),
     "gap": (frame({"a": GOOD_ENTRY, "b": dict(GOOD_ENTRY, data_offsets=[40, 72])},
-                  bytes(72)), HeaderMismatchError),
+                  bytes(72)), "tensor 'b' begins at byte 40, expected 32"),
     "not-from-0": (frame({"a": dict(GOOD_ENTRY, data_offsets=[8, 40])}, bytes(40)),
-                   HeaderMismatchError),
-    "payload-short": (frame({"a": GOOD_ENTRY}, bytes(24)), TruncatedPayloadError),
-    "payload-past-end": (frame({"a": GOOD_ENTRY}, bytes(40)), TruncatedPayloadError),
-    "no-tensor": (frame({"__metadata__": {}}), HeaderMismatchError),
+                   "tensor 'a' begins at byte 8, expected 0"),
+    "payload-short": (frame({"a": GOOD_ENTRY}, bytes(24)), "payload is 24 bytes"),
+    "payload-past-end": (frame({"a": GOOD_ENTRY}, bytes(40)), "payload is 40 bytes"),
+    "no-tensor": (frame({"__metadata__": {}}), "holds 0 tensors, expected 1"),
     "two-tensors": (frame({"a": GOOD_ENTRY, "b": dict(GOOD_ENTRY, data_offsets=[32, 64])},
-                          bytes(64)), HeaderMismatchError),
+                          bytes(64)), "holds 2 tensors, expected 1"),
 }
 
 
@@ -252,7 +248,7 @@ class TestHeaderSchema:
         header = {"m": dict(GOOD_ENTRY)}
         MALFORMED_HEADERS[case](header, "m")
         write_raw(path, header, bytes(32))
-        with pytest.raises(HeaderMismatchError, match=re.escape(path)):
+        with pytest.raises(FormatError, match=re.escape(path)):
             reader(path)
         exits_2_naming(capsys, path, "analyze", "--x", path, "--w", path)
 
@@ -263,23 +259,23 @@ class TestHeaderSchema:
         header, payload = split(path)
         MALFORMED_HEADERS[case](header, "0.sigma_x")
         write_raw(path, header, payload)
-        with pytest.raises(HeaderMismatchError, match=re.escape(path)):
+        with pytest.raises(FormatError, match=re.escape(path)):
             formats.read_stats(path)
         exits_2_naming(capsys, path, "solve", "--stats", path)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_FRAMES))
     def test_malformed_frame(self, tmp_path, capsys, case):
         path = str(tmp_path / "t.cqt")
-        raw, error = MALFORMED_FRAMES[case]
+        raw, fragment = MALFORMED_FRAMES[case]
         Path(path).write_bytes(raw)
-        with pytest.raises(error, match=re.escape(path)):
+        with pytest.raises(FormatError, match=f"^{re.escape(path)}: {re.escape(fragment)}"):
             formats.map_tensor(path)
         exits_2_naming(capsys, path, "analyze", "--x", path, "--w", path)
 
     def test_bundle_header_not_an_object(self, tmp_path):
         path = str(tmp_path / "s.cqb")
         write_raw(path, ["stats"])
-        with pytest.raises(HeaderMismatchError):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: header is not a JSON object")):
             formats.read_stats(path)
 
     @pytest.mark.parametrize("metadata", [{}, {"kind": "stats"},
@@ -290,7 +286,7 @@ class TestHeaderSchema:
         formats.write_stats(path, [layer_stats()])
         header, payload = split(path)
         write_raw(path, header | {"__metadata__": metadata}, payload)
-        with pytest.raises(HeaderMismatchError, match=re.escape(path)):
+        with pytest.raises(FormatError, match=re.escape(path)):
             formats.read_stats(path)
         exits_2_naming(capsys, path, "solve", "--stats", path)
 
@@ -313,7 +309,7 @@ class TestMapTensor:
         raw = read_raw(path)
         with open(path, "wb") as f:
             f.write(raw[:cut] if cut < 0 else raw + bytes(cut))
-        with pytest.raises(TruncatedPayloadError):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: payload is")):
             formats.map_tensor(path)
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -381,7 +377,7 @@ class TestSafetensors:
         assert tensors["a"].dtype == np.float32 and tensors["b"].dtype == np.float64
         assert np.array_equal(tensors["a"], [[1, 2, 3], [4, 5, -0.5]])
         assert np.array_equal(tensors["b"], [1e300, -2.25])
-        with pytest.raises(HeaderMismatchError, match="holds 2 tensors, expected 1"):
+        with pytest.raises(FormatError, match="holds 2 tensors, expected 1"):
             formats.map_tensor(str(path))
         one = b'{"a":{"dtype":"F32","shape":[2,3],"data_offsets":[0,24]}}'
         path = tmp_path / "one.safetensors"
@@ -568,7 +564,7 @@ class TestStreamedBundles:
         begin, end = header["1.vectors"]["data_offsets"]
         doubled = 2.0 * np.frombuffer(payload[begin:end], "<f8")
         path.write_bytes(frame(header, payload[:begin] + doubled.tobytes() + payload[end:]))
-        with pytest.raises(HeaderMismatchError, match=r"plans\[1\]: basis has"):
+        with pytest.raises(FormatError, match=r"plans\[1\]: basis has"):
             formats.read_plan(str(path))
         (plan,) = formats.read_plan(str(path), "g2")
         assert plan.group.name == "g2"
@@ -669,13 +665,13 @@ class TestStatsBundle:
         path = tmp_path / "s.cqb"
         formats.write_stats(str(path), [layer_stats()])
         path.write_bytes(path.read_bytes() + bytes(8))
-        with pytest.raises(TruncatedPayloadError):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: payload is")):
             formats.read_stats(str(path))
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = str(tmp_path / "s.cqb")
         formats.write_stats(path, [layer_stats()])
-        with pytest.raises(HeaderMismatchError):
+        with pytest.raises(FormatError, match="file kind 'stats', expected 'plan'"):
             formats.read_plan(path)
 
     @pytest.mark.parametrize("key", ["sigma_x", "sigma_w"])
@@ -687,7 +683,7 @@ class TestStatsBundle:
         sigma[2, 3] = sigma[3, 2] = np.nan
         formats.write_stats(path, [dataclasses.replace(stats, **{key: sigma})])
         message = f"{path}: tensor '0.{key}' contains non-finite entries"
-        with pytest.raises(HeaderMismatchError, match=re.escape(message)):
+        with pytest.raises(FormatError, match=re.escape(message)):
             formats.read_stats(path)
         out = tmp_path / "p.cqb"
         assert main(["solve", "--stats", path, "--out", str(out)]) == 2
@@ -800,7 +796,7 @@ def plan_inputs(tmp_path):
 
 
 class TestBundleMetaSchema:
-    """Malformed bundle metadata is a schema error: HeaderMismatchError from
+    """Malformed bundle metadata is a schema error: FormatError from
     the reader, exit 2 from the CLI, and no output file."""
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_META | MALFORMED_STATS_META))
@@ -808,7 +804,7 @@ class TestBundleMetaSchema:
         path = str(tmp_path / "s.cqb")
         formats.write_stats(path, [layer_stats()])
         edit_bundle_header(path, (MALFORMED_META | MALFORMED_STATS_META)[case], "groups")
-        with pytest.raises(HeaderMismatchError):
+        with pytest.raises(FormatError, match=rf"^{re.escape(path)}: (meta\.)?groups"):
             formats.read_stats(path)
         out = tmp_path / "p.cqb"
         assert main(["solve", "--stats", path, "--out", str(out)]) == 2
@@ -821,7 +817,7 @@ class TestBundleMetaSchema:
         path = str(tmp_path / "p.cqb")
         formats.write_plan(path, [build_plan(stats_from_tensors(x, w), 2, 4, 8)])
         edit_bundle_header(path, (MALFORMED_META | MALFORMED_PLAN_META)[case], "plans")
-        with pytest.raises(HeaderMismatchError):
+        with pytest.raises(FormatError, match=rf"^{re.escape(path)}: (meta\.)?plans"):
             formats.read_plan(path)
         out = tmp_path / "r.jsonl"
         assert main(["simulate", "--plan", path, "--x", x_path, "--w", w_path,
@@ -919,7 +915,7 @@ class TestPlanSchema:
         formats.write_plan(path, [build_plan(stats_from_tensors(x, w), 2, 4, 8)])
         edit, word = MALFORMED_PLAN_TENSORS[case]
         _with_tensors(edit)(path)
-        with pytest.raises(HeaderMismatchError, match=re.escape(word)):
+        with pytest.raises(FormatError, match=re.escape(word)):
             formats.read_plan(path)
         out = tmp_path / "r.jsonl"
         assert main(["simulate", "--plan", path, "--x", x_path, "--w", w_path,
@@ -969,7 +965,7 @@ class TestPlanSchema:
         path = str(tmp_path / "s.cqb")
         formats.write_stats(path, [layer_stats()])
         _with_tensors(lambda t: t | {"0.sigma_w": np.eye(7)})(path)
-        with pytest.raises(HeaderMismatchError, match="'0.sigma_w'"):
+        with pytest.raises(FormatError, match="'0.sigma_w'"):
             formats.read_stats(path)
         assert main(["solve", "--stats", path, "--out", str(tmp_path / "p.cqb")]) == 2
 
@@ -1056,7 +1052,7 @@ class TestPlanBundle:
         formats.write_plan(path, [plan])
         raw = Path(path).read_bytes()
         Path(path).write_bytes(raw[:-16])
-        with pytest.raises(TruncatedPayloadError):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: payload is")):
             formats.read_plan(path)
 
 
@@ -1088,14 +1084,14 @@ class TestReports:
         row = self.make_reports()[0].to_json()
         Path(path).write_text(",".join(row) + "\n"
                               + ",".join(str(v) for v in row.values()) + "\n")
-        with pytest.raises(HeaderMismatchError,
+        with pytest.raises(FormatError,
                            match=re.escape(f"{path}: report row 0 is not JSON")):
             formats.read_report(path)
 
     def test_deeply_nested_jsonl_is_schema_error(self, tmp_path):
         path = str(tmp_path / "r.jsonl")
         Path(path).write_text('{"group": ' + "[" * 100_000 + "]" * 100_000 + "}\n")
-        with pytest.raises(HeaderMismatchError, match="report row 0 is not JSON"):
+        with pytest.raises(FormatError, match="report row 0 is not JSON"):
             formats.read_report(path)
 
     def test_no_rows_is_an_empty_report(self, tmp_path):
@@ -1109,7 +1105,7 @@ class TestReports:
         # a line that is not a report row, alone, is not an empty report
         path = tmp_path / "r.csv"
         path.write_text(text)
-        with pytest.raises(HeaderMismatchError, match="report row 0"):
+        with pytest.raises(FormatError, match="report row 0"):
             formats.read_report(str(path))
 
     def test_integer_cells_read_as_numbers(self, tmp_path):
@@ -1126,7 +1122,7 @@ class TestReports:
         path = str(tmp_path / "r.jsonl")
         row = self.make_reports()[0].to_json() | {field: value}
         Path(path).write_text(json.dumps(row) + "\n")
-        with pytest.raises(HeaderMismatchError, match=f"row 0: .*{field}"):
+        with pytest.raises(FormatError, match=f"row 0: .*{field}"):
             formats.read_report(path)
 
     @pytest.mark.parametrize("field,cell", [
@@ -1137,7 +1133,7 @@ class TestReports:
         path = str(tmp_path / "r.jsonl")
         row = self.make_reports()[0].to_json() | {field: cell}
         Path(path).write_text(json.dumps(row) + "\n")
-        with pytest.raises(HeaderMismatchError, match=f"row 0: .*{field}"):
+        with pytest.raises(FormatError, match=f"row 0: .*{field}"):
             formats.read_report(path)
 
     def test_jsonl_keys_sorted_one_row_per_line(self, tmp_path):
@@ -1154,7 +1150,7 @@ class TestReports:
     def test_csv_missing_column_is_schema_error(self, tmp_path):
         path = str(tmp_path / "r.csv")
         Path(path).write_text("group,objective\na,joint\n")
-        with pytest.raises(HeaderMismatchError):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: report row 0 is not JSON")):
             formats.read_report(path)
 
     @pytest.mark.parametrize("line", ["5", "[]", '"row"', '{"group": "g"}'])
@@ -1162,7 +1158,7 @@ class TestReports:
         path = str(tmp_path / "r.jsonl")
         formats.write_report(path, self.make_reports())
         Path(path).write_text(Path(path).read_text() + line + "\n")
-        with pytest.raises(HeaderMismatchError, match="row 1"):
+        with pytest.raises(FormatError, match="row 1"):
             formats.read_report(path)
 
     @pytest.mark.parametrize("bad,fault", [
@@ -1182,13 +1178,13 @@ class TestReports:
         path = str(tmp_path / "r.jsonl")
         formats.write_report(path, self.make_reports()[:1])
         Path(path).write_text(bad(Path(path).read_text()))
-        with pytest.raises(HeaderMismatchError, match=re.escape(f"{path}: {fault}")):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {fault}")):
             formats.read_report(path)
 
     def test_csv_short_row_is_schema_error(self, tmp_path):
         path = str(tmp_path / "r.jsonl")
         formats.write_report(path, self.make_reports())
         Path(path).write_text(Path(path).read_text() + "g,joint\n")
-        with pytest.raises(HeaderMismatchError, match="row 1"):
+        with pytest.raises(FormatError, match="row 1"):
             formats.read_report(path)
 

@@ -5,11 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subquant.engine import use_gram_form
-from subquant.errors import (
-    DimensionMismatchError,
-    NonSquareError,
-    NotSymmetricError,
-)
 from subquant import linalg
 from subquant.linalg import (
     gram_input,
@@ -81,7 +76,7 @@ class TestSymEig:
         assert np.array_equal(a.vectors, b.vectors)
 
     def test_rejects_non_square(self):
-        with pytest.raises(NonSquareError):
+        with pytest.raises(ValueError, match=r"expected square matrix, got \(2, 3\)"):
             sym_eig(np.zeros((2, 3)))
 
     def test_solves_the_lower_triangle(self):
@@ -96,7 +91,7 @@ class TestSymEig:
         assert np.array_equal(a.vectors, b.vectors)
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(NotSymmetricError):
+        with pytest.raises(ValueError, match="asymmetry exceeds"):
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
@@ -186,7 +181,7 @@ class TestRowBlocks:
     @pytest.mark.parametrize("shape", [(24,), (2, 3, 4), (5, 3), (0, 4)],
                              ids=["1-d", "3-d", "columns", "no-rows"])
     def test_shape_rejected(self, shape):
-        with pytest.raises(DimensionMismatchError,
+        with pytest.raises(ValueError,
                            match=r"x must be 2-d with 4 columns and at least one row"):
             row_blocks(np.zeros(shape), 4, 4, False)
 
@@ -216,7 +211,7 @@ class TestOrthogonal:
         assert not np.array_equal(random_orthogonal(8, 1), random_orthogonal(8, 2))
 
     def test_rejects_zero_dim(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValueError, match="d must be >= 1"):
             random_orthogonal(0, 1)
 
 
@@ -262,7 +257,7 @@ class TestHadamard:
 
     @pytest.mark.parametrize("d", [0, 3, 6, 12])
     def test_rejects_non_power_of_two(self, d):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValueError, match="must be a power of two"):
             hadamard(d)
 
 

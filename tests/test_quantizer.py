@@ -10,12 +10,7 @@ from reference import quantize_reference
 from subquant.calib import ProjectionGroup
 from subquant.cli import ConfigGroup, RunConfig
 from subquant.engine import build_plan, measure_plan, stats_from_tensors
-from subquant.errors import (
-    Checked,
-    DimensionMismatchError,
-    ScaleRangeError,
-    SubquantError,
-)
+from subquant.errors import Checked
 from subquant.quantizer import combined_error_coeff, quantize, relative_error_coeff
 from subquant.synth import weight_anisotropic_spec
 
@@ -79,7 +74,7 @@ class TestQuantize:
 
     @pytest.mark.parametrize("shape", [(6,), (2, 3, 4)], ids=["1-d", "3-d"])
     def test_rejects_non_2d(self, shape):
-        with pytest.raises(DimensionMismatchError, match="x must be 2-d"):
+        with pytest.raises(ValueError, match="x must be 2-d"):
             quantize(np.ones(shape), 4, True)
 
     def test_grid_aligned_integers_exact(self):
@@ -183,7 +178,7 @@ class TestQuantize:
         x[where] = value
         with pytest.raises(ValueError, match="non-finite") as e:
             quantize(as_rows(x, granularity, head_dim), 4, symmetric)
-        assert not isinstance(e.value, ScaleRangeError)
+        assert not isinstance(e.value, ArithmeticError)
 
     @pytest.mark.parametrize("values,symmetric", [
         ([1e308, -1e308, 0.5], False),   # max - min overflows
@@ -191,10 +186,10 @@ class TestQuantize:
         ([5e-324, 0.0, 0.0], False),
     ], ids=["range-overflow", "sym-scale-underflow", "asym-scale-underflow"])
     def test_unrepresentable_scale_raises(self, values, symmetric):
-        with pytest.raises(ScaleRangeError) as e:
+        with pytest.raises(ArithmeticError, match=r"^1 quantization group\(s\) have a "
+                           "range that overflows float64 or a scale that underflows") as e:
             quantize(np.array([values, [1.0, 2.0, 3.0]]), 4, symmetric)
-        assert isinstance(e.value, SubquantError)
-        assert isinstance(e.value, ArithmeticError)
+        assert not isinstance(e.value, ValueError)
 
 
 @settings(max_examples=50, deadline=None)
