@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from reference import assert_reports_agree, assert_within_f32_gram_bound
-from subquant import cli, engine, errors, formats, linalg, solver
+from subquant import cli, engine, errors, formats, linalg, quantizer, solver
 from subquant.calib import CalibStats, ProjectionGroup
 from subquant.cli import main
 from subquant.engine import (
@@ -498,16 +498,79 @@ EXIT_CODES = {errors.FormatError: 2, ValueError: 2, UnicodeError: 2, OSError: 2,
               FileNotFoundError: 2, ArithmeticError: 1, OverflowError: 1}
 
 
+def boom(error):
+    def raises(tmp_path, monkeypatch):
+        raise error("boom")
+    return raises
+
+
+def bad_header(header: str):
+    def reads(tmp_path, monkeypatch):
+        path = tmp_path / "bad.cqt"
+        path.write_bytes(framed(header) + bytes(32))
+        formats.read_tensor(str(path))
+    return reads
+
+
+def truncated(tmp_path, monkeypatch):
+    path = str(tmp_path / "t.cqt")
+    formats.write_tensor(path, "m", np.eye(3))
+    Path(path).write_bytes(Path(path).read_bytes()[:-8])
+    formats.read_tensor(path)
+
+
+def no_convergence(tmp_path, monkeypatch):
+    def fails(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+    linalg.sym_eig(np.eye(2))
+
+
+# each class the CLI handles, raised as itself, and each kind of failure the
+# package checks for, by name, raised at its own site: the class it is
+# raised as, a pattern its message matches, and a call that raises it
+RAISED = {
+    **{c.__name__: (c, "^boom$", boom(c)) for c in EXIT_CODES},
+    "DimensionMismatchError": (ValueError, "^x must be 2-d",
+                               lambda *_: quantizer.quantize(np.zeros(3), 4, True)),
+    "NonSquareError": (ValueError, "^expected square matrix",
+                       lambda *_: linalg.sym_eig(np.zeros((2, 3)))),
+    "NotSymmetricError": (ValueError, "^asymmetry exceeds",
+                          lambda *_: linalg.sym_eig(np.triu(np.ones((2, 2))))),
+    "NoConvergenceError": (ArithmeticError, "^eigh did not converge", no_convergence),
+    "ScaleRangeError": (ArithmeticError, "have a range that overflows float64",
+                        lambda *_: quantizer.quantize(
+                            np.array([[-1.7e308, 1.7e308]]), 4, False)),
+    "NoSignalError": (ArithmeticError, "^combined covariance matrix is zero$",
+                      lambda *_: solver.solve_partition(engine.stats_from_tensors(
+                          np.zeros((4, 3)), np.zeros((3, 3))), rank=1)),
+    "HeaderMismatchError": (errors.FormatError, "bad.cqt: header is not a JSON object$",
+                            bad_header("[]")),
+    "TruncatedPayloadError": (errors.FormatError, "t.cqt: payload is 64 bytes",
+                              truncated),
+    "UnsupportedDtypeError": (errors.FormatError, "bad.cqt: tensor 'm': dtype 'I64'$",
+                              bad_header(json.dumps({"m": {
+                                  "dtype": "I64", "shape": [2, 2],
+                                  "data_offsets": [0, 32]}}))),
+}
+
+
 class TestExitCodeRule:
-    @pytest.mark.parametrize("error", EXIT_CODES, ids=lambda c: c.__name__)
-    def test_class_sets_the_exit_code(self, monkeypatch, capsys, error):
+    @pytest.mark.parametrize("error", RAISED)
+    def test_class_sets_the_exit_code(self, tmp_path, monkeypatch, capsys, error):
+        built, message, call = RAISED[error]
+        with pytest.raises(built, match=message) as raised:
+            call(tmp_path, monkeypatch)
+        assert type(raised.value) is built
+
         def fails(args):
-            raise error("boom")
+            raise raised.value
 
         monkeypatch.setattr(cli, "cmd_simulate", fails)
         assert main(["simulate", "--plan", "p.cqb", "--x", "x.cqt", "--w", "w.cqt",
-                     "--out", "r.jsonl"]) == EXIT_CODES[error]
-        assert capsys.readouterr().err == "error: boom\n"
+                     "--out", "r.jsonl"]) == EXIT_CODES[built]
+        assert capsys.readouterr().err == f"error: {raised.value}\n"
 
     def test_every_package_error_is_walked(self):
         # the package's one exception class; every other error is a builtin
