@@ -65,14 +65,10 @@ def bad_squares(rows, name: str, dtype, rotated: bool = False) -> Exception:
 
 def located(e: Exception, where: str) -> Exception:
     """An exception whose message is `where: ` then `e`'s, to raise from `e`:
-    of `e`'s class if one message builds it, else of the builtin base that
-    sets its exit code (a UnicodeEncodeError, say, needs five arguments)."""
-    message = f"{where}: {e}"
-    try:
-        return type(e)(message)
-    except TypeError:
-        return next(base(message) for base in (ArithmeticError, OSError, ValueError)
-                    if isinstance(e, base))
+    of the builtin base that sets its exit code, since a class such as
+    UnicodeEncodeError cannot be built from one message."""
+    return next(base(f"{where}: {e}") for base in (ArithmeticError, OSError, ValueError)
+                if isinstance(e, base))
 
 
 def check_fields(obj, rules) -> None:

@@ -581,20 +581,28 @@ class TestExitCodeRule:
         assert {*defined, ValueError, OSError, ArithmeticError} <= EXIT_CODES.keys()
 
     @pytest.mark.parametrize("error, built", [
-        (errors.FormatError("x.cqt: header is not a JSON object"), errors.FormatError),
+        (errors.FormatError("x.cqt: header is not a JSON object"), ValueError),
         (ValueError("w contains non-finite entries"), ValueError),
         (UnicodeEncodeError("utf-8", "\ud800", 0, 1, "surrogates not allowed"),
          ValueError),
         (json.JSONDecodeError("Expecting value", "nope", 0), ValueError),
-        (FileNotFoundError(2, "No such file or directory", "x.cqt"), FileNotFoundError),
+        (FileNotFoundError(2, "No such file or directory", "x.cqt"), OSError),
         (ArithmeticError("eigh did not converge"), ArithmeticError),
-        (ZeroDivisionError("division by zero"), ZeroDivisionError),
+        (ZeroDivisionError("division by zero"), ArithmeticError),
     ], ids=lambda v: v.__name__ if isinstance(v, type) else type(v).__name__)
-    def test_located_keeps_the_exit_code(self, error, built):
-        # `error`'s class if one message builds it, else its builtin base
+    def test_located_keeps_the_exit_code(self, error, built, monkeypatch, capsys):
+        # the builtin base of `error`, whose exit code main returns
         named = errors.located(error, "cfg.json: groups[0]")
         assert type(named) is built
         assert str(named) == f"cfg.json: groups[0]: {error}"
+
+        def fails(args):
+            raise named from error
+
+        monkeypatch.setattr(cli, "cmd_simulate", fails)
+        assert main(["simulate", "--plan", "p.cqb", "--x", "x.cqt", "--w", "w.cqt",
+                     "--out", "r.jsonl"]) == EXIT_CODES[built]
+        assert capsys.readouterr().err == f"error: {named}\n"
 
     def test_bare_arithmetic_error_exits_1_naming_the_group(self, workspace,
                                                              monkeypatch, capsys):
@@ -718,7 +726,7 @@ class TestSolve:
         monkeypatch.setattr(np.linalg, "eigh", no_convergence)
         assert run("solve", "--stats", stats,
                    "--out", str(workspace["tmp"] / "p.cqb")) == 1
-        # the group is named, and the error keeps its class and exit code
+        # the group is named, and the error keeps its exit code
         assert (f"{stats}: groups[0] (group 'g0'): eigh did not converge"
                 in capsys.readouterr().err)
 
